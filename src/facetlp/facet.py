@@ -8,9 +8,13 @@ each pivot swaps one violated non-base facet into the base so that the sign
 condition is preserved and the objective never decreases. The first feasible
 iterate is therefore optimal.
 
-Per iteration a single LU factorization of the base serves both linear
-solves: the transpose solve for the entering facet's expansion and the
-rank-one update of the iterate.
+Per iteration one factorization of the base serves both linear solves: the
+transpose solve for the entering facet's expansion and the rank-one update
+of the iterate. A pivot hands the row swap to ``linalg.replace_row``, which
+refactors small bases (d below ``linalg.QR_UPDATE_MIN_D``) as an LU and
+updates the QR factors of larger ones in O(d^2). Updated factors are rebuilt
+from scratch at every y_c refresh (periodic or drift-triggered), and before
+the direct-solve fallback when the iterate fails its residual check.
 """
 
 from __future__ import annotations
@@ -347,9 +351,12 @@ def pivot(
     """Swap facet q out for facet p and update the iterate and expansion.
 
     The iterate moves along w = A_B^{-1} e_q, solved from the same
-    factorization that produced y_p, so one LU per iteration covers both
-    solves. The result is checked against the new base equations row by row,
-    with a direct solve from the fresh factorization as fallback.
+    factorization that produced y_p, so one factorization per iteration
+    covers both solves. The new base's factors come from
+    ``linalg.replace_row``: a fresh LU below ``linalg.QR_UPDATE_MIN_D``, a
+    rank-one QR update from it up. The iterate is checked against the new
+    base equations row by row; if that fails, updated factors are rebuilt
+    from scratch and the iterate is solved for directly.
     """
     s = base.slot_of(q)
     if abs(y_p[s]) <= TOL_SIGN:
@@ -367,25 +374,23 @@ def pivot(
     is_eq = base.is_eq.copy()
     indices[s] = p
     is_eq[s] = p < sp.m
-    try:
-        fact = linalg.factor(sp.A[indices])
-        if fact.singular:
-            raise SingularMatrix(
-                f"base became singular after pivot {p}<->{q}", fact.bad_pivot_index
-            )
-    except SingularMatrix as exc:
+    m_new = sp.A[indices]
+    fact = linalg.replace_row(base.fact, s, a_p - sp.A[q], m_new)
+    if fact.singular:
         raise SingularMatrix(
             f"pivot {p}<->{q} produced a singular base, which the independence "
-            f"property rules out; numerical breakdown: {exc}",
-            exc.pivot_index,
-        ) from exc
+            f"property rules out; numerical breakdown at diagonal entry "
+            f"{fact.bad_pivot_index}",
+            fact.bad_pivot_index,
+        )
 
     # the rank-one step cancels catastrophically when big-M coordinates
     # collapse to small values, so verify row by row at the same tolerance
     # the basic-solution invariant uses and fall back to a direct solve
     b_new = sp.b[indices]
-    residual = np.abs(sp.A[indices] @ x_new - b_new)
+    residual = np.abs(m_new @ x_new - b_new)
     if np.any(residual > tol_lin * (1.0 + np.abs(b_new))):
+        fact = linalg.refactor(fact, m_new)
         x_new = fact.solve(b_new)
 
     y_c = state.y_c - y_p * ratio
@@ -518,7 +523,9 @@ def solve(
             )
 
         q = select_leaving(p, float(sigma[p]), y_p, state.y_c, base)
-        if detect_leaving_redundant(q, y_p, base):
+        # the redundancy test is stated for a facet violated from below; an
+        # over-violated equality enters as its mirror image -a_p >= -b_p
+        if detect_leaving_redundant(q, y_p if sigma[p] < 0 else -y_p, base):
             state.removed_rows.add(q)
 
         max_violation = _max_violation(sp, sigma)
@@ -532,6 +539,7 @@ def solve(
             drift > YC_DRIFT_FACTOR * TOL_LIN * c_scale
             or state.iteration % YC_REFRESH_PERIOD == 0
         ):
+            base.fact = linalg.refactor(base.fact, sp.A[base.indices])
             state.y_c = _refresh_y_c(sp, base)
 
         objective = float(c @ state.x) + offset

@@ -1,14 +1,30 @@
-"""Dense square LU factorization with partial pivoting.
+"""Dense square factorizations of the facet base and their row replacement.
 
 One factorization serves solves against both the matrix and its transpose,
 which is what the pivot loop needs: the expansion coefficients come from a
 transpose solve and the iterate update from a plain solve, both on the same
 base matrix.
+
+A pivot replaces one row of the base, a rank-one change. How it is absorbed
+depends on the dimension d, with the crossover ``QR_UPDATE_MIN_D`` measured
+rather than guessed:
+
+- below it, the factors are an LU with partial pivoting and ``replace_row``
+  factors the new matrix from scratch. At these sizes a fresh LU costs less
+  than the fixed overhead of an update, and every result keeps the bits of
+  a plain LU solve;
+- from it up, the factors are Q and R and ``replace_row`` updates them in
+  O(d^2) by Givens rotations (Golub & Van Loan, *Matrix Computations*,
+  section 6.5) instead of the O(d^3) refactorization. An update whose R
+  comes out singular or near singular is discarded for a fresh QR, and
+  ``refactor`` lets the caller restart from scratch when it sees drift.
+
+All LAPACK routines are called directly; the scipy wrappers around them add
+per-call overhead that dominates at small d.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,19 +34,37 @@ from facetlp.errors import DimensionMismatch, SingularMatrix
 
 TOL_PIVOT = 1e-12
 NEAR_SINGULAR_FACTOR = 1e3
+# smallest dimension whose factors are QR and get updated per row
+# replacement; the per-pivot timings behind it are in CHANGES.md
+QR_UPDATE_MIN_D = 64
+
+_getrf, _getrs, _trtrs = scipy.linalg.get_lapack_funcs(
+    ("getrf", "getrs", "trtrs"), dtype=np.float64
+)
 
 
 @dataclass(frozen=True)
 class SquareFactorization:
-    """Packed LU factors of a d-by-d matrix, immutable after construction."""
+    """Factors of a d-by-d matrix, immutable after construction.
+
+    Below ``QR_UPDATE_MIN_D`` they are the packed LU factors ``lu`` and the
+    0-based row pivots ``piv``; from it up, the orthogonal ``q`` and upper
+    triangular ``r``, with ``updates`` counting the row replacements applied
+    since the last factorization from scratch. ``row_sums`` holds the
+    absolute row sums of the factored matrix, whose maximum is the norm the
+    singularity flags are relative to.
+    """
 
     dimension: int
-    lu: np.ndarray
-    piv: np.ndarray
     singular: bool
     near_singular: bool
-    pivot_tolerance: float
+    row_sums: np.ndarray
     bad_pivot_index: int | None = None
+    lu: np.ndarray | None = None
+    piv: np.ndarray | None = None
+    q: np.ndarray | None = None
+    r: np.ndarray | None = None
+    updates: int = 0
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         return solve(self, r)
@@ -39,35 +73,88 @@ class SquareFactorization:
         return solve_transpose(self, r)
 
 
-def factor(m: np.ndarray) -> SquareFactorization:
-    """LU-factor a square matrix with row pivoting.
-
-    Exactly or nearly singular input does not raise here; the condition is
-    recorded and the solves refuse to run. Factorization is deterministic:
-    identical input bits give identical factors and permutation.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    d = m.shape[0]
-    norm = np.max(np.abs(m).sum(axis=1)) if d else 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=True)
-    pivots = np.abs(np.diag(lu))
+def _flagged(
+    row_sums: np.ndarray, diagonal: np.ndarray, **factors
+) -> SquareFactorization:
+    """Attach the singularity flags read off the triangular factor's diagonal,
+    relative to the infinity norm of the factored matrix."""
+    d = row_sums.shape[0]
+    norm = np.max(row_sums) if d else 0.0
+    pivots = np.abs(diagonal)
     threshold = TOL_PIVOT * max(norm, np.finfo(float).tiny)
     bad = np.flatnonzero(pivots <= threshold)
     singular = bad.size > 0
     near = bool(not singular and np.any(pivots <= NEAR_SINGULAR_FACTOR * threshold))
     return SquareFactorization(
         dimension=d,
-        lu=lu,
-        piv=piv,
         singular=singular,
         near_singular=near,
-        pivot_tolerance=TOL_PIVOT,
+        row_sums=row_sums,
         bad_pivot_index=int(bad[0]) if singular else None,
+        **factors,
     )
+
+
+def factor(m: np.ndarray) -> SquareFactorization:
+    """Factor a square matrix from scratch: LU with row pivoting below
+    ``QR_UPDATE_MIN_D``, QR from it up.
+
+    Exactly or nearly singular input does not raise here; the condition is
+    recorded and the solves refuse to run. NaN or infinite entries raise
+    ValueError. Factorization is deterministic: identical input bits give
+    identical factors.
+    """
+    m = np.asarray_chkfinite(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    d = m.shape[0]
+    row_sums = np.abs(m).sum(axis=1)
+    if d >= QR_UPDATE_MIN_D:
+        q, r = scipy.linalg.qr(m, check_finite=False)
+        return _flagged(row_sums, np.diag(r), q=q, r=r)
+    if d == 0:
+        empty_piv = np.empty(0, dtype=np.int32)
+        return _flagged(row_sums, np.diag(m), lu=m.copy(), piv=empty_piv)
+    lu, piv, info = _getrf(m)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    return _flagged(row_sums, np.diag(lu), lu=lu, piv=piv)
+
+
+def replace_row(
+    f: SquareFactorization, slot: int, delta: np.ndarray, m_new: np.ndarray
+) -> SquareFactorization:
+    """Factors of ``m_new``, the factored matrix with ``delta`` added to row
+    ``slot``.
+
+    LU factors are recomputed from ``m_new``. QR factors take the rank-one
+    update e_slot delta^T; if the updated R is singular or near singular the
+    update is dropped and ``m_new`` is factored from scratch.
+    """
+    if f.q is None:
+        return factor(m_new)
+    # m_new differs from the finite factored matrix by delta alone
+    delta = np.asarray_chkfinite(delta, dtype=float)
+    if np.shape(m_new) != (f.dimension, f.dimension) or delta.shape != (f.dimension,):
+        raise DimensionMismatch(
+            f"row replacement of shape {delta.shape} into {np.shape(m_new)} "
+            f"does not fit a dimension-{f.dimension} factorization"
+        )
+    unit = np.zeros(f.dimension)
+    unit[slot] = 1.0
+    q, r = scipy.linalg.qr_update(f.q, f.r, unit, delta, check_finite=False)
+    row_sums = f.row_sums.copy()
+    row_sums[slot] = np.abs(m_new[slot]).sum()
+    updated = _flagged(row_sums, np.diag(r), q=q, r=r, updates=f.updates + 1)
+    if updated.singular or updated.near_singular:
+        return factor(m_new)
+    return updated
+
+
+def refactor(f: SquareFactorization, m: np.ndarray) -> SquareFactorization:
+    """Factors of ``m`` from scratch if ``f`` carries row-replacement
+    updates, else ``f`` itself (it is already exact)."""
+    return factor(m) if f.updates else f
 
 
 def _check(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
@@ -83,13 +170,31 @@ def _check(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
     return r
 
 
+def _solved(x_info: tuple[np.ndarray, int]) -> np.ndarray:
+    x, info = x_info
+    if info != 0:
+        raise ValueError(f"LAPACK solve failed with info={info}")
+    return x
+
+
 def solve(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
     """Solve M x = r from the stored factors."""
     r = _check(f, r)
-    return scipy.linalg.lu_solve((f.lu, f.piv), r, trans=0, check_finite=False)
+    if f.q is not None:
+        # M = QR, so x = R^-1 Q^T r. R is C-ordered, as qr_update runs
+        # fastest on it, so LAPACK reads R^T, lower triangular, without a copy
+        return _solved(_trtrs(f.r.T, f.q.T @ r, lower=1, trans=1))
+    if f.dimension == 0:
+        return r.copy()
+    return _solved(_getrs(f.lu, f.piv, r, trans=0))
 
 
 def solve_transpose(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
     """Solve M^T y = r from the same factors (no refactorization)."""
     r = _check(f, r)
-    return scipy.linalg.lu_solve((f.lu, f.piv), r, trans=1, check_finite=False)
+    if f.q is not None:
+        # M^T = R^T Q^T, so y = Q R^-T r
+        return f.q @ _solved(_trtrs(f.r.T, r, lower=1))
+    if f.dimension == 0:
+        return r.copy()
+    return _solved(_getrs(f.lu, f.piv, r, trans=1))

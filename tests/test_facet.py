@@ -21,6 +21,7 @@ from facetlp.facet import (
 )
 from facetlp.generators import klee_minty_v1, klee_minty_v2, random_instance
 from facetlp.model import GeneralLP, to_standard_general, violations
+from facetlp.mps import read_mps
 from facetlp.reference import brute_force_optimal
 
 
@@ -308,6 +309,17 @@ class TestRedundancyDetection:
         assert out.status is Status.OPTIMAL
         assert 0 not in out.redundant_rows
 
+    def test_over_violated_equality_entering_mirrors_the_test(self):
+        # an entering equality violated from above used to prove a binding
+        # inequality redundant and end Optimal at an infeasible point
+        sp = to_standard_general(random_instance(820, 4, 1, 6, "feasible"))
+        got = solve(sp)
+        want = brute_force_optimal(sp)
+        assert got.status is Status.OPTIMAL
+        assert violations(sp, got.x_opt).is_feasible
+        assert got.objective == pytest.approx(want.objective, rel=1e-9)
+        assert got.objective == pytest.approx(-11.835294117647, rel=1e-9)
+
 
 class TestSolveOutcomes:
     def test_km1_matches_published_size_and_value(self):
@@ -418,3 +430,42 @@ class TestTerminationAndAgreement:
             p = random_instance(seed, 5, 2, 8, "feasible")
             out = solve(to_standard_general(p), audit=True)
             assert out.audit.violations == []
+
+
+def _dense_lp(seed, d):
+    """2d integer rows in [-9, 9], strictly satisfied at a planted integer
+    point inside the box [-20, 20]^d."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-9, 10, size=(2 * d, d)).astype(float)
+    x0 = rng.integers(-3, 4, size=d).astype(float)
+    slack = rng.integers(1, 7, size=2 * d).astype(float)
+    return GeneralLP(
+        c=rng.integers(-9, 10, size=d).astype(float), A_ineq=A, b_ineq=A @ x0 - slack,
+        lower=np.full(d, -20.0), upper=np.full(d, 20.0),
+    )
+
+
+class TestBaseFactorizationPaths:
+    """Bases below linalg.QR_UPDATE_MIN_D are refactored as an LU per pivot;
+    larger ones run on updated QR factors."""
+
+    @pytest.mark.parametrize("d", [40, 80])
+    def test_dense_lps_audit_clean_and_match_highs(self, d):
+        from scipy.optimize import linprog
+
+        for seed in range(3):
+            p = _dense_lp(seed, d)
+            out = solve(to_standard_general(p), audit=True)
+            assert out.audit.violations == []
+            ref = linprog(p.c, A_ub=-p.A_ineq, b_ub=-p.b_ineq,
+                          bounds=list(zip(p.lower, p.upper)), method="highs")
+            assert ref.status == 0
+            assert out.status is Status.OPTIMAL
+            assert abs(out.objective - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
+
+    def test_kb2_shaped_fixture_keeps_its_pivot_count(self, fixtures_dir):
+        sp = to_standard_general(read_mps(fixtures_dir / "kb2_shape.mps"))
+        assert sp.d >= linalg.QR_UPDATE_MIN_D
+        out = solve(sp)
+        assert out.status is Status.OPTIMAL
+        assert out.iterations == 31

@@ -76,3 +76,81 @@ def test_shape_errors():
     f = linalg.factor(np.eye(2))
     with pytest.raises(DimensionMismatch):
         f.solve(np.ones(3))
+
+
+def test_non_finite_input_raises():
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(ValueError):
+            linalg.factor(m)
+
+
+def _well_conditioned(rng, d):
+    return rng.integers(-9, 10, size=(d, d)).astype(float) + 20.0 * np.eye(d)
+
+
+def test_replace_row_below_crossover_matches_a_fresh_factorization_bitwise():
+    rng = np.random.default_rng(5)
+    d = linalg.QR_UPDATE_MIN_D - 1
+    m = _well_conditioned(rng, d)
+    f = linalg.factor(m)
+    m_new = m.copy()
+    m_new[4] = rng.integers(-9, 10, size=d)
+    g = linalg.replace_row(f, 4, m_new[4] - m[4], m_new)
+    fresh = linalg.factor(m_new)
+    np.testing.assert_array_equal(g.lu, fresh.lu)
+    np.testing.assert_array_equal(g.piv, fresh.piv)
+    assert linalg.refactor(g, m_new) is g
+
+
+@pytest.mark.parametrize("d", [linalg.QR_UPDATE_MIN_D, 2 * linalg.QR_UPDATE_MIN_D])
+def test_chained_row_replacements_keep_solves_accurate(d):
+    rng = np.random.default_rng(d)
+    m = _well_conditioned(rng, d)
+    f = linalg.factor(m)
+    for _ in range(60):
+        slot = int(rng.integers(d))
+        m_new = m.copy()
+        m_new[slot] = rng.integers(-9, 10, size=d)
+        m_new[slot, slot] += 20.0
+        f = linalg.replace_row(f, slot, m_new[slot] - m[slot], m_new)
+        m = m_new
+        assert not f.singular
+        r = rng.normal(size=d)
+        assert np.max(np.abs(m @ f.solve(r) - r)) <= 1e-10
+        assert np.max(np.abs(m.T @ f.solve_transpose(r) - r)) <= 1e-10
+    assert f.updates == 60
+    fresh = linalg.refactor(f, m)
+    assert fresh.updates == 0
+    assert linalg.refactor(fresh, m) is fresh
+
+
+@pytest.mark.parametrize("d", [linalg.QR_UPDATE_MIN_D, 2 * linalg.QR_UPDATE_MIN_D])
+def test_replacing_a_row_by_a_copy_of_another_is_singular(d):
+    rng = np.random.default_rng(d + 1)
+    m = _well_conditioned(rng, d)
+    f = linalg.factor(m)
+    m_new = m.copy()
+    m_new[3] = m[7]
+    g = linalg.replace_row(f, 3, m_new[3] - m[3], m_new)
+    assert g.singular
+    with pytest.raises(SingularMatrix):
+        g.solve(np.ones(d))
+    with pytest.raises(SingularMatrix):
+        g.solve_transpose(np.ones(d))
+
+
+def test_near_singular_update_is_refactored_from_scratch():
+    d = linalg.QR_UPDATE_MIN_D
+    rng = np.random.default_rng(11)
+    m = _well_conditioned(rng, d)
+    f = linalg.factor(m)
+    m_new = m.copy()
+    m_new[3] = m[7]
+    m_new[3, 0] += 1e-8
+    g = linalg.replace_row(f, 3, m_new[3] - m[3], m_new)
+    assert g.near_singular and not g.singular
+    assert g.updates == 0
+    r = rng.normal(size=d)
+    assert np.max(np.abs(m_new @ g.solve(r) - r)) <= 1e-6 * np.max(np.abs(g.solve(r)))
