@@ -528,7 +528,6 @@ def solve(
         if detect_leaving_redundant(q, y_p if sigma[p] < 0 else -y_p, base):
             state.removed_rows.add(q)
 
-        max_violation = _max_violation(sp, sigma)
         prev_objective = objective
         base, state = pivot(sp, base, state, p, q, y_p)
 
@@ -546,7 +545,7 @@ def solve(
         if state.trace is not None:
             state.trace.append(TraceRecord(
                 k=state.iteration - 1, entering=p, leaving=q,
-                objective=objective, max_violation=max_violation,
+                objective=objective, max_violation=_max_violation(sp, sigma),
                 rule=active_rule.value,
             ))
 

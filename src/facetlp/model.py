@@ -120,14 +120,6 @@ class StandardGeneralLP:
         return self.A.shape[0]
 
     @property
-    def eq_indices(self) -> range:
-        return range(self.m)
-
-    @property
-    def ineq_indices(self) -> range:
-        return range(self.m, self.num_rows)
-
-    @property
     def e_block(self) -> slice:
         return slice(self.m + self.n, self.m + self.n + self.d)
 

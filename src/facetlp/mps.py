@@ -64,7 +64,6 @@ def _tokens_with_optional_set_name(tokens: list[str]) -> list[str]:
 def parse_mps(text: str) -> MpsDocument:
     doc = MpsDocument()
     section = None
-    in_integer_block = False
     seen_marker_warning = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -104,8 +103,7 @@ def parse_mps(text: str) -> MpsDocument:
 
         elif section == "COLUMNS":
             if len(tokens) >= 3 and tokens[1] == "'MARKER'":
-                marker = tokens[2].strip("'")
-                in_integer_block = marker == "INTORG"
+                # integrality is ignored; warned once at the first MARKER
                 if not seen_marker_warning:
                     doc.warnings.append(
                         "MARKER integrality sections present; continuous "
@@ -133,8 +131,6 @@ def parse_mps(text: str) -> MpsDocument:
                     doc.entries[key] += v
                 else:
                     doc.entries[key] = v
-            if in_integer_block:
-                pass  # integrality ignored; warned once at the MARKER
 
         elif section in ("RHS", "RANGES"):
             payload = _tokens_with_optional_set_name(tokens)
@@ -315,12 +311,11 @@ def to_general_lp(doc: MpsDocument) -> GeneralLP:
         "eq_rows": eq_names,
         "ineq_rows": ineq_names,
     }
-    dd = d
     return GeneralLP(
         c=c,
-        A_eq=np.array(eq_rows) if eq_rows else np.zeros((0, dd)),
+        A_eq=np.array(eq_rows) if eq_rows else np.zeros((0, d)),
         b_eq=np.array(eq_rhs),
-        A_ineq=np.array(ineq_rows) if ineq_rows else np.zeros((0, dd)),
+        A_ineq=np.array(ineq_rows) if ineq_rows else np.zeros((0, d)),
         b_ineq=np.array(ineq_rhs),
         lower=lower,
         upper=upper,

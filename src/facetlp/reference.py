@@ -5,6 +5,7 @@ enumerator over facet bases used as ground truth in tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -313,6 +314,23 @@ def dantzig_solve(
 # Brute-force enumeration over facet bases
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _bases(N: int, d: int) -> np.ndarray:
+    """Read-only (k, d) array of the d-subsets of range(N), in lexicographic
+    order, without the subsets holding both bound rows N-2d+i and N-d+i of
+    one variable (the E and F rows of :func:`to_standard_general`)."""
+    count = math.comb(N, d)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(N), d))
+    combos = np.fromiter(flat, dtype=np.intp, count=count * d).reshape(count, d)
+    e_row = N - 2 * d
+    pair = np.zeros(count, dtype=bool)
+    for i in range(d):
+        pair |= np.any(combos == e_row + i, axis=1) & np.any(combos == e_row + d + i, axis=1)
+    combos = combos[~pair]
+    combos.flags.writeable = False
+    return combos
+
+
 def brute_force_optimal(
     sp: StandardGeneralLP, cap: int = ENUMERATION_CAP
 ) -> SolveOutcome:
@@ -323,13 +341,21 @@ def brute_force_optimal(
     an optimum does, so exhaustive enumeration is exact at desk scale. On
     ties the non-artificial base wins; an optimum that can only be attained
     on an artificial big-M facet means the true problem is unbounded.
+
+    The index array comes from :func:`_bases`, built once per (N, d) and
+    cached. It skips the subsets holding both bound rows of one variable:
+    those rows are e_i and -e_i, they stay exact negatives of each other
+    through partially pivoted elimination, so ``det`` is exactly 0.0 and the
+    nonsingular filter below would drop them anyway. Outcomes are therefore
+    bit-identical to enumerating every subset, and ``iterations`` still
+    counts all C(N, d) of them.
     """
     N, d = sp.num_rows, sp.d
     count = math.comb(N, d)
     if count > cap:
         raise TooLarge(f"{count} bases exceed the enumeration cap {cap}")
 
-    combos = np.array(list(itertools.combinations(range(N), d)), dtype=int)
+    combos = _bases(N, d)
     A_stack = sp.A[combos]
     b_stack = sp.b[combos]
 

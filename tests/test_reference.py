@@ -1,10 +1,20 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from facetlp import reference
 from facetlp.errors import TooLarge, UnboundedBelowVariable
-from facetlp.facet import Status, solve
-from facetlp.generators import klee_minty_v1, klee_minty_v2, random_instance
-from facetlp.model import GeneralLP, to_standard_general, violations
+from facetlp.facet import SolveOutcome, Status, solve
+from facetlp.generators import (
+    CYCLING_FIXTURE_IDS,
+    cycling_fixture,
+    klee_minty_v1,
+    klee_minty_v2,
+    random_instance,
+)
+from facetlp.model import GeneralLP, StandardGeneralLP, to_standard_general, violations
 from facetlp.reference import brute_force_optimal, dantzig_solve, to_standard_form
 
 
@@ -154,3 +164,128 @@ class TestBaselineAgreement:
                 assert got.status == want.status
                 rel = abs(got.objective - want.objective) / (1 + abs(want.objective))
                 assert rel <= 1e-7
+
+
+def _enumerate_every_subset(sp: StandardGeneralLP) -> SolveOutcome:
+    """The oracle as it was before the cached, pair-free index array: every
+    d-subset of rows from a fresh ``itertools.combinations`` list."""
+    N, d = sp.num_rows, sp.d
+    count = math.comb(N, d)
+    combos = np.array(list(itertools.combinations(range(N), d)), dtype=int)
+    A_stack = sp.A[combos]
+    b_stack = sp.b[combos]
+
+    dets = np.linalg.det(A_stack)
+    row_norms = np.linalg.norm(sp.A, axis=1)
+    hadamard = np.prod(row_norms[combos], axis=1)
+    nonsingular = np.abs(dets) > 1e-10 * np.maximum(hadamard, np.finfo(float).tiny)
+    if not nonsingular.any():
+        return SolveOutcome(status=Status.INFEASIBLE, x_opt=None, objective=None,
+                            iterations=int(count))
+
+    combos = combos[nonsingular]
+    X = np.linalg.solve(A_stack[nonsingular], b_stack[nonsingular][..., None])[..., 0]
+
+    sigma = X @ sp.A.T - sp.b
+    tols = sp.row_tolerances()
+    feas = np.all(np.abs(sigma[:, : sp.m]) <= tols[: sp.m], axis=1)
+    feas &= np.all(sigma[:, sp.m :] >= -tols[sp.m :], axis=1)
+    if not feas.any():
+        return SolveOutcome(status=Status.INFEASIBLE, x_opt=None, objective=None,
+                            iterations=int(count))
+
+    combos = combos[feas]
+    X = X[feas]
+    objectives = X @ sp.c_original + sp.objective_offset
+    best = float(objectives.min())
+    tie = objectives <= best + 1e-9 * (1.0 + abs(best))
+
+    artificial = sp.artificial_rows
+    winner = None
+    for idx in np.flatnonzero(tie):
+        if not (set(combos[idx].tolist()) & artificial):
+            winner = idx
+            break
+    if winner is None:
+        winner = int(np.flatnonzero(tie)[0])
+        art_row = sorted(set(combos[winner].tolist()) & artificial)[0]
+        return SolveOutcome(
+            status=Status.UNBOUNDED, x_opt=X[winner],
+            objective=float(objectives[winner]), iterations=int(count),
+            certificate=int(art_row),
+            basis_rows=tuple(int(r) for r in combos[winner]),
+        )
+    return SolveOutcome(
+        status=Status.OPTIMAL, x_opt=X[winner],
+        objective=float(objectives[winner]), iterations=int(count),
+        basis_rows=tuple(int(r) for r in combos[winner]),
+    )
+
+
+def _oracle_cases():
+    for seed in range(50):
+        for (d, m, n) in [(3, 1, 4), (4, 1, 6), (5, 2, 8)]:
+            for kind in ("feasible", "infeasible", "unbounded"):
+                # unbounded plants carry no equality rows
+                yield random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
+    for d in range(2, 6):
+        yield klee_minty_v1(d)
+        yield klee_minty_v2(d)
+    for fixture_id in CYCLING_FIXTURE_IDS:
+        yield cycling_fixture(fixture_id)
+
+
+class TestOracleEnumeration:
+    def test_outcomes_match_enumerating_every_subset(self):
+        statuses = set()
+        for p in _oracle_cases():
+            sp = to_standard_general(p)
+            got = brute_force_optimal(sp)
+            want = _enumerate_every_subset(sp)
+            statuses.add(got.status)
+            assert got.status is want.status
+            assert got.objective == want.objective
+            assert (got.x_opt is None and want.x_opt is None) or np.array_equal(
+                got.x_opt, want.x_opt
+            )
+            assert got.basis_rows == want.basis_rows
+            assert got.certificate == want.certificate
+            assert got.iterations == want.iterations
+        assert statuses == {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED}
+
+    @pytest.mark.parametrize("N,d", [(2, 1), (4, 2), (11, 3), (15, 4), (20, 5), (22, 5)])
+    def test_cached_index_array(self, N, d):
+        bases = reference._bases(N, d)
+        assert reference._bases(N, d) is bases
+        assert bases.dtype == np.intp
+        with pytest.raises(ValueError):
+            bases[0, 0] = 0
+
+        rows = [tuple(r) for r in bases.tolist()]
+        assert all(list(r) == sorted(set(r)) for r in rows)
+        assert rows == sorted(rows)
+        e_row = N - 2 * d
+        for i in range(d):
+            both = np.any(bases == e_row + i, axis=1) & np.any(bases == e_row + d + i, axis=1)
+            assert not both.any()
+        # inclusion-exclusion over the d bound-row pairs
+        with_pair = sum(
+            (-1) ** (j + 1) * math.comb(d, j) * math.comb(N - 2 * j, d - 2 * j)
+            for j in range(1, d // 2 + 1)
+        )
+        assert len(rows) == math.comb(N, d) - with_pair
+
+    def test_cap_is_checked_before_enumerating(self, monkeypatch):
+        def refuse(N, d):
+            raise AssertionError("enumerated past the cap")
+
+        sp = to_standard_general(random_instance(0, 5, 2, 8, "feasible"))
+        monkeypatch.setattr(reference, "_bases", refuse)
+        with pytest.raises(TooLarge):
+            brute_force_optimal(sp, cap=100)
+
+    def test_iterations_count_every_subset(self):
+        sp = to_standard_general(random_instance(0, 5, 2, 8, "feasible"))
+        out = brute_force_optimal(sp)
+        assert out.iterations == math.comb(sp.num_rows, sp.d)
+        assert len(reference._bases(sp.num_rows, sp.d)) < out.iterations
