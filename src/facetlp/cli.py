@@ -191,11 +191,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     for name, load in instances:
         for solver in solvers:
-            t0 = time.perf_counter()
             n = m = d = 0
+            t0 = None
             try:
                 p = load()
                 n, m, d = p.num_ineq, p.num_eq, p.d
+                t0 = time.perf_counter()  # conversion plus solve, not the load
                 out = _run_solver(
                     p, solver, rule, args.max_iter, args.big_m, args.tol_feas,
                     args.reduce, collect_trace=False,
@@ -203,7 +204,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 status, iters, objective = out.status.value, out.iterations, out.objective
             except (FacetLPError, OSError) as exc:  # record in-row, continue
                 status, iters, objective = f"error:{type(exc).__name__}", 0, None
-            wall_ms = (time.perf_counter() - t0) * 1e3
+            wall_ms = 0.0 if t0 is None else (time.perf_counter() - t0) * 1e3
             rows.append({
                 "name": name, "n": n, "m": m, "d": d,
                 "solver": solver, "rule": rule.value if solver == "facet" else "-",

@@ -64,14 +64,6 @@ class Base:
             raise KeyError(f"row {row} is not in the base")
         return int(slots[0])
 
-    @property
-    def eq_members(self) -> np.ndarray:
-        return self.indices[self.is_eq]
-
-    @property
-    def ineq_members(self) -> np.ndarray:
-        return self.indices[~self.is_eq]
-
 
 @dataclass
 class SolverState:

@@ -18,6 +18,7 @@ from facetlp.model import GeneralLP, StandardGeneralLP
 
 ENUMERATION_CAP = 2_000_000
 TOL = 1e-9
+_BLOCK = 1 << 16  # bases per oracle block: bounds its memory, not its result
 
 
 @dataclass
@@ -105,10 +106,6 @@ class _Tableau:
     basis: np.ndarray        # basic column per constraint row
 
     @property
-    def num_rows(self) -> int:
-        return self.T.shape[0] - 1
-
-    @property
     def num_cols(self) -> int:
         return self.T.shape[1] - 1
 
@@ -121,11 +118,17 @@ class _Tableau:
                 self.T[0] -= cj * self.T[i + 1]
 
     def pivot(self, row: int, col: int) -> None:
-        self.T[row + 1] /= self.T[row + 1, col]
-        piv = self.T[row + 1]
-        for i in range(self.T.shape[0]):
-            if i != row + 1 and self.T[i, col] != 0.0:
-                self.T[i] -= self.T[i, col] * piv
+        T = self.T
+        piv = T[row + 1]
+        piv /= piv[col]
+        # only rows with a nonzero factor change, so signed zeros elsewhere
+        # survive exactly as under a row-by-row update
+        nonzero = T[:, col] != 0.0
+        nonzero[row + 1] = False
+        rows = nonzero.nonzero()[0]
+        block = T[rows]
+        block -= block[:, col, None] * piv
+        T[rows] = block
         self.basis[row] = col
 
     def solution(self) -> np.ndarray:
@@ -134,39 +137,35 @@ class _Tableau:
         return x
 
 
-def _enter_column(
-    t: _Tableau, allowed: np.ndarray, bland: bool
-) -> int | None:
-    costs = t.T[0, :-1]
+def _enter_column(t: _Tableau, allowed: int, bland: bool) -> int | None:
+    """Entering column among the first ``allowed`` ones (the artificial
+    columns trail, so a prefix length selects the phase)."""
+    costs = t.T[0, :allowed]
     if bland:
-        for j in np.flatnonzero(allowed):
-            if costs[j] < -TOL:
-                return int(j)
-        return None
-    masked = np.where(allowed, costs, np.inf)
-    j = int(np.argmin(masked))
-    return j if masked[j] < -TOL else None
+        negative = (costs < -TOL).nonzero()[0]
+        return int(negative[0]) if negative.size else None
+    j = int(costs.argmin())
+    return j if costs[j] < -TOL else None
 
 
 def _leave_row(t: _Tableau, col: int, bland: bool) -> int | None:
     column = t.T[1:, col]
-    rhs = t.T[1:, -1]
-    eligible = column > TOL
-    if not eligible.any():
+    eligible = (column > TOL).nonzero()[0]
+    if not eligible.size:
         return None
-    ratios = np.where(eligible, rhs / np.where(eligible, column, 1.0), np.inf)
+    ratios = t.T[1:, -1][eligible] / column[eligible]
     best = float(ratios.min())
     tau = 1e-12 * (1.0 + abs(best))
-    tied = np.flatnonzero(ratios <= best + tau)
+    tied = eligible[ratios <= best + tau]
     if bland:
         # Bland's guarantee needs the least basic-variable index among ties
-        return int(tied[np.argmin(t.basis[tied])])
+        return int(tied[t.basis[tied].argmin()])
     return int(tied[0])
 
 
 def _run_simplex(
     t: _Tableau,
-    allowed: np.ndarray,
+    allowed: int,
     bland: bool,
     max_pivots: int,
     seen: set[frozenset[int]] | None,
@@ -242,9 +241,8 @@ def dantzig_solve(
         cost1 = np.zeros(N + n_art)
         cost1[N:] = 1.0
         t.price_out(cost1)
-        allowed = np.ones(N + n_art, dtype=bool)
         status, phase1 = _run_simplex(
-            t, allowed, bland, max_iter, seen, audit_log
+            t, N + n_art, bland, max_iter, seen, audit_log
         )
         if status == "limit":
             return SolveOutcome(
@@ -279,12 +277,10 @@ def dantzig_solve(
             )
             k = t.basis.size
 
-    allowed = np.ones(N + n_art, dtype=bool)
-    allowed[N:] = False
     t.T[:, N : N + n_art] = 0.0  # retire artificial columns
     t.price_out(np.concatenate([sf.c, np.zeros(n_art)]))
     status, phase2 = _run_simplex(
-        t, allowed, bland, max_iter - phase1, seen, audit_log
+        t, N, bland, max_iter - phase1, seen, audit_log
     )
 
     iterations = phase1 + phase2
@@ -349,41 +345,44 @@ def brute_force_optimal(
     nonsingular filter below would drop them anyway. Outcomes are therefore
     bit-identical to enumerating every subset, and ``iterations`` still
     counts all C(N, d) of them.
+
+    The bases are filtered, solved and tested for feasibility in blocks of
+    ``_BLOCK``, keeping only each block's feasible ones, so memory stays
+    bounded by the block size and the feasible set rather than by C(N, d).
     """
     N, d = sp.num_rows, sp.d
     count = math.comb(N, d)
     if count > cap:
         raise TooLarge(f"{count} bases exceed the enumeration cap {cap}")
 
-    combos = _bases(N, d)
-    A_stack = sp.A[combos]
-    b_stack = sp.b[combos]
-
-    dets = np.linalg.det(A_stack)
+    bases = _bases(N, d)
     row_norms = np.linalg.norm(sp.A, axis=1)
-    hadamard = np.prod(row_norms[combos], axis=1)
-    nonsingular = np.abs(dets) > 1e-10 * np.maximum(hadamard, np.finfo(float).tiny)
-    if not nonsingular.any():
-        return SolveOutcome(
-            status=Status.INFEASIBLE, x_opt=None, objective=None,
-            iterations=int(count),
-        )
-
-    combos = combos[nonsingular]
-    X = np.linalg.solve(A_stack[nonsingular], b_stack[nonsingular][..., None])[..., 0]
-
-    sigma = X @ sp.A.T - sp.b
     tols = sp.row_tolerances()
-    feas = np.all(np.abs(sigma[:, : sp.m]) <= tols[: sp.m], axis=1)
-    feas &= np.all(sigma[:, sp.m :] >= -tols[sp.m :], axis=1)
-    if not feas.any():
+    kept_combos: list[np.ndarray] = []
+    kept_X: list[np.ndarray] = []
+    for start in range(0, len(bases), _BLOCK):
+        combos = bases[start : start + _BLOCK]
+        A_stack = sp.A[combos]
+        dets = np.linalg.det(A_stack)
+        hadamard = np.prod(row_norms[combos], axis=1)
+        nonsingular = np.abs(dets) > 1e-10 * np.maximum(hadamard, np.finfo(float).tiny)
+        combos = combos[nonsingular]
+        X = np.linalg.solve(A_stack[nonsingular], sp.b[combos][..., None])[..., 0]
+
+        sigma = X @ sp.A.T - sp.b
+        feas = np.all(np.abs(sigma[:, : sp.m]) <= tols[: sp.m], axis=1)
+        feas &= np.all(sigma[:, sp.m :] >= -tols[sp.m :], axis=1)
+        if feas.any():
+            kept_combos.append(combos[feas])
+            kept_X.append(X[feas])
+    if not kept_combos:
         return SolveOutcome(
             status=Status.INFEASIBLE, x_opt=None, objective=None,
             iterations=int(count),
         )
 
-    combos = combos[feas]
-    X = X[feas]
+    combos = np.concatenate(kept_combos)
+    X = np.concatenate(kept_X)
     objectives = X @ sp.c_original + sp.objective_offset
     best = float(objectives.min())
     tie = objectives <= best + 1e-9 * (1.0 + abs(best))

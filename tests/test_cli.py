@@ -1,8 +1,10 @@
 import csv
 import json
+import time
 
 import pytest
 
+from facetlp import generators
 from facetlp.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
@@ -176,6 +178,20 @@ class TestBenchCommand:
             return rows
 
         assert normalized(a) == normalized(b)
+
+    def test_wall_time_excludes_loading(self, tmp_path, capsys, monkeypatch):
+        def slow_cube(d):
+            time.sleep(0.25)
+            return klee_minty_v2(d)
+
+        monkeypatch.setattr(generators, "klee_minty_v2", slow_cube)
+        out_csv = tmp_path / "slow.csv"
+        main(["bench", "--suite", "km2", "--sizes", "3:3",
+              "--solvers", "facet,dantzig", "--csv", str(out_csv)])
+        capsys.readouterr()
+        _, rows = _read_csv(out_csv)
+        assert [r["status"] for r in rows] == ["Optimal", "Optimal"]
+        assert all(float(r["wall_ms"]) < 250.0 for r in rows)
 
     def test_netlib_suite_requires_directory(self, capsys, monkeypatch):
         monkeypatch.delenv("FACETLP_NETLIB_DIR", raising=False)

@@ -154,6 +154,92 @@ class TestBruteForceOracle:
             brute_force_optimal(sp, cap=100)
 
 
+def _rowloop_pivot(self, row, col):
+    """The tableau pivot as it was before the batched row update: one
+    Python-level subtraction per row with a nonzero factor."""
+    self.T[row + 1] /= self.T[row + 1, col]
+    piv = self.T[row + 1]
+    for i in range(self.T.shape[0]):
+        if i != row + 1 and self.T[i, col] != 0.0:
+            self.T[i] -= self.T[i, col] * piv
+    self.basis[row] = col
+
+
+def _rowloop_enter_column(t, allowed, bland):
+    """The entering rule as it was, over the boolean mask the column count
+    replaced."""
+    mask = np.arange(t.num_cols) < allowed
+    costs = t.T[0, :-1]
+    if bland:
+        for j in np.flatnonzero(mask):
+            if costs[j] < -reference.TOL:
+                return int(j)
+        return None
+    masked = np.where(mask, costs, np.inf)
+    j = int(np.argmin(masked))
+    return j if masked[j] < -reference.TOL else None
+
+
+def _rowloop_leave_row(t, col, bland):
+    """The ratio test as it was, with ratios over every row."""
+    column = t.T[1:, col]
+    rhs = t.T[1:, -1]
+    eligible = column > reference.TOL
+    if not eligible.any():
+        return None
+    ratios = np.where(eligible, rhs / np.where(eligible, column, 1.0), np.inf)
+    best = float(ratios.min())
+    tau = 1e-12 * (1.0 + abs(best))
+    tied = np.flatnonzero(ratios <= best + tau)
+    if bland:
+        return int(tied[np.argmin(t.basis[tied])])
+    return int(tied[0])
+
+
+def _dantzig_cases():
+    for d in range(2, 13):
+        yield to_standard_form(klee_minty_v1(d)), False
+    for d in range(2, 12):
+        yield to_standard_form(klee_minty_v2(d)), False
+    for fixture_id in CYCLING_FIXTURE_IDS:
+        for bland in (False, True):
+            yield to_standard_form(cycling_fixture(fixture_id)), bland
+    for seed in range(30):
+        for (d, m, n) in [(3, 1, 4), (4, 1, 6), (5, 2, 8)]:
+            for kind in ("feasible", "infeasible", "unbounded"):
+                p = random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
+                yield to_standard_form(p, big_m=1e7), seed % 2 == 0
+
+
+class TestDantzigPivotUnchanged:
+    def test_outcomes_match_row_loop_pivot(self, monkeypatch):
+        # km1 at d=12 takes 4095 pivots; four cycling fixtures cycle without
+        # Bland's rule and stop at this limit
+        max_iter = 5000
+        cases = list(_dantzig_cases())
+        got = [dantzig_solve(sf, max_iter=max_iter, bland=b, audit=True) for sf, b in cases]
+        monkeypatch.setattr(reference._Tableau, "pivot", _rowloop_pivot)
+        monkeypatch.setattr(reference, "_enter_column", _rowloop_enter_column)
+        monkeypatch.setattr(reference, "_leave_row", _rowloop_leave_row)
+        want = [dantzig_solve(sf, max_iter=max_iter, bland=b, audit=True) for sf, b in cases]
+
+        statuses = set()
+        for g, w in zip(got, want):
+            statuses.add(g.status)
+            assert g.status is w.status
+            assert g.objective == w.objective
+            assert (g.x_opt is None and w.x_opt is None) or (
+                np.array_equal(g.x_opt, w.x_opt)
+                and np.array_equal(np.signbit(g.x_opt), np.signbit(w.x_opt))
+            )
+            assert g.iterations == w.iterations
+            assert g.phase1_iterations == w.phase1_iterations
+            assert g.phase2_iterations == w.phase2_iterations
+            assert g.audit.base_repeated == w.audit.base_repeated
+            assert g.audit.pivots_checked == w.audit.pivots_checked
+        assert statuses == {Status.OPTIMAL, Status.INFEASIBLE, Status.ITERATION_LIMIT}
+
+
 class TestBaselineAgreement:
     def test_dantzig_matches_oracle_on_random_instances(self):
         for seed in range(40):
@@ -289,3 +375,46 @@ class TestOracleEnumeration:
         out = brute_force_optimal(sp)
         assert out.iterations == math.comb(sp.num_rows, sp.d)
         assert len(reference._bases(sp.num_rows, sp.d)) < out.iterations
+
+
+def _assert_same_oracle_outcome(got, want):
+    assert got.status is want.status
+    assert got.objective == want.objective
+    assert (got.x_opt is None and want.x_opt is None) or np.array_equal(
+        got.x_opt, want.x_opt
+    )
+    assert got.basis_rows == want.basis_rows
+    assert got.certificate == want.certificate
+    assert got.iterations == want.iterations
+
+
+class TestOracleBlocks:
+    def test_blocks_match_enumerating_every_subset(self, monkeypatch):
+        # (5, 2, 8) has 20 rows, so its pair-free bases span 12 blocks
+        monkeypatch.setattr(reference, "_BLOCK", 1000)
+        statuses = set()
+        for seed in range(10):
+            for (d, m, n) in [(3, 1, 4), (4, 1, 6), (5, 2, 8)]:
+                for kind in ("feasible", "infeasible", "unbounded"):
+                    p = random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
+                    sp = to_standard_general(p)
+                    got = brute_force_optimal(sp)
+                    statuses.add(got.status)
+                    _assert_same_oracle_outcome(got, _enumerate_every_subset(sp))
+        assert statuses == {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED}
+
+    def test_singular_and_infeasible_blocks_are_skipped(self, monkeypatch):
+        # one base per block: the two contradictory equality rows together
+        # make a wholly singular block, every other block is infeasible
+        monkeypatch.setattr(reference, "_BLOCK", 1)
+        p = GeneralLP(c=[1.0, 1.0],
+                      A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 3.0],
+                      lower=[0.0, 0.0], upper=[10.0, 10.0])
+        sp = to_standard_general(p)
+        assert np.linalg.det(sp.A[:2]) == 0.0
+        got = brute_force_optimal(sp)
+        assert got.status is Status.INFEASIBLE
+        _assert_same_oracle_outcome(got, _enumerate_every_subset(sp))
+
+        sp = to_standard_general(klee_minty_v2(3))
+        _assert_same_oracle_outcome(brute_force_optimal(sp), _enumerate_every_subset(sp))
