@@ -190,21 +190,29 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
 
     for name, load in instances:
+        # one load serves every solver; a failed one gives each an error row
+        try:
+            p, load_error = load(), None
+        except (FacetLPError, OSError) as exc:
+            p, load_error = None, f"error:{type(exc).__name__}"
         for solver in solvers:
             n = m = d = 0
-            t0 = None
-            try:
-                p = load()
+            wall_ms = 0.0
+            if p is None:
+                status, iters, objective = load_error, 0, None
+            else:
                 n, m, d = p.num_ineq, p.num_eq, p.d
                 t0 = time.perf_counter()  # conversion plus solve, not the load
-                out = _run_solver(
-                    p, solver, rule, args.max_iter, args.big_m, args.tol_feas,
-                    args.reduce, collect_trace=False,
-                )
-                status, iters, objective = out.status.value, out.iterations, out.objective
-            except (FacetLPError, OSError) as exc:  # record in-row, continue
-                status, iters, objective = f"error:{type(exc).__name__}", 0, None
-            wall_ms = 0.0 if t0 is None else (time.perf_counter() - t0) * 1e3
+                try:
+                    out = _run_solver(
+                        p, solver, rule, args.max_iter, args.big_m, args.tol_feas,
+                        args.reduce, collect_trace=False,
+                    )
+                    status, iters = out.status.value, out.iterations
+                    objective = out.objective
+                except (FacetLPError, OSError) as exc:  # record in-row, continue
+                    status, iters, objective = f"error:{type(exc).__name__}", 0, None
+                wall_ms = (time.perf_counter() - t0) * 1e3
             rows.append({
                 "name": name, "n": n, "m": m, "d": d,
                 "solver": solver, "rule": rule.value if solver == "facet" else "-",

@@ -14,7 +14,9 @@ of the iterate. A pivot hands the row swap to ``linalg.replace_row``, which
 refactors small bases (d below ``linalg.QR_UPDATE_MIN_D``) as an LU and
 updates the QR factors of larger ones in O(d^2). Updated factors are rebuilt
 from scratch at every y_c refresh (periodic or drift-triggered), and before
-the direct-solve fallback when the iterate fails its residual check.
+the direct-solve fallback when the iterate fails its residual check. The
+base rows A_B and b_B are owned by the solve and written in place, one row
+per pivot, as are the base's indices, equality flags and factors.
 """
 
 from __future__ import annotations
@@ -52,14 +54,15 @@ class Status(Enum):
 
 @dataclass
 class Base:
-    """Ordered set of d facet indices with its current factorization."""
+    """Ordered set of d facet indices with its current factorization; a
+    pivot updates all three in place."""
 
     indices: np.ndarray
     is_eq: np.ndarray
     fact: linalg.SquareFactorization
 
     def slot_of(self, row: int) -> int:
-        slots = np.flatnonzero(self.indices == row)
+        slots = (self.indices == row).nonzero()[0]
         if slots.size != 1:
             raise KeyError(f"row {row} is not in the base")
         return int(slots[0])
@@ -67,10 +70,14 @@ class Base:
 
 @dataclass
 class SolverState:
-    """Mutable per-solve bookkeeping; owned exclusively by one solve call."""
+    """Mutable per-solve bookkeeping; owned exclusively by one solve call.
+    ``A_B`` (C-ordered) and ``b_B`` are the base rows in slot order, written
+    in place by each pivot and shared by every state of the solve."""
 
     x: np.ndarray
     y_c: np.ndarray
+    A_B: np.ndarray
+    b_B: np.ndarray
     iteration: int = 0
     removed_rows: set[int] = field(default_factory=set)
     trace: list[TraceRecord] | None = None
@@ -140,10 +147,12 @@ def initial_state(sp: StandardGeneralLP) -> tuple[Base, SolverState]:
     the expansion coefficients are the nonnegative adjusted objective."""
     d = sp.d
     rows = np.arange(sp.m + sp.n, sp.m + sp.n + d)
-    fact = linalg.factor(sp.A[rows])
-    x0 = fact.solve(sp.b[rows])
+    A_B = np.ascontiguousarray(sp.A[rows])
+    b_B = sp.b[rows]
+    fact = linalg.factor(A_B)
+    x0 = fact.solve(b_B)
     base = Base(indices=rows, is_eq=np.zeros(d, dtype=bool), fact=fact)
-    state = SolverState(x=x0, y_c=sp.c_bar.astype(float).copy())
+    state = SolverState(x=x0, y_c=sp.c_bar.astype(float).copy(), A_B=A_B, b_B=b_B)
     return base, state
 
 
@@ -170,24 +179,20 @@ def select_entering(
         sigma = sp.A @ state.x - sp.b
     if row_tols is None:
         row_tols = sp.row_tolerances()
-    candidate = np.ones(sp.num_rows, dtype=bool)
-    candidate[base.indices] = False
+    m = sp.m
+    violated = np.empty(sp.num_rows, dtype=bool)
+    np.greater(np.abs(sigma[:m]), row_tols[:m], out=violated[:m])
+    np.less(sigma[m:], -row_tols[m:], out=violated[m:])
+    violated[base.indices] = False
     if state.removed_rows:
-        candidate[list(state.removed_rows)] = False
+        violated[list(state.removed_rows)] = False
 
-    eq_violated = candidate.copy()
-    eq_violated[sp.m:] = False
-    eq_violated &= np.abs(sigma) > row_tols
-
-    if eq_violated.any():
-        pool = np.flatnonzero(eq_violated)
-    else:
-        ineq_violated = candidate
-        ineq_violated[: sp.m] = False
-        ineq_violated &= sigma < -row_tols
-        if not ineq_violated.any():
+    pool = violated[:m].nonzero()[0]
+    if not pool.size:
+        # no equality row is violated, so the whole mask holds inequalities only
+        pool = violated.nonzero()[0]
+        if not pool.size:
             return None
-        pool = np.flatnonzero(ineq_violated)
 
     if rule is PivotRule.LEAST_INDEX:
         return int(pool[0])
@@ -196,9 +201,9 @@ def select_entering(
         if row_norms is None:
             row_norms = _row_norms(sp)
         deviation = deviation / row_norms[pool]
-    # np.argmax returns the first maximizer and pool is ascending, so ties
+    # argmax returns the first maximizer and pool is ascending, so ties
     # resolve to the least row index
-    return int(pool[int(np.argmax(deviation))])
+    return int(pool[deviation.argmax()])
 
 
 def expand_entering(base: Base, a_p: np.ndarray) -> np.ndarray:
@@ -223,14 +228,14 @@ def check_infeasible(
     ineq_slots = ~base.is_eq
     y_ineq = y_p[ineq_slots]
     certificate = None
-    if sigma_p < 0 and np.all(y_ineq <= tol_sign):
+    if sigma_p < 0 and (y_ineq <= tol_sign).all():
         certificate = 1
-    elif p < sp.m and sigma_p > 0 and np.all(y_ineq >= -tol_sign):
+    elif p < sp.m and sigma_p > 0 and (y_ineq >= -tol_sign).all():
         certificate = 2
     if certificate is None:
         return None
     note = None
-    if p < sp.m and np.all(np.abs(y_ineq) <= tol_sign):
+    if p < sp.m and (np.abs(y_ineq) <= tol_sign).all():
         note = "entering equality depends only on base equalities, rhs inconsistent"
     return InfeasibilityCertificate(
         entering_row=p,
@@ -286,7 +291,7 @@ def detect_leaving_redundant(
     s = base.slot_of(q)
     others = ~base.is_eq
     others[s] = False
-    return bool(np.all(y_p[others] <= tol_sign))
+    return bool((y_p[others] <= tol_sign).all())
 
 
 def detect_nonbase_redundant(
@@ -344,11 +349,13 @@ def pivot(
 
     The iterate moves along w = A_B^{-1} e_q, solved from the same
     factorization that produced y_p, so one factorization per iteration
-    covers both solves. The new base's factors come from
-    ``linalg.replace_row``: a fresh LU below ``linalg.QR_UPDATE_MIN_D``, a
-    rank-one QR update from it up. The iterate is checked against the new
-    base equations row by row; if that fails, updated factors are rebuilt
-    from scratch and the iterate is solved for directly.
+    covers both solves. Row p is written into slot s of ``A_B``/``b_B`` and
+    ``base`` is updated in place; its factors come from ``linalg.replace_row``:
+    a fresh LU below ``linalg.QR_UPDATE_MIN_D``, a rank-one QR update from it
+    up. The iterate is checked against the new base equations row by row; if
+    that fails, updated factors are rebuilt from scratch and the iterate is
+    solved for directly. Returns ``base`` and a fresh state with a new ``x``.
+    A singular new base restores row s before raising ``SingularMatrix``.
     """
     s = base.slot_of(q)
     if abs(y_p[s]) <= TOL_SIGN:
@@ -362,49 +369,45 @@ def pivot(
     step = (sp.b[p] - a_p @ state.x) / y_p[s]
     x_new = state.x + step * w
 
-    indices = base.indices.copy()
-    is_eq = base.is_eq.copy()
-    indices[s] = p
-    is_eq[s] = p < sp.m
-    m_new = sp.A[indices]
-    fact = linalg.replace_row(base.fact, s, a_p - sp.A[q], m_new)
+    A_B, b_B = state.A_B, state.b_B
+    delta = a_p - A_B[s]
+    A_B[s] = a_p
+    b_B[s] = sp.b[p]
+    fact = linalg.replace_row(base.fact, s, delta, A_B)
     if fact.singular:
+        A_B[s] = sp.A[q]
+        b_B[s] = sp.b[q]
         raise SingularMatrix(
             f"pivot {p}<->{q} produced a singular base, which the independence "
             f"property rules out; numerical breakdown at diagonal entry "
             f"{fact.bad_pivot_index}",
             fact.bad_pivot_index,
         )
+    base.indices[s] = p
+    base.is_eq[s] = p < sp.m
 
     # the rank-one step cancels catastrophically when big-M coordinates
     # collapse to small values, so verify row by row at the same tolerance
     # the basic-solution invariant uses and fall back to a direct solve
-    b_new = sp.b[indices]
-    residual = np.abs(m_new @ x_new - b_new)
-    if np.any(residual > tol_lin * (1.0 + np.abs(b_new))):
-        fact = linalg.refactor(fact, m_new)
-        x_new = fact.solve(b_new)
+    residual = np.abs(A_B @ x_new - b_B)
+    if (residual > tol_lin * (1.0 + np.abs(b_B))).any():
+        fact = linalg.refactor(fact, A_B)
+        x_new = fact.solve(b_B)
+    base.fact = fact
 
     y_c = state.y_c - y_p * ratio
     y_c[s] = ratio
 
-    new_base = Base(indices=indices, is_eq=is_eq, fact=fact)
     new_state = SolverState(
         x=x_new,
         y_c=y_c,
+        A_B=A_B,
+        b_B=b_B,
         iteration=state.iteration + 1,
         removed_rows=state.removed_rows,
         trace=state.trace,
     )
-    return new_base, new_state
-
-
-def _refresh_y_c(sp: StandardGeneralLP, base: Base) -> np.ndarray:
-    return base.fact.solve_transpose(sp.c_original)
-
-
-def _expansion_residual(sp: StandardGeneralLP, base: Base, y_c: np.ndarray) -> float:
-    return float(np.max(np.abs(sp.A[base.indices].T @ y_c - sp.c_original)))
+    return base, new_state
 
 
 def solve(
@@ -428,12 +431,8 @@ def solve(
     pivots without objective progress the rule switches to the least-index
     rule, whose termination guarantee breaks any cycling.
     """
-    d = sp.d
-    if sp.m > 0 and np.linalg.matrix_rank(sp.A[: sp.m]) >= d:
-        return SolveOutcome(
-            status=Status.RANK_DEFICIENT_EQUALITY, x_opt=None, objective=None,
-            iterations=0,
-        )
+    if sp.m > 0 and np.linalg.matrix_rank(sp.A[: sp.m]) >= sp.d:
+        return SolveOutcome(Status.RANK_DEFICIENT_EQUALITY, None, None, 0)
 
     c = sp.c_original
     c_scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
@@ -457,6 +456,7 @@ def solve(
     best_objective = objective
     stall = 0
 
+    # every exit sets status, x_opt, objective and certificate, then breaks
     while True:
         sigma = sp.A @ state.x - sp.b
 
@@ -470,32 +470,17 @@ def solve(
             sigma=sigma, row_tols=row_tols, row_norms=row_norms,
         )
         if p is None:
-            x_final = base.fact.solve(sp.b[base.indices]) + 0.0  # clear -0.0
-            objective = float(c @ x_final) + offset
-            basis = tuple(int(r) for r in base.indices)
-            artificial = sorted(set(basis) & sp.artificial_rows)
-            if artificial:
-                return SolveOutcome(
-                    status=Status.UNBOUNDED, x_opt=x_final, objective=objective,
-                    iterations=state.iteration, certificate=int(artificial[0]),
-                    redundant_rows=frozenset(state.removed_rows), basis_rows=basis,
-                    trace=state.trace, audit=audit_log,
-                )
-            return SolveOutcome(
-                status=Status.OPTIMAL, x_opt=x_final, objective=objective,
-                iterations=state.iteration,
-                redundant_rows=frozenset(state.removed_rows), basis_rows=basis,
-                trace=state.trace, audit=audit_log,
-            )
+            x_opt = base.fact.solve(state.b_B) + 0.0  # clear -0.0
+            objective = float(c @ x_opt) + offset
+            artificial = sorted(set(base.indices.tolist()) & sp.artificial_rows)
+            status = Status.UNBOUNDED if artificial else Status.OPTIMAL
+            certificate = int(artificial[0]) if artificial else None
+            break
 
         if state.iteration >= max_iter:
-            return SolveOutcome(
-                status=Status.ITERATION_LIMIT, x_opt=state.x, objective=None,
-                iterations=state.iteration,
-                redundant_rows=frozenset(state.removed_rows),
-                basis_rows=tuple(int(r) for r in base.indices),
-                trace=state.trace, audit=audit_log,
-            )
+            status, x_opt, objective = Status.ITERATION_LIMIT, state.x, None
+            certificate = None
+            break
 
         y_p = expand_entering(base, sp.A[p])
         certificate = check_infeasible(sp, p, float(sigma[p]), y_p, base)
@@ -506,13 +491,8 @@ def solve(
                     objective=objective, max_violation=float(abs(sigma[p])),
                     rule=active_rule.value, note=certificate.note or "infeasible",
                 ))
-            return SolveOutcome(
-                status=Status.INFEASIBLE, x_opt=state.x, objective=None,
-                iterations=state.iteration, certificate=certificate,
-                redundant_rows=frozenset(state.removed_rows),
-                basis_rows=tuple(int(r) for r in base.indices),
-                trace=state.trace, audit=audit_log,
-            )
+            status, x_opt, objective = Status.INFEASIBLE, state.x, None
+            break
 
         q = select_leaving(p, float(sigma[p]), y_p, state.y_c, base)
         # the redundancy test is stated for a facet violated from below; an
@@ -525,13 +505,13 @@ def solve(
 
         # keep the incremental expansion honest: refresh from scratch
         # periodically or when it drifts
-        drift = _expansion_residual(sp, base, state.y_c)
+        drift = float(np.abs(state.A_B.T @ state.y_c - c).max())
         if (
             drift > YC_DRIFT_FACTOR * TOL_LIN * c_scale
             or state.iteration % YC_REFRESH_PERIOD == 0
         ):
-            base.fact = linalg.refactor(base.fact, sp.A[base.indices])
-            state.y_c = _refresh_y_c(sp, base)
+            base.fact = linalg.refactor(base.fact, state.A_B)
+            state.y_c = base.fact.solve_transpose(c)
 
         objective = float(c @ state.x) + offset
         if state.trace is not None:
@@ -556,6 +536,14 @@ def solve(
             if stall >= stall_iterations and active_rule is not PivotRule.LEAST_INDEX:
                 active_rule = PivotRule.LEAST_INDEX
                 stall = 0
+
+    return SolveOutcome(
+        status=status, x_opt=x_opt, objective=objective,
+        iterations=state.iteration, certificate=certificate,
+        redundant_rows=frozenset(state.removed_rows),
+        basis_rows=tuple(int(r) for r in base.indices),
+        trace=state.trace, audit=audit_log,
+    )
 
 
 def _max_violation(sp: StandardGeneralLP, sigma: np.ndarray) -> float:
@@ -588,15 +576,18 @@ def _audit_pivot(
             f"iter {k}: sign maintenance broken, min y_c={y_ineq.min():.3e}"
         )
 
-    drift = _expansion_residual(sp, base, state.y_c)
+    A_B, b_B, rows = state.A_B, state.b_B, base.indices
+    if (A_B.tobytes(), b_B.tobytes()) != (sp.A[rows].tobytes(), sp.b[rows].tobytes()):
+        audit_log.violations.append(f"iter {k}: owned base rows differ from A[indices]")
+
+    drift = float(np.abs(A_B.T @ state.y_c - sp.c_original).max())
     if drift > TOL_LIN * c_scale:
         audit_log.violations.append(
             f"iter {k}: expansion residual {drift:.3e} exceeds tolerance"
         )
 
-    b_base = sp.b[base.indices]
-    res = float(np.max(np.abs(sp.A[base.indices] @ state.x - b_base)))
-    allowed = TOL_LIN * (1.0 + float(np.max(np.abs(b_base), initial=0.0)))
+    res = float(np.abs(A_B @ state.x - b_B).max())
+    allowed = TOL_LIN * (1.0 + float(np.max(np.abs(b_B), initial=0.0)))
     if res > allowed:
         audit_log.violations.append(
             f"iter {k}: basic-solution residual {res:.3e} exceeds {allowed:.3e}"

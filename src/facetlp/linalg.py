@@ -38,6 +38,8 @@ NEAR_SINGULAR_FACTOR = 1e3
 # replacement; the per-pivot timings behind it are in CHANGES.md
 QR_UPDATE_MIN_D = 64
 
+_TINY = np.finfo(float).tiny
+
 _getrf, _getrs, _trtrs = scipy.linalg.get_lapack_funcs(
     ("getrf", "getrs", "trtrs"), dtype=np.float64
 )
@@ -77,20 +79,24 @@ def _flagged(
     row_sums: np.ndarray, diagonal: np.ndarray, **factors
 ) -> SquareFactorization:
     """Attach the singularity flags read off the triangular factor's diagonal,
-    relative to the infinity norm of the factored matrix."""
+    relative to the infinity norm of the factored matrix. The first pivot at
+    or below the threshold is the bad one."""
     d = row_sums.shape[0]
-    norm = np.max(row_sums) if d else 0.0
+    if d == 0:
+        return SquareFactorization(
+            dimension=0, singular=False, near_singular=False, row_sums=row_sums,
+            **factors,
+        )
     pivots = np.abs(diagonal)
-    threshold = TOL_PIVOT * max(norm, np.finfo(float).tiny)
-    bad = np.flatnonzero(pivots <= threshold)
-    singular = bad.size > 0
-    near = bool(not singular and np.any(pivots <= NEAR_SINGULAR_FACTOR * threshold))
+    threshold = TOL_PIVOT * max(row_sums.max(), _TINY)
+    smallest = pivots.min()
+    singular = bool(smallest <= threshold)
     return SquareFactorization(
         dimension=d,
         singular=singular,
-        near_singular=near,
+        near_singular=not singular and bool(smallest <= NEAR_SINGULAR_FACTOR * threshold),
         row_sums=row_sums,
-        bad_pivot_index=int(bad[0]) if singular else None,
+        bad_pivot_index=int((pivots <= threshold).argmax()) if singular else None,
         **factors,
     )
 
@@ -111,14 +117,14 @@ def factor(m: np.ndarray) -> SquareFactorization:
     row_sums = np.abs(m).sum(axis=1)
     if d >= QR_UPDATE_MIN_D:
         q, r = scipy.linalg.qr(m, check_finite=False)
-        return _flagged(row_sums, np.diag(r), q=q, r=r)
+        return _flagged(row_sums, r.diagonal(), q=q, r=r)
     if d == 0:
         empty_piv = np.empty(0, dtype=np.int32)
-        return _flagged(row_sums, np.diag(m), lu=m.copy(), piv=empty_piv)
+        return _flagged(row_sums, m.diagonal(), lu=m.copy(), piv=empty_piv)
     lu, piv, info = _getrf(m)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
-    return _flagged(row_sums, np.diag(lu), lu=lu, piv=piv)
+    return _flagged(row_sums, lu.diagonal(), lu=lu, piv=piv)
 
 
 def replace_row(
@@ -145,7 +151,7 @@ def replace_row(
     q, r = scipy.linalg.qr_update(f.q, f.r, unit, delta, check_finite=False)
     row_sums = f.row_sums.copy()
     row_sums[slot] = np.abs(m_new[slot]).sum()
-    updated = _flagged(row_sums, np.diag(r), q=q, r=r, updates=f.updates + 1)
+    updated = _flagged(row_sums, r.diagonal(), q=q, r=r, updates=f.updates + 1)
     if updated.singular or updated.near_singular:
         return factor(m_new)
     return updated

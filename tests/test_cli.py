@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from facetlp import generators
+from facetlp import generators, mps
 from facetlp.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
@@ -192,6 +192,40 @@ class TestBenchCommand:
         _, rows = _read_csv(out_csv)
         assert [r["status"] for r in rows] == ["Optimal", "Optimal"]
         assert all(float(r["wall_ms"]) < 250.0 for r in rows)
+
+    def test_each_instance_loaded_once_for_all_solvers(
+        self, fixtures_dir, tmp_path, capsys, monkeypatch
+    ):
+        loaded = []
+        real_read_mps = mps.read_mps
+
+        def counting_read_mps(path, *args, **kwargs):
+            loaded.append(path)
+            return real_read_mps(path, *args, **kwargs)
+
+        monkeypatch.setattr(mps, "read_mps", counting_read_mps)
+        out_csv = tmp_path / "once.csv"
+        code = main(["bench", "--suite", "netlib", "--netlib-dir", str(fixtures_dir),
+                     "--solvers", "facet,dantzig", "--csv", str(out_csv)])
+        assert code == 0
+        capsys.readouterr()
+        _, rows = _read_csv(out_csv)
+        assert len(loaded) == len(set(loaded)) == 6
+        assert len(rows) == 12
+
+    def test_failed_load_gives_an_error_row_per_solver(self, tmp_path, capsys):
+        suite_dir = tmp_path / "suite"
+        suite_dir.mkdir()
+        (suite_dir / "broken.mps").write_text("GARBAGE\n")
+        out_csv = tmp_path / "broken.csv"
+        code = main(["bench", "--suite", "netlib", "--netlib-dir", str(suite_dir),
+                     "--solvers", "facet,dantzig", "--csv", str(out_csv)])
+        assert code == 0
+        capsys.readouterr()
+        _, rows = _read_csv(out_csv)
+        assert [r["solver"] for r in rows] == ["facet", "dantzig"]
+        assert all(r["status"].startswith("error:") for r in rows)
+        assert all(float(r["wall_ms"]) == 0.0 for r in rows)
 
     def test_netlib_suite_requires_directory(self, capsys, monkeypatch):
         monkeypatch.delenv("FACETLP_NETLIB_DIR", raising=False)

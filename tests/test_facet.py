@@ -1,9 +1,10 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from facetlp import linalg
+from facetlp import facet, linalg
 from facetlp.facet import (
     Base,
     PivotRule,
@@ -19,7 +20,14 @@ from facetlp.facet import (
     select_leaving,
     solve,
 )
-from facetlp.generators import klee_minty_v1, klee_minty_v2, random_instance
+from facetlp.errors import SingularMatrix
+from facetlp.generators import (
+    CYCLING_FIXTURE_IDS,
+    cycling_fixture,
+    klee_minty_v1,
+    klee_minty_v2,
+    random_instance,
+)
 from facetlp.model import GeneralLP, to_standard_general, violations
 from facetlp.mps import read_mps
 from facetlp.reference import brute_force_optimal
@@ -77,6 +85,25 @@ class TestSelectEntering:
         base, state = initial_state(sp)  # x0 = (0, 0)
         p_row = select_entering(sp, base, state, PivotRule.MAX_DEVIATION)
         assert p_row == 0
+
+    def test_base_and_removed_rows_never_enter(self):
+        # at x0 = (0, 0) the equality row 0 and inequality rows 1 and 2 are
+        # all violated; a row in the base or removed is passed over
+        p = GeneralLP(
+            c=[0.0, 0.0],
+            A_eq=[[1.0, 0.0]], b_eq=[0.1],
+            A_ineq=[[0.0, 1.0], [1.0, 1.0]], b_ineq=[100.0, 50.0],
+            lower=[0.0, 0.0], upper=[200.0, 200.0],
+        )
+        sp = to_standard_general(p)
+        base, state = initial_state(sp)
+        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION) == 0
+        base.indices[0] = 0
+        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION) == 1
+        state.removed_rows = {1}
+        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION) == 2
+        state.removed_rows = {1, 2}
+        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION) is None
 
     def test_max_deviation_picks_deepest_violation(self):
         p = GeneralLP(
@@ -218,6 +245,32 @@ class TestPivot:
         new_base, new_state = pivot(sp, base, state, 0, int(dup), y_p)
         np.testing.assert_allclose(new_state.x, x_before, atol=1e-12)
         assert float(sp.c_original @ new_state.x) == pytest.approx(obj_before)
+
+    def test_singular_pivot_leaves_the_last_base_intact(self):
+        # entering a copy of the base row in slot 1 for the one in slot 0
+        # makes two equal rows; y_p is forced past the zero-entry check
+        sp = to_standard_general(klee_minty_v2(3))
+        base, state = initial_state(sp)
+        sp.A[0] = sp.A[base.indices[1]]
+        sp.b[0] = sp.b[base.indices[1]]
+        indices, A_B, b_B = base.indices.copy(), state.A_B.copy(), state.b_B.copy()
+        with pytest.raises(SingularMatrix):
+            pivot(sp, base, state, 0, int(base.indices[0]), np.array([1.0, 1.0, 0.0]))
+        np.testing.assert_array_equal(base.indices, indices)
+        assert state.A_B.tobytes() == A_B.tobytes() == sp.A[indices].tobytes()
+        assert state.b_B.tobytes() == b_B.tobytes() == sp.b[indices].tobytes()
+
+    def test_audit_flags_owned_rows_that_drift_from_the_indices(self, monkeypatch):
+        real_pivot = facet.pivot
+
+        def pivot_losing_a_row_write(*args, **kwargs):
+            base, state = real_pivot(*args, **kwargs)
+            state.b_B[0] += 1.0
+            return base, state
+
+        monkeypatch.setattr(facet, "pivot", pivot_losing_a_row_write)
+        out = solve(to_standard_general(klee_minty_v2(3)), audit=True, max_iter=20)
+        assert any("owned base rows" in v for v in out.audit.violations)
 
     def test_cube_solves_in_dimension_many_pivots(self):
         out = solve(to_standard_general(klee_minty_v2(3)))
@@ -469,3 +522,252 @@ class TestBaseFactorizationPaths:
         out = solve(sp)
         assert out.status is Status.OPTIMAL
         assert out.iterations == 31
+
+
+# Test-local copies of the pivot loop as it was before the base rows were
+# owned and written in place: every pivot gathers A[indices] and b[indices],
+# copies the base, and select_entering builds its masks from a full-length
+# candidate array. The new loop must reproduce them bit for bit.
+
+
+@dataclass
+class _GatherState:
+    x: np.ndarray
+    y_c: np.ndarray
+    iteration: int = 0
+    removed_rows: set = field(default_factory=set)
+    trace: list | None = None
+
+
+def _gather_initial_state(sp):
+    d = sp.d
+    rows = np.arange(sp.m + sp.n, sp.m + sp.n + d)
+    fact = linalg.factor(sp.A[rows])
+    x0 = fact.solve(sp.b[rows])
+    base = Base(indices=rows, is_eq=np.zeros(d, dtype=bool), fact=fact)
+    return base, _GatherState(x=x0, y_c=sp.c_bar.astype(float).copy())
+
+
+def _gather_select_entering(sp, base, state, rule, sigma, row_tols, row_norms):
+    candidate = np.ones(sp.num_rows, dtype=bool)
+    candidate[base.indices] = False
+    if state.removed_rows:
+        candidate[list(state.removed_rows)] = False
+    eq_violated = candidate.copy()
+    eq_violated[sp.m:] = False
+    eq_violated &= np.abs(sigma) > row_tols
+    if eq_violated.any():
+        pool = np.flatnonzero(eq_violated)
+    else:
+        ineq_violated = candidate
+        ineq_violated[: sp.m] = False
+        ineq_violated &= sigma < -row_tols
+        if not ineq_violated.any():
+            return None
+        pool = np.flatnonzero(ineq_violated)
+    if rule is PivotRule.LEAST_INDEX:
+        return int(pool[0])
+    deviation = np.abs(sigma[pool])
+    if rule is PivotRule.MAX_NORMALIZED_DEVIATION:
+        deviation = deviation / row_norms[pool]
+    return int(pool[int(np.argmax(deviation))])
+
+
+def _gather_pivot(sp, base, state, p, q, y_p, tol_lin=facet.TOL_LIN):
+    s = base.slot_of(q)
+    ratio = state.y_c[s] / y_p[s]
+    unit = np.zeros(sp.d)
+    unit[s] = 1.0
+    w = base.fact.solve(unit)
+    a_p = sp.A[p]
+    step = (sp.b[p] - a_p @ state.x) / y_p[s]
+    x_new = state.x + step * w
+    indices = base.indices.copy()
+    is_eq = base.is_eq.copy()
+    indices[s] = p
+    is_eq[s] = p < sp.m
+    m_new = sp.A[indices]
+    fact = linalg.replace_row(base.fact, s, a_p - sp.A[q], m_new)
+    assert not fact.singular
+    b_new = sp.b[indices]
+    residual = np.abs(m_new @ x_new - b_new)
+    if np.any(residual > tol_lin * (1.0 + np.abs(b_new))):
+        fact = linalg.refactor(fact, m_new)
+        x_new = fact.solve(b_new)
+    y_c = state.y_c - y_p * ratio
+    y_c[s] = ratio
+    return Base(indices=indices, is_eq=is_eq, fact=fact), _GatherState(
+        x=x_new, y_c=y_c, iteration=state.iteration + 1,
+        removed_rows=state.removed_rows, trace=state.trace,
+    )
+
+
+def _gather_residual(sp, base, y_c):
+    return float(np.max(np.abs(sp.A[base.indices].T @ y_c - sp.c_original)))
+
+
+def _gather_audit(sp, base, state, prev_objective, objective, c_scale, log, seen):
+    k = state.iteration
+    log.pivots_checked += 1
+    y_ineq = state.y_c[~base.is_eq]
+    if y_ineq.size and float(y_ineq.min()) < -facet.TOL_SIGN:
+        log.violations.append(f"iter {k}: sign maintenance broken, min y_c={y_ineq.min():.3e}")
+    drift = _gather_residual(sp, base, state.y_c)
+    if drift > facet.TOL_LIN * c_scale:
+        log.violations.append(f"iter {k}: expansion residual {drift:.3e} exceeds tolerance")
+    b_base = sp.b[base.indices]
+    res = float(np.max(np.abs(sp.A[base.indices] @ state.x - b_base)))
+    allowed = facet.TOL_LIN * (1.0 + float(np.max(np.abs(b_base), initial=0.0)))
+    if res > allowed:
+        log.violations.append(
+            f"iter {k}: basic-solution residual {res:.3e} exceeds {allowed:.3e}")
+    tol_obj = facet.TOL_OBJ_BASE * (1.0 + max(abs(objective), abs(prev_objective)))
+    if objective < prev_objective - tol_obj:
+        log.violations.append(
+            f"iter {k}: objective decreased {prev_objective!r} -> {objective!r}")
+    key = frozenset(int(r) for r in base.indices)
+    if key in seen:
+        log.base_repeated = True
+    seen.add(key)
+
+
+def _gather_solve(sp, rule, max_iter=10_000, *, reduce=False, collect_trace=False,
+                  audit=False):
+    c = sp.c_original
+    c_scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
+    row_tols = sp.row_tolerances(facet.TOL_FEAS_BASE)
+    row_norms = np.linalg.norm(sp.A, axis=1)
+    base, state = _gather_initial_state(sp)
+    if collect_trace:
+        state.trace = []
+    audit_log = facet.SolveAudit() if audit else None
+    seen = {frozenset(base.indices.tolist())}
+    active_rule = rule
+    offset = sp.objective_offset
+    objective = float(c @ state.x) + offset
+    best_objective = objective
+    stall = 0
+
+    def outcome(status, x_opt, objective, certificate=None):
+        return facet.SolveOutcome(
+            status=status, x_opt=x_opt, objective=objective,
+            iterations=state.iteration, certificate=certificate,
+            redundant_rows=frozenset(state.removed_rows),
+            basis_rows=tuple(int(r) for r in base.indices),
+            trace=state.trace, audit=audit_log,
+        )
+
+    while True:
+        sigma = sp.A @ state.x - sp.b
+        if reduce:
+            state.removed_rows |= detect_nonbase_redundant(
+                sp, base, state, sigma=sigma, row_tols=row_tols)
+        p = _gather_select_entering(sp, base, state, active_rule, sigma, row_tols, row_norms)
+        if p is None:
+            x_final = base.fact.solve(sp.b[base.indices]) + 0.0
+            objective = float(c @ x_final) + offset
+            artificial = sorted(set(base.indices.tolist()) & sp.artificial_rows)
+            if artificial:
+                return outcome(Status.UNBOUNDED, x_final, objective, int(artificial[0]))
+            return outcome(Status.OPTIMAL, x_final, objective)
+        if state.iteration >= max_iter:
+            return outcome(Status.ITERATION_LIMIT, state.x, None)
+        y_p = expand_entering(base, sp.A[p])
+        certificate = check_infeasible(sp, p, float(sigma[p]), y_p, base)
+        if certificate is not None:
+            if state.trace is not None:
+                state.trace.append(facet.TraceRecord(
+                    k=state.iteration, entering=p, leaving=-1, objective=objective,
+                    max_violation=float(abs(sigma[p])), rule=active_rule.value,
+                    note=certificate.note or "infeasible",
+                ))
+            return outcome(Status.INFEASIBLE, state.x, None, certificate)
+        q = select_leaving(p, float(sigma[p]), y_p, state.y_c, base)
+        if detect_leaving_redundant(q, y_p if sigma[p] < 0 else -y_p, base):
+            state.removed_rows.add(q)
+        prev_objective = objective
+        base, state = _gather_pivot(sp, base, state, p, q, y_p)
+        drift = _gather_residual(sp, base, state.y_c)
+        if (
+            drift > facet.YC_DRIFT_FACTOR * facet.TOL_LIN * c_scale
+            or state.iteration % facet.YC_REFRESH_PERIOD == 0
+        ):
+            base.fact = linalg.refactor(base.fact, sp.A[base.indices])
+            state.y_c = base.fact.solve_transpose(sp.c_original)
+        objective = float(c @ state.x) + offset
+        if state.trace is not None:
+            state.trace.append(facet.TraceRecord(
+                k=state.iteration - 1, entering=p, leaving=q, objective=objective,
+                max_violation=facet._max_violation(sp, sigma), rule=active_rule.value,
+            ))
+        if audit_log is not None:
+            _gather_audit(sp, base, state, prev_objective, objective, c_scale,
+                          audit_log, seen)
+        tol_obj = facet.TOL_OBJ_BASE * (1.0 + max(abs(objective), abs(best_objective)))
+        if objective > best_objective + tol_obj:
+            best_objective = objective
+            stall = 0
+        else:
+            stall += 1
+            if stall >= facet.STALL_ITERATIONS and active_rule is not PivotRule.LEAST_INDEX:
+                active_rule = PivotRule.LEAST_INDEX
+                stall = 0
+
+
+def _bit_identity_cases():
+    for d in range(3, 9):
+        yield f"km1-{d}", to_standard_general(klee_minty_v1(d)), 10_000
+        yield f"km2-{d}", to_standard_general(klee_minty_v2(d)), 10_000
+    yield "km1-8-limit", to_standard_general(klee_minty_v1(8)), 10
+    for fid in CYCLING_FIXTURE_IDS:
+        yield fid, to_standard_general(cycling_fixture(fid)), 10_000
+    for seed in range(30):
+        for d, m, n in [(3, 1, 4), (4, 1, 6), (5, 2, 8)]:
+            for kind in ("feasible", "infeasible", "unbounded"):
+                p = random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
+                yield f"{kind}-{seed}-{d}", to_standard_general(p), 10_000
+    for d in (40, 80):
+        yield f"dense-{d}", to_standard_general(_dense_lp(0, d)), 10_000
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+class TestOwnedBaseRowsBitIdentical:
+    """The in-place base rows, the sliced entering masks and the single exit
+    path give exactly the outcomes of the gathering loop."""
+
+    def test_outcomes_match_gathering_loop(self):
+        modes = [
+            {},
+            {"audit": True, "collect_trace": True},
+            {"reduce": True},
+        ]
+        statuses = set()
+        for name, sp, max_iter in _bit_identity_cases():
+            for rule in PivotRule:
+                for mode in modes:
+                    # the reduce scan costs a transpose solve per row per
+                    # pivot, seconds per rule at d=80: one rule is enough there
+                    if mode.get("reduce") and sp.d > 8 and rule is not PivotRule.MAX_DEVIATION:
+                        continue
+                    got = solve(sp, rule, max_iter, **mode)
+                    want = _gather_solve(sp, rule, max_iter, **mode)
+                    where = (name, rule, mode)
+                    statuses.add(got.status)
+                    assert got.status is want.status, where
+                    assert _bits(got.objective) == _bits(want.objective), where
+                    assert _bits(got.x_opt) == _bits(want.x_opt), where
+                    assert got.iterations == want.iterations, where
+                    assert got.basis_rows == want.basis_rows, where
+                    assert repr(got.certificate) == repr(want.certificate), where
+                    assert got.redundant_rows == want.redundant_rows, where
+                    assert repr(got.trace) == repr(want.trace), where
+                    if mode.get("audit"):
+                        assert got.audit.violations == want.audit.violations, where
+                        assert got.audit.base_repeated == want.audit.base_repeated, where
+                        assert got.audit.pivots_checked == want.audit.pivots_checked, where
+        assert statuses == {
+            Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED, Status.ITERATION_LIMIT,
+        }

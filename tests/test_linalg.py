@@ -154,3 +154,38 @@ def test_near_singular_update_is_refactored_from_scratch():
     assert g.updates == 0
     r = rng.normal(size=d)
     assert np.max(np.abs(m_new @ g.solve(r) - r)) <= 1e-6 * np.max(np.abs(g.solve(r)))
+
+
+def _flags_by_scan(row_sums, diagonal):
+    """The singularity flags as computed before they were read off the
+    smallest pivot: every pivot at or below the threshold is listed."""
+    norm = np.max(row_sums) if row_sums.shape[0] else 0.0
+    pivots = np.abs(diagonal)
+    threshold = linalg.TOL_PIVOT * max(norm, np.finfo(float).tiny)
+    bad = np.flatnonzero(pivots <= threshold)
+    singular = bad.size > 0
+    near = bool(not singular and np.any(pivots <= linalg.NEAR_SINGULAR_FACTOR * threshold))
+    return singular, near, int(bad[0]) if singular else None
+
+
+def test_flags_match_a_scan_of_every_pivot():
+    rng = np.random.default_rng(17)
+    cases = [(np.zeros(0), np.zeros(0)), (np.zeros(3), np.zeros(3))]
+    for _ in range(400):
+        d = int(rng.integers(1, 9))
+        row_sums = rng.uniform(0.5, 50.0, size=d)
+        threshold = linalg.TOL_PIVOT * row_sums.max()
+        # pivots well clear, near singular, exactly at either threshold,
+        # below it, and exact zeros, in any mix and any number
+        menu = np.array([1.0, 1e-2, 3e-10 * row_sums.max(), threshold,
+                         linalg.NEAR_SINGULAR_FACTOR * threshold, 0.5 * threshold, 0.0])
+        diagonal = rng.choice(menu, size=d) * rng.choice([-1.0, 1.0], size=d)
+        cases.append((row_sums, diagonal))
+    seen = set()
+    for row_sums, diagonal in cases:
+        f = linalg._flagged(row_sums, diagonal)
+        want = _flags_by_scan(row_sums, diagonal)
+        assert (f.singular, f.near_singular, f.bad_pivot_index) == want
+        assert f.dimension == row_sums.shape[0]
+        seen.add(want[:2])
+    assert seen == {(True, False), (False, True), (False, False)}
