@@ -49,6 +49,7 @@ _STATUS_EXIT = {
 }
 
 CSV_COLUMNS = "name,n,m,d,solver,rule,iterations,wall_ms,status,objective"
+SOLVERS = ("facet", "dantzig", "oracle")
 
 
 def _rule_from_flag(value: str) -> PivotRule:
@@ -182,11 +183,17 @@ def _bench_instances(args: argparse.Namespace):
 def cmd_bench(args: argparse.Namespace) -> int:
     rule = _rule_from_flag(args.rule)
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    if not solvers or not set(solvers) <= set(SOLVERS):
+        print(f"error: --solvers takes a list from {','.join(SOLVERS)}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     rows = []
     try:
         instances = list(_bench_instances(args))
     except (FacetLPError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if not instances:
+        print(f"error: suite {args.suite} has no instances", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     for name, load in instances:
@@ -289,13 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp_.add_argument("--tol-feas", type=float, default=None,
                          help="absolute feasibility tolerance override")
         sp_.add_argument("--reduce", action="store_true",
-                         help="enable the non-base redundancy scan each iteration")
+                         help="non-base redundancy scan: one extra solve per pivot")
 
     p_solve = sub.add_parser("solve", help="solve one instance from a file")
     p_solve.add_argument("path")
     p_solve.add_argument("--format", default="auto", choices=["auto", "json", "mps"])
-    p_solve.add_argument("--solver", default="facet",
-                         choices=["facet", "dantzig", "oracle"])
+    p_solve.add_argument("--solver", default="facet", choices=SOLVERS)
     add_solver_flags(p_solve)
     p_solve.add_argument("--trace", default=None, metavar="FILE",
                          help="write per-iteration JSONL trace (facet only)")
@@ -320,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", type=_parse_size_range, default=(3, 10),
                          help="inclusive d range LO:HI for the cube suites")
     p_bench.add_argument("--solvers", default="facet",
-                         help="comma list from facet,dantzig,oracle")
+                         help=f"comma list from {','.join(SOLVERS)}")
     p_bench.add_argument("--netlib-dir", default=None,
                          help=f"MPS directory (default ${NETLIB_DIR_ENV})")
     add_solver_flags(p_bench)

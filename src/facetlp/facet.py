@@ -207,7 +207,8 @@ def select_entering(
 
 
 def expand_entering(base: Base, a_p: np.ndarray) -> np.ndarray:
-    """Coefficients y_p with A_B^T y_p = a_p, aligned with the base slots."""
+    """Coefficients y_p with A_B^T y_p = a_p, aligned with the base slots; a
+    (d, k) block ``a_p`` gives one expansion per column."""
     return base.fact.solve_transpose(np.asarray(a_p, dtype=float))
 
 
@@ -217,7 +218,6 @@ def check_infeasible(
     sigma_p: float,
     y_p: np.ndarray,
     base: Base,
-    tol_sign: float = TOL_SIGN,
 ) -> InfeasibilityCertificate | None:
     """Farkas-style test on the entering facet's expansion.
 
@@ -228,14 +228,14 @@ def check_infeasible(
     ineq_slots = ~base.is_eq
     y_ineq = y_p[ineq_slots]
     certificate = None
-    if sigma_p < 0 and (y_ineq <= tol_sign).all():
+    if sigma_p < 0 and (y_ineq <= TOL_SIGN).all():
         certificate = 1
-    elif p < sp.m and sigma_p > 0 and (y_ineq >= -tol_sign).all():
+    elif p < sp.m and sigma_p > 0 and (y_ineq >= -TOL_SIGN).all():
         certificate = 2
     if certificate is None:
         return None
     note = None
-    if p < sp.m and (np.abs(y_ineq) <= tol_sign).all():
+    if p < sp.m and (np.abs(y_ineq) <= TOL_SIGN).all():
         note = "entering equality depends only on base equalities, rhs inconsistent"
     return InfeasibilityCertificate(
         entering_row=p,
@@ -258,7 +258,6 @@ def select_leaving(
     y_p: np.ndarray,
     y_c: np.ndarray,
     base: Base,
-    tol_sign: float = TOL_SIGN,
 ) -> int:
     """Ratio test over the inequality members of the base.
 
@@ -269,13 +268,13 @@ def select_leaving(
     """
     ineq = ~base.is_eq
     if sigma_p < 0:
-        eligible = ineq & (y_p > tol_sign)
+        eligible = ineq & (y_p > TOL_SIGN)
         if not eligible.any():
             raise NoLeavingCandidate(f"no positive expansion entry for facet {p}")
         ratios = y_c[eligible] / y_p[eligible]
         best = float(ratios.min())
     else:
-        eligible = ineq & (y_p < -tol_sign)
+        eligible = ineq & (y_p < -TOL_SIGN)
         if not eligible.any():
             raise NoLeavingCandidate(f"no negative expansion entry for facet {p}")
         ratios = y_c[eligible] / y_p[eligible]
@@ -283,15 +282,13 @@ def select_leaving(
     return _tie_least_row(base.indices[eligible], ratios, best)
 
 
-def detect_leaving_redundant(
-    q: int, y_p: np.ndarray, base: Base, tol_sign: float = TOL_SIGN
-) -> bool:
+def detect_leaving_redundant(q: int, y_p: np.ndarray, base: Base) -> bool:
     """True when every other inequality member has a nonpositive expansion
     entry, which proves the leaving facet can never bind again."""
     s = base.slot_of(q)
     others = ~base.is_eq
     others[s] = False
-    return bool((y_p[others] <= tol_sign).all())
+    return bool((y_p[others] <= TOL_SIGN).all())
 
 
 def detect_nonbase_redundant(
@@ -300,40 +297,31 @@ def detect_nonbase_redundant(
     state: SolverState,
     sigma: np.ndarray | None = None,
     row_tols: np.ndarray | None = None,
-    tol_sign: float = TOL_SIGN,
 ) -> set[int]:
     """Optional scan for non-base facets provably redundant at this iterate.
 
     An equality facet exactly satisfied whose expansion avoids every
     inequality member, or a strictly satisfied inequality facet with a
-    nonnegative expansion there, never constrains the feasible set. Costs one
-    transpose solve per scanned facet, so the solver leaves this off by
-    default.
+    nonnegative expansion there, never constrains the feasible set. All
+    scanned facets are expanded by one block transpose solve, an extra solve
+    per pivot, so the solver leaves this off by default.
     """
     if sigma is None:
         sigma = sp.A @ state.x - sp.b
     if row_tols is None:
         row_tols = sp.row_tolerances()
-    in_base = np.zeros(sp.num_rows, dtype=bool)
-    in_base[base.indices] = True
-    ineq_slots = ~base.is_eq
-    redundant: set[int] = set()
-    for r in range(sp.num_rows):
-        if in_base[r] or r in state.removed_rows:
-            continue
-        if r < sp.m:
-            if abs(sigma[r]) > row_tols[r]:
-                continue
-            y_r = expand_entering(base, sp.A[r])
-            if np.all(np.abs(y_r[ineq_slots]) <= tol_sign):
-                redundant.add(r)
-        else:
-            if sigma[r] <= row_tols[r]:
-                continue
-            y_r = expand_entering(base, sp.A[r])
-            if np.all(y_r[ineq_slots] >= -tol_sign):
-                redundant.add(r)
-    return redundant
+    m = sp.m
+    eq_satisfied = np.abs(sigma[:m]) <= row_tols[:m]
+    scanned = np.concatenate((eq_satisfied, sigma[m:] > row_tols[m:]))
+    scanned[base.indices] = False
+    if state.removed_rows:
+        scanned[list(state.removed_rows)] = False
+    rows = scanned.nonzero()[0]
+    if not rows.size:
+        return set()
+    y = expand_entering(base, sp.A[rows].T)[~base.is_eq]
+    redundant = np.where(rows < m, (abs(y) <= TOL_SIGN).all(0), (y >= -TOL_SIGN).all(0))
+    return set(rows[redundant].tolist())
 
 
 def pivot(
@@ -343,7 +331,6 @@ def pivot(
     p: int,
     q: int,
     y_p: np.ndarray,
-    tol_lin: float = TOL_LIN,
 ) -> tuple[Base, SolverState]:
     """Swap facet q out for facet p and update the iterate and expansion.
 
@@ -390,7 +377,7 @@ def pivot(
     # collapse to small values, so verify row by row at the same tolerance
     # the basic-solution invariant uses and fall back to a direct solve
     residual = np.abs(A_B @ x_new - b_B)
-    if (residual > tol_lin * (1.0 + np.abs(b_B))).any():
+    if (residual > TOL_LIN * (1.0 + np.abs(b_B))).any():
         fact = linalg.refactor(fact, A_B)
         x_new = fact.solve(b_B)
     base.fact = fact
@@ -424,7 +411,7 @@ def solve(
     """Run the facet pivot loop to a terminal status.
 
     ``reduce`` enables the non-base redundancy scan each iteration (off by
-    default: it costs a transpose solve per scanned facet). ``tol_feas``
+    default: it costs one block transpose solve per pivot). ``tol_feas``
     overrides the per-row violation tolerances with one absolute value.
     ``audit`` checks the four runtime invariants after every pivot and
     records base index sets to detect revisits. After ``stall_iterations``

@@ -43,6 +43,10 @@ _TINY = np.finfo(float).tiny
 _getrf, _getrs, _trtrs = scipy.linalg.get_lapack_funcs(
     ("getrf", "getrs", "trtrs"), dtype=np.float64
 )
+# solve_transpose multiplies Q by a block in scipy's OpenBLAS, as LAPACK does:
+# numpy's own thread pool contending with it made a d=80 block take 10 ms, not
+# 0.2 ms (unpinned threads, 2 cores). Vectors keep numpy's matvec and its bits.
+_gemm = scipy.linalg.get_blas_funcs("gemm", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -169,9 +173,9 @@ def _check(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
             f"matrix is singular (pivot {f.bad_pivot_index})", f.bad_pivot_index
         )
     r = np.asarray(r, dtype=float)
-    if r.shape != (f.dimension,):
+    if r.ndim not in (1, 2) or r.shape[0] != f.dimension:
         raise DimensionMismatch(
-            f"right-hand side has shape {r.shape}, expected ({f.dimension},)"
+            f"right-hand side has shape {r.shape}, expected ({f.dimension}[, k])"
         )
     return r
 
@@ -184,7 +188,7 @@ def _solved(x_info: tuple[np.ndarray, int]) -> np.ndarray:
 
 
 def solve(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
-    """Solve M x = r from the stored factors."""
+    """Solve M x = r from the stored factors; r is a vector or a (d, k) block."""
     r = _check(f, r)
     if f.q is not None:
         # M = QR, so x = R^-1 Q^T r. R is C-ordered, as qr_update runs
@@ -196,11 +200,12 @@ def solve(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
 
 
 def solve_transpose(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
-    """Solve M^T y = r from the same factors (no refactorization)."""
+    """Solve M^T y = r from the same factors; r is a vector or a (d, k) block."""
     r = _check(f, r)
     if f.q is not None:
         # M^T = R^T Q^T, so y = Q R^-T r
-        return f.q @ _solved(_trtrs(f.r.T, r, lower=1))
+        z = _solved(_trtrs(f.r.T, r, lower=1))
+        return f.q @ z if z.ndim == 1 else _gemm(1.0, f.q, z)
     if f.dimension == 0:
         return r.copy()
     return _solved(_getrs(f.lu, f.piv, r, trans=1))

@@ -227,6 +227,20 @@ class TestBenchCommand:
         assert all(r["status"].startswith("error:") for r in rows)
         assert all(float(r["wall_ms"]) == 0.0 for r in rows)
 
+    @pytest.mark.parametrize("flags", [
+        ["--sizes", "5:3"],
+        ["--sizes", "3:3", "--solvers", ","],
+        ["--sizes", "3:3", "--solvers", "facet,foo"],
+    ])
+    def test_empty_or_unknown_selection_is_input_error_before_any_solve(
+        self, flags, capsys
+    ):
+        code = main(["bench", "--suite", "km1", *flags])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_netlib_suite_requires_directory(self, capsys, monkeypatch):
         monkeypatch.delenv("FACETLP_NETLIB_DIR", raising=False)
         assert main(["bench", "--suite", "netlib"]) == EXIT_INPUT_ERROR

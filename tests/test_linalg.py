@@ -73,9 +73,12 @@ def test_near_singular_flag_does_not_block_solves():
 def test_shape_errors():
     with pytest.raises(DimensionMismatch):
         linalg.factor(np.ones((2, 3)))
-    f = linalg.factor(np.eye(2))
-    with pytest.raises(DimensionMismatch):
-        f.solve(np.ones(3))
+    for d in (2, linalg.QR_UPDATE_MIN_D):
+        f = linalg.factor(np.eye(d))
+        for bad in (np.ones(d + 1), np.ones((d + 1, 2)), np.ones((d, 2, 1))):
+            for solve in (f.solve, f.solve_transpose):
+                with pytest.raises(DimensionMismatch):
+                    solve(bad)
 
 
 def test_non_finite_input_raises():
@@ -88,6 +91,20 @@ def test_non_finite_input_raises():
 
 def _well_conditioned(rng, d):
     return rng.integers(-9, 10, size=(d, d)).astype(float) + 20.0 * np.eye(d)
+
+
+@pytest.mark.parametrize("d", [0, 5, linalg.QR_UPDATE_MIN_D - 1, linalg.QR_UPDATE_MIN_D])
+def test_block_solves_match_one_column_at_a_time(d):
+    # not bitwise: a block runs through other BLAS kernels than a vector
+    rng = np.random.default_rng(d + 23)
+    f = linalg.factor(_well_conditioned(rng, d))
+    assert (f.q is None) == (d < linalg.QR_UPDATE_MIN_D)
+    block = rng.normal(size=(d, 7))
+    for solve in (f.solve, f.solve_transpose):
+        got = solve(block)
+        assert got.shape == (d, 7)
+        for j in range(7):
+            np.testing.assert_allclose(got[:, j], solve(block[:, j]), rtol=1e-10)
 
 
 def test_replace_row_below_crossover_matches_a_fresh_factorization_bitwise():
