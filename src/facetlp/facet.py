@@ -10,13 +10,14 @@ iterate is therefore optimal.
 
 Per iteration one factorization of the base serves both linear solves: the
 transpose solve for the entering facet's expansion and the rank-one update
-of the iterate. A pivot hands the row swap to ``linalg.replace_row``, which
-refactors small bases (d below ``linalg.QR_UPDATE_MIN_D``) as an LU and
-updates the QR factors of larger ones in O(d^2). Updated factors are rebuilt
-from scratch at every y_c refresh (periodic or drift-triggered), and before
-the direct-solve fallback when the iterate fails its residual check. The
-base rows A_B and b_B are owned by the solve and written in place, one row
-per pivot, as are the base's indices, equality flags and factors.
+of the iterate. A pivot hands the row swap and that expansion to
+``linalg.replace_row``, which refactors small bases (d below
+``linalg.ETA_MIN_D``) as an LU and adds a product-form eta to the factors of
+larger ones. Etas are dropped for an LU from scratch at every y_c refresh
+(periodic or drift-triggered), and before the direct-solve fallback when
+the iterate fails its residual check. The base rows A_B and b_B are owned by
+the solve and written in place, one row per pivot, as are the base's
+indices, equality flags and factors.
 """
 
 from __future__ import annotations
@@ -259,26 +260,19 @@ def select_leaving(
     y_c: np.ndarray,
     base: Base,
 ) -> int:
-    """Ratio test over the inequality members of the base.
-
-    Violated-from-below entering facet: minimize y_c/y_p over positive y_p.
-    Over-violated entering equality: maximize y_c/y_p over negative y_p.
-    Either way the updated expansion stays nonnegative on inequality members.
-    Ties go to the least row index. Equality members never leave.
+    """Ratio test over the inequality members of the base: minimize y_c/y_p
+    over positive y_p, so the updated expansion stays nonnegative there. An
+    over-violated entering equality enters as its mirror image -a_p >= -b_p,
+    whose expansion is -y_p; negation is exact, so this picks the row that
+    maximizing y_c/y_p over negative y_p would. Ties go to the least row
+    index. Equality members never leave.
     """
-    ineq = ~base.is_eq
-    if sigma_p < 0:
-        eligible = ineq & (y_p > TOL_SIGN)
-        if not eligible.any():
-            raise NoLeavingCandidate(f"no positive expansion entry for facet {p}")
-        ratios = y_c[eligible] / y_p[eligible]
-        best = float(ratios.min())
-    else:
-        eligible = ineq & (y_p < -TOL_SIGN)
-        if not eligible.any():
-            raise NoLeavingCandidate(f"no negative expansion entry for facet {p}")
-        ratios = y_c[eligible] / y_p[eligible]
-        best = float(ratios.max())
+    y_p = y_p if sigma_p < 0 else -y_p
+    eligible = ~base.is_eq & (y_p > TOL_SIGN)
+    if not eligible.any():
+        raise NoLeavingCandidate(f"no positive expansion entry for facet {p}")
+    ratios = y_c[eligible] / y_p[eligible]
+    best = float(ratios.min())
     return _tie_least_row(base.indices[eligible], ratios, best)
 
 
@@ -320,7 +314,11 @@ def detect_nonbase_redundant(
     if not rows.size:
         return set()
     y = expand_entering(base, sp.A[rows].T)[~base.is_eq]
-    redundant = np.where(rows < m, (abs(y) <= TOL_SIGN).all(0), (y >= -TOL_SIGN).all(0))
+    # min and max over no members are +inf and 0, so those pass, as with all()
+    redundant = y.min(0, initial=np.inf) >= -TOL_SIGN
+    eq = rows < m
+    if eq.any():
+        redundant[eq] = abs(y[:, eq]).max(0, initial=0.0) <= TOL_SIGN
     return set(rows[redundant].tolist())
 
 
@@ -337,12 +335,12 @@ def pivot(
     The iterate moves along w = A_B^{-1} e_q, solved from the same
     factorization that produced y_p, so one factorization per iteration
     covers both solves. Row p is written into slot s of ``A_B``/``b_B`` and
-    ``base`` is updated in place; its factors come from ``linalg.replace_row``:
-    a fresh LU below ``linalg.QR_UPDATE_MIN_D``, a rank-one QR update from it
-    up. The iterate is checked against the new base equations row by row; if
-    that fails, updated factors are rebuilt from scratch and the iterate is
-    solved for directly. Returns ``base`` and a fresh state with a new ``x``.
-    A singular new base restores row s before raising ``SingularMatrix``.
+    ``base`` is updated in place, its factors by ``linalg.replace_row`` given
+    y_p. The iterate is checked against the new base equations row by row;
+    if that fails, factors carrying etas are rebuilt from scratch and the
+    iterate is solved for directly. Returns ``base`` and a fresh state with
+    a new ``x``. A singular new base restores row s before raising
+    ``SingularMatrix``.
     """
     s = base.slot_of(q)
     if abs(y_p[s]) <= TOL_SIGN:
@@ -357,10 +355,9 @@ def pivot(
     x_new = state.x + step * w
 
     A_B, b_B = state.A_B, state.b_B
-    delta = a_p - A_B[s]
     A_B[s] = a_p
     b_B[s] = sp.b[p]
-    fact = linalg.replace_row(base.fact, s, delta, A_B)
+    fact = linalg.replace_row(base.fact, s, y_p, A_B)
     if fact.singular:
         A_B[s] = sp.A[q]
         b_B[s] = sp.b[q]

@@ -499,8 +499,8 @@ def _dense_lp(seed, d):
 
 
 class TestBaseFactorizationPaths:
-    """Bases below linalg.QR_UPDATE_MIN_D are refactored as an LU per pivot;
-    larger ones run on updated QR factors."""
+    """Bases below linalg.ETA_MIN_D are refactored as an LU per pivot;
+    larger ones keep an LU plus a product-form eta file."""
 
     @pytest.mark.parametrize("d", [40, 80])
     def test_dense_lps_audit_clean_and_match_highs(self, d):
@@ -518,7 +518,7 @@ class TestBaseFactorizationPaths:
 
     def test_kb2_shaped_fixture_keeps_its_pivot_count(self, fixtures_dir):
         sp = to_standard_general(read_mps(fixtures_dir / "kb2_shape.mps"))
-        assert sp.d >= linalg.QR_UPDATE_MIN_D
+        assert sp.d >= linalg.ETA_MIN_D
         out = solve(sp)
         assert out.status is Status.OPTIMAL
         assert out.iterations == 31
@@ -587,7 +587,7 @@ def _gather_pivot(sp, base, state, p, q, y_p, tol_lin=facet.TOL_LIN):
     indices[s] = p
     is_eq[s] = p < sp.m
     m_new = sp.A[indices]
-    fact = linalg.replace_row(base.fact, s, a_p - sp.A[q], m_new)
+    fact = linalg.replace_row(base.fact, s, y_p, m_new)
     assert not fact.singular
     b_new = sp.b[indices]
     residual = np.abs(m_new @ x_new - b_new)
