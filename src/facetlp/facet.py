@@ -10,14 +10,16 @@ iterate is therefore optimal.
 
 Per iteration one factorization of the base serves both linear solves: the
 transpose solve for the entering facet's expansion and the rank-one update
-of the iterate. A pivot hands the row swap and that expansion to
-``linalg.replace_row``, which refactors small bases (d below
-``linalg.ETA_MIN_D``) as an LU and adds a product-form eta to the factors of
-larger ones. Etas are dropped for an LU from scratch at every y_c refresh
-(periodic or drift-triggered), and before the direct-solve fallback when
-the iterate fails its residual check. The base rows A_B and b_B are owned by
-the solve and written in place, one row per pivot, as are the base's
-indices, equality flags and factors.
+of the iterate. One pass of the ratio test also tells whether the leaving
+facet is redundant and whether infeasibility is certified. A pivot hands
+the row swap and the expansion to ``linalg.replace_row``, which refactors
+small bases (d below ``linalg.ETA_MIN_D``) as an LU and adds a product-form
+eta to the factors of larger ones, and computes the new residuals A x - b
+once, for its own residual check and the next pricing. Etas are dropped for an LU from scratch at every y_c refresh (periodic or
+drift-triggered), and before the direct-solve fallback when the iterate
+fails its residual check. The base rows A_B and b_B are owned by the solve
+and written in place, one row per pivot, as are the base's indices,
+equality flags and factors.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from facetlp import linalg
 from facetlp.errors import NoLeavingCandidate, SingularMatrix
-from facetlp.model import StandardGeneralLP, TOL_FEAS_BASE
+from facetlp.model import StandardGeneralLP, TOL_FEAS_BASE, residuals
 
 TOL_SIGN = 1e-9
 TOL_LIN = 1e-9
@@ -72,11 +74,12 @@ class Base:
 @dataclass
 class SolverState:
     """Mutable per-solve bookkeeping; owned exclusively by one solve call.
-    ``A_B`` (C-ordered) and ``b_B`` are the base rows in slot order, written
-    in place by each pivot and shared by every state of the solve."""
+    ``sigma`` is A x - b. ``A_B`` (C-ordered) and ``b_B`` are the base rows in
+    slot order, written in place by each pivot and shared by every state."""
 
     x: np.ndarray
     y_c: np.ndarray
+    sigma: np.ndarray
     A_B: np.ndarray
     b_B: np.ndarray
     iteration: int = 0
@@ -153,7 +156,7 @@ def initial_state(sp: StandardGeneralLP) -> tuple[Base, SolverState]:
     fact = linalg.factor(A_B)
     x0 = fact.solve(b_B)
     base = Base(indices=rows, is_eq=np.zeros(d, dtype=bool), fact=fact)
-    state = SolverState(x=x0, y_c=sp.c_bar.astype(float).copy(), A_B=A_B, b_B=b_B)
+    state = SolverState(x0, sp.c_bar.astype(float).copy(), residuals(sp, x0), A_B, b_B)
     return base, state
 
 
@@ -166,18 +169,17 @@ def select_entering(
     base: Base,
     state: SolverState,
     rule: PivotRule,
-    sigma: np.ndarray | None = None,
     row_tols: np.ndarray | None = None,
     row_norms: np.ndarray | None = None,
 ) -> int | None:
-    """Pick the violated non-base facet to enter, or None at optimality.
+    """Pick the violated non-base facet to enter, or None at optimality,
+    from the state's residuals.
 
     Violated equality rows take absolute priority over violated inequality
     rows; within the eligible class the pivot rule decides, ties going to the
     least row index.
     """
-    if sigma is None:
-        sigma = sp.A @ state.x - sp.b
+    sigma = state.sigma
     if row_tols is None:
         row_tols = sp.row_tolerances()
     m = sp.m
@@ -226,31 +228,23 @@ def check_infeasible(
     inequality member, or an over-violated equality facet whose expansion is
     nonnegative there, certifies an empty feasible set.
     """
-    ineq_slots = ~base.is_eq
-    y_ineq = y_p[ineq_slots]
-    certificate = None
+    y_ineq = y_p[~base.is_eq]
     if sigma_p < 0 and (y_ineq <= TOL_SIGN).all():
-        certificate = 1
+        case = 1
     elif p < sp.m and sigma_p > 0 and (y_ineq >= -TOL_SIGN).all():
-        certificate = 2
-    if certificate is None:
+        case = 2
+    else:
         return None
     note = None
     if p < sp.m and (np.abs(y_ineq) <= TOL_SIGN).all():
         note = "entering equality depends only on base equalities, rhs inconsistent"
     return InfeasibilityCertificate(
         entering_row=p,
-        case=certificate,
+        case=case,
         sigma=float(sigma_p),
         y_by_row={int(r): float(v) for r, v in zip(base.indices, y_p)},
         note=note,
     )
-
-
-def _tie_least_row(rows: np.ndarray, ratios: np.ndarray, best: float) -> int:
-    tau = 1e-12 * (1.0 + abs(best))
-    tied = rows[np.abs(ratios - best) <= tau]
-    return int(tied.min())
 
 
 def select_leaving(
@@ -259,26 +253,32 @@ def select_leaving(
     y_p: np.ndarray,
     y_c: np.ndarray,
     base: Base,
-) -> int:
-    """Ratio test over the inequality members of the base: minimize y_c/y_p
-    over positive y_p, so the updated expansion stays nonnegative there. An
-    over-violated entering equality enters as its mirror image -a_p >= -b_p,
-    whose expansion is -y_p; negation is exact, so this picks the row that
-    maximizing y_c/y_p over negative y_p would. Ties go to the least row
-    index. Equality members never leave.
+) -> tuple[int, bool] | None:
+    """The ratio test, in one pass over the inequality members of the base:
+    minimize y_c/y_p over positive y_p, so the updated expansion stays
+    nonnegative there. An over-violated entering equality enters as its
+    mirror image -a_p >= -b_p, whose expansion is -y_p; negation is exact, so
+    this picks the row that maximizing y_c/y_p over negative y_p would. Ties
+    go to the least row index. Equality members never leave.
+
+    Returns the leaving slot and whether it was the only eligible one
+    (``detect_leaving_redundant``'s test), or None if none is, which for a
+    violated entering facet is ``check_infeasible``'s condition.
     """
     y_p = y_p if sigma_p < 0 else -y_p
-    eligible = ~base.is_eq & (y_p > TOL_SIGN)
-    if not eligible.any():
-        raise NoLeavingCandidate(f"no positive expansion entry for facet {p}")
-    ratios = y_c[eligible] / y_p[eligible]
-    best = float(ratios.min())
-    return _tie_least_row(base.indices[eligible], ratios, best)
+    slots = (~base.is_eq & (y_p > TOL_SIGN)).nonzero()[0]
+    if not slots.size:
+        return None
+    ratios = y_c[slots] / y_p[slots]
+    best = ratios.min()
+    tied = slots[np.abs(ratios - best) <= 1e-12 * (1.0 + abs(best))]
+    return int(tied[base.indices[tied].argmin()]), slots.size == 1
 
 
 def detect_leaving_redundant(q: int, y_p: np.ndarray, base: Base) -> bool:
     """True when every other inequality member has a nonpositive expansion
-    entry, which proves the leaving facet can never bind again."""
+    entry, which proves the leaving facet can never bind again. The solve
+    reads the same test off ``select_leaving``."""
     s = base.slot_of(q)
     others = ~base.is_eq
     others[s] = False
@@ -301,7 +301,7 @@ def detect_nonbase_redundant(
     per pivot, so the solver leaves this off by default.
     """
     if sigma is None:
-        sigma = sp.A @ state.x - sp.b
+        sigma = residuals(sp, state.x)
     if row_tols is None:
         row_tols = sp.row_tolerances()
     m = sp.m
@@ -327,24 +327,22 @@ def pivot(
     base: Base,
     state: SolverState,
     p: int,
-    q: int,
+    s: int,
     y_p: np.ndarray,
 ) -> tuple[Base, SolverState]:
-    """Swap facet q out for facet p and update the iterate and expansion.
+    """Swap the facet in slot s (as ``select_leaving`` returns it, so
+    |y_p[s]| > ``TOL_SIGN``) out for facet p; update iterate and expansion.
 
-    The iterate moves along w = A_B^{-1} e_q, solved from the same
+    The iterate moves along w = A_B^{-1} e_s, solved from the same
     factorization that produced y_p, so one factorization per iteration
     covers both solves. Row p is written into slot s of ``A_B``/``b_B`` and
     ``base`` is updated in place, its factors by ``linalg.replace_row`` given
-    y_p. The iterate is checked against the new base equations row by row;
-    if that fails, factors carrying etas are rebuilt from scratch and the
-    iterate is solved for directly. Returns ``base`` and a fresh state with
-    a new ``x``. A singular new base restores row s before raising
-    ``SingularMatrix``.
+    y_p. The new residuals A x - b are computed once; if their base rows fail
+    the basic-solution tolerance, factors carrying etas are rebuilt from
+    scratch, the iterate is solved for directly and its residuals recomputed.
+    Returns ``base`` and a fresh state with the new ``x`` and ``sigma``. A
+    singular new base restores row s before raising ``SingularMatrix``.
     """
-    s = base.slot_of(q)
-    if abs(y_p[s]) <= TOL_SIGN:
-        raise NoLeavingCandidate(f"expansion entry for leaving facet {q} is zero")
     ratio = state.y_c[s] / y_p[s]
 
     unit = np.zeros(sp.d)
@@ -359,6 +357,7 @@ def pivot(
     b_B[s] = sp.b[p]
     fact = linalg.replace_row(base.fact, s, y_p, A_B)
     if fact.singular:
+        q = base.indices[s]
         A_B[s] = sp.A[q]
         b_B[s] = sp.b[q]
         raise SingularMatrix(
@@ -373,25 +372,20 @@ def pivot(
     # the rank-one step cancels catastrophically when big-M coordinates
     # collapse to small values, so verify row by row at the same tolerance
     # the basic-solution invariant uses and fall back to a direct solve
-    residual = np.abs(A_B @ x_new - b_B)
-    if (residual > TOL_LIN * (1.0 + np.abs(b_B))).any():
+    sigma = residuals(sp, x_new)
+    if (np.abs(sigma[base.indices]) > TOL_LIN * (1.0 + np.abs(b_B))).any():
         fact = linalg.refactor(fact, A_B)
         x_new = fact.solve(b_B)
+        sigma = residuals(sp, x_new)
     base.fact = fact
 
     y_c = state.y_c - y_p * ratio
     y_c[s] = ratio
 
-    new_state = SolverState(
-        x=x_new,
-        y_c=y_c,
-        A_B=A_B,
-        b_B=b_B,
-        iteration=state.iteration + 1,
-        removed_rows=state.removed_rows,
-        trace=state.trace,
+    return base, SolverState(
+        x=x_new, y_c=y_c, sigma=sigma, A_B=A_B, b_B=b_B, iteration=state.iteration + 1,
+        removed_rows=state.removed_rows, trace=state.trace,
     )
-    return base, new_state
 
 
 def solve(
@@ -442,17 +436,14 @@ def solve(
 
     # every exit sets status, x_opt, objective and certificate, then breaks
     while True:
-        sigma = sp.A @ state.x - sp.b
+        sigma = state.sigma
 
         if reduce:
             state.removed_rows |= detect_nonbase_redundant(
                 sp, base, state, sigma=sigma, row_tols=row_tols
             )
 
-        p = select_entering(
-            sp, base, state, active_rule,
-            sigma=sigma, row_tols=row_tols, row_norms=row_norms,
-        )
+        p = select_entering(sp, base, state, active_rule, row_tols, row_norms)
         if p is None:
             x_opt = base.fact.solve(state.b_B) + 0.0  # clear -0.0
             objective = float(c @ x_opt) + offset
@@ -467,8 +458,12 @@ def solve(
             break
 
         y_p = expand_entering(base, sp.A[p])
-        certificate = check_infeasible(sp, p, float(sigma[p]), y_p, base)
-        if certificate is not None:
+        leaving = select_leaving(p, float(sigma[p]), y_p, state.y_c, base)
+        if leaving is None:
+            # for a violated entering facet that is the Farkas condition
+            certificate = check_infeasible(sp, p, float(sigma[p]), y_p, base)
+            if certificate is None:
+                raise NoLeavingCandidate(f"no positive expansion entry for facet {p}")
             if state.trace is not None:
                 state.trace.append(TraceRecord(
                     k=state.iteration, entering=p, leaving=-1,
@@ -478,14 +473,13 @@ def solve(
             status, x_opt, objective = Status.INFEASIBLE, state.x, None
             break
 
-        q = select_leaving(p, float(sigma[p]), y_p, state.y_c, base)
-        # the redundancy test is stated for a facet violated from below; an
-        # over-violated equality enters as its mirror image -a_p >= -b_p
-        if detect_leaving_redundant(q, y_p if sigma[p] < 0 else -y_p, base):
+        s, sole = leaving
+        q = int(base.indices[s])
+        if sole:
             state.removed_rows.add(q)
 
         prev_objective = objective
-        base, state = pivot(sp, base, state, p, q, y_p)
+        base, state = pivot(sp, base, state, p, s, y_p)
 
         # keep the incremental expansion honest: refresh from scratch
         # periodically or when it drifts
@@ -531,14 +525,8 @@ def solve(
 
 
 def _max_violation(sp: StandardGeneralLP, sigma: np.ndarray) -> float:
-    eq_part = np.abs(sigma[: sp.m])
-    ineq_part = -sigma[sp.m:]
-    worst = 0.0
-    if eq_part.size:
-        worst = float(np.max(eq_part))
-    if ineq_part.size:
-        worst = max(worst, float(np.max(ineq_part)))
-    return max(worst, 0.0)
+    eq_part = float(np.max(np.abs(sigma[: sp.m]), initial=0.0))
+    return max(eq_part, float(np.max(-sigma[sp.m:], initial=0.0)))
 
 
 def _audit_pivot(

@@ -20,7 +20,7 @@ the scipy wrappers add per-call overhead that dominates at small d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -140,7 +140,8 @@ def replace_row(
         return factor(m_new)
     h = y / -pivot
     h[slot] = 1.0 / pivot - 1.0
-    return replace(f, etas=f.etas + ((slot, h),))
+    return SquareFactorization(d, f.singular, f.near_singular, f.bad_pivot_index,
+                               f.lu, f.piv, f.etas + ((slot, h),))
 
 
 def refactor(f: SquareFactorization, m: np.ndarray) -> SquareFactorization:

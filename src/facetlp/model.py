@@ -202,18 +202,32 @@ def to_standard_general(p: GeneralLP, big_M: float | None = None) -> StandardGen
 
     artificial = set()
     for i in range(d):
-        if np.isneginf(p.lower[i]) or np.isposinf(p.upper[i]):
-            # the bound written as >= always carries -M on the affected side
-            if np.isposinf(p.upper[i]):
-                artificial.add(m + n + i if flip[i] else m + n + d + i)
-            if np.isneginf(p.lower[i]):
-                artificial.add(m + n + d + i if flip[i] else m + n + i)
+        # the bound written as >= always carries -M on the affected side
+        if np.isposinf(p.upper[i]):
+            artificial.add(m + n + i if flip[i] else m + n + d + i)
+        if np.isneginf(p.lower[i]):
+            artificial.add(m + n + d + i if flip[i] else m + n + i)
 
     return StandardGeneralLP(
         c_bar=c_bar, A=A, b=b, m=m, n=n, flip=flip,
         big_M=float(big_M), artificial_rows=frozenset(artificial),
         objective_offset=p.objective_offset,
     )
+
+
+def residuals(sp: StandardGeneralLP, x: np.ndarray) -> np.ndarray:
+    """``sp.A @ x - sp.b``, bit for bit: the E and F rows are +-e_i, so they
+    are read off x. The general rows' product runs over whole blocks of four
+    rows, since OpenBLAS's gemv rounds a row of a partial block differently;
+    the bound rows then overwrite what it wrote past the general ones."""
+    g, d = sp.m + sp.n, sp.d
+    sigma = np.empty(sp.num_rows)
+    np.matmul(sp.A[: g + -g % 4], x, out=sigma[: g + -g % 4])
+    e = sigma[g : g + d]
+    np.multiply(sp.A[g : g + d].diagonal(), x, out=e)
+    np.negative(e, out=sigma[g + d :])
+    sigma -= sp.b
+    return sigma
 
 
 def violations(
@@ -225,17 +239,13 @@ def violations(
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({sp.d},)")
     if tol_feas is None:
         tol_feas = sp.default_tol_feas()
-    sigma = sp.A @ x - sp.b
-    sigma_eq = sigma[: sp.m]
-    sigma_ineq = sigma[sp.m:]
+    sigma = residuals(sp, x)
+    sigma_eq, sigma_ineq = sigma[: sp.m], sigma[sp.m:]
     worst_eq = float(np.max(np.abs(sigma_eq), initial=0.0))
     worst_ineq = float(max(0.0, -np.min(sigma_ineq, initial=0.0)))
-    feasible = worst_eq <= tol_feas and worst_ineq <= tol_feas
     return ViolationReport(
-        sigma_eq=sigma_eq,
-        sigma_ineq=sigma_ineq,
-        max_abs_violation=max(worst_eq, worst_ineq),
-        is_feasible=bool(feasible),
+        sigma_eq, sigma_ineq, max(worst_eq, worst_ineq),
+        is_feasible=bool(worst_eq <= tol_feas and worst_ineq <= tol_feas),
     )
 
 

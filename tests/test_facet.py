@@ -71,6 +71,7 @@ class TestSelectEntering:
         sp = to_standard_general(klee_minty_v2(3))
         base, state = initial_state(sp)
         state.x = np.array([0.0, 0.0, 7.0])  # the optimizer: nothing violated
+        state.sigma = sp.A @ state.x - sp.b
         assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION) is None
 
     def test_equality_priority_is_absolute(self):
@@ -190,38 +191,50 @@ class TestCheckInfeasible:
         assert out.status is Status.OPTIMAL
 
 
+def _leaving_row(p, sigma_p, y_p, y_c, base):
+    slot, _ = select_leaving(p, sigma_p, y_p, y_c, base)
+    return base.indices[slot]
+
+
 class TestSelectLeaving:
     def test_single_positive_entry_leaves_regardless_of_ratio(self):
         base = _dummy_base([4, 9], [False, False])
         y_p = np.array([0.0, 3.0])
         y_c = np.array([5.0, 17.0])
-        assert select_leaving(0, -1.0, y_p, y_c, base) == 9
+        assert _leaving_row(0, -1.0, y_p, y_c, base) == 9
 
     def test_min_ratio_wins_in_case1(self):
         # ratios: 2.0 at row 7, 0.5 at row 3
         base = _dummy_base([7, 3], [False, False])
         y_p = np.array([1.0, 2.0])
         y_c = np.array([2.0, 1.0])
-        assert select_leaving(0, -1.0, y_p, y_c, base) == 3
+        assert _leaving_row(0, -1.0, y_p, y_c, base) == 3
 
     def test_ratio_tie_breaks_to_least_row_index(self):
         base = _dummy_base([9, 5], [False, False])
         y_p = np.array([1.0, 1.0])
         y_c = np.array([1.0, 1.0])
-        assert select_leaving(0, -1.0, y_p, y_c, base) == 5
+        assert _leaving_row(0, -1.0, y_p, y_c, base) == 5
 
     def test_case2_max_ratio_over_negative_entries(self):
         base = _dummy_base([2, 6], [False, False])
         y_p = np.array([-1.0, -4.0])
         y_c = np.array([2.0, 1.0])
         # ratios -2.0 (row 2) and -0.25 (row 6): case 2 takes the max
-        assert select_leaving(0, +1.0, y_p, y_c, base) == 6
+        assert _leaving_row(0, +1.0, y_p, y_c, base) == 6
 
     def test_equality_members_never_leave(self):
         base = _dummy_base([2, 6], [True, False])
         y_p = np.array([5.0, 1.0])
         y_c = np.array([1.0, 3.0])
-        assert select_leaving(0, -1.0, y_p, y_c, base) == 6
+        assert _leaving_row(0, -1.0, y_p, y_c, base) == 6
+
+    def test_none_exactly_when_no_inequality_member_is_eligible(self):
+        base = _dummy_base([2, 6], [True, False])
+        y_c = np.array([1.0, 3.0])
+        assert select_leaving(0, -1.0, np.array([5.0, 1e-9]), y_c, base) is None
+        assert select_leaving(0, +1.0, np.array([5.0, -1e-9]), y_c, base) is None
+        assert select_leaving(0, +1.0, np.array([5.0, -2e-9]), y_c, base) == (1, True)
 
 
 class TestPivot:
@@ -242,20 +255,20 @@ class TestPivot:
         y_p = expand_entering(base, sp.A[0])
         x_before = state.x.copy()
         obj_before = float(sp.c_original @ state.x)
-        new_base, new_state = pivot(sp, base, state, 0, int(dup), y_p)
+        new_base, new_state = pivot(sp, base, state, 0, 0, y_p)
         np.testing.assert_allclose(new_state.x, x_before, atol=1e-12)
         assert float(sp.c_original @ new_state.x) == pytest.approx(obj_before)
 
     def test_singular_pivot_leaves_the_last_base_intact(self):
         # entering a copy of the base row in slot 1 for the one in slot 0
-        # makes two equal rows; y_p is forced past the zero-entry check
+        # makes two equal rows; y_p is forced to a nonzero entry at slot 0
         sp = to_standard_general(klee_minty_v2(3))
         base, state = initial_state(sp)
         sp.A[0] = sp.A[base.indices[1]]
         sp.b[0] = sp.b[base.indices[1]]
         indices, A_B, b_B = base.indices.copy(), state.A_B.copy(), state.b_B.copy()
         with pytest.raises(SingularMatrix):
-            pivot(sp, base, state, 0, int(base.indices[0]), np.array([1.0, 1.0, 0.0]))
+            pivot(sp, base, state, 0, 0, np.array([1.0, 1.0, 0.0]))
         np.testing.assert_array_equal(base.indices, indices)
         assert state.A_B.tobytes() == A_B.tobytes() == sp.A[indices].tobytes()
         assert state.b_B.tobytes() == b_B.tobytes() == sp.b[indices].tobytes()
@@ -288,16 +301,15 @@ class TestPivot:
             base, state = initial_state(sp)
             for _ in range(40):
                 sigma = sp.A @ state.x - sp.b
-                row = select_entering(
-                    sp, base, state, PivotRule.MAX_DEVIATION, sigma=sigma
-                )
+                row = select_entering(sp, base, state, PivotRule.MAX_DEVIATION)
                 if row is None:
                     break
                 y_p = expand_entering(base, sp.A[row])
                 if check_infeasible(sp, row, float(sigma[row]), y_p, base):
                     break
-                q = select_leaving(row, float(sigma[row]), y_p, state.y_c, base)
-                base, state = pivot(sp, base, state, row, q, y_p)
+                slot, _ = select_leaving(row, float(sigma[row]), y_p, state.y_c, base)
+                base, state = pivot(sp, base, state, row, slot, y_p)
+                np.testing.assert_array_equal(state.sigma, sp.A @ state.x - sp.b)
                 fresh = base.fact.solve_transpose(sp.c_original)
                 np.testing.assert_allclose(state.y_c, fresh, atol=1e-9)
 
@@ -307,11 +319,13 @@ class TestRedundancyDetection:
         base = _dummy_base([3, 8], [True, False])
         y_p = np.array([4.0, 2.0])
         assert detect_leaving_redundant(8, y_p, base)
+        assert select_leaving(0, -1.0, y_p, np.ones(2), base) == (1, True)
 
     def test_second_positive_entry_blocks_redundancy(self):
         base = _dummy_base([3, 8], [False, False])
         y_p = np.array([0.5, 2.0])
         assert not detect_leaving_redundant(8, y_p, base)
+        assert select_leaving(0, -1.0, y_p, np.array([1.0, 0.1]), base) == (1, False)
 
     def test_duplicate_equality_row_detected(self):
         # once one copy is in the base, its twin expands over equality
@@ -324,10 +338,10 @@ class TestRedundancyDetection:
         sp = to_standard_general(p)
         base, state = initial_state(sp)
         sigma = sp.A @ state.x - sp.b
-        row = select_entering(sp, base, state, PivotRule.MAX_DEVIATION, sigma=sigma)
+        row = select_entering(sp, base, state, PivotRule.MAX_DEVIATION)
         y_p = expand_entering(base, sp.A[row])
-        q = select_leaving(row, float(sigma[row]), y_p, state.y_c, base)
-        base, state = pivot(sp, base, state, row, q, y_p)
+        slot, _ = select_leaving(row, float(sigma[row]), y_p, state.y_c, base)
+        base, state = pivot(sp, base, state, row, slot, y_p)
         redundant = detect_nonbase_redundant(sp, base, state)
         twin = 1 - row
         assert twin in redundant
@@ -345,10 +359,10 @@ class TestRedundancyDetection:
         # solve again manually to inspect the scan at the optimum
         base, state = initial_state(sp)
         sigma = sp.A @ state.x - sp.b
-        row = select_entering(sp, base, state, PivotRule.MAX_DEVIATION, sigma=sigma)
+        row = select_entering(sp, base, state, PivotRule.MAX_DEVIATION)
         y_p = expand_entering(base, sp.A[row])
-        q = select_leaving(row, float(sigma[row]), y_p, state.y_c, base)
-        base, state = pivot(sp, base, state, row, q, y_p)
+        slot, _ = select_leaving(row, float(sigma[row]), y_p, state.y_c, base)
+        base, state = pivot(sp, base, state, row, slot, y_p)
         assert 1 in detect_nonbase_redundant(sp, base, state)
 
     def test_binding_row_not_flagged(self):
@@ -674,6 +688,8 @@ def _gather_solve(sp, rule, max_iter=10_000, *, reduce=False, collect_trace=Fals
             return outcome(Status.ITERATION_LIMIT, state.x, None)
         y_p = expand_entering(base, sp.A[p])
         certificate = check_infeasible(sp, p, float(sigma[p]), y_p, base)
+        leaving = select_leaving(p, float(sigma[p]), y_p, state.y_c, base)
+        assert (leaving is None) == (certificate is not None)
         if certificate is not None:
             if state.trace is not None:
                 state.trace.append(facet.TraceRecord(
@@ -682,8 +698,11 @@ def _gather_solve(sp, rule, max_iter=10_000, *, reduce=False, collect_trace=Fals
                     note=certificate.note or "infeasible",
                 ))
             return outcome(Status.INFEASIBLE, state.x, None, certificate)
-        q = select_leaving(p, float(sigma[p]), y_p, state.y_c, base)
-        if detect_leaving_redundant(q, y_p if sigma[p] < 0 else -y_p, base):
+        slot, sole = leaving
+        q = int(base.indices[slot])
+        redundant = detect_leaving_redundant(q, y_p if sigma[p] < 0 else -y_p, base)
+        assert sole == redundant
+        if redundant:
             state.removed_rows.add(q)
         prev_objective = objective
         base, state = _gather_pivot(sp, base, state, p, q, y_p)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from facetlp.errors import DimensionMismatch, InconsistentBounds, NonFiniteData
 from facetlp.generators import klee_minty_v1, klee_minty_v2
@@ -10,6 +12,7 @@ from facetlp.model import (
     general_lp_to_dict,
     load_general_lp,
     objective_value,
+    residuals,
     save_general_lp,
     to_standard_general,
     violations,
@@ -206,3 +209,36 @@ class TestJsonFormat:
     def test_bad_sentinel_rejected(self):
         with pytest.raises(NonFiniteData):
             general_lp_from_dict({"c": [1.0], "lower": ["oops"], "upper": [1.0]})
+
+
+class TestResiduals:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 40),
+        m=st.integers(0, 9),
+        n=st.integers(0, 13),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=12, m=0, n=0, seed=0)
+    @example(d=12, m=0, n=5, seed=1)
+    @example(d=12, m=1, n=0, seed=2)
+    def test_equal_to_the_full_product(self, d, m, n, seed):
+        # float data, objective signs of both kinds (flipped bound rows) and
+        # infinite bounds (artificial rows); signed zeros may differ, so ==
+        rng = np.random.default_rng(seed)
+        lower = np.where(rng.random(d) < 0.3, -np.inf, rng.normal(size=d))
+        upper = np.where(rng.random(d) < 0.3, np.inf, lower + rng.random(d) + 1.0)
+        upper = np.where(np.isinf(lower), rng.normal(size=d), upper)
+        p = GeneralLP(
+            c=rng.normal(size=d),
+            A_eq=rng.normal(size=(m, d)), b_eq=rng.normal(size=m),
+            A_ineq=rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1)),
+            b_ineq=rng.normal(size=n),
+            lower=lower, upper=upper,
+        )
+        sp = to_standard_general(p)
+        for scale in (1.0, 1e3, sp.big_M):
+            x = rng.normal(scale=scale, size=d)
+            got = residuals(sp, x)
+            assert got.shape == (sp.num_rows,)
+            assert (got == sp.A @ x - sp.b).all()
