@@ -1,0 +1,107 @@
+"""Per-pivot cost of the two ways ``facetlp.linalg`` absorbs a row swap.
+
+A pivot asks of ``linalg`` what ``facet.pivot`` asks: ``solve_transpose``
+for the entering facet's expansion y, ``solve`` for the iterate's direction
+and ``replace_row`` with y. For each dimension d, a chain of
+``YC_REFRESH_PERIOD`` pivots on random integer bases is timed on both
+paths, interleaved round by round so that drift in the host's speed hits
+both:
+
+- LU: every ``replace_row`` factors the new base from scratch (getrf) and
+  every solve is one getrs;
+- inverse: every ``replace_row`` updates the inverse in place (one ger) and
+  every solve is one gemv. Each chain starts from a fresh inverse (getrf
+  plus getri), inside the timing: the y_c refresh takes one at least every
+  ``YC_REFRESH_PERIOD`` pivots, and that share is counted against this
+  path. Drift-triggered refreshes and fallbacks take more, which this
+  leaves out.
+
+``INVERSE_MIN_D`` should be the smallest d where the inverse path wins by
+more than the spread between runs. Run with BLAS pinned to one thread, as
+the benchmark does:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/inverse_crossover.py
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import time
+from contextlib import contextmanager
+
+import numpy as np
+
+from facetlp import linalg
+from facetlp.facet import YC_REFRESH_PERIOD
+
+
+def _chain(rng: np.random.Generator, d: int, pivots: int):
+    """A base, then (slot, entering row, new base) per pivot."""
+    m = rng.integers(-9, 10, size=(d, d)).astype(float) + 20.0 * np.eye(d)
+    first, steps = m, []
+    for _ in range(pivots):
+        slot = int(rng.integers(d))
+        m = m.copy()
+        m[slot] = rng.integers(-9, 10, size=d)
+        m[slot, slot] += 20.0
+        steps.append((slot, m[slot].copy(), m))
+    return first, steps
+
+
+@contextmanager
+def _inverse_min_d(min_d: int):
+    """Select the path ``linalg`` takes for the duration."""
+    saved = linalg.INVERSE_MIN_D
+    linalg.INVERSE_MIN_D = min_d
+    try:
+        yield
+    finally:
+        linalg.INVERSE_MIN_D = saved
+
+
+def _per_pivot_us(begin, steps, reps: int) -> float:
+    """Microseconds per pivot over ``reps`` chains, each starting from
+    ``begin()``."""
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        f = begin()
+        for slot, row, m_new in steps:
+            y = f.solve_transpose(row)
+            f.solve(np.eye(1, f.dimension, slot)[0])
+            f = linalg.replace_row(f, slot, y, m_new)
+    return (time.perf_counter() - t0) / (reps * len(steps)) * 1e6
+
+
+def measure(d: int, rounds: int, reps: int) -> tuple[float, float]:
+    """Median microseconds per pivot on the LU path and on the inverse path;
+    every round times both in turn."""
+    first, steps = _chain(np.random.default_rng(d), d, YC_REFRESH_PERIOD)
+    lu_us, inv_us = [], []
+    for _ in range(rounds):
+        with _inverse_min_d(d + 1):
+            # a factorization below the crossover is never consumed, and
+            # the LU path's refresh takes no new one, so it is not timed
+            start = linalg.factor(first)
+            lu_us.append(_per_pivot_us(lambda: start, steps, reps))
+        with _inverse_min_d(d):
+            inv_us.append(_per_pivot_us(lambda: linalg.factor(first), steps, reps))
+    return statistics.median(lu_us), statistics.median(inv_us)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--dims", type=int, nargs="+", default=[16, 20, 24, 32, 40, 48, 56, 64])
+    ap.add_argument("--rounds", type=int, default=15)
+    ap.add_argument("--reps", type=int, default=4)
+    args = ap.parse_args()
+
+    print("| d | LU us/pivot | inverse us/pivot | inverse/LU |")
+    print("|---|---|---|---|")
+    for d in args.dims:
+        lu_us, inv_us = measure(d, args.rounds, args.reps)
+        print(f"| {d} | {lu_us:.1f} | {inv_us:.1f} | {inv_us / lu_us:.2f} |")
+
+
+if __name__ == "__main__":
+    main()

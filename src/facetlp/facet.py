@@ -13,13 +13,13 @@ transpose solve for the entering facet's expansion and the rank-one update
 of the iterate. One pass of the ratio test also tells whether the leaving
 facet is redundant and whether infeasibility is certified. A pivot hands
 the row swap and the expansion to ``linalg.replace_row``, which refactors
-small bases (d below ``linalg.ETA_MIN_D``) as an LU and adds a product-form
-eta to the factors of larger ones, and computes the new residuals A x - b
-once, for its own residual check and the next pricing. Etas are dropped for an LU from scratch at every y_c refresh (periodic or
-drift-triggered), and before the direct-solve fallback when the iterate
-fails its residual check. The base rows A_B and b_B are owned by the solve
-and written in place, one row per pivot, as are the base's indices,
-equality flags and factors.
+small bases (d below ``linalg.INVERSE_MIN_D``) as an LU and updates the
+inverse of larger ones in place, and computes the new residuals A x - b
+once, for its own residual check and the next pricing. The inverse is
+computed afresh at every y_c refresh (periodic or drift-triggered), and
+before the direct-solve fallback when the iterate fails its residual check.
+The base rows A_B and b_B are owned by the solve and written in place, one
+row per pivot, as are the base's indices, equality flags and factors.
 """
 
 from __future__ import annotations
@@ -338,8 +338,8 @@ def pivot(
     covers both solves. Row p is written into slot s of ``A_B``/``b_B`` and
     ``base`` is updated in place, its factors by ``linalg.replace_row`` given
     y_p. The new residuals A x - b are computed once; if their base rows fail
-    the basic-solution tolerance, factors carrying etas are rebuilt from
-    scratch, the iterate is solved for directly and its residuals recomputed.
+    the basic-solution tolerance, updated factors are rebuilt from scratch,
+    the iterate is solved for directly and its residuals recomputed.
     Returns ``base`` and a fresh state with the new ``x`` and ``sigma``. A
     singular new base restores row s before raising ``SingularMatrix``.
     """
@@ -404,12 +404,12 @@ def solve(
     ``reduce`` enables the non-base redundancy scan each iteration (off by
     default: it costs one block transpose solve per pivot). ``tol_feas``
     overrides the per-row violation tolerances with one absolute value.
-    ``audit`` checks the four runtime invariants after every pivot and
+    ``audit`` checks the five runtime invariants after every pivot and
     records base index sets to detect revisits. After ``stall_iterations``
     pivots without objective progress the rule switches to the least-index
     rule, whose termination guarantee breaks any cycling.
     """
-    if sp.m > 0 and np.linalg.matrix_rank(sp.A[: sp.m]) >= sp.d:
+    if sp.m > 0 and sp.m >= sp.d and np.linalg.matrix_rank(sp.A[: sp.m]) >= sp.d:
         return SolveOutcome(Status.RANK_DEFICIENT_EQUALITY, None, None, 0)
 
     c = sp.c_original

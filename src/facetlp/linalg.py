@@ -5,17 +5,17 @@ which is what the pivot loop needs: the expansion coefficients come from a
 transpose solve and the iterate update from a plain solve, both on the same
 base matrix.
 
-Every factorization is an LU with partial pivoting. A pivot replaces row s
-of the base M by a^T, which gives E M with E the identity whose row s is
-y^T, y = M^-T a. Below ``ETA_MIN_D``, ``replace_row`` factors the new
-matrix from scratch, and every result keeps the bits of a plain LU solve.
-From it up, it keeps the last LU and appends E to a product-form eta file,
-the update of the revised simplex method: the caller holds y already (the
-entering facet's expansion), so an update costs no solve and each eta one
-BLAS call per vector solve. A full file (``ETA_CAP`` etas) or a tiny y[s]
-takes a fresh LU instead, as does ``refactor``. ``scripts/eta_crossover.py``
-measures the crossover and the cap. LAPACK and BLAS are called directly;
-the scipy wrappers add per-call overhead that dominates at small d.
+A pivot replaces row s of the base M by a^T, which gives E M with E the
+identity whose row s is y^T, y = M^-T a. Below ``INVERSE_MIN_D`` a
+factorization is an LU with partial pivoting that ``replace_row`` takes
+from scratch, so every result keeps the bits of a plain LU solve. From it
+up, a factorization holds M^-1, formed from the LU, which ``replace_row``
+multiplies by E^-1 in place, one rank-one update: the caller holds y
+already (the entering facet's expansion), so an update costs no solve, and
+a solve is one matrix product. A tiny y[s] takes a fresh inverse instead,
+as does ``refactor``. ``scripts/inverse_crossover.py`` measures the
+crossover. LAPACK and BLAS are called directly; the scipy wrappers add
+per-call overhead that dominates at small d.
 """
 
 from __future__ import annotations
@@ -29,35 +29,32 @@ from facetlp.errors import DimensionMismatch, SingularMatrix
 
 TOL_PIVOT = 1e-12
 NEAR_SINGULAR_FACTOR = 1e3
-# smallest dimension whose row replacements are kept as etas, and the most
-# etas kept before a fresh LU; the per-pivot timings behind both are in
-# CHANGES.md
-ETA_MIN_D = 32
-ETA_CAP = 16
+# smallest dimension whose factorizations hold the inverse; the per-pivot
+# timings behind it are in CHANGES.md
+INVERSE_MIN_D = 32
 
 _TINY = np.finfo(float).tiny
 
-_getrf, _getrs, _laswp, _trtrs = scipy.linalg.get_lapack_funcs(
-    ("getrf", "getrs", "laswp", "trtrs"), dtype=np.float64
+_getrf, _getri, _getri_lwork, _getrs, _laswp = scipy.linalg.get_lapack_funcs(
+    ("getrf", "getri", "getri_lwork", "getrs", "laswp"), dtype=np.float64
 )
-# the eta and block paths call BLAS through scipy: a vector eta costs a third
-# of numpy's dot or axpy at d=100, and with unpinned threads numpy's own pool
-# contending with scipy's made solve(_dense_lp(0, 80), reduce=True) take
-# 2.3 s, not 0.15 s (2 cores)
-_axpy, _dot, _gemm, _gemv, _trsm = scipy.linalg.get_blas_funcs(
-    ("axpy", "dot", "gemm", "gemv", "trsm"), dtype=np.float64
+# the inverse and block paths call BLAS through scipy: with unpinned threads
+# numpy's own pool contending with scipy's made
+# solve(_dense_lp(0, 80), reduce=True) take 2.3 s, not 0.15 s (2 cores)
+_gemm, _gemv, _ger, _trsm = scipy.linalg.get_blas_funcs(
+    ("gemm", "gemv", "ger", "trsm"), dtype=np.float64
 )
 
 
 @dataclass(frozen=True)
 class SquareFactorization:
-    """Factors of a d-by-d matrix, immutable after construction.
-
-    ``lu`` and ``piv`` are the packed LU factors and 0-based row pivots of
-    the matrix as of its last factorization from scratch, and the flags
-    describe that LU. ``etas`` holds the row replacements applied since, in
-    order, as pairs (s, h): the replacement multiplied the matrix from the
-    left by E, and E^-1 is the identity plus e_s h^T.
+    """Factors of a d-by-d matrix M. Below ``INVERSE_MIN_D`` (or if M is
+    singular), ``lu`` and ``piv`` are the packed LU factors and 0-based row
+    pivots of M. From it up, ``inv`` is M^-1 in Fortran order instead:
+    inverted from the LU of the last factorization from scratch, then
+    updated in place by ``updates`` row replacements. The flags describe
+    that LU. The fields are never reassigned, but ``replace_row`` writes
+    ``inv`` in place: it consumes the factorization it is given.
     """
 
     dimension: int
@@ -66,7 +63,8 @@ class SquareFactorization:
     bad_pivot_index: int | None = None
     lu: np.ndarray | None = None
     piv: np.ndarray | None = None
-    etas: tuple[tuple[int, np.ndarray], ...] = ()
+    inv: np.ndarray | None = None
+    updates: int = 0
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         return solve(self, r)
@@ -100,7 +98,8 @@ def _flagged(
 
 
 def factor(m: np.ndarray) -> SquareFactorization:
-    """Factor a square matrix from scratch as an LU with row pivoting.
+    """Factor a square matrix from scratch: an LU with row pivoting, and
+    from ``INVERSE_MIN_D`` up the inverse computed from it.
 
     Exactly or nearly singular input does not raise here; the condition is
     recorded and the solves refuse to run. NaN or infinite entries raise
@@ -117,19 +116,25 @@ def factor(m: np.ndarray) -> SquareFactorization:
     lu, piv, info = _getrf(m)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
-    return _flagged(row_sums, lu.diagonal(), lu=lu, piv=piv)
+    f = _flagged(row_sums, lu.diagonal(), lu=lu, piv=piv)
+    if f.dimension < INVERSE_MIN_D or f.singular:
+        return f
+    # getri overwrites the LU in place, after the flags were read off it
+    lwork = int(_getri_lwork(f.dimension)[0])
+    inv = _solved(_getri(lu, piv, lwork=lwork, overwrite_lu=1))
+    return SquareFactorization(f.dimension, False, f.near_singular, inv=inv)
 
 
 def replace_row(
     f: SquareFactorization, slot: int, y: np.ndarray, m_new: np.ndarray
 ) -> SquareFactorization:
     """Factors of ``m_new``, the factored matrix M with row ``slot`` replaced
-    by a^T, given ``y`` = M^-T a: ``f`` plus one eta, or a fresh LU of
-    ``m_new`` below ``ETA_MIN_D``, when ``f`` holds ``ETA_CAP`` etas, or when
-    |y[slot]| is at most ``NEAR_SINGULAR_FACTOR * TOL_PIVOT`` times max |y|.
-    """
+    by a^T, given ``y`` = M^-T a: the inverse of ``f`` updated in place, which
+    consumes ``f`` (a copy would cost what the update saves), or a fresh
+    factorization below ``INVERSE_MIN_D`` or when |y[slot]| is at most
+    ``NEAR_SINGULAR_FACTOR * TOL_PIVOT`` times max |y|."""
     d = f.dimension
-    if d < ETA_MIN_D or len(f.etas) >= ETA_CAP:
+    if d < INVERSE_MIN_D:
         return factor(m_new)
     y = np.asarray(y, dtype=float)
     if y.shape != (d,):
@@ -138,16 +143,18 @@ def replace_row(
     # written so that a NaN or infinite y also takes the fresh factorization
     if not abs(pivot) > NEAR_SINGULAR_FACTOR * TOL_PIVOT * np.abs(y).max():
         return factor(m_new)
+    # M_new^-1 = M^-1 E^-1 = M^-1 (I + e_s h^T); ger must not read the
+    # column it writes
     h = y / -pivot
     h[slot] = 1.0 / pivot - 1.0
-    return SquareFactorization(d, f.singular, f.near_singular, f.bad_pivot_index,
-                               f.lu, f.piv, f.etas + ((slot, h),))
+    inv = _ger(1.0, f.inv[:, slot].copy(), h, a=f.inv, overwrite_a=1)
+    return SquareFactorization(d, False, f.near_singular, inv=inv, updates=f.updates + 1)
 
 
 def refactor(f: SquareFactorization, m: np.ndarray) -> SquareFactorization:
-    """Factors of ``m`` from scratch if ``f`` carries etas, else ``f`` itself
-    (it is already exact)."""
-    return factor(m) if f.etas else f
+    """Factors of ``m`` from scratch if ``f`` has been updated since its last
+    factorization from scratch, else ``f`` itself (it is already exact)."""
+    return factor(m) if f.updates else f
 
 
 def _check(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
@@ -175,11 +182,8 @@ def solve(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
     r = _check(f, r)
     if f.dimension == 0:
         return r.copy()
-    if f.etas:
-        # M = E_k ... E_1 LU, so apply E_k^-1 first: each rewrites row s only
-        r = r.copy(order="F")
-        for s, h in reversed(f.etas):
-            r[s] += _dot(h, r) if r.ndim == 1 else _gemv(1.0, r, h, trans=1)
+    if f.inv is not None:
+        return _gemv(1.0, f.inv, r) if r.ndim == 1 else _gemm(1.0, f.inv, r)
     return _solved(_getrs(f.lu, f.piv, r, trans=0))
 
 
@@ -188,26 +192,16 @@ def solve_transpose(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
     r = _check(f, r)
     if f.dimension == 0:
         return r.copy()
+    if f.inv is not None:
+        if r.ndim == 1:
+            return _gemv(1.0, f.inv, r, trans=1)
+        return _gemm(1.0, f.inv, r, trans_a=1)
     if r.ndim == 1:
-        # M^T = (LU)^T E_1^T ... E_k^T, so E_1^-T comes first after the LU
-        # solve; E^-T z adds z[s] h to z
-        z = _solved(_getrs(f.lu, f.piv, r, trans=1))
-        for s, h in f.etas:
-            z = _axpy(h, z, a=z[s])
-        return z
+        return _solved(_getrs(f.lu, f.piv, r, trans=1))
     # a block, as the --reduce scan passes: z^T = r^T U^-1 L^-1 P^T from the
     # right takes half the time of getrs's transposed solves (d=80, k=240);
     # laswp on 0..d-1 gives the columns P^T picks
     zt = _trsm(1.0, f.lu, r.T, side=1)
     zt = _trsm(1.0, f.lu, zt, side=1, lower=1, diag=1, overwrite_b=1)
     order = _laswp(np.arange(f.dimension, dtype=float)[:, None], f.piv, inc=-1)
-    zt = zt[:, order[:, 0].astype(np.intp)]
-    if f.etas:
-        # the etas add H^T t to z, t_j the value eta j reads at its slot:
-        # t_j = z[s_j] + sum over i < j of h_i[s_j] t_i, a unit lower
-        # triangular system (trtrs reads the part below the diagonal only)
-        slots = [s for s, _ in f.etas]
-        rows = np.array([h for _, h in f.etas])
-        t = _solved(_trtrs(-rows[:, slots].T, zt[:, slots].T, lower=1, unitdiag=1))
-        zt = _gemm(1.0, t, rows, 1.0, zt, trans_a=1, overwrite_c=1)
-    return zt.T
+    return zt[:, order[:, 0].astype(np.intp)].T

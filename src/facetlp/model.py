@@ -27,6 +27,8 @@ from facetlp.errors import DimensionMismatch, InconsistentBounds, NonFiniteData
 
 BIG_M_FACTOR = 1e7
 TOL_FEAS_BASE = 1e-8
+# smallest d whose bound rows ``residuals`` reads off x (timings in CHANGES.md)
+BOUND_ROWS_MIN_D = 120
 
 
 def _as_matrix(a, rows: int | None, cols: int, name: str) -> np.ndarray:
@@ -216,11 +218,13 @@ def to_standard_general(p: GeneralLP, big_M: float | None = None) -> StandardGen
 
 
 def residuals(sp: StandardGeneralLP, x: np.ndarray) -> np.ndarray:
-    """``sp.A @ x - sp.b``, bit for bit: the E and F rows are +-e_i, so they
-    are read off x. The general rows' product runs over whole blocks of four
-    rows, since OpenBLAS's gemv rounds a row of a partial block differently;
-    the bound rows then overwrite what it wrote past the general ones."""
+    """``sp.A @ x - sp.b``, bit for bit. From ``BOUND_ROWS_MIN_D`` up the E
+    and F rows (+-e_i) are read off x and the general rows' product runs over
+    whole blocks of four rows, as OpenBLAS's gemv rounds a row of a partial
+    block differently; the bound rows overwrite what it wrote past them."""
     g, d = sp.m + sp.n, sp.d
+    if d < BOUND_ROWS_MIN_D:
+        return sp.A @ x - sp.b
     sigma = np.empty(sp.num_rows)
     np.matmul(sp.A[: g + -g % 4], x, out=sigma[: g + -g % 4])
     e = sigma[g : g + d]

@@ -513,8 +513,8 @@ def _dense_lp(seed, d):
 
 
 class TestBaseFactorizationPaths:
-    """Bases below linalg.ETA_MIN_D are refactored as an LU per pivot;
-    larger ones keep an LU plus a product-form eta file."""
+    """Bases below linalg.INVERSE_MIN_D are refactored as an LU per pivot;
+    larger ones keep an explicit inverse, updated in place per pivot."""
 
     @pytest.mark.parametrize("d", [40, 80])
     def test_dense_lps_audit_clean_and_match_highs(self, d):
@@ -532,7 +532,7 @@ class TestBaseFactorizationPaths:
 
     def test_kb2_shaped_fixture_keeps_its_pivot_count(self, fixtures_dir):
         sp = to_standard_general(read_mps(fixtures_dir / "kb2_shape.mps"))
-        assert sp.d >= linalg.ETA_MIN_D
+        assert sp.d >= linalg.INVERSE_MIN_D
         out = solve(sp)
         assert out.status is Status.OPTIMAL
         assert out.iterations == 31

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from facetlp import linalg
 from facetlp.errors import DimensionMismatch, SingularMatrix
+from facetlp.facet import YC_REFRESH_PERIOD
 
 
 def test_identity_factors_to_identity_permutation():
@@ -78,13 +79,13 @@ def test_near_singular_flag_does_not_block_solves():
 def test_shape_errors():
     with pytest.raises(DimensionMismatch):
         linalg.factor(np.ones((2, 3)))
-    for f in (linalg.factor(np.eye(2)), _with_etas(np.random.default_rng(2), 3)[0]):
+    for f in (linalg.factor(np.eye(2)), _updated(np.random.default_rng(2), 3)[0]):
         d = f.dimension
         for bad in (np.ones(d + 1), np.ones((d + 1, 2)), np.ones((d, 2, 1))):
             for solve in (f.solve, f.solve_transpose):
                 with pytest.raises(DimensionMismatch):
                     solve(bad)
-        if f.etas:
+        if f.updates:
             with pytest.raises(DimensionMismatch):
                 linalg.replace_row(f, 0, np.ones(d + 1), np.eye(d))
 
@@ -110,28 +111,29 @@ def _replace(rng, f, m, slot, diagonal=20.0):
     return linalg.replace_row(f, slot, f.solve_transpose(m_new[slot]), m_new), m_new
 
 
-def _with_etas(rng, count, d=linalg.ETA_MIN_D):
-    """A factorization carrying ``count`` etas, and the matrix it factors."""
+def _updated(rng, count, d=linalg.INVERSE_MIN_D):
+    """An inverse updated by ``count`` row replacements, and the matrix it
+    inverts."""
     m = _well_conditioned(rng, d)
     f = linalg.factor(m)
     for _ in range(count):
         f, m = _replace(rng, f, m, int(rng.integers(d)))
-    assert len(f.etas) == count
+    assert f.updates == count
     return f, m
 
 
-@pytest.mark.parametrize("d", [0, 5, linalg.ETA_MIN_D - 1, linalg.ETA_MIN_D])
+@pytest.mark.parametrize("d", [0, 5, linalg.INVERSE_MIN_D - 1, linalg.INVERSE_MIN_D])
 def test_block_solves_match_one_column_at_a_time(d):
     # not bitwise: a block runs through other BLAS kernels than a vector;
     # strictly diagonally dominant, so the 1e-10 residual bound holds
     rng = np.random.default_rng(d + 23)
     m = _well_conditioned(rng, d, diagonal=10.0 * d)
     f = linalg.factor(m)
-    # from the crossover up the block solves run through an eta file
-    etas = 3 if d >= linalg.ETA_MIN_D else 0
-    for slot in range(etas):
+    # from the crossover up the block solves run through an updated inverse
+    updates = 3 if d >= linalg.INVERSE_MIN_D else 0
+    for slot in range(updates):
         f, m = _replace(rng, f, m, slot, diagonal=10.0 * d)
-    assert len(f.etas) == etas
+    assert f.updates == updates
     block = rng.normal(size=(d, 7))
     for solve in (f.solve, f.solve_transpose):
         got = solve(block)
@@ -144,50 +146,76 @@ def test_block_solves_match_one_column_at_a_time(d):
 
 def test_replace_row_below_crossover_matches_a_fresh_factorization_bitwise():
     rng = np.random.default_rng(5)
-    d = linalg.ETA_MIN_D - 1
+    d = linalg.INVERSE_MIN_D - 1
     m = _well_conditioned(rng, d)
     g, m_new = _replace(rng, linalg.factor(m), m, 4)
     fresh = linalg.factor(m_new)
     np.testing.assert_array_equal(g.lu, fresh.lu)
     np.testing.assert_array_equal(g.piv, fresh.piv)
-    assert g.etas == ()
+    assert g.inv is None and g.updates == 0
     assert linalg.refactor(g, m_new) is g
+
+
+def test_replace_row_consumes_its_argument_only_when_it_updates():
+    rng = np.random.default_rng(19)
+    d = linalg.INVERSE_MIN_D
+    m = _well_conditioned(rng, d, diagonal=10.0 * d)
+    r = rng.normal(size=d)
+    # an update writes the new inverse over the argument's, so the argument
+    # then solves the new matrix, with the same bits as the result
+    f = linalg.factor(m)
+    held = f.inv.copy()
+    g, m_new = _replace(rng, f, m, 4, diagonal=10.0 * d)
+    assert g.inv is f.inv and g.updates == 1 and f.updates == 0
+    assert not np.array_equal(f.inv, held)
+    np.testing.assert_array_equal(f.solve(r), g.solve(r))
+    assert np.max(np.abs(m_new @ f.solve(r) - r)) <= 1e-10
+    # a fresh factorization, for a tiny y[s] or below the crossover, leaves
+    # the argument as it was
+    f = linalg.factor(m)
+    held = f.inv.copy()
+    assert linalg.replace_row(f, 4, np.zeros(d), m_new).updates == 0
+    np.testing.assert_array_equal(f.inv, held)
+    f = linalg.factor(m[:-1, :-1])
+    held = f.lu.copy()
+    linalg.replace_row(f, 4, np.ones(d - 1), m_new[:-1, :-1])
+    np.testing.assert_array_equal(f.lu, held)
 
 
 @pytest.mark.parametrize("d", [64, 128])
 def test_chained_row_replacements_keep_solves_accurate(d):
     # strictly diagonally dominant throughout, so the 1e-10 residual bound
-    # holds on any seed
+    # holds on any seed; 60 updates in a row is more than the solver makes
+    # between two y_c refreshes
+    assert 60 > YC_REFRESH_PERIOD
     rng = np.random.default_rng(d)
     m = _well_conditioned(rng, d, diagonal=10.0 * d)
     f = linalg.factor(m)
-    fresh_lus = 0
-    for _ in range(60):
-        lu = f.lu
+    inv = f.inv
+    for k in range(60):
         f, m = _replace(rng, f, m, int(rng.integers(d)), diagonal=10.0 * d)
-        fresh_lus += f.lu is not lu
+        assert f.inv is inv and f.updates == k + 1
         assert not f.singular
         r = rng.normal(size=d)
         assert np.max(np.abs(m @ f.solve(r) - r)) <= 1e-10
         assert np.max(np.abs(m.T @ f.solve_transpose(r) - r)) <= 1e-10
-    # a full file of ETA_CAP etas is dropped for a fresh LU at the next swap
-    assert fresh_lus == 60 // (linalg.ETA_CAP + 1)
-    assert len(f.etas) == 60 % (linalg.ETA_CAP + 1)
     fresh = linalg.refactor(f, m)
-    assert fresh.etas == ()
-    np.testing.assert_array_equal(fresh.lu, linalg.factor(m).lu)
+    assert fresh.updates == 0
+    want = linalg.factor(m)
+    np.testing.assert_array_equal(fresh.inv, want.inv)
+    assert (fresh.singular, fresh.near_singular) == (want.singular, want.near_singular)
     assert linalg.refactor(fresh, m) is fresh
 
 
 @pytest.mark.parametrize("d", [64, 128])
 def test_replacing_a_row_by_a_copy_of_another_is_singular(d):
     rng = np.random.default_rng(d + 1)
-    f, m = _with_etas(rng, 2, d)
+    f, m = _updated(rng, 2, d)
     m_new = m.copy()
     m_new[3] = m[7]
     g = linalg.replace_row(f, 3, f.solve_transpose(m_new[3]), m_new)
     assert g.singular
-    assert g.etas == ()
+    assert g.inv is None and g.updates == 0
     with pytest.raises(SingularMatrix):
         g.solve(np.ones(d))
     with pytest.raises(SingularMatrix):
@@ -195,15 +223,15 @@ def test_replacing_a_row_by_a_copy_of_another_is_singular(d):
 
 
 def test_near_singular_update_is_refactored_from_scratch():
-    d = linalg.ETA_MIN_D
+    d = linalg.INVERSE_MIN_D
     rng = np.random.default_rng(11)
-    f, m = _with_etas(rng, 2, d)
+    f, m = _updated(rng, 2, d)
     m_new = m.copy()
     m_new[3] = m[7]
     m_new[3, 0] += 1e-8
     g = linalg.replace_row(f, 3, f.solve_transpose(m_new[3]), m_new)
     assert g.near_singular and not g.singular
-    assert g.etas == ()
+    assert g.updates == 0
     r = rng.normal(size=d)
     assert np.max(np.abs(m_new @ g.solve(r) - r)) <= 1e-6 * np.max(np.abs(g.solve(r)))
 
@@ -212,40 +240,42 @@ def test_tiny_eta_pivot_refactors_from_scratch():
     # the eta's pivot y[s] is tested against NEAR_SINGULAR_FACTOR * TOL_PIVOT
     # times the largest |y|; at or below it, or not finite, the swap is
     # factored from scratch, whatever the matrix passed in
-    rng = np.random.default_rng(13)
-    f, _ = _with_etas(rng, 2)
-    d, slot = f.dimension, 5
-    m_new = _well_conditioned(rng, d)
+    slot = 5
     threshold = linalg.NEAR_SINGULAR_FACTOR * linalg.TOL_PIVOT * 4.0
     cases = {threshold: 0, -threshold: 0, np.nextafter(threshold, 1.0): 3,
              np.nan: 0, np.inf: 0}
-    for pivot, etas in cases.items():
+    for pivot, updates in cases.items():
+        # an update consumes its argument, so every case starts afresh
+        rng = np.random.default_rng(13)
+        f, _ = _updated(rng, 2)
+        d = f.dimension
+        m_new = _well_conditioned(rng, d)
         y = np.linspace(-4.0, 4.0, d)
         y[slot] = pivot
         g = linalg.replace_row(f, slot, y, m_new)
-        assert len(g.etas) == etas, pivot
-        if not etas:
-            np.testing.assert_array_equal(g.lu, linalg.factor(m_new).lu)
+        assert g.updates == updates, pivot
+        if not updates:
+            np.testing.assert_array_equal(g.inv, linalg.factor(m_new).inv)
         else:
-            assert g.lu is f.lu
+            assert g.inv is f.inv
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
-    d=st.integers(linalg.ETA_MIN_D, linalg.ETA_MIN_D + 24),
+    d=st.integers(linalg.INVERSE_MIN_D, linalg.INVERSE_MIN_D + 24),
     seed=st.integers(0, 2**32 - 1),
-    slots=st.lists(st.integers(0, 10**6), min_size=1, max_size=2 * linalg.ETA_CAP + 3),
+    slots=st.lists(st.integers(0, 10**6), min_size=1, max_size=YC_REFRESH_PERIOD),
     k=st.integers(1, 5),
 )
 def test_random_chains_of_row_replacements_stay_accurate(d, seed, slots, k):
     # strictly diagonally dominant throughout, so the bound holds for any LU
-    # solve and a miss is the eta file's
+    # solve and a miss is the inverse update's
     rng = np.random.default_rng(seed)
     m = _well_conditioned(rng, d, diagonal=10.0 * d)
     f = linalg.factor(m)
-    for slot in slots:
+    for i, slot in enumerate(slots):
         f, m = _replace(rng, f, m, slot % d, diagonal=10.0 * d)
-        assert len(f.etas) <= linalg.ETA_CAP
+        assert f.updates == i + 1
         r = rng.normal(size=(d, k))
         for rhs in (r, r[:, 0]):
             assert np.max(np.abs(m @ f.solve(rhs) - rhs)) <= 1e-10
@@ -253,14 +283,14 @@ def test_random_chains_of_row_replacements_stay_accurate(d, seed, slots, k):
 
 
 def test_crossover_script_measures_both_paths():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "eta_crossover.py"
-    spec = importlib.util.spec_from_file_location("eta_crossover", path)
+    path = Path(__file__).resolve().parents[1] / "scripts" / "inverse_crossover.py"
+    spec = importlib.util.spec_from_file_location("inverse_crossover", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    settings_before = (linalg.ETA_MIN_D, linalg.ETA_CAP)
-    lu_us, (eta_us,) = script.measure(8, rounds=1, reps=2)
-    assert 0.0 < lu_us < 1e6 and 0.0 < eta_us < 1e6
-    assert (linalg.ETA_MIN_D, linalg.ETA_CAP) == settings_before
+    min_d_before = linalg.INVERSE_MIN_D
+    lu_us, inv_us = script.measure(8, rounds=1, reps=2)
+    assert 0.0 < lu_us < 1e6 and 0.0 < inv_us < 1e6
+    assert linalg.INVERSE_MIN_D == min_d_before
 
 
 def _flags_by_scan(row_sums, diagonal):

@@ -12,6 +12,7 @@ from facetlp.model import (
     general_lp_to_dict,
     load_general_lp,
     objective_value,
+    BOUND_ROWS_MIN_D,
     residuals,
     save_general_lp,
     to_standard_general,
@@ -214,7 +215,9 @@ class TestJsonFormat:
 class TestResiduals:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
-        d=st.integers(1, 40),
+        # both sides of the size at which the bound rows are read off x
+        d=st.one_of(st.integers(1, 40),
+                    st.integers(BOUND_ROWS_MIN_D - 8, BOUND_ROWS_MIN_D + 40)),
         m=st.integers(0, 9),
         n=st.integers(0, 13),
         seed=st.integers(0, 2**32 - 1),
@@ -222,6 +225,10 @@ class TestResiduals:
     @example(d=12, m=0, n=0, seed=0)
     @example(d=12, m=0, n=5, seed=1)
     @example(d=12, m=1, n=0, seed=2)
+    @example(d=BOUND_ROWS_MIN_D - 1, m=1, n=6, seed=3)
+    @example(d=BOUND_ROWS_MIN_D, m=1, n=6, seed=4)
+    @example(d=BOUND_ROWS_MIN_D, m=0, n=0, seed=5)
+    @example(d=BOUND_ROWS_MIN_D + 1, m=0, n=1, seed=6)
     def test_equal_to_the_full_product(self, d, m, n, seed):
         # float data, objective signs of both kinds (flipped bound rows) and
         # infinite bounds (artificial rows); signed zeros may differ, so ==
