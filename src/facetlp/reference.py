@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from facetlp.errors import TooLarge, UnboundedBelowVariable
 from facetlp.facet import SolveAudit, SolveOutcome, Status
@@ -341,14 +342,18 @@ def brute_force_optimal(
     The index array comes from :func:`_bases`, built once per (N, d) and
     cached. It skips the subsets holding both bound rows of one variable:
     those rows are e_i and -e_i, they stay exact negatives of each other
-    through partially pivoted elimination, so ``det`` is exactly 0.0 and the
-    nonsingular filter below would drop them anyway. Outcomes are therefore
+    through partially pivoted elimination, so their solve is NaN and the
+    feasibility test below would drop them anyway. Outcomes are therefore
     bit-identical to enumerating every subset, and ``iterations`` still
     counts all C(N, d) of them.
 
-    The bases are filtered, solved and tested for feasibility in blocks of
-    ``_BLOCK``, keeping only each block's feasible ones, so memory stays
-    bounded by the block size and the feasible set rather than by C(N, d).
+    The bases are taken in blocks of ``_BLOCK``, so memory stays bounded by
+    the block size and the feasible set rather than by C(N, d). Each block
+    is solved whole, and its solutions are tested for feasibility; an
+    exactly singular base solves to NaN and fails that test. Only the
+    feasible bases then have their determinant taken, and those with
+    ``|det|`` at most 1e-10 times the Hadamard bound (the product of their
+    row norms) are dropped as numerically singular.
     """
     N, d = sp.num_rows, sp.d
     count = math.comb(N, d)
@@ -363,15 +368,18 @@ def brute_force_optimal(
     for start in range(0, len(bases), _BLOCK):
         combos = bases[start : start + _BLOCK]
         A_stack = sp.A[combos]
-        dets = np.linalg.det(A_stack)
-        hadamard = np.prod(row_norms[combos], axis=1)
-        nonsingular = np.abs(dets) > 1e-10 * np.maximum(hadamard, np.finfo(float).tiny)
-        combos = combos[nonsingular]
-        X = np.linalg.solve(A_stack[nonsingular], sp.b[combos][..., None])[..., 0]
-
-        sigma = X @ sp.A.T - sp.b
+        # np.linalg.solve wraps this gufunc but raises for the whole stack
+        # when one base is exactly singular; called directly, it returns NaN
+        # for that base alone.
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+            X = _umath_linalg.solve(A_stack, sp.b[combos][..., None])[..., 0]
+            sigma = X @ sp.A.T - sp.b
         feas = np.all(np.abs(sigma[:, : sp.m]) <= tols[: sp.m], axis=1)
         feas &= np.all(sigma[:, sp.m :] >= -tols[sp.m :], axis=1)
+
+        hadamard = np.prod(row_norms[combos[feas]], axis=1)
+        dets = np.linalg.det(A_stack[feas])
+        feas[feas] = np.abs(dets) > 1e-10 * np.maximum(hadamard, np.finfo(float).tiny)
         if feas.any():
             kept_combos.append(combos[feas])
             kept_X.append(X[feas])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -418,3 +419,58 @@ class TestOracleBlocks:
 
         sp = to_standard_general(klee_minty_v2(3))
         _assert_same_oracle_outcome(brute_force_optimal(sp), _enumerate_every_subset(sp))
+
+
+def _solve_gufunc(A, b):
+    """The oracle's block solve: the gufunc that np.linalg.solve wraps,
+    under the oracle's errstate."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        return reference._umath_linalg.solve(A, b[..., None])[..., 0]
+
+
+class TestOracleSolveFirst:
+    def test_gufunc_matches_public_solve_on_nonsingular_stack(self):
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((200, 5, 5))
+        b = rng.standard_normal((200, 5))
+        want = np.linalg.solve(A, b[..., None])[..., 0]
+        assert _solve_gufunc(A, b).tobytes() == want.tobytes()
+
+    def test_singular_base_gives_nonfinite_row_and_leaves_the_rest(self):
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((6, 4, 4))
+        # rows 0 and 3 are equal; with these entries elimination is exact, so
+        # LU meets an exactly zero pivot (random duplicate rows need not)
+        A[2] = [[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 3.0, 1.0], [2.0, 0.0, 1.0, 1.0],
+                [1.0, 2.0, 0.0, 1.0]]
+        assert np.linalg.det(A[2]) == 0.0
+        b = rng.standard_normal((6, 4))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(A, b[..., None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X = _solve_gufunc(A, b)
+        assert not np.isfinite(X[2]).any()
+        others = [0, 1, 3, 4, 5]
+        want = np.linalg.solve(A[others], b[others][..., None])[..., 0]
+        assert X[others].tobytes() == want.tobytes()
+
+    def test_feasible_nearly_singular_base_is_never_kept(self):
+        # rows 0 and 1 meet at the optimum (1, 0) at an angle of 1e-12: the
+        # base (0, 1) solves to a feasible point and is lexicographically
+        # first among the tied optimal bases, so only the determinant filter
+        # keeps it from winning
+        p = GeneralLP(c=[1.0, 1.0], A_ineq=[[1.0, 0.0], [1.0, 1e-12]], b_ineq=[1.0, 1.0],
+                      lower=[0.0, 0.0], upper=[10.0, 10.0])
+        sp = to_standard_general(p)
+        base = [0, 1]
+        det = np.linalg.det(sp.A[base])
+        hadamard = np.prod(np.linalg.norm(sp.A[base], axis=1))
+        assert 0.0 < abs(det) <= 1e-10 * hadamard
+        x = _solve_gufunc(sp.A[base][None], sp.b[base][None])[0]
+        assert violations(sp, x).is_feasible
+
+        got = brute_force_optimal(sp)
+        assert got.status is Status.OPTIMAL
+        assert got.basis_rows != tuple(base)
+        _assert_same_oracle_outcome(got, _enumerate_every_subset(sp))
