@@ -2,18 +2,16 @@
 
 A pivot asks of ``linalg`` what ``facet.pivot`` asks: ``solve_transpose``
 for the entering facet's expansion y, ``solve`` for the iterate's direction
-and ``replace_row`` with y. For each dimension d, a chain of
-``YC_REFRESH_PERIOD`` pivots on random integer bases is timed on both
-paths, interleaved round by round so that drift in the host's speed hits
-both:
+and ``replace_row`` with y. For each dimension d, a fixed-length chain of
+pivots on random integer bases is timed on both paths, interleaved round by
+round so that drift in the host's speed hits both:
 
 - LU: every ``replace_row`` factors the new base from scratch (getrf) and
   every solve is one getrs;
 - inverse: every ``replace_row`` updates the inverse in place (one ger) and
   every solve is one gemv. Each chain starts from a fresh inverse (getrf
-  plus getri), inside the timing: the y_c refresh takes one at least every
-  ``YC_REFRESH_PERIOD`` pivots, and that share is counted against this
-  path. Drift-triggered refreshes and fallbacks take more, which this
+  plus getri) outside the timing: the solver takes one only when a check
+  asks for it (drift of y_c, or a failed residual check), which this
   leaves out.
 
 ``INVERSE_MIN_D`` should be the smallest d where the inverse path wins by
@@ -33,7 +31,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from facetlp import linalg
-from facetlp.facet import YC_REFRESH_PERIOD
 
 
 def _chain(rng: np.random.Generator, d: int, pivots: int):
@@ -62,26 +59,27 @@ def _inverse_min_d(min_d: int):
 
 def _per_pivot_us(begin, steps, reps: int) -> float:
     """Microseconds per pivot over ``reps`` chains, each starting from
-    ``begin()``."""
-    t0 = time.perf_counter()
+    ``begin()``, which is not timed."""
+    elapsed = 0.0
     for _ in range(reps):
         f = begin()
+        t0 = time.perf_counter()
         for slot, row, m_new in steps:
             y = f.solve_transpose(row)
             f.solve(np.eye(1, f.dimension, slot)[0])
             f = linalg.replace_row(f, slot, y, m_new)
-    return (time.perf_counter() - t0) / (reps * len(steps)) * 1e6
+        elapsed += time.perf_counter() - t0
+    return elapsed / (reps * len(steps)) * 1e6
 
 
 def measure(d: int, rounds: int, reps: int) -> tuple[float, float]:
-    """Median microseconds per pivot on the LU path and on the inverse path;
-    every round times both in turn."""
-    first, steps = _chain(np.random.default_rng(d), d, YC_REFRESH_PERIOD)
+    """Median microseconds per pivot on the LU path and on the inverse path,
+    over chains of 100 pivots; every round times both in turn."""
+    first, steps = _chain(np.random.default_rng(d), d, 100)
     lu_us, inv_us = [], []
     for _ in range(rounds):
         with _inverse_min_d(d + 1):
-            # a factorization below the crossover is never consumed, and
-            # the LU path's refresh takes no new one, so it is not timed
+            # a factorization below the crossover is never consumed
             start = linalg.factor(first)
             lu_us.append(_per_pivot_us(lambda: start, steps, reps))
         with _inverse_min_d(d):

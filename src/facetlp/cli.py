@@ -2,7 +2,7 @@
 benchmark suites, and fuzz the solver against the brute-force oracle.
 
 Exit codes: 0 optimal/success, 2 infeasible, 3 unbounded, 4 iteration limit,
-5 input or parse error, 6 verification mismatch, 1 internal error.
+5 input/parse error, 6 verify mismatch, 7 numerical breakdown, 1 internal error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from facetlp import generators, mps
-from facetlp.errors import FacetLPError
+from facetlp.errors import FacetLPError, NoLeavingCandidate, SingularMatrix
 from facetlp.facet import PivotRule, SolveOutcome, Status, solve
 from facetlp.model import (
     GeneralLP,
@@ -39,6 +39,7 @@ EXIT_UNBOUNDED = 3
 EXIT_ITERATION_LIMIT = 4
 EXIT_INPUT_ERROR = 5
 EXIT_VERIFY_MISMATCH = 6
+EXIT_NUMERICAL = 7
 
 _STATUS_EXIT = {
     Status.OPTIMAL: EXIT_OPTIMAL,
@@ -356,6 +357,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (SingularMatrix, NoLeavingCandidate) as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except FacetLPError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

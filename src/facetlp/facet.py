@@ -16,8 +16,8 @@ the row swap and the expansion to ``linalg.replace_row``, which refactors
 small bases (d below ``linalg.INVERSE_MIN_D``) as an LU and updates the
 inverse of larger ones in place, and computes the new residuals A x - b
 once, for its own residual check and the next pricing. The inverse is
-computed afresh at every y_c refresh (periodic or drift-triggered), and
-before the direct-solve fallback when the iterate fails its residual check.
+computed afresh only on evidence: when y_c drifts (y_c is then recomputed
+too), or when the iterate fails its residual check and is solved directly.
 The base rows A_B and b_B are owned by the solve and written in place, one
 row per pivot, as are the base's indices, equality flags and factors.
 """
@@ -36,7 +36,6 @@ from facetlp.model import StandardGeneralLP, TOL_FEAS_BASE, residuals
 TOL_SIGN = 1e-9
 TOL_LIN = 1e-9
 TOL_OBJ_BASE = 1e-9
-YC_REFRESH_PERIOD = 50
 YC_DRIFT_FACTOR = 10.0
 STALL_ITERATIONS = 200
 
@@ -481,13 +480,9 @@ def solve(
         prev_objective = objective
         base, state = pivot(sp, base, state, p, s, y_p)
 
-        # keep the incremental expansion honest: refresh from scratch
-        # periodically or when it drifts
+        # keep the incremental expansion honest: refresh it when it drifts
         drift = float(np.abs(state.A_B.T @ state.y_c - c).max())
-        if (
-            drift > YC_DRIFT_FACTOR * TOL_LIN * c_scale
-            or state.iteration % YC_REFRESH_PERIOD == 0
-        ):
+        if drift > YC_DRIFT_FACTOR * TOL_LIN * c_scale:
             base.fact = linalg.refactor(base.fact, state.A_B)
             state.y_c = base.fact.solve_transpose(c)
 

@@ -4,15 +4,17 @@ import time
 
 import pytest
 
-from facetlp import generators, mps
+from facetlp import cli, generators, mps
 from facetlp.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
     EXIT_ITERATION_LIMIT,
+    EXIT_NUMERICAL,
     EXIT_OPTIMAL,
     EXIT_UNBOUNDED,
     main,
 )
+from facetlp.errors import NoLeavingCandidate, SingularMatrix
 from facetlp.generators import klee_minty_v1, klee_minty_v2, random_instance
 from facetlp.model import save_general_lp
 
@@ -68,6 +70,21 @@ class TestSolveCommand:
     def test_missing_file_is_input_error(self, capsys):
         assert main(["solve", "/nonexistent.json"]) == EXIT_INPUT_ERROR
         capsys.readouterr()
+
+    @pytest.mark.parametrize("error", [
+        SingularMatrix("pivot 3<->7 produced a singular base", 2),
+        NoLeavingCandidate("no positive expansion entry for facet 5"),
+    ])
+    def test_numerical_breakdown_is_not_an_input_error(
+        self, km2_d10, capsys, monkeypatch, error
+    ):
+        def breaking_solve(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "solve", breaking_solve)
+        assert main(["solve", str(km2_d10)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == f"numerical breakdown: {error}\n"
 
     def test_parse_error_reports_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.mps"

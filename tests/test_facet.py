@@ -530,6 +530,38 @@ class TestBaseFactorizationPaths:
             assert out.status is Status.OPTIMAL
             assert abs(out.objective - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
 
+    def test_checks_refresh_a_corrupted_inverse(self, monkeypatch):
+        # the inverse returned by the 100th update (of 261) is shifted by
+        # 1e-6 * max|inv| in every entry: the next pivot's iterate fails the
+        # residual check and its y_c drifts, so the factors and y_c are
+        # rebuilt and the solve ends where the clean one does
+        sp = to_standard_general(_dense_lp(0, 80))
+        factor, replace_row = linalg.factor, linalg.replace_row
+        calls = {"factor": 0, "replace_row": 0}
+
+        def counting_factor(m):
+            calls["factor"] += 1
+            return factor(m)
+
+        def corrupting_replace_row(*args):
+            f = replace_row(*args)
+            calls["replace_row"] += 1
+            if calls["replace_row"] == 100:
+                f.inv[:] += 1e-6 * np.abs(f.inv).max()
+            return f
+
+        monkeypatch.setattr(linalg, "factor", counting_factor)
+        clean = solve(sp, audit=True)
+        clean_factors = calls["factor"]
+        calls["factor"] = 0
+        monkeypatch.setattr(linalg, "replace_row", corrupting_replace_row)
+        out = solve(sp, audit=True)
+        assert calls["replace_row"] > 100
+        assert calls["factor"] > clean_factors
+        assert out.status is clean.status is Status.OPTIMAL
+        assert abs(out.objective - clean.objective) <= 1e-9 * (1.0 + abs(clean.objective))
+        assert out.audit.violations == [] and not out.audit.base_repeated
+
     def test_kb2_shaped_fixture_keeps_its_pivot_count(self, fixtures_dir):
         sp = to_standard_general(read_mps(fixtures_dir / "kb2_shape.mps"))
         assert sp.d >= linalg.INVERSE_MIN_D
@@ -707,10 +739,7 @@ def _gather_solve(sp, rule, max_iter=10_000, *, reduce=False, collect_trace=Fals
         prev_objective = objective
         base, state = _gather_pivot(sp, base, state, p, q, y_p)
         drift = _gather_residual(sp, base, state.y_c)
-        if (
-            drift > facet.YC_DRIFT_FACTOR * facet.TOL_LIN * c_scale
-            or state.iteration % facet.YC_REFRESH_PERIOD == 0
-        ):
+        if drift > facet.YC_DRIFT_FACTOR * facet.TOL_LIN * c_scale:
             base.fact = linalg.refactor(base.fact, sp.A[base.indices])
             state.y_c = base.fact.solve_transpose(sp.c_original)
         objective = float(c @ state.x) + offset
