@@ -46,7 +46,6 @@ _STATUS_EXIT = {
     Status.INFEASIBLE: EXIT_INFEASIBLE,
     Status.UNBOUNDED: EXIT_UNBOUNDED,
     Status.ITERATION_LIMIT: EXIT_ITERATION_LIMIT,
-    Status.RANK_DEFICIENT_EQUALITY: EXIT_INPUT_ERROR,
 }
 
 CSV_COLUMNS = "name,n,m,d,solver,rule,iterations,wall_ms,status,objective"
@@ -77,13 +76,12 @@ def _run_solver(
     max_iter: int,
     big_m: float | None,
     tol_feas: float | None,
-    reduce: bool,
     collect_trace: bool,
 ) -> SolveOutcome:
     if solver == "facet":
         sp = to_standard_general(p, big_M=big_m)
         return solve(
-            sp, rule=rule, max_iter=max_iter, reduce=reduce,
+            sp, rule=rule, max_iter=max_iter,
             collect_trace=collect_trace, tol_feas=tol_feas,
         )
     if solver == "dantzig":
@@ -109,7 +107,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     rule = _rule_from_flag(args.rule)
     out = _run_solver(
         p, args.solver, rule, args.max_iter, args.big_m, args.tol_feas,
-        args.reduce, collect_trace=args.trace is not None,
+        collect_trace=args.trace is not None,
     )
 
     detail = f"solver={args.solver}"
@@ -214,7 +212,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 try:
                     out = _run_solver(
                         p, solver, rule, args.max_iter, args.big_m, args.tol_feas,
-                        args.reduce, collect_trace=False,
+                        collect_trace=False,
                     )
                     status, iters = out.status.value, out.iterations
                     objective = out.objective
@@ -296,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="artificial bound magnitude for infinite bounds")
         sp_.add_argument("--tol-feas", type=float, default=None,
                          help="absolute feasibility tolerance override")
-        sp_.add_argument("--reduce", action="store_true",
-                         help="non-base redundancy scan: one extra solve per pivot")
 
     p_solve = sub.add_parser("solve", help="solve one instance from a file")
     p_solve.add_argument("path")

@@ -16,8 +16,9 @@ the row swap and the expansion to ``linalg.replace_row``, which refactors
 small bases (d below ``linalg.INVERSE_MIN_D``) as an LU and updates the
 inverse of larger ones in place, and computes the new residuals A x - b
 once, for its own residual check and the next pricing. The inverse is
-computed afresh only on evidence: when y_c drifts (y_c is then recomputed
-too), or when the iterate fails its residual check and is solved directly.
+computed afresh only on evidence: when y_c drifts, or when the iterate
+fails its residual check and is solved directly; y_c is then recomputed
+from the fresh factors too.
 The base rows A_B and b_B are owned by the solve and written in place, one
 row per pivot, as are the base's indices, equality flags and factors.
 """
@@ -51,7 +52,6 @@ class Status(Enum):
     INFEASIBLE = "Infeasible"
     UNBOUNDED = "Unbounded"
     ITERATION_LIMIT = "IterationLimit"
-    RANK_DEFICIENT_EQUALITY = "RankDeficientEquality"
 
 
 @dataclass
@@ -202,15 +202,17 @@ def select_entering(
     if rule is PivotRule.MAX_NORMALIZED_DEVIATION:
         if row_norms is None:
             row_norms = _row_norms(sp)
-        deviation = deviation / row_norms[pool]
+        # a violated all-zero row gets infinite priority: entering, it
+        # certifies infeasibility at once
+        with np.errstate(divide="ignore"):
+            deviation = deviation / row_norms[pool]
     # argmax returns the first maximizer and pool is ascending, so ties
     # resolve to the least row index
     return int(pool[deviation.argmax()])
 
 
 def expand_entering(base: Base, a_p: np.ndarray) -> np.ndarray:
-    """Coefficients y_p with A_B^T y_p = a_p, aligned with the base slots; a
-    (d, k) block ``a_p`` gives one expansion per column."""
+    """Coefficients y_p with A_B^T y_p = a_p, aligned with the base slots."""
     return base.fact.solve_transpose(np.asarray(a_p, dtype=float))
 
 
@@ -284,43 +286,6 @@ def detect_leaving_redundant(q: int, y_p: np.ndarray, base: Base) -> bool:
     return bool((y_p[others] <= TOL_SIGN).all())
 
 
-def detect_nonbase_redundant(
-    sp: StandardGeneralLP,
-    base: Base,
-    state: SolverState,
-    sigma: np.ndarray | None = None,
-    row_tols: np.ndarray | None = None,
-) -> set[int]:
-    """Optional scan for non-base facets provably redundant at this iterate.
-
-    An equality facet exactly satisfied whose expansion avoids every
-    inequality member, or a strictly satisfied inequality facet with a
-    nonnegative expansion there, never constrains the feasible set. All
-    scanned facets are expanded by one block transpose solve, an extra solve
-    per pivot, so the solver leaves this off by default.
-    """
-    if sigma is None:
-        sigma = residuals(sp, state.x)
-    if row_tols is None:
-        row_tols = sp.row_tolerances()
-    m = sp.m
-    eq_satisfied = np.abs(sigma[:m]) <= row_tols[:m]
-    scanned = np.concatenate((eq_satisfied, sigma[m:] > row_tols[m:]))
-    scanned[base.indices] = False
-    if state.removed_rows:
-        scanned[list(state.removed_rows)] = False
-    rows = scanned.nonzero()[0]
-    if not rows.size:
-        return set()
-    y = expand_entering(base, sp.A[rows].T)[~base.is_eq]
-    # min and max over no members are +inf and 0, so those pass, as with all()
-    redundant = y.min(0, initial=np.inf) >= -TOL_SIGN
-    eq = rows < m
-    if eq.any():
-        redundant[eq] = abs(y[:, eq]).max(0, initial=0.0) <= TOL_SIGN
-    return set(rows[redundant].tolist())
-
-
 def pivot(
     sp: StandardGeneralLP,
     base: Base,
@@ -337,8 +302,9 @@ def pivot(
     covers both solves. Row p is written into slot s of ``A_B``/``b_B`` and
     ``base`` is updated in place, its factors by ``linalg.replace_row`` given
     y_p. The new residuals A x - b are computed once; if their base rows fail
-    the basic-solution tolerance, updated factors are rebuilt from scratch,
-    the iterate is solved for directly and its residuals recomputed.
+    the basic-solution tolerance, updated factors are rebuilt from scratch
+    and y_c solved afresh from them, the iterate is solved for directly and
+    its residuals recomputed.
     Returns ``base`` and a fresh state with the new ``x`` and ``sigma``. A
     singular new base restores row s before raising ``SingularMatrix``.
     """
@@ -368,18 +334,20 @@ def pivot(
     base.indices[s] = p
     base.is_eq[s] = p < sp.m
 
+    y_c = state.y_c - y_p * ratio
+    y_c[s] = ratio
+
     # the rank-one step cancels catastrophically when big-M coordinates
     # collapse to small values, so verify row by row at the same tolerance
     # the basic-solution invariant uses and fall back to a direct solve
     sigma = residuals(sp, x_new)
     if (np.abs(sigma[base.indices]) > TOL_LIN * (1.0 + np.abs(b_B))).any():
-        fact = linalg.refactor(fact, A_B)
+        if fact.updates:
+            fact = linalg.factor(A_B)
+            y_c = fact.solve_transpose(sp.c_original)
         x_new = fact.solve(b_B)
         sigma = residuals(sp, x_new)
     base.fact = fact
-
-    y_c = state.y_c - y_p * ratio
-    y_c[s] = ratio
 
     return base, SolverState(
         x=x_new, y_c=y_c, sigma=sigma, A_B=A_B, b_B=b_B, iteration=state.iteration + 1,
@@ -392,7 +360,6 @@ def solve(
     rule: PivotRule = PivotRule.MAX_DEVIATION,
     max_iter: int = 10_000,
     *,
-    reduce: bool = False,
     collect_trace: bool = False,
     audit: bool = False,
     tol_feas: float | None = None,
@@ -400,17 +367,12 @@ def solve(
 ) -> SolveOutcome:
     """Run the facet pivot loop to a terminal status.
 
-    ``reduce`` enables the non-base redundancy scan each iteration (off by
-    default: it costs one block transpose solve per pivot). ``tol_feas``
-    overrides the per-row violation tolerances with one absolute value.
-    ``audit`` checks the five runtime invariants after every pivot and
-    records base index sets to detect revisits. After ``stall_iterations``
-    pivots without objective progress the rule switches to the least-index
-    rule, whose termination guarantee breaks any cycling.
+    ``tol_feas`` overrides the per-row violation tolerances with one
+    absolute value. ``audit`` checks the five runtime invariants after every
+    pivot and records base index sets to detect revisits. After
+    ``stall_iterations`` pivots without objective progress the rule switches
+    to the least-index rule, whose termination guarantee breaks any cycling.
     """
-    if sp.m > 0 and sp.m >= sp.d and np.linalg.matrix_rank(sp.A[: sp.m]) >= sp.d:
-        return SolveOutcome(Status.RANK_DEFICIENT_EQUALITY, None, None, 0)
-
     c = sp.c_original
     c_scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
     row_tols = (
@@ -436,12 +398,6 @@ def solve(
     # every exit sets status, x_opt, objective and certificate, then breaks
     while True:
         sigma = state.sigma
-
-        if reduce:
-            state.removed_rows |= detect_nonbase_redundant(
-                sp, base, state, sigma=sigma, row_tols=row_tols
-            )
-
         p = select_entering(sp, base, state, active_rule, row_tols, row_norms)
         if p is None:
             x_opt = base.fact.solve(state.b_B) + 0.0  # clear -0.0

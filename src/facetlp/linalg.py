@@ -35,15 +35,12 @@ INVERSE_MIN_D = 32
 
 _TINY = np.finfo(float).tiny
 
-_getrf, _getri, _getri_lwork, _getrs, _laswp = scipy.linalg.get_lapack_funcs(
-    ("getrf", "getri", "getri_lwork", "getrs", "laswp"), dtype=np.float64
+_getrf, _getri, _getri_lwork, _getrs = scipy.linalg.get_lapack_funcs(
+    ("getrf", "getri", "getri_lwork", "getrs"), dtype=np.float64
 )
-# the inverse and block paths call BLAS through scipy: with unpinned threads
-# numpy's own pool contending with scipy's made
-# solve(_dense_lp(0, 80), reduce=True) take 2.3 s, not 0.15 s (2 cores)
-_gemm, _gemv, _ger, _trsm = scipy.linalg.get_blas_funcs(
-    ("gemm", "gemv", "ger", "trsm"), dtype=np.float64
-)
+# the inverse path calls BLAS through scipy, not numpy: with unpinned
+# threads numpy's own pool contends with scipy's
+_gemv, _ger = scipy.linalg.get_blas_funcs(("gemv", "ger"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -163,9 +160,9 @@ def _check(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
             f"matrix is singular (pivot {f.bad_pivot_index})", f.bad_pivot_index
         )
     r = np.asarray(r, dtype=float)
-    if r.ndim not in (1, 2) or r.shape[0] != f.dimension:
+    if r.shape != (f.dimension,):
         raise DimensionMismatch(
-            f"right-hand side has shape {r.shape}, expected ({f.dimension}[, k])"
+            f"right-hand side has shape {r.shape}, expected ({f.dimension},)"
         )
     return r
 
@@ -178,30 +175,20 @@ def _solved(x_info: tuple[np.ndarray, int]) -> np.ndarray:
 
 
 def solve(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
-    """Solve M x = r from the stored factors; r is a vector or a (d, k) block."""
+    """Solve M x = r from the stored factors; r is a vector of length d."""
     r = _check(f, r)
     if f.dimension == 0:
         return r.copy()
     if f.inv is not None:
-        return _gemv(1.0, f.inv, r) if r.ndim == 1 else _gemm(1.0, f.inv, r)
+        return _gemv(1.0, f.inv, r)
     return _solved(_getrs(f.lu, f.piv, r, trans=0))
 
 
 def solve_transpose(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
-    """Solve M^T y = r from the same factors; r is a vector or a (d, k) block."""
+    """Solve M^T y = r from the same factors; r is a vector of length d."""
     r = _check(f, r)
     if f.dimension == 0:
         return r.copy()
     if f.inv is not None:
-        if r.ndim == 1:
-            return _gemv(1.0, f.inv, r, trans=1)
-        return _gemm(1.0, f.inv, r, trans_a=1)
-    if r.ndim == 1:
-        return _solved(_getrs(f.lu, f.piv, r, trans=1))
-    # a block, as the --reduce scan passes: z^T = r^T U^-1 L^-1 P^T from the
-    # right takes half the time of getrs's transposed solves (d=80, k=240);
-    # laswp on 0..d-1 gives the columns P^T picks
-    zt = _trsm(1.0, f.lu, r.T, side=1)
-    zt = _trsm(1.0, f.lu, zt, side=1, lower=1, diag=1, overwrite_b=1)
-    order = _laswp(np.arange(f.dimension, dtype=float)[:, None], f.piv, inc=-1)
-    return zt[:, order[:, 0].astype(np.intp)].T
+        return _gemv(1.0, f.inv, r, trans=1)
+    return _solved(_getrs(f.lu, f.piv, r, trans=1))

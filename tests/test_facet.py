@@ -12,7 +12,6 @@ from facetlp.facet import (
     Status,
     check_infeasible,
     detect_leaving_redundant,
-    detect_nonbase_redundant,
     expand_entering,
     initial_state,
     pivot,
@@ -131,6 +130,21 @@ class TestSelectEntering:
         assert select_entering(
             sp, base, state, PivotRule.MAX_NORMALIZED_DEVIATION
         ) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_violated_zero_row_enters_first_and_proves_infeasibility(self):
+        # 0 >= 1: its normalized deviation is infinite, without a divide
+        # warning, and as it enters its expansion is all zero
+        p = GeneralLP(
+            c=[1.0, 1.0],
+            A_ineq=[[0.0, 0.0], [1.0, 1.0]], b_ineq=[1.0, 1.0],
+            lower=[0.0, 0.0], upper=[5.0, 5.0],
+        )
+        sp = to_standard_general(p)
+        for rule in PivotRule:
+            out = solve(sp, rule)
+            assert out.status is Status.INFEASIBLE, rule
+            assert out.certificate.entering_row == 0, rule
 
 
 class TestExpandEntering:
@@ -327,44 +341,6 @@ class TestRedundancyDetection:
         assert not detect_leaving_redundant(8, y_p, base)
         assert select_leaving(0, -1.0, y_p, np.array([1.0, 0.1]), base) == (1, False)
 
-    def test_duplicate_equality_row_detected(self):
-        # once one copy is in the base, its twin expands over equality
-        # members only and is exactly satisfied
-        p = GeneralLP(
-            c=[1.0, 1.0],
-            A_eq=[[1.0, 2.0], [1.0, 2.0]], b_eq=[2.0, 2.0],
-            lower=[0.0, 0.0], upper=[9.0, 9.0],
-        )
-        sp = to_standard_general(p)
-        base, state = initial_state(sp)
-        sigma = sp.A @ state.x - sp.b
-        row = select_entering(sp, base, state, PivotRule.MAX_DEVIATION)
-        y_p = expand_entering(base, sp.A[row])
-        slot, _ = select_leaving(row, float(sigma[row]), y_p, state.y_c, base)
-        base, state = pivot(sp, base, state, row, slot, y_p)
-        redundant = detect_nonbase_redundant(sp, base, state)
-        twin = 1 - row
-        assert twin in redundant
-
-    def test_dominated_inequality_detected(self):
-        # same normal as a base inequality, strictly smaller rhs
-        p = GeneralLP(
-            c=[1.0, 0.0],
-            A_ineq=[[1.0, 0.0], [1.0, 0.0]], b_ineq=[2.0, 1.0],
-            lower=[0.0, 0.0], upper=[9.0, 9.0],
-        )
-        sp = to_standard_general(p)
-        out = solve(to_standard_general(p), reduce=True)
-        assert out.status is Status.OPTIMAL
-        # solve again manually to inspect the scan at the optimum
-        base, state = initial_state(sp)
-        sigma = sp.A @ state.x - sp.b
-        row = select_entering(sp, base, state, PivotRule.MAX_DEVIATION)
-        y_p = expand_entering(base, sp.A[row])
-        slot, _ = select_leaving(row, float(sigma[row]), y_p, state.y_c, base)
-        base, state = pivot(sp, base, state, row, slot, y_p)
-        assert 1 in detect_nonbase_redundant(sp, base, state)
-
     def test_binding_row_not_flagged(self):
         p = GeneralLP(
             c=[-1.0, -1.0],
@@ -372,7 +348,7 @@ class TestRedundancyDetection:
             lower=[0.0, 0.0], upper=[9.0, 9.0],
         )
         sp = to_standard_general(p)
-        out = solve(sp, reduce=True)
+        out = solve(sp)
         assert out.status is Status.OPTIMAL
         assert 0 not in out.redundant_rows
 
@@ -411,11 +387,37 @@ class TestSolveOutcomes:
         assert out.certificate in sp.artificial_rows
         assert out.certificate in out.basis_rows
 
-    def test_rank_deficient_equality_block(self):
-        p = GeneralLP(c=[1.0, 1.0], A_eq=np.eye(2), b_eq=[1.0, 2.0],
-                      lower=[0.0, 0.0], upper=[9.0, 9.0])
-        out = solve(to_standard_general(p))
-        assert out.status is Status.RANK_DEFICIENT_EQUALITY
+    def test_equalities_that_pin_x_are_solved(self):
+        # equality blocks of full column rank fix x; they are well posed
+        from scipy.optimize import linprog
+
+        def lp(A_eq, b_eq):
+            return GeneralLP(c=[1.0, 1.0], A_eq=A_eq, b_eq=b_eq,
+                             lower=[0.0, 0.0], upper=[9.0, 9.0])
+
+        pinned = lp(np.eye(2), [1.0, 2.0])
+        inconsistent = lp([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 4.0])
+        outside_box = lp(np.eye(2), [1.0, 12.0])
+        for rule in PivotRule:
+            out = solve(to_standard_general(pinned), rule, audit=True)
+            assert out.status is Status.OPTIMAL, rule
+            np.testing.assert_array_equal(out.x_opt, [1.0, 2.0])
+            assert out.objective == 3.0
+            assert out.audit.violations == []
+            out = solve(to_standard_general(inconsistent), rule)
+            assert out.status is Status.INFEASIBLE, rule
+            assert out.certificate.note == (
+                "entering equality depends only on base equalities, rhs inconsistent"
+            )
+            out = solve(to_standard_general(outside_box), rule)
+            assert out.status is Status.INFEASIBLE, rule
+        # HiGHS agrees: status 0 is optimal, 2 infeasible
+        for p, status in ((pinned, 0), (inconsistent, 2), (outside_box, 2)):
+            ref = linprog(p.c, A_eq=p.A_eq, b_eq=p.b_eq,
+                          bounds=list(zip(p.lower, p.upper)), method="highs-ipm")
+            assert ref.status == status
+            if status == 0:
+                assert ref.fun == pytest.approx(3.0)
 
     def test_iteration_limit(self):
         out = solve(to_standard_general(klee_minty_v1(5)), max_iter=1)
@@ -532,9 +534,11 @@ class TestBaseFactorizationPaths:
 
     def test_checks_refresh_a_corrupted_inverse(self, monkeypatch):
         # the inverse returned by the 100th update (of 261) is shifted by
-        # 1e-6 * max|inv| in every entry: the next pivot's iterate fails the
-        # residual check and its y_c drifts, so the factors and y_c are
-        # rebuilt and the solve ends where the clean one does
+        # 1e-6 or 1e-9 times max|inv| in every entry: the next pivot's
+        # iterate fails the residual check, so the factors and y_c are
+        # rebuilt and the solve ends where the clean one does. The 1e-9 drift
+        # of y_c stays below the drift check's trigger but above the audit's
+        # tolerance, so only the fallback's own y_c refresh clears it
         sp = to_standard_general(_dense_lp(0, 80))
         factor, replace_row = linalg.factor, linalg.replace_row
         calls = {"factor": 0, "replace_row": 0}
@@ -547,20 +551,21 @@ class TestBaseFactorizationPaths:
             f = replace_row(*args)
             calls["replace_row"] += 1
             if calls["replace_row"] == 100:
-                f.inv[:] += 1e-6 * np.abs(f.inv).max()
+                f.inv[:] += shift * np.abs(f.inv).max()
             return f
 
         monkeypatch.setattr(linalg, "factor", counting_factor)
         clean = solve(sp, audit=True)
         clean_factors = calls["factor"]
-        calls["factor"] = 0
         monkeypatch.setattr(linalg, "replace_row", corrupting_replace_row)
-        out = solve(sp, audit=True)
-        assert calls["replace_row"] > 100
-        assert calls["factor"] > clean_factors
-        assert out.status is clean.status is Status.OPTIMAL
-        assert abs(out.objective - clean.objective) <= 1e-9 * (1.0 + abs(clean.objective))
-        assert out.audit.violations == [] and not out.audit.base_repeated
+        for shift in (1e-6, 1e-9):
+            calls.update(factor=0, replace_row=0)
+            out = solve(sp, audit=True)
+            assert calls["replace_row"] > 100, shift
+            assert calls["factor"] > clean_factors, shift
+            assert out.status is clean.status is Status.OPTIMAL, shift
+            assert abs(out.objective - clean.objective) <= 1e-9 * (1.0 + abs(clean.objective))
+            assert out.audit.violations == [] and not out.audit.base_repeated, shift
 
     def test_kb2_shaped_fixture_keeps_its_pivot_count(self, fixtures_dir):
         sp = to_standard_general(read_mps(fixtures_dir / "kb2_shape.mps"))
@@ -677,8 +682,7 @@ def _gather_audit(sp, base, state, prev_objective, objective, c_scale, log, seen
     seen.add(key)
 
 
-def _gather_solve(sp, rule, max_iter=10_000, *, reduce=False, collect_trace=False,
-                  audit=False):
+def _gather_solve(sp, rule, max_iter=10_000, *, collect_trace=False, audit=False):
     c = sp.c_original
     c_scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
     row_tols = sp.row_tolerances(facet.TOL_FEAS_BASE)
@@ -705,9 +709,6 @@ def _gather_solve(sp, rule, max_iter=10_000, *, reduce=False, collect_trace=Fals
 
     while True:
         sigma = sp.A @ state.x - sp.b
-        if reduce:
-            state.removed_rows |= detect_nonbase_redundant(
-                sp, base, state, sigma=sigma, row_tols=row_tols)
         p = _gather_select_entering(sp, base, state, active_rule, sigma, row_tols, row_norms)
         if p is None:
             x_final = base.fact.solve(sp.b[base.indices]) + 0.0
@@ -788,51 +789,12 @@ def _bits(x):
     return None if x is None else np.asarray(x, dtype=float).tobytes()
 
 
-def _scan_row_by_row(sp, base, state, sigma, row_tols):
-    """The non-base scan's definition, one row and one transpose solve at a
-    time."""
-    ineq = ~base.is_eq
-    skipped = set(base.indices.tolist()) | state.removed_rows
-    found = set()
-    for r in range(sp.num_rows):
-        if r in skipped:
-            continue
-        if r < sp.m and abs(sigma[r]) <= row_tols[r]:
-            y = base.fact.solve_transpose(sp.A[r])[ineq]
-            if (np.abs(y) <= facet.TOL_SIGN).all():
-                found.add(r)
-        elif r >= sp.m and sigma[r] > row_tols[r]:
-            y = base.fact.solve_transpose(sp.A[r])[ineq]
-            if (y >= -facet.TOL_SIGN).all():
-                found.add(r)
-    return found
-
-
 class TestOwnedBaseRowsBitIdentical:
     """The in-place base rows, the sliced entering masks and the single exit
     path give exactly the outcomes of the gathering loop."""
 
-    def test_outcomes_match_gathering_loop(self, monkeypatch):
-        # under the default rule, solve's reduce scans are also checked against
-        # the scan's row-by-row definition, which costs a solve per row;
-        # _gather_solve imports the scan by name and stays as it is
-        block_scan = facet.detect_nonbase_redundant
-        found = {"eq": 0, "ineq": 0}
-
-        def checked_scan(sp, base, state, sigma, row_tols):
-            got = block_scan(sp, base, state, sigma=sigma, row_tols=row_tols)
-            if rule is PivotRule.MAX_DEVIATION:
-                assert got == _scan_row_by_row(sp, base, state, sigma, row_tols), name
-            found["eq"] += sum(r < sp.m for r in got)
-            found["ineq"] += sum(r >= sp.m for r in got)
-            return got
-
-        monkeypatch.setattr(facet, "detect_nonbase_redundant", checked_scan)
-        modes = [
-            {},
-            {"audit": True, "collect_trace": True},
-            {"reduce": True},
-        ]
+    def test_outcomes_match_gathering_loop(self):
+        modes = [{}, {"audit": True, "collect_trace": True}]
         statuses = set()
         for name, sp, max_iter in _bit_identity_cases():
             for rule in PivotRule:
@@ -856,4 +818,3 @@ class TestOwnedBaseRowsBitIdentical:
         assert statuses == {
             Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED, Status.ITERATION_LIMIT,
         }
-        assert found["eq"] > 0 and found["ineq"] > 0
