@@ -19,8 +19,8 @@ once, for its own residual check and the next pricing. The inverse is
 computed afresh only on evidence: when y_c drifts, or when the iterate
 fails its residual check and is solved directly; y_c is then recomputed
 from the fresh factors too.
-The base rows A_B and b_B are owned by the solve and written in place, one
-row per pivot, as are the base's indices, equality flags and factors.
+A pivot writes one slot of the :class:`Base` (indices, rows and factors)
+in place and replaces the :class:`SolverState`, which is the iterate.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from facetlp import linalg
-from facetlp.errors import NoLeavingCandidate, SingularMatrix
+from facetlp.errors import NoLeavingCandidate, NonFiniteData, SingularMatrix
 from facetlp.model import StandardGeneralLP, TOL_FEAS_BASE, residuals
 
 TOL_SIGN = 1e-9
@@ -56,11 +56,14 @@ class Status(Enum):
 
 @dataclass
 class Base:
-    """Ordered set of d facet indices with its current factorization; a
-    pivot updates all three in place."""
+    """The d facets of the base in slot order: indices, equality flags, rows
+    ``A_B`` (C-ordered), rhs ``b_B`` and the factors of ``A_B``. Owned by
+    one solve; a pivot writes slot s of each in place."""
 
     indices: np.ndarray
     is_eq: np.ndarray
+    A_B: np.ndarray
+    b_B: np.ndarray
     fact: linalg.SquareFactorization
 
     def slot_of(self, row: int) -> int:
@@ -72,18 +75,12 @@ class Base:
 
 @dataclass
 class SolverState:
-    """Mutable per-solve bookkeeping; owned exclusively by one solve call.
-    ``sigma`` is A x - b. ``A_B`` (C-ordered) and ``b_B`` are the base rows in
-    slot order, written in place by each pivot and shared by every state."""
+    """The iterate: x, its expansion coefficients ``y_c`` over the base
+    slots, and its residuals ``sigma`` = A x - b. A pivot replaces it."""
 
     x: np.ndarray
     y_c: np.ndarray
     sigma: np.ndarray
-    A_B: np.ndarray
-    b_B: np.ndarray
-    iteration: int = 0
-    removed_rows: set[int] = field(default_factory=set)
-    trace: list[TraceRecord] | None = None
 
 
 @dataclass(frozen=True)
@@ -123,11 +120,20 @@ class InfeasibilityCertificate:
 
 @dataclass
 class SolveAudit:
-    """Per-pivot invariant checks and base-revisit accounting."""
+    """Per-pivot invariant checks and base-revisit accounting. ``seen``
+    holds every base visited so far, the start base included."""
 
     violations: list[str] = field(default_factory=list)
     base_repeated: bool = False
     pivots_checked: int = 0
+    seen: set[frozenset[int]] = field(default_factory=set, repr=False)
+
+    def record(self, rows: np.ndarray) -> None:
+        """Count one checked pivot, whose new base holds ``rows``."""
+        key = frozenset(rows.tolist())
+        self.base_repeated |= key in self.seen
+        self.seen.add(key)
+        self.pivots_checked += 1
 
 
 @dataclass(frozen=True)
@@ -154,9 +160,8 @@ def initial_state(sp: StandardGeneralLP) -> tuple[Base, SolverState]:
     b_B = sp.b[rows]
     fact = linalg.factor(A_B)
     x0 = fact.solve(b_B)
-    base = Base(indices=rows, is_eq=np.zeros(d, dtype=bool), fact=fact)
-    state = SolverState(x0, sp.c_bar.astype(float).copy(), residuals(sp, x0), A_B, b_B)
-    return base, state
+    base = Base(rows, np.zeros(d, dtype=bool), A_B, b_B, fact)
+    return base, SolverState(x0, sp.c_bar.astype(float).copy(), residuals(sp, x0))
 
 
 def _row_norms(sp: StandardGeneralLP) -> np.ndarray:
@@ -172,7 +177,8 @@ def select_entering(
     row_norms: np.ndarray | None = None,
 ) -> int | None:
     """Pick the violated non-base facet to enter, or None at optimality,
-    from the state's residuals.
+    from the state's residuals. A row whose tolerance is infinite is never
+    violated; ``solve`` gives one to each row it finds redundant.
 
     Violated equality rows take absolute priority over violated inequality
     rows; within the eligible class the pivot rule decides, ties going to the
@@ -186,8 +192,6 @@ def select_entering(
     np.greater(np.abs(sigma[:m]), row_tols[:m], out=violated[:m])
     np.less(sigma[m:], -row_tols[m:], out=violated[m:])
     violated[base.indices] = False
-    if state.removed_rows:
-        violated[list(state.removed_rows)] = False
 
     pool = violated[:m].nonzero()[0]
     if not pool.size:
@@ -299,14 +303,14 @@ def pivot(
 
     The iterate moves along w = A_B^{-1} e_s, solved from the same
     factorization that produced y_p, so one factorization per iteration
-    covers both solves. Row p is written into slot s of ``A_B``/``b_B`` and
-    ``base`` is updated in place, its factors by ``linalg.replace_row`` given
-    y_p. The new residuals A x - b are computed once; if their base rows fail
-    the basic-solution tolerance, updated factors are rebuilt from scratch
-    and y_c solved afresh from them, the iterate is solved for directly and
-    its residuals recomputed.
-    Returns ``base`` and a fresh state with the new ``x`` and ``sigma``. A
-    singular new base restores row s before raising ``SingularMatrix``.
+    covers both solves. Row p is written into slot s of ``base`` in place,
+    its factors by ``linalg.replace_row`` given y_p. The new residuals
+    A x - b are computed once; if their base rows fail the basic-solution
+    tolerance, updated factors are rebuilt from scratch and y_c solved
+    afresh from them, the iterate is solved for directly and its residuals
+    recomputed. Returns ``base`` and a new state; ``state`` is left as it
+    was. A singular new base restores row s before raising
+    ``SingularMatrix``.
     """
     ratio = state.y_c[s] / y_p[s]
 
@@ -317,7 +321,7 @@ def pivot(
     step = (sp.b[p] - a_p @ state.x) / y_p[s]
     x_new = state.x + step * w
 
-    A_B, b_B = state.A_B, state.b_B
+    A_B, b_B = base.A_B, base.b_B
     A_B[s] = a_p
     b_B[s] = sp.b[p]
     fact = linalg.replace_row(base.fact, s, y_p, A_B)
@@ -349,10 +353,7 @@ def pivot(
         sigma = residuals(sp, x_new)
     base.fact = fact
 
-    return base, SolverState(
-        x=x_new, y_c=y_c, sigma=sigma, A_B=A_B, b_B=b_B, iteration=state.iteration + 1,
-        removed_rows=state.removed_rows, trace=state.trace,
-    )
+    return base, SolverState(x_new, y_c, sigma)
 
 
 def solve(
@@ -363,16 +364,18 @@ def solve(
     collect_trace: bool = False,
     audit: bool = False,
     tol_feas: float | None = None,
-    stall_iterations: int = STALL_ITERATIONS,
 ) -> SolveOutcome:
     """Run the facet pivot loop to a terminal status.
 
     ``tol_feas`` overrides the per-row violation tolerances with one
-    absolute value. ``audit`` checks the five runtime invariants after every
-    pivot and records base index sets to detect revisits. After
-    ``stall_iterations`` pivots without objective progress the rule switches
-    to the least-index rule, whose termination guarantee breaks any cycling.
+    absolute value, which must be nonnegative. ``audit`` checks the five
+    runtime invariants after every pivot and records base index sets to
+    detect revisits. After ``STALL_ITERATIONS`` pivots without objective
+    progress the rule switches to the least-index rule, whose termination
+    guarantee breaks any cycling.
     """
+    if tol_feas is not None and not tol_feas >= 0:
+        raise NonFiniteData(f"tol_feas must be a nonnegative number, got {tol_feas!r}")
     c = sp.c_original
     c_scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
     row_tols = (
@@ -382,12 +385,10 @@ def solve(
     row_norms = _row_norms(sp) if rule is PivotRule.MAX_NORMALIZED_DEVIATION else None
 
     base, state = initial_state(sp)
-    if collect_trace:
-        state.trace = []
-    audit_log = SolveAudit() if audit else None
-    seen_bases: set[frozenset[int]] = set()
-    if audit:
-        seen_bases.add(frozenset(base.indices.tolist()))
+    iteration = 0
+    removed: set[int] = set()
+    trace: list[TraceRecord] | None = [] if collect_trace else None
+    audit_log = SolveAudit(seen={frozenset(base.indices.tolist())}) if audit else None
 
     active_rule = rule
     offset = sp.objective_offset
@@ -400,14 +401,14 @@ def solve(
         sigma = state.sigma
         p = select_entering(sp, base, state, active_rule, row_tols, row_norms)
         if p is None:
-            x_opt = base.fact.solve(state.b_B) + 0.0  # clear -0.0
+            x_opt = base.fact.solve(base.b_B) + 0.0  # clear -0.0
             objective = float(c @ x_opt) + offset
             artificial = sorted(set(base.indices.tolist()) & sp.artificial_rows)
             status = Status.UNBOUNDED if artificial else Status.OPTIMAL
             certificate = int(artificial[0]) if artificial else None
             break
 
-        if state.iteration >= max_iter:
+        if iteration >= max_iter:
             status, x_opt, objective = Status.ITERATION_LIMIT, state.x, None
             certificate = None
             break
@@ -419,9 +420,9 @@ def solve(
             certificate = check_infeasible(sp, p, float(sigma[p]), y_p, base)
             if certificate is None:
                 raise NoLeavingCandidate(f"no positive expansion entry for facet {p}")
-            if state.trace is not None:
-                state.trace.append(TraceRecord(
-                    k=state.iteration, entering=p, leaving=-1,
+            if trace is not None:
+                trace.append(TraceRecord(
+                    k=iteration, entering=p, leaving=-1,
                     objective=objective, max_violation=float(abs(sigma[p])),
                     rule=active_rule.value, note=certificate.note or "infeasible",
                 ))
@@ -431,29 +432,32 @@ def solve(
         s, sole = leaving
         q = int(base.indices[s])
         if sole:
-            state.removed_rows.add(q)
+            # the leaving row can never bind again: never let it re-enter
+            removed.add(q)
+            row_tols[q] = np.inf
 
         prev_objective = objective
         base, state = pivot(sp, base, state, p, s, y_p)
+        iteration += 1
 
         # keep the incremental expansion honest: refresh it when it drifts
-        drift = float(np.abs(state.A_B.T @ state.y_c - c).max())
+        drift = float(np.abs(base.A_B.T @ state.y_c - c).max())
         if drift > YC_DRIFT_FACTOR * TOL_LIN * c_scale:
-            base.fact = linalg.refactor(base.fact, state.A_B)
+            base.fact = linalg.refactor(base.fact, base.A_B)
             state.y_c = base.fact.solve_transpose(c)
 
         objective = float(c @ state.x) + offset
-        if state.trace is not None:
-            state.trace.append(TraceRecord(
-                k=state.iteration - 1, entering=p, leaving=q,
+        if trace is not None:
+            trace.append(TraceRecord(
+                k=iteration - 1, entering=p, leaving=q,
                 objective=objective, max_violation=_max_violation(sp, sigma),
                 rule=active_rule.value,
             ))
 
         if audit_log is not None:
             _audit_pivot(
-                sp, base, state, prev_objective, objective, c_scale,
-                audit_log, seen_bases,
+                sp, base, state, iteration, prev_objective, objective, c_scale,
+                audit_log,
             )
 
         tol_obj = TOL_OBJ_BASE * (1.0 + max(abs(objective), abs(best_objective)))
@@ -462,16 +466,16 @@ def solve(
             stall = 0
         else:
             stall += 1
-            if stall >= stall_iterations and active_rule is not PivotRule.LEAST_INDEX:
+            if stall >= STALL_ITERATIONS and active_rule is not PivotRule.LEAST_INDEX:
                 active_rule = PivotRule.LEAST_INDEX
                 stall = 0
 
     return SolveOutcome(
         status=status, x_opt=x_opt, objective=objective,
-        iterations=state.iteration, certificate=certificate,
-        redundant_rows=frozenset(state.removed_rows),
+        iterations=iteration, certificate=certificate,
+        redundant_rows=frozenset(removed),
         basis_rows=tuple(int(r) for r in base.indices),
-        trace=state.trace, audit=audit_log,
+        trace=trace, audit=audit_log,
     )
 
 
@@ -484,14 +488,13 @@ def _audit_pivot(
     sp: StandardGeneralLP,
     base: Base,
     state: SolverState,
+    k: int,
     prev_objective: float,
     objective: float,
     c_scale: float,
     audit_log: SolveAudit,
-    seen_bases: set[frozenset[int]],
 ) -> None:
-    k = state.iteration
-    audit_log.pivots_checked += 1
+    audit_log.record(base.indices)
 
     y_ineq = state.y_c[~base.is_eq]
     if y_ineq.size and float(y_ineq.min()) < -TOL_SIGN:
@@ -499,7 +502,7 @@ def _audit_pivot(
             f"iter {k}: sign maintenance broken, min y_c={y_ineq.min():.3e}"
         )
 
-    A_B, b_B, rows = state.A_B, state.b_B, base.indices
+    A_B, b_B, rows = base.A_B, base.b_B, base.indices
     if (A_B.tobytes(), b_B.tobytes()) != (sp.A[rows].tobytes(), sp.b[rows].tobytes()):
         audit_log.violations.append(f"iter {k}: owned base rows differ from A[indices]")
 
@@ -521,11 +524,6 @@ def _audit_pivot(
         audit_log.violations.append(
             f"iter {k}: objective decreased {prev_objective!r} -> {objective!r}"
         )
-
-    key = frozenset(int(r) for r in base.indices)
-    if key in seen_bases:
-        audit_log.base_repeated = True
-    seen_bases.add(key)
 
 
 def solve_general(

@@ -76,17 +76,12 @@ def _flagged(
     """Attach the singularity flags read off the triangular factor's diagonal,
     relative to the infinity norm of the factored matrix. The first pivot at
     or below the threshold is the bad one."""
-    d = row_sums.shape[0]
-    if d == 0:
-        return SquareFactorization(
-            dimension=0, singular=False, near_singular=False, **factors
-        )
     pivots = np.abs(diagonal)
     threshold = TOL_PIVOT * max(row_sums.max(), _TINY)
     smallest = pivots.min()
     singular = bool(smallest <= threshold)
     return SquareFactorization(
-        dimension=d,
+        dimension=row_sums.shape[0],
         singular=singular,
         near_singular=not singular and bool(smallest <= NEAR_SINGULAR_FACTOR * threshold),
         bad_pivot_index=int((pivots <= threshold).argmax()) if singular else None,
@@ -104,12 +99,9 @@ def factor(m: np.ndarray) -> SquareFactorization:
     identical factors.
     """
     m = np.asarray_chkfinite(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {m.shape}")
     row_sums = np.abs(m).sum(axis=1)
-    if m.shape[0] == 0:
-        empty_piv = np.empty(0, dtype=np.int32)
-        return _flagged(row_sums, m.diagonal(), lu=m.copy(), piv=empty_piv)
     lu, piv, info = _getrf(m)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
@@ -177,8 +169,6 @@ def _solved(x_info: tuple[np.ndarray, int]) -> np.ndarray:
 def solve(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
     """Solve M x = r from the stored factors; r is a vector of length d."""
     r = _check(f, r)
-    if f.dimension == 0:
-        return r.copy()
     if f.inv is not None:
         return _gemv(1.0, f.inv, r)
     return _solved(_getrs(f.lu, f.piv, r, trans=0))
@@ -187,8 +177,6 @@ def solve(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
 def solve_transpose(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
     """Solve M^T y = r from the same factors; r is a vector of length d."""
     r = _check(f, r)
-    if f.dimension == 0:
-        return r.copy()
     if f.inv is not None:
         return _gemv(1.0, f.inv, r, trans=1)
     return _solved(_getrs(f.lu, f.piv, r, trans=1))

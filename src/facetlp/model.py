@@ -57,6 +57,8 @@ class GeneralLP:
     def __post_init__(self):
         self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
         d = self.c.shape[0]
+        if not d:
+            raise DimensionMismatch("c is empty: an LP needs at least one variable")
         self.b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=float))
         self.b_ineq = np.atleast_1d(np.asarray(self.b_ineq, dtype=float))
         self.A_eq = _as_matrix(self.A_eq, self.b_eq.shape[0], d, "A_eq")

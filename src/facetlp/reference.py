@@ -169,7 +169,6 @@ def _run_simplex(
     allowed: int,
     bland: bool,
     max_pivots: int,
-    seen: set[frozenset[int]] | None,
     audit: SolveAudit | None,
 ) -> tuple[str, int]:
     pivots = 0
@@ -182,13 +181,8 @@ def _run_simplex(
             return "unbounded", pivots
         t.pivot(row, col)
         pivots += 1
-        if seen is not None:
-            key = frozenset(int(j) for j in t.basis)
-            if key in seen and audit is not None:
-                audit.base_repeated = True
-            seen.add(key)
-            if audit is not None:
-                audit.pivots_checked += 1
+        if audit is not None:
+            audit.record(t.basis)
     return "limit", pivots
 
 
@@ -232,19 +226,14 @@ def dantzig_solve(
         basis[i] = N + a
 
     t = _Tableau(T=T, basis=basis)
-    audit_log = SolveAudit() if audit else None
-    seen: set[frozenset[int]] | None = set() if audit else None
-    if seen is not None:
-        seen.add(frozenset(int(j) for j in t.basis))
+    audit_log = SolveAudit(seen={frozenset(t.basis.tolist())}) if audit else None
 
     phase1 = 0
     if n_art:
         cost1 = np.zeros(N + n_art)
         cost1[N:] = 1.0
         t.price_out(cost1)
-        status, phase1 = _run_simplex(
-            t, N + n_art, bland, max_iter, seen, audit_log
-        )
+        status, phase1 = _run_simplex(t, N + n_art, bland, max_iter, audit_log)
         if status == "limit":
             return SolveOutcome(
                 status=Status.ITERATION_LIMIT, x_opt=None, objective=None,
@@ -280,9 +269,7 @@ def dantzig_solve(
 
     t.T[:, N : N + n_art] = 0.0  # retire artificial columns
     t.price_out(np.concatenate([sf.c, np.zeros(n_art)]))
-    status, phase2 = _run_simplex(
-        t, N, bland, max_iter - phase1, seen, audit_log
-    )
+    status, phase2 = _run_simplex(t, N, bland, max_iter - phase1, audit_log)
 
     iterations = phase1 + phase2
     if status == "limit":

@@ -86,6 +86,20 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err == f"numerical breakdown: {error}\n"
 
+    def test_nan_or_negative_tol_feas_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "km2.json"
+        save_general_lp(klee_minty_v2(3), path)
+        for bad in ("nan", "-1"):
+            assert main(["solve", str(path), f"--tol-feas={bad}"]) == EXIT_INPUT_ERROR
+            assert "tol_feas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["facet", "dantzig", "oracle"])
+    def test_lp_without_variables_is_input_error(self, tmp_path, capsys, solver):
+        path = tmp_path / "empty.json"
+        path.write_text('{"c": []}')
+        assert main(["solve", str(path), "--solver", solver]) == EXIT_INPUT_ERROR
+        assert "at least one variable" in capsys.readouterr().err
+
     def test_parse_error_reports_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.mps"
         bad.write_text("NAME X\nROWS\n Q  R1\nENDATA\n")

@@ -19,7 +19,7 @@ from facetlp.facet import (
     select_leaving,
     solve,
 )
-from facetlp.errors import SingularMatrix
+from facetlp.errors import NonFiniteData, SingularMatrix
 from facetlp.generators import (
     CYCLING_FIXTURE_IDS,
     cycling_fixture,
@@ -37,6 +37,8 @@ def _dummy_base(rows, is_eq):
     return Base(
         indices=np.array(rows, dtype=int),
         is_eq=np.array(is_eq, dtype=bool),
+        A_B=np.eye(d),
+        b_B=np.zeros(d),
         fact=linalg.factor(np.eye(d)),
     )
 
@@ -88,7 +90,8 @@ class TestSelectEntering:
 
     def test_base_and_removed_rows_never_enter(self):
         # at x0 = (0, 0) the equality row 0 and inequality rows 1 and 2 are
-        # all violated; a row in the base or removed is passed over
+        # all violated; a row in the base, or removed (infinite tolerance),
+        # is passed over
         p = GeneralLP(
             c=[0.0, 0.0],
             A_eq=[[1.0, 0.0]], b_eq=[0.1],
@@ -97,13 +100,14 @@ class TestSelectEntering:
         )
         sp = to_standard_general(p)
         base, state = initial_state(sp)
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION) == 0
+        row_tols = sp.row_tolerances()
+        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) == 0
         base.indices[0] = 0
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION) == 1
-        state.removed_rows = {1}
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION) == 2
-        state.removed_rows = {1, 2}
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION) is None
+        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) == 1
+        row_tols[1] = np.inf
+        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) == 2
+        row_tols[2] = np.inf
+        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) is None
 
     def test_max_deviation_picks_deepest_violation(self):
         p = GeneralLP(
@@ -156,7 +160,7 @@ class TestExpandEntering:
 
     def test_negated_identity_base(self):
         base = Base(indices=np.array([0, 1, 2]), is_eq=np.zeros(3, dtype=bool),
-                    fact=linalg.factor(-np.eye(3)))
+                    A_B=-np.eye(3), b_B=np.zeros(3), fact=linalg.factor(-np.eye(3)))
         y = expand_entering(base, np.array([2.0, 1.0, 0.0]))
         np.testing.assert_allclose(y, [-2.0, -1.0, 0.0])
 
@@ -165,7 +169,7 @@ class TestExpandEntering:
         for _ in range(30):
             m = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
             base = Base(indices=np.arange(4), is_eq=np.zeros(4, dtype=bool),
-                        fact=linalg.factor(m))
+                        A_B=m, b_B=np.zeros(4), fact=linalg.factor(m))
             a_p = rng.normal(size=4)
             y = expand_entering(base, a_p)
             np.testing.assert_allclose(m.T @ y, a_p, atol=1e-10)
@@ -280,19 +284,19 @@ class TestPivot:
         base, state = initial_state(sp)
         sp.A[0] = sp.A[base.indices[1]]
         sp.b[0] = sp.b[base.indices[1]]
-        indices, A_B, b_B = base.indices.copy(), state.A_B.copy(), state.b_B.copy()
+        indices, A_B, b_B = base.indices.copy(), base.A_B.copy(), base.b_B.copy()
         with pytest.raises(SingularMatrix):
             pivot(sp, base, state, 0, 0, np.array([1.0, 1.0, 0.0]))
         np.testing.assert_array_equal(base.indices, indices)
-        assert state.A_B.tobytes() == A_B.tobytes() == sp.A[indices].tobytes()
-        assert state.b_B.tobytes() == b_B.tobytes() == sp.b[indices].tobytes()
+        assert base.A_B.tobytes() == A_B.tobytes() == sp.A[indices].tobytes()
+        assert base.b_B.tobytes() == b_B.tobytes() == sp.b[indices].tobytes()
 
     def test_audit_flags_owned_rows_that_drift_from_the_indices(self, monkeypatch):
         real_pivot = facet.pivot
 
         def pivot_losing_a_row_write(*args, **kwargs):
             base, state = real_pivot(*args, **kwargs)
-            state.b_B[0] += 1.0
+            base.b_B[0] += 1.0
             return base, state
 
         monkeypatch.setattr(facet, "pivot", pivot_losing_a_row_write)
@@ -442,12 +446,12 @@ class TestSolveOutcomes:
 
 
 class TestSolveOptions:
-    def test_stall_switches_to_least_index_and_still_terminates(self):
+    def test_stall_switches_to_least_index_and_still_terminates(self, monkeypatch):
         # the flat-objective stretch at the start of the cube solve trips a
         # stall threshold of one pivot
+        monkeypatch.setattr(facet, "STALL_ITERATIONS", 1)
         sp = to_standard_general(klee_minty_v2(10))
-        out = solve(sp, PivotRule.MAX_DEVIATION, stall_iterations=1,
-                    collect_trace=True, audit=True)
+        out = solve(sp, PivotRule.MAX_DEVIATION, collect_trace=True, audit=True)
         assert out.status is Status.OPTIMAL
         assert out.objective == -1023.0
         assert {r.rule for r in out.trace} == {"max-dev", "least-index"}
@@ -457,6 +461,15 @@ class TestSolveOptions:
         sp = to_standard_general(klee_minty_v2(3))
         out = solve(sp, tol_feas=1e99)
         assert out.iterations == 0
+
+    def test_nan_or_negative_tol_feas_is_refused(self):
+        # a NaN tolerance makes every violation test false, so the big-M
+        # start corner would be reported as the answer
+        sp = to_standard_general(klee_minty_v2(3))
+        for bad in (np.nan, -1.0):
+            with pytest.raises(NonFiniteData):
+                solve(sp, tol_feas=bad)
+        assert solve(sp, tol_feas=0.0).objective == -7.0
 
     def test_dependent_equality_note_reaches_certificate_and_trace(self):
         p = GeneralLP(c=[1.0, 1.0],
@@ -595,7 +608,8 @@ def _gather_initial_state(sp):
     rows = np.arange(sp.m + sp.n, sp.m + sp.n + d)
     fact = linalg.factor(sp.A[rows])
     x0 = fact.solve(sp.b[rows])
-    base = Base(indices=rows, is_eq=np.zeros(d, dtype=bool), fact=fact)
+    base = Base(indices=rows, is_eq=np.zeros(d, dtype=bool), A_B=sp.A[rows],
+                b_B=sp.b[rows], fact=fact)
     return base, _GatherState(x=x0, y_c=sp.c_bar.astype(float).copy())
 
 
@@ -647,7 +661,7 @@ def _gather_pivot(sp, base, state, p, q, y_p, tol_lin=facet.TOL_LIN):
         x_new = fact.solve(b_new)
     y_c = state.y_c - y_p * ratio
     y_c[s] = ratio
-    return Base(indices=indices, is_eq=is_eq, fact=fact), _GatherState(
+    return Base(indices=indices, is_eq=is_eq, A_B=m_new, b_B=b_new, fact=fact), _GatherState(
         x=x_new, y_c=y_c, iteration=state.iteration + 1,
         removed_rows=state.removed_rows, trace=state.trace,
     )

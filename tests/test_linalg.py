@@ -91,6 +91,11 @@ def test_shape_errors():
                 linalg.replace_row(f, 0, np.ones(d + 1), np.eye(d))
 
 
+def test_empty_matrix_is_refused():
+    with pytest.raises(DimensionMismatch):
+        linalg.factor(np.zeros((0, 0)))
+
+
 def test_non_finite_input_raises():
     for bad in (np.nan, np.inf, -np.inf):
         m = np.eye(3)
@@ -285,7 +290,7 @@ def _flags_by_scan(row_sums, diagonal):
 
 def test_flags_match_a_scan_of_every_pivot():
     rng = np.random.default_rng(17)
-    cases = [(np.zeros(0), np.zeros(0)), (np.zeros(3), np.zeros(3))]
+    cases = [(np.zeros(3), np.zeros(3))]
     for _ in range(400):
         d = int(rng.integers(1, 9))
         row_sums = rng.uniform(0.5, 50.0, size=d)

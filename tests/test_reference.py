@@ -241,6 +241,27 @@ class TestDantzigPivotUnchanged:
         assert statuses == {Status.OPTIMAL, Status.INFEASIBLE, Status.ITERATION_LIMIT}
 
 
+class TestDantzigRevisitAudit:
+    def test_cycling_fixtures_repeat_a_base_only_without_bland(self):
+        cycling = {"beale", "beale_permuted", "beale_redundant", "chvatal"}
+        assert cycling < set(CYCLING_FIXTURE_IDS)
+        for fid in CYCLING_FIXTURE_IDS:
+            sf = to_standard_form(cycling_fixture(fid))
+            out = dantzig_solve(sf, max_iter=60, audit=True)
+            if fid in cycling:
+                assert out.status is Status.ITERATION_LIMIT, fid
+                assert out.audit.base_repeated, fid
+            else:
+                assert out.status is Status.OPTIMAL and out.iterations == 5, fid
+                assert not out.audit.base_repeated, fid
+            assert out.audit.pivots_checked == out.iterations, fid
+
+            out = dantzig_solve(sf, max_iter=60, bland=True, audit=True)
+            assert out.status is Status.OPTIMAL, fid
+            assert not out.audit.base_repeated, fid
+            assert out.audit.pivots_checked == out.iterations, fid
+
+
 class TestBaselineAgreement:
     def test_dantzig_matches_oracle_on_random_instances(self):
         for seed in range(40):
