@@ -1,10 +1,11 @@
 """Per-pivot cost of the two ways ``facetlp.linalg`` absorbs a row swap.
 
 A pivot asks of ``linalg`` what ``facet.pivot`` asks: ``solve_transpose``
-for the entering facet's expansion y, ``solve`` for the iterate's direction
-and ``replace_row`` with y. For each dimension d, a fixed-length chain of
-pivots on random integer bases is timed on both paths, interleaved round by
-round so that drift in the host's speed hits both:
+for the entering facet's expansion y, ``replace_row`` with y, and ``solve``
+on the new base's right-hand side for the iterate. For each dimension d, a
+fixed-length chain of pivots on random integer bases is timed on both
+paths, interleaved round by round so that drift in the host's speed hits
+both:
 
 - LU: every ``replace_row`` factors the new base from scratch (getrf) and
   every solve is one getrs;
@@ -34,15 +35,17 @@ from facetlp import linalg
 
 
 def _chain(rng: np.random.Generator, d: int, pivots: int):
-    """A base, then (slot, entering row, new base) per pivot."""
+    """A base, then (slot, entering row, new base, new rhs) per pivot."""
     m = rng.integers(-9, 10, size=(d, d)).astype(float) + 20.0 * np.eye(d)
+    b = rng.integers(-9, 10, size=d).astype(float)
     first, steps = m, []
     for _ in range(pivots):
         slot = int(rng.integers(d))
-        m = m.copy()
+        m, b = m.copy(), b.copy()
         m[slot] = rng.integers(-9, 10, size=d)
         m[slot, slot] += 20.0
-        steps.append((slot, m[slot].copy(), m))
+        b[slot] = rng.integers(-9, 10)
+        steps.append((slot, m[slot].copy(), m, b))
     return first, steps
 
 
@@ -64,10 +67,10 @@ def _per_pivot_us(begin, steps, reps: int) -> float:
     for _ in range(reps):
         f = begin()
         t0 = time.perf_counter()
-        for slot, row, m_new in steps:
+        for slot, row, m_new, b_new in steps:
             y = f.solve_transpose(row)
-            f.solve(np.eye(1, f.dimension, slot)[0])
             f = linalg.replace_row(f, slot, y, m_new)
+            f.solve(b_new)
         elapsed += time.perf_counter() - t0
     return elapsed / (reps * len(steps)) * 1e6
 

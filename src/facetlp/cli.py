@@ -52,8 +52,15 @@ CSV_COLUMNS = "name,n,m,d,solver,rule,iterations,wall_ms,status,objective"
 SOLVERS = ("facet", "dantzig", "oracle")
 
 
-def _rule_from_flag(value: str) -> PivotRule:
-    return PivotRule(value)
+def _tol_feas_ignored(tol_feas: float | None, solvers: list[str]) -> bool:
+    """Report ``--tol-feas`` given with a solver that would ignore it: only
+    the facet solver reads it."""
+    others = [s for s in solvers if s != "facet"]
+    if tol_feas is None or not others:
+        return False
+    print(f"error: --tol-feas applies to the facet solver only, not {','.join(others)}",
+          file=sys.stderr)
+    return True
 
 
 def _load_problem(path: str, fmt: str) -> GeneralLP:
@@ -103,8 +110,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (FacetLPError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if _tol_feas_ignored(args.tol_feas, [args.solver]):
+        return EXIT_INPUT_ERROR
 
-    rule = _rule_from_flag(args.rule)
+    rule = PivotRule(args.rule)
     out = _run_solver(
         p, args.solver, rule, args.max_iter, args.big_m, args.tol_feas,
         collect_trace=args.trace is not None,
@@ -180,10 +189,12 @@ def _bench_instances(args: argparse.Namespace):
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    rule = _rule_from_flag(args.rule)
+    rule = PivotRule(args.rule)
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     if not solvers or not set(solvers) <= set(SOLVERS):
         print(f"error: --solvers takes a list from {','.join(SOLVERS)}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if _tol_feas_ignored(args.tol_feas, solvers):
         return EXIT_INPUT_ERROR
     rows = []
     try:
@@ -245,6 +256,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if _tol_feas_ignored(args.tol_feas, ["facet", "oracle"]):
+        return EXIT_INPUT_ERROR
+    rule = PivotRule(args.rule)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     mismatches: list[tuple[str, int, str]] = []
     checked = 0
@@ -252,8 +266,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for seed in range(args.count):
             m = 0 if kind == "unbounded" else args.m
             p = generators.random_instance(seed, args.d, m, args.n, kind)
-            sp = to_standard_general(p)
-            got = solve(sp, rule=_rule_from_flag(args.rule), max_iter=args.max_iter)
+            sp = to_standard_general(p, big_M=args.big_m)
+            got = solve(sp, rule=rule, max_iter=args.max_iter)
             want = brute_force_optimal(sp)
             checked += 1
             if got.status != want.status:

@@ -8,17 +8,18 @@ each pivot swaps one violated non-base facet into the base so that the sign
 condition is preserved and the objective never decreases. The first feasible
 iterate is therefore optimal.
 
-Per iteration one factorization of the base serves both linear solves: the
-transpose solve for the entering facet's expansion and the rank-one update
-of the iterate. One pass of the ratio test also tells whether the leaving
-facet is redundant and whether infeasibility is certified. A pivot hands
-the row swap and the expansion to ``linalg.replace_row``, which refactors
-small bases (d below ``linalg.INVERSE_MIN_D``) as an LU and updates the
-inverse of larger ones in place, and computes the new residuals A x - b
-once, for its own residual check and the next pricing. The inverse is
-computed afresh only on evidence: when y_c drifts, or when the iterate
-fails its residual check and is solved directly; y_c is then recomputed
-from the fresh factors too.
+Per iteration the factors of the base serve both linear solves: the
+transpose solve for the entering facet's expansion and, once the pivot has
+replaced a row of them, the solve for the new iterate. One pass of the
+ratio test also tells whether the leaving facet is redundant and whether
+infeasibility is certified. A pivot hands the row swap and the expansion to
+``linalg.replace_row``, which refactors small bases (d below
+``linalg.INVERSE_MIN_D``) as an LU and updates the inverse of larger ones in
+place, and computes the new residuals A x - b once, for its own residual
+check and the next pricing. The inverse is computed afresh only on
+evidence: when y_c drifts, or when an updated inverse gives an iterate that
+fails its residual check; x and y_c are then solved again from the fresh
+factors.
 A pivot writes one slot of the :class:`Base` (indices, rows and factors)
 in place and replaces the :class:`SolverState`, which is the iterate.
 """
@@ -301,28 +302,16 @@ def pivot(
     """Swap the facet in slot s (as ``select_leaving`` returns it, so
     |y_p[s]| > ``TOL_SIGN``) out for facet p; update iterate and expansion.
 
-    The iterate moves along w = A_B^{-1} e_s, solved from the same
-    factorization that produced y_p, so one factorization per iteration
-    covers both solves. Row p is written into slot s of ``base`` in place,
-    its factors by ``linalg.replace_row`` given y_p. The new residuals
-    A x - b are computed once; if their base rows fail the basic-solution
-    tolerance, updated factors are rebuilt from scratch and y_c solved
-    afresh from them, the iterate is solved for directly and its residuals
-    recomputed. Returns ``base`` and a new state; ``state`` is left as it
-    was. A singular new base restores row s before raising
-    ``SingularMatrix``.
+    Row p is written into slot s of ``base`` in place, its factors by
+    ``linalg.replace_row`` given y_p, and the new iterate is solved from
+    them. Its residuals A x - b are computed once; if the factors are an
+    updated inverse and the base rows fail the basic-solution tolerance,
+    the base is factored afresh and x and y_c solved again. Returns
+    ``base`` and a new state; ``state`` is left as it was. A singular new
+    base restores row s before raising ``SingularMatrix``.
     """
-    ratio = state.y_c[s] / y_p[s]
-
-    unit = np.zeros(sp.d)
-    unit[s] = 1.0
-    w = base.fact.solve(unit)
-    a_p = sp.A[p]
-    step = (sp.b[p] - a_p @ state.x) / y_p[s]
-    x_new = state.x + step * w
-
     A_B, b_B = base.A_B, base.b_B
-    A_B[s] = a_p
+    A_B[s] = sp.A[p]
     b_B[s] = sp.b[p]
     fact = linalg.replace_row(base.fact, s, y_p, A_B)
     if fact.singular:
@@ -338,17 +327,16 @@ def pivot(
     base.indices[s] = p
     base.is_eq[s] = p < sp.m
 
+    ratio = state.y_c[s] / y_p[s]
     y_c = state.y_c - y_p * ratio
     y_c[s] = ratio
-
-    # the rank-one step cancels catastrophically when big-M coordinates
-    # collapse to small values, so verify row by row at the same tolerance
-    # the basic-solution invariant uses and fall back to a direct solve
+    x_new = fact.solve(b_B)
     sigma = residuals(sp, x_new)
-    if (np.abs(sigma[base.indices]) > TOL_LIN * (1.0 + np.abs(b_B))).any():
-        if fact.updates:
-            fact = linalg.factor(A_B)
-            y_c = fact.solve_transpose(sp.c_original)
+    # an updated inverse drifts from the base it stands for, so verify its
+    # iterate row by row at the basic-solution invariant's tolerance
+    if fact.updates and (np.abs(sigma[base.indices]) > TOL_LIN * (1.0 + np.abs(b_B))).any():
+        fact = linalg.factor(A_B)
+        y_c = fact.solve_transpose(sp.c_original)
         x_new = fact.solve(b_B)
         sigma = residuals(sp, x_new)
     base.fact = fact
@@ -401,7 +389,7 @@ def solve(
         sigma = state.sigma
         p = select_entering(sp, base, state, active_rule, row_tols, row_norms)
         if p is None:
-            x_opt = base.fact.solve(base.b_B) + 0.0  # clear -0.0
+            x_opt = state.x + 0.0  # clear -0.0
             objective = float(c @ x_opt) + offset
             artificial = sorted(set(base.indices.tolist()) & sp.artificial_rows)
             status = Status.UNBOUNDED if artificial else Status.OPTIMAL

@@ -2,8 +2,8 @@
 
 One factorization serves solves against both the matrix and its transpose,
 which is what the pivot loop needs: the expansion coefficients come from a
-transpose solve and the iterate update from a plain solve, both on the same
-base matrix.
+transpose solve and the iterate from a plain solve, both on the same base
+matrix.
 
 A pivot replaces row s of the base M by a^T, which gives E M with E the
 identity whose row s is y^T, y = M^-T a. Below ``INVERSE_MIN_D`` a
@@ -13,9 +13,10 @@ up, a factorization holds M^-1, formed from the LU, which ``replace_row``
 multiplies by E^-1 in place, one rank-one update: the caller holds y
 already (the entering facet's expansion), so an update costs no solve, and
 a solve is one matrix product. A tiny y[s] takes a fresh inverse instead,
-as does ``refactor``, called on drift or a failed residual check. LAPACK
-and BLAS are called directly (scipy's wrappers' per-call overhead dominates
-at small d); ``scripts/inverse_crossover.py`` measures the crossover.
+as do the solver's checks when y_c drifts (``refactor``) or an iterate
+fails its residual check (``factor``). LAPACK and BLAS are called
+directly (scipy's wrappers' per-call overhead dominates at small d);
+``scripts/inverse_crossover.py`` measures the crossover.
 """
 
 from __future__ import annotations

@@ -93,6 +93,19 @@ class TestSolveCommand:
             assert main(["solve", str(path), f"--tol-feas={bad}"]) == EXIT_INPUT_ERROR
             assert "tol_feas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver", ["dantzig", "oracle"])
+    def test_tol_feas_with_a_solver_that_ignores_it_is_input_error(
+        self, tmp_path, capsys, solver
+    ):
+        path = tmp_path / "km2.json"
+        save_general_lp(klee_minty_v2(3), path)
+        for value in ("nan", "1e-6"):
+            code = main(["solve", str(path), "--solver", solver, f"--tol-feas={value}"])
+            captured = capsys.readouterr()
+            assert code == EXIT_INPUT_ERROR
+            assert captured.out == ""
+            assert "--tol-feas applies to the facet solver only" in captured.err
+
     @pytest.mark.parametrize("solver", ["facet", "dantzig", "oracle"])
     def test_lp_without_variables_is_input_error(self, tmp_path, capsys, solver):
         path = tmp_path / "empty.json"
@@ -272,6 +285,17 @@ class TestBenchCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_tol_feas_with_a_solver_that_ignores_it_is_input_error_before_any_solve(
+        self, tmp_path, capsys
+    ):
+        out_csv = tmp_path / "refused.csv"
+        code = main(["bench", "--suite", "km2", "--sizes", "3:3",
+                     "--solvers", "facet,dantzig", "--tol-feas=nan", "--csv", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.out == "" and not out_csv.exists()
+        assert "not dantzig" in captured.err
+
     def test_netlib_suite_requires_directory(self, capsys, monkeypatch):
         monkeypatch.delenv("FACETLP_NETLIB_DIR", raising=False)
         assert main(["bench", "--suite", "netlib"]) == EXIT_INPUT_ERROR
@@ -315,3 +339,25 @@ class TestVerifyCommand:
         assert code == 0
         assert "0 mismatches" in out
         assert "verified 60 instances" in out
+
+    def test_tol_feas_is_input_error(self, capsys):
+        code = main(["verify", "--count", "1", "--d", "3", "--n", "4", "--tol-feas=1e-6"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert "not oracle" in captured.err
+
+    def test_big_m_reaches_both_solvers(self, capsys, monkeypatch):
+        seen = []
+        real = cli.to_standard_general
+
+        def recording(p, big_M=None):
+            seen.append(big_M)
+            return real(p, big_M=big_M)
+
+        monkeypatch.setattr(cli, "to_standard_general", recording)
+        code = main(["verify", "--count", "3", "--d", "3", "--n", "4", "--big-m", "1e5"])
+        assert code == 0 and "0 mismatches" in capsys.readouterr().out
+        assert seen == [1e5] * 9
+        assert main(["verify", "--count", "1", "--big-m=-5"]) == EXIT_INPUT_ERROR
+        assert "big_M" in capsys.readouterr().err

@@ -309,6 +309,31 @@ class TestPivot:
         assert out.iterations == 3
         assert out.objective == -7.0
 
+    @pytest.mark.parametrize("cube, d", [(klee_minty_v1, 16), (klee_minty_v2, 19)])
+    def test_iterate_is_the_one_solve_of_its_base(self, monkeypatch, cube, d):
+        """Each pivot makes exactly one plain solve, and the new iterate is
+        the basic solution of the new base's factors, bit for bit."""
+        sp = to_standard_general(cube(d))
+        base, state = initial_state(sp)
+        solve_rhs = []
+        real_solve = linalg.solve
+
+        def recording_solve(f, r):
+            solve_rhs.append(r)
+            return real_solve(f, r)
+
+        monkeypatch.setattr(linalg, "solve", recording_solve)
+        pivots = 0
+        while (p := select_entering(sp, base, state, PivotRule.MAX_DEVIATION)) is not None:
+            y_p = expand_entering(base, sp.A[p])
+            s, _ = select_leaving(p, float(state.sigma[p]), y_p, state.y_c, base)
+            solve_rhs.clear()
+            base, state = pivot(sp, base, state, p, s, y_p)
+            pivots += 1
+            assert len(solve_rhs) == 1, pivots
+            assert state.x.tobytes() == base.fact.solve(base.b_B).tobytes(), pivots
+        assert pivots == d
+
     def test_incremental_expansion_matches_from_scratch(self):
         """Walk the pivot loop manually; after each step the incrementally
         updated y_c must match a fresh transpose solve to 1e-9."""
@@ -641,12 +666,6 @@ def _gather_select_entering(sp, base, state, rule, sigma, row_tols, row_norms):
 def _gather_pivot(sp, base, state, p, q, y_p, tol_lin=facet.TOL_LIN):
     s = base.slot_of(q)
     ratio = state.y_c[s] / y_p[s]
-    unit = np.zeros(sp.d)
-    unit[s] = 1.0
-    w = base.fact.solve(unit)
-    a_p = sp.A[p]
-    step = (sp.b[p] - a_p @ state.x) / y_p[s]
-    x_new = state.x + step * w
     indices = base.indices.copy()
     is_eq = base.is_eq.copy()
     indices[s] = p
@@ -655,8 +674,9 @@ def _gather_pivot(sp, base, state, p, q, y_p, tol_lin=facet.TOL_LIN):
     fact = linalg.replace_row(base.fact, s, y_p, m_new)
     assert not fact.singular
     b_new = sp.b[indices]
+    x_new = fact.solve(b_new)
     residual = np.abs(m_new @ x_new - b_new)
-    if np.any(residual > tol_lin * (1.0 + np.abs(b_new))):
+    if fact.updates and np.any(residual > tol_lin * (1.0 + np.abs(b_new))):
         fact = linalg.refactor(fact, m_new)
         x_new = fact.solve(b_new)
     y_c = state.y_c - y_p * ratio
