@@ -1,0 +1,120 @@
+"""One JSON line per facet solve of a fixed sweep, to compare two builds.
+
+A line holds what a change to the solver's numerics can move: status,
+iterations, the objective as a float hex, a hash of the bytes of x_opt,
+the final base rows, the rows found redundant, the audit (violations, base
+repeats, pivots checked) and the number of ``linalg.factor`` calls. Every
+solve runs with ``audit=True``. The sweep:
+
+- under each pivot rule: km1 d=3..16, km2 d=3..19, the cycling fixtures,
+  the MPS fixtures under ``tests/fixtures``, and seeds 0..149 of each
+  shape and kind of the benchmark's ``oracle`` deck;
+- under the default rule: the benchmark's ``dense`` decks of seeds 1..3,
+  and its ``dense_lp`` at d=20..31 (three each) and d=250/300/400 (two
+  each).
+
+Run it on two checkouts with BLAS pinned to one thread, then compare:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/outcome_digest.py -o a.jsonl
+    cmp a.jsonl b.jsonl
+
+``--quick`` runs a small subset of each part.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+from facetlp import facet, generators, linalg, model, mps  # noqa: E402
+
+FIXTURE_DIR = ROOT / "tests" / "fixtures"
+
+
+def cases(quick: bool):
+    """Yield (name, problem in the facet form, pivot rule) for every solve."""
+    km1_top, km2_top, seeds = (5, 5, 2) if quick else (16, 19, 150)
+    shared = [(f"km1-d{d}", generators.klee_minty_v1(d)) for d in range(3, km1_top + 1)]
+    shared += [(f"km2-d{d}", generators.klee_minty_v2(d)) for d in range(3, km2_top + 1)]
+    shared += [(f"cycling-{fid}", generators.cycling_fixture(fid))
+               for fid in generators.CYCLING_FIXTURE_IDS]
+    shared += [(f"mps-{path.stem}", mps.read_mps(path))
+               for path in sorted(FIXTURE_DIR.glob("*.mps"))]
+    for d, m, n in workloads.ORACLE_SHAPES:
+        for kind in workloads.ORACLE_KINDS:
+            for seed in range(seeds):
+                lp = generators.random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
+                shared.append((f"{kind}-d{d}m{m}n{n}-s{seed}", lp))
+    for name, lp in shared:
+        sp = model.to_standard_general(lp)
+        for rule in facet.PivotRule:
+            yield name, sp, rule
+
+    default = facet.PivotRule.MAX_DEVIATION
+    for seed in (1,) if quick else (1, 2, 3):
+        deck = workloads.build("dense", seed, "tiny" if quick else "full")
+        for inst in deck.instances:
+            yield f"dense-s{seed}-{inst.name}", inst.sp, default
+    sizes = [(20, 1)] if quick else [(d, 3) for d in range(20, 32)] + [
+        (d, 2) for d in (250, 300, 400)]
+    for d, count in sizes:
+        for j in range(count):
+            lp = workloads.dense_lp(np.random.default_rng([9001, d, j]), d)
+            yield f"dense_lp-d{d}-{j}", model.to_standard_general(lp), default
+
+
+def digest(name: str, sp: model.StandardGeneralLP, rule: facet.PivotRule) -> dict:
+    """Solve once with the audit on, counting ``linalg.factor`` calls."""
+    factor, calls = linalg.factor, [0]
+
+    def counting_factor(m):
+        calls[0] += 1
+        return factor(m)
+
+    linalg.factor = counting_factor
+    try:
+        out = facet.solve(sp, rule, audit=True)
+    finally:
+        linalg.factor = factor
+    x_opt = None if out.x_opt is None else np.asarray(out.x_opt, dtype=float)
+    return {
+        "name": name,
+        "rule": rule.value,
+        "status": out.status.value,
+        "iterations": out.iterations,
+        "objective": None if out.objective is None else float(out.objective).hex(),
+        "x_opt": None if x_opt is None else hashlib.sha256(x_opt.tobytes()).hexdigest()[:16],
+        "basis_rows": list(out.basis_rows),
+        "redundant_rows": sorted(out.redundant_rows),
+        "violations": out.audit.violations,
+        "base_repeated": out.audit.base_repeated,
+        "pivots_checked": out.audit.pivots_checked,
+        "factor_calls": calls[0],
+    }
+
+
+def main(argv: list[str] | None = None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--quick", action="store_true", help="a small subset of the sweep")
+    ap.add_argument("-o", "--output", default="-", help="JSON lines file (default stdout)")
+    args = ap.parse_args(argv)
+    out = sys.stdout if args.output == "-" else open(args.output, "w")
+    try:
+        for case in cases(args.quick):
+            out.write(json.dumps(digest(*case)) + "\n")
+    finally:
+        if out is not sys.stdout:
+            out.close()
+
+
+if __name__ == "__main__":
+    main()

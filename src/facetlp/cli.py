@@ -52,15 +52,37 @@ CSV_COLUMNS = "name,n,m,d,solver,rule,iterations,wall_ms,status,objective"
 SOLVERS = ("facet", "dantzig", "oracle")
 
 
-def _tol_feas_ignored(tol_feas: float | None, solvers: list[str]) -> bool:
-    """Report ``--tol-feas`` given with a solver that would ignore it: only
-    the facet solver reads it."""
-    others = [s for s in solvers if s != "facet"]
-    if tol_feas is None or not others:
-        return False
-    print(f"error: --tol-feas applies to the facet solver only, not {','.join(others)}",
-          file=sys.stderr)
-    return True
+# the solver flags each solver reads; given with any other solver they are
+# refused, not ignored
+_FLAGS_READ = {
+    "facet": ("rule", "max_iter", "tol_feas"),
+    "dantzig": ("max_iter",),
+    "oracle": (),
+}
+
+
+def _ignored_flag(
+    args: argparse.Namespace, solvers: list[str],
+    flags: tuple[str, ...] = ("rule", "max_iter", "tol_feas"),
+) -> bool:
+    """Report the first of ``flags`` given with a solver that would ignore it."""
+    for flag in flags:
+        others = [s for s in solvers if flag not in _FLAGS_READ[s]]
+        if getattr(args, flag) is None or not others:
+            continue
+        readers = [s for s in SOLVERS if flag in _FLAGS_READ[s]]
+        print(f"error: --{flag.replace('_', '-')} applies to the {' and '.join(readers)} "
+              f"solver{'s' * (len(readers) > 1)} only, not {','.join(others)}",
+              file=sys.stderr)
+        return True
+    return False
+
+
+def _rule_and_max_iter(args: argparse.Namespace) -> tuple[PivotRule, int]:
+    """``--rule`` and ``--max-iter`` with their defaults applied; the parser
+    leaves them None so that ``_ignored_flag`` sees whether they were given."""
+    rule = PivotRule.MAX_DEVIATION if args.rule is None else PivotRule(args.rule)
+    return rule, 10_000 if args.max_iter is None else args.max_iter
 
 
 def _load_problem(path: str, fmt: str) -> GeneralLP:
@@ -110,12 +132,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (FacetLPError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if _tol_feas_ignored(args.tol_feas, [args.solver]):
+    if _ignored_flag(args, [args.solver]):
         return EXIT_INPUT_ERROR
 
-    rule = PivotRule(args.rule)
+    rule, max_iter = _rule_and_max_iter(args)
     out = _run_solver(
-        p, args.solver, rule, args.max_iter, args.big_m, args.tol_feas,
+        p, args.solver, rule, max_iter, args.big_m, args.tol_feas,
         collect_trace=args.trace is not None,
     )
 
@@ -189,13 +211,13 @@ def _bench_instances(args: argparse.Namespace):
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    rule = PivotRule(args.rule)
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     if not solvers or not set(solvers) <= set(SOLVERS):
         print(f"error: --solvers takes a list from {','.join(SOLVERS)}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if _tol_feas_ignored(args.tol_feas, solvers):
+    if _ignored_flag(args, solvers):
         return EXIT_INPUT_ERROR
+    rule, max_iter = _rule_and_max_iter(args)
     rows = []
     try:
         instances = list(_bench_instances(args))
@@ -222,7 +244,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 t0 = time.perf_counter()  # conversion plus solve, not the load
                 try:
                     out = _run_solver(
-                        p, solver, rule, args.max_iter, args.big_m, args.tol_feas,
+                        p, solver, rule, max_iter, args.big_m, args.tol_feas,
                         collect_trace=False,
                     )
                     status, iters = out.status.value, out.iterations
@@ -246,7 +268,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.csv:
         buf = io.StringIO()
         buf.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-        buf.write(f"# suite={args.suite} rule={rule.value} max_iter={args.max_iter}")
+        buf.write(f"# suite={args.suite} rule={rule.value} max_iter={max_iter}")
         buf.write(f" big_m={args.big_m} tol_feas={args.tol_feas}\n")
         writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
         writer.writeheader()
@@ -256,9 +278,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if _tol_feas_ignored(args.tol_feas, ["facet", "oracle"]):
+    # --rule and --max-iter steer the facet solves; the oracle reads no flag
+    if _ignored_flag(args, ["facet", "oracle"], flags=("tol_feas",)):
         return EXIT_INPUT_ERROR
-    rule = PivotRule(args.rule)
+    rule, max_iter = _rule_and_max_iter(args)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     mismatches: list[tuple[str, int, str]] = []
     checked = 0
@@ -267,7 +290,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             m = 0 if kind == "unbounded" else args.m
             p = generators.random_instance(seed, args.d, m, args.n, kind)
             sp = to_standard_general(p, big_M=args.big_m)
-            got = solve(sp, rule=rule, max_iter=args.max_iter)
+            got = solve(sp, rule=rule, max_iter=max_iter)
             want = brute_force_optimal(sp)
             checked += 1
             if got.status != want.status:
@@ -300,14 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_solver_flags(sp_):
-        sp_.add_argument("--rule", default="max-dev",
+        sp_.add_argument("--rule", default=None,
                          choices=[r.value for r in PivotRule],
-                         help="facet pivot entering rule")
-        sp_.add_argument("--max-iter", type=int, default=10_000)
+                         help="facet pivot entering rule (default max-dev)")
+        sp_.add_argument("--max-iter", type=int, default=None,
+                         help="pivot limit of the facet and dantzig solvers (default 10000)")
         sp_.add_argument("--big-m", type=float, default=None,
                          help="artificial bound magnitude for infinite bounds")
         sp_.add_argument("--tol-feas", type=float, default=None,
-                         help="absolute feasibility tolerance override")
+                         help="absolute feasibility tolerance override (facet only)")
 
     p_solve = sub.add_parser("solve", help="solve one instance from a file")
     p_solve.add_argument("path")

@@ -15,13 +15,13 @@ ratio test also tells whether the leaving facet is redundant and whether
 infeasibility is certified. A pivot hands the row swap and the expansion to
 ``linalg.replace_row``, which refactors small bases (d below
 ``linalg.INVERSE_MIN_D``) as an LU and updates the inverse of larger ones in
-place, and computes the new residuals A x - b once, for its own residual
-check and the next pricing. The inverse is computed afresh only on
-evidence: when y_c drifts, or when an updated inverse gives an iterate that
-fails its residual check; x and y_c are then solved again from the fresh
-factors.
-A pivot writes one slot of the :class:`Base` (indices, rows and factors)
-in place and replaces the :class:`SolverState`, which is the iterate.
+place, and computes the new residuals A x - b once, for its own check and
+the next pricing. On evidence about x (an updated inverse whose iterate
+fails its residual check) or y_c (drift from A_B^T y_c = c), the pivot
+factors the base afresh and solves the iterate again. A pivot writes one
+slot of the :class:`Base` (indices, rows and factors) in place and
+replaces the :class:`SolverState`, which is the iterate; ``solve`` writes
+neither.
 """
 
 from __future__ import annotations
@@ -298,17 +298,21 @@ def pivot(
     p: int,
     s: int,
     y_p: np.ndarray,
+    c: np.ndarray,
+    drift_bound: float,
 ) -> tuple[Base, SolverState]:
     """Swap the facet in slot s (as ``select_leaving`` returns it, so
     |y_p[s]| > ``TOL_SIGN``) out for facet p; update iterate and expansion.
 
     Row p is written into slot s of ``base`` in place, its factors by
     ``linalg.replace_row`` given y_p, and the new iterate is solved from
-    them. Its residuals A x - b are computed once; if the factors are an
-    updated inverse and the base rows fail the basic-solution tolerance,
-    the base is factored afresh and x and y_c solved again. Returns
-    ``base`` and a new state; ``state`` is left as it was. A singular new
-    base restores row s before raising ``SingularMatrix``.
+    them. Its residuals A x - b are computed once. One check guards the
+    iterate: if the factors are an updated inverse whose base rows fail
+    the basic-solution tolerance, or the updated y_c is more than
+    ``drift_bound`` off A_B^T y_c = ``c``, the base is factored afresh and
+    y_c, x and the residuals solved again. Returns ``base`` and a new
+    state; ``state`` is left as it was. A singular new base restores row s
+    before raising ``SingularMatrix``.
     """
     A_B, b_B = base.A_B, base.b_B
     A_B[s] = sp.A[p]
@@ -332,11 +336,13 @@ def pivot(
     y_c[s] = ratio
     x_new = fact.solve(b_B)
     sigma = residuals(sp, x_new)
-    # an updated inverse drifts from the base it stands for, so verify its
-    # iterate row by row at the basic-solution invariant's tolerance
-    if fact.updates and (np.abs(sigma[base.indices]) > TOL_LIN * (1.0 + np.abs(b_B))).any():
+    # an updated inverse drifts from the base it stands for, so its iterate
+    # is checked row by row at the basic-solution invariant's tolerance; the
+    # incremental y_c drifts from c whatever the factors
+    x_off = fact.updates and (np.abs(sigma[base.indices]) > TOL_LIN * (1 + np.abs(b_B))).any()
+    if x_off or np.abs(A_B.T @ y_c - c).max() > drift_bound:
         fact = linalg.factor(A_B)
-        y_c = fact.solve_transpose(sp.c_original)
+        y_c = fact.solve_transpose(c)
         x_new = fact.solve(b_B)
         sigma = residuals(sp, x_new)
     base.fact = fact
@@ -366,6 +372,7 @@ def solve(
         raise NonFiniteData(f"tol_feas must be a nonnegative number, got {tol_feas!r}")
     c = sp.c_original
     c_scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
+    drift_bound = YC_DRIFT_FACTOR * TOL_LIN * c_scale
     row_tols = (
         np.full(sp.num_rows, tol_feas) if tol_feas is not None
         else sp.row_tolerances(TOL_FEAS_BASE)
@@ -425,14 +432,8 @@ def solve(
             row_tols[q] = np.inf
 
         prev_objective = objective
-        base, state = pivot(sp, base, state, p, s, y_p)
+        base, state = pivot(sp, base, state, p, s, y_p, c, drift_bound)
         iteration += 1
-
-        # keep the incremental expansion honest: refresh it when it drifts
-        drift = float(np.abs(base.A_B.T @ state.y_c - c).max())
-        if drift > YC_DRIFT_FACTOR * TOL_LIN * c_scale:
-            base.fact = linalg.refactor(base.fact, base.A_B)
-            state.y_c = base.fact.solve_transpose(c)
 
         objective = float(c @ state.x) + offset
         if trace is not None:

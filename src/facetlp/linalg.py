@@ -13,8 +13,8 @@ up, a factorization holds M^-1, formed from the LU, which ``replace_row``
 multiplies by E^-1 in place, one rank-one update: the caller holds y
 already (the entering facet's expansion), so an update costs no solve, and
 a solve is one matrix product. A tiny y[s] takes a fresh inverse instead,
-as do the solver's checks when y_c drifts (``refactor``) or an iterate
-fails its residual check (``factor``). LAPACK and BLAS are called
+as does the solver's per-pivot check, through ``factor``, when y_c drifts
+or an iterate fails its residual check. LAPACK and BLAS are called
 directly (scipy's wrappers' per-call overhead dominates at small d);
 ``scripts/inverse_crossover.py`` measures the crossover.
 """
@@ -139,12 +139,6 @@ def replace_row(
     h[slot] = 1.0 / pivot - 1.0
     inv = _ger(1.0, f.inv[:, slot].copy(), h, a=f.inv, overwrite_a=1)
     return SquareFactorization(d, False, f.near_singular, inv=inv, updates=f.updates + 1)
-
-
-def refactor(f: SquareFactorization, m: np.ndarray) -> SquareFactorization:
-    """Factors of ``m`` from scratch if ``f`` has been updated since its last
-    factorization from scratch, else ``f`` itself (it is already exact)."""
-    return factor(m) if f.updates else f
 
 
 def _check(f: SquareFactorization, r: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from facetlp.errors import TooLarge, UnboundedBelowVariable
+from facetlp.errors import NonFiniteData, TooLarge, UnboundedBelowVariable
 from facetlp.facet import SolveAudit, SolveOutcome, Status
 from facetlp.model import GeneralLP, StandardGeneralLP
 
@@ -49,11 +49,13 @@ def to_standard_form(p: GeneralLP, big_m: float | None = None) -> StandardFormLP
 
     stacked after the equality block. Variables with no finite upper bound
     contribute no extra rows. A -inf lower bound is an error unless a big-M
-    substitute is requested.
+    substitute is requested, which must be positive and finite.
     """
     lower = p.lower.copy()
     upper = p.upper.copy()
     if big_m is not None:
+        if not 0.0 < big_m < math.inf:
+            raise NonFiniteData("big_M must be a positive finite number")
         lower = np.where(np.isneginf(lower), -float(big_m), lower)
         upper = np.where(np.isposinf(upper), float(big_m), upper)
     if np.any(np.isneginf(lower)):

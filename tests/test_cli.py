@@ -15,6 +15,7 @@ from facetlp.cli import (
     main,
 )
 from facetlp.errors import NoLeavingCandidate, SingularMatrix
+from facetlp.facet import PivotRule
 from facetlp.generators import klee_minty_v1, klee_minty_v2, random_instance
 from facetlp.model import save_general_lp
 
@@ -105,6 +106,37 @@ class TestSolveCommand:
             assert code == EXIT_INPUT_ERROR
             assert captured.out == ""
             assert "--tol-feas applies to the facet solver only" in captured.err
+
+    @pytest.mark.parametrize("solver, flag", [
+        ("dantzig", "--rule=least-index"),
+        ("oracle", "--rule=least-index"),
+        ("oracle", "--max-iter=0"),
+    ])
+    def test_flag_a_solver_ignores_is_input_error(self, tmp_path, capsys, solver, flag):
+        path = tmp_path / "km2.json"
+        save_general_lp(klee_minty_v2(3), path)
+        code = main(["solve", str(path), "--solver", solver, flag])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert f"{flag.split('=')[0]} applies to the " in captured.err
+        assert captured.err.rstrip().endswith(f"only, not {solver}")
+
+    @pytest.mark.parametrize("solver", ["facet", "dantzig", "oracle"])
+    def test_big_m_that_is_not_positive_and_finite_is_input_error(
+        self, tmp_path, capsys, solver
+    ):
+        path = tmp_path / "free.json"
+        path.write_text('{"c": [1, 1], "A_ineq": [[1, 1]], "b_ineq": [1],'
+                        ' "lower": ["-inf", 0]}')
+        for bad in ("nan", "-5", "0", "inf"):
+            code = main(["solve", str(path), "--solver", solver, f"--big-m={bad}"])
+            captured = capsys.readouterr()
+            assert code == EXIT_INPUT_ERROR, bad
+            assert captured.out == "", bad
+            assert "big_M must be a positive finite number" in captured.err, bad
+        assert main(["solve", str(path), "--solver", solver, "--big-m=1e6"]) == EXIT_OPTIMAL
+        assert "objective=1 " in capsys.readouterr().out
 
     @pytest.mark.parametrize("solver", ["facet", "dantzig", "oracle"])
     def test_lp_without_variables_is_input_error(self, tmp_path, capsys, solver):
@@ -296,6 +328,31 @@ class TestBenchCommand:
         assert captured.out == "" and not out_csv.exists()
         assert "not dantzig" in captured.err
 
+    @pytest.mark.parametrize("solvers, flag, ignored_by", [
+        ("facet,dantzig", "--rule=least-index", "dantzig"),
+        ("dantzig,oracle", "--max-iter=5", "oracle"),
+    ])
+    def test_flag_a_solver_ignores_is_input_error_before_any_solve(
+        self, tmp_path, capsys, solvers, flag, ignored_by
+    ):
+        out_csv = tmp_path / "refused.csv"
+        code = main(["bench", "--suite", "km2", "--sizes", "3:3",
+                     "--solvers", solvers, flag, "--csv", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.out == "" and not out_csv.exists()
+        assert captured.err.rstrip().endswith(f"only, not {ignored_by}")
+
+    def test_max_iter_reaches_facet_and_dantzig(self, tmp_path, capsys):
+        out_csv = tmp_path / "limited.csv"
+        code = main(["bench", "--suite", "km2", "--sizes", "3:3",
+                     "--solvers", "facet,dantzig", "--max-iter", "1", "--csv", str(out_csv)])
+        assert code == 0
+        capsys.readouterr()
+        _, rows = _read_csv(out_csv)
+        assert [r["status"] for r in rows] == ["IterationLimit", "IterationLimit"]
+        assert "max_iter=1 " in out_csv.read_text()
+
     def test_netlib_suite_requires_directory(self, capsys, monkeypatch):
         monkeypatch.delenv("FACETLP_NETLIB_DIR", raising=False)
         assert main(["bench", "--suite", "netlib"]) == EXIT_INPUT_ERROR
@@ -346,6 +403,22 @@ class TestVerifyCommand:
         assert code == EXIT_INPUT_ERROR
         assert captured.out == ""
         assert "not oracle" in captured.err
+
+    def test_rule_and_max_iter_steer_the_facet_solves(self, capsys, monkeypatch):
+        seen = []
+        real = cli.solve
+
+        def recording(sp, **kwargs):
+            seen.append((kwargs["rule"], kwargs["max_iter"]))
+            return real(sp, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", recording)
+        assert main(["verify", "--count", "1", "--d", "3", "--n", "4"]) == 0
+        assert main(["verify", "--count", "1", "--d", "3", "--n", "4",
+                     "--rule", "least-index", "--max-iter", "50"]) == 0
+        capsys.readouterr()
+        assert seen == [(PivotRule.MAX_DEVIATION, 10_000)] * 3 + [
+            (PivotRule.LEAST_INDEX, 50)] * 3
 
     def test_big_m_reaches_both_solvers(self, capsys, monkeypatch):
         seen = []

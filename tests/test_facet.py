@@ -1,5 +1,8 @@
+import importlib.util
+import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,12 @@ def _dummy_base(rows, is_eq):
         b_B=np.zeros(d),
         fact=linalg.factor(np.eye(d)),
     )
+
+
+def _c_and_drift_bound(sp):
+    """The objective and y_c drift bound that ``solve`` hands each pivot."""
+    c = sp.c_original
+    return c, facet.YC_DRIFT_FACTOR * facet.TOL_LIN * (1.0 + float(np.max(np.abs(c))))
 
 
 class TestInitialState:
@@ -273,7 +282,7 @@ class TestPivot:
         y_p = expand_entering(base, sp.A[0])
         x_before = state.x.copy()
         obj_before = float(sp.c_original @ state.x)
-        new_base, new_state = pivot(sp, base, state, 0, 0, y_p)
+        new_base, new_state = pivot(sp, base, state, 0, 0, y_p, *_c_and_drift_bound(sp))
         np.testing.assert_allclose(new_state.x, x_before, atol=1e-12)
         assert float(sp.c_original @ new_state.x) == pytest.approx(obj_before)
 
@@ -286,7 +295,7 @@ class TestPivot:
         sp.b[0] = sp.b[base.indices[1]]
         indices, A_B, b_B = base.indices.copy(), base.A_B.copy(), base.b_B.copy()
         with pytest.raises(SingularMatrix):
-            pivot(sp, base, state, 0, 0, np.array([1.0, 1.0, 0.0]))
+            pivot(sp, base, state, 0, 0, np.array([1.0, 1.0, 0.0]), *_c_and_drift_bound(sp))
         np.testing.assert_array_equal(base.indices, indices)
         assert base.A_B.tobytes() == A_B.tobytes() == sp.A[indices].tobytes()
         assert base.b_B.tobytes() == b_B.tobytes() == sp.b[indices].tobytes()
@@ -328,7 +337,7 @@ class TestPivot:
             y_p = expand_entering(base, sp.A[p])
             s, _ = select_leaving(p, float(state.sigma[p]), y_p, state.y_c, base)
             solve_rhs.clear()
-            base, state = pivot(sp, base, state, p, s, y_p)
+            base, state = pivot(sp, base, state, p, s, y_p, *_c_and_drift_bound(sp))
             pivots += 1
             assert len(solve_rhs) == 1, pivots
             assert state.x.tobytes() == base.fact.solve(base.b_B).tobytes(), pivots
@@ -351,7 +360,7 @@ class TestPivot:
                 if check_infeasible(sp, row, float(sigma[row]), y_p, base):
                     break
                 slot, _ = select_leaving(row, float(sigma[row]), y_p, state.y_c, base)
-                base, state = pivot(sp, base, state, row, slot, y_p)
+                base, state = pivot(sp, base, state, row, slot, y_p, *_c_and_drift_bound(sp))
                 np.testing.assert_array_equal(state.sigma, sp.A @ state.x - sp.b)
                 fresh = base.fact.solve_transpose(sp.c_original)
                 np.testing.assert_allclose(state.y_c, fresh, atol=1e-9)
@@ -605,6 +614,48 @@ class TestBaseFactorizationPaths:
             assert abs(out.objective - clean.objective) <= 1e-9 * (1.0 + abs(clean.objective))
             assert out.audit.violations == [] and not out.audit.base_repeated, shift
 
+    @pytest.mark.parametrize(
+        "lp", [klee_minty_v1(16), _dense_lp(0, 40)], ids=["km1-16", "dense-40"]
+    )
+    def test_drifted_y_c_is_rebuilt_by_the_next_pivot(self, monkeypatch, lp):
+        # one pivot mid-solve hands back y_c with A_B^T y_c off c by 1e-6 *
+        # c_scale; the update carries that error on exactly, so the next
+        # pivot's drift check factors the base afresh and solves y_c again
+        sp = to_standard_general(lp)
+        c_scale = 1.0 + float(np.max(np.abs(sp.c_original)))
+        factor, real_pivot = linalg.factor, facet.pivot
+        # entry k counts the factorizations of pivot k, entry 0 the start's
+        factors_per_pivot = [0]
+
+        def counting_factor(m):
+            factors_per_pivot[-1] += 1
+            return factor(m)
+
+        def pivot_drifting_once(*args):
+            factors_per_pivot.append(0)
+            base, state = real_pivot(*args)
+            if len(factors_per_pivot) == drift_at + 1:
+                i = int((~base.is_eq & (state.y_c > 0)).nonzero()[0][0])
+                state.y_c[i] += 1e-6 * c_scale / np.abs(base.A_B[i]).max()
+            return base, state
+
+        monkeypatch.setattr(linalg, "factor", counting_factor)
+        monkeypatch.setattr(facet, "pivot", pivot_drifting_once)
+        drift_at = 0
+        clean = solve(sp, audit=True)
+        clean_factors = factors_per_pivot
+        drift_at, factors_per_pivot = clean.iterations // 2, [0]
+        out = solve(sp, audit=True)
+        assert 0 < drift_at < out.iterations
+        assert factors_per_pivot[drift_at + 1] == clean_factors[drift_at + 1] + 1
+        assert factors_per_pivot[: drift_at + 1] == clean_factors[: drift_at + 1]
+        assert out.audit.violations
+        assert all(v.startswith(f"iter {drift_at}: expansion residual")
+                   for v in out.audit.violations)
+        assert out.status is clean.status is Status.OPTIMAL
+        assert out.iterations == clean.iterations
+        assert abs(out.objective - clean.objective) <= 1e-12 * (1.0 + abs(clean.objective))
+
     def test_kb2_shaped_fixture_keeps_its_pivot_count(self, fixtures_dir):
         sp = to_standard_general(read_mps(fixtures_dir / "kb2_shape.mps"))
         assert sp.d >= linalg.INVERSE_MIN_D
@@ -677,7 +728,7 @@ def _gather_pivot(sp, base, state, p, q, y_p, tol_lin=facet.TOL_LIN):
     x_new = fact.solve(b_new)
     residual = np.abs(m_new @ x_new - b_new)
     if fact.updates and np.any(residual > tol_lin * (1.0 + np.abs(b_new))):
-        fact = linalg.refactor(fact, m_new)
+        fact = linalg.factor(m_new) if fact.updates else fact
         x_new = fact.solve(b_new)
     y_c = state.y_c - y_p * ratio
     y_c[s] = ratio
@@ -775,7 +826,8 @@ def _gather_solve(sp, rule, max_iter=10_000, *, collect_trace=False, audit=False
         base, state = _gather_pivot(sp, base, state, p, q, y_p)
         drift = _gather_residual(sp, base, state.y_c)
         if drift > facet.YC_DRIFT_FACTOR * facet.TOL_LIN * c_scale:
-            base.fact = linalg.refactor(base.fact, sp.A[base.indices])
+            fact, m = base.fact, sp.A[base.indices]
+            base.fact = linalg.factor(m) if fact.updates else fact
             state.y_c = base.fact.solve_transpose(sp.c_original)
         objective = float(c @ state.x) + offset
         if state.trace is not None:
@@ -852,3 +904,24 @@ class TestOwnedBaseRowsBitIdentical:
         assert statuses == {
             Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED, Status.ITERATION_LIMIT,
         }
+
+
+def test_outcome_digest_script_writes_one_line_per_solve(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "outcome_digest.py"
+    spec = importlib.util.spec_from_file_location("outcome_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    factor = linalg.factor
+    out = tmp_path / "digest.jsonl"
+    script.main(["--quick", "-o", str(out)])
+    assert linalg.factor is factor
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(lines) == len(list(script.cases(quick=True)))
+    assert {line["name"].split("-")[0] for line in lines} >= {
+        "km1", "km2", "cycling", "mps", "feasible", "infeasible", "unbounded", "dense",
+        "dense_lp",
+    }
+    assert {line["status"] for line in lines} == {"Optimal", "Infeasible", "Unbounded"}
+    assert all(line["violations"] == [] and line["factor_calls"] > 0 for line in lines)
+    name, sp, rule = next(script.cases(quick=True))
+    assert script.digest(name, sp, rule) == lines[0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from facetlp import reference
-from facetlp.errors import TooLarge, UnboundedBelowVariable
+from facetlp.errors import NonFiniteData, TooLarge, UnboundedBelowVariable
 from facetlp.facet import SolveOutcome, Status, solve
 from facetlp.generators import (
     CYCLING_FIXTURE_IDS,
@@ -62,6 +62,16 @@ class TestToStandardForm:
         out = dantzig_solve(sf)
         assert out.status is Status.OPTIMAL
         assert out.objective == -1e6
+
+    def test_big_m_must_be_positive_and_finite(self):
+        p = GeneralLP(c=[1.0, 1.0], A_ineq=[[1.0, 1.0]], b_ineq=[1.0],
+                      lower=[-np.inf, 0.0], upper=[np.inf, np.inf])
+        for bad in (math.nan, -5.0, 0.0, math.inf):
+            with pytest.raises(NonFiniteData, match="big_M must be a positive finite"):
+                to_standard_form(p, big_m=bad)
+        out = dantzig_solve(to_standard_form(p, big_m=1e6))
+        assert out.status is Status.OPTIMAL
+        assert out.objective == 1.0
 
 
 class TestDantzigSolve:
