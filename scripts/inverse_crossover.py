@@ -1,8 +1,9 @@
 """Per-pivot cost of the two ways ``facetlp.linalg`` absorbs a row swap.
 
 A pivot asks of ``linalg`` what ``facet.pivot`` asks: ``solve_transpose``
-for the entering facet's expansion y, ``replace_row`` with y, and ``solve``
-on the new base's right-hand side for the iterate. For each dimension d, a
+for the entering facet's expansion y, ``replace_row`` with y, then
+``solve_transpose`` of the objective and ``solve`` of the new base's
+right-hand side for the iterate's y_c and x. For each dimension d, a
 fixed-length chain of pivots on random integer bases is timed on both
 paths, interleaved round by round so that drift in the host's speed hits
 both:
@@ -11,9 +12,8 @@ both:
   every solve is one getrs;
 - inverse: every ``replace_row`` updates the inverse in place (one ger) and
   every solve is one gemv. Each chain starts from a fresh inverse (getrf
-  plus getri) outside the timing: the solver takes one only when a check
-  asks for it (drift of y_c, or a failed residual check), which this
-  leaves out.
+  plus getri) outside the timing: the solver takes one only when a failed
+  residual check asks for it, which this leaves out.
 
 ``INVERSE_MIN_D`` should be the smallest d where the inverse path wins by
 more than the spread between runs. Run with BLAS pinned to one thread, as
@@ -35,7 +35,8 @@ from facetlp import linalg
 
 
 def _chain(rng: np.random.Generator, d: int, pivots: int):
-    """A base, then (slot, entering row, new base, new rhs) per pivot."""
+    """An objective and a base, then (slot, entering row, new base, new
+    rhs) per pivot."""
     m = rng.integers(-9, 10, size=(d, d)).astype(float) + 20.0 * np.eye(d)
     b = rng.integers(-9, 10, size=d).astype(float)
     first, steps = m, []
@@ -46,7 +47,8 @@ def _chain(rng: np.random.Generator, d: int, pivots: int):
         m[slot, slot] += 20.0
         b[slot] = rng.integers(-9, 10)
         steps.append((slot, m[slot].copy(), m, b))
-    return first, steps
+    c = rng.integers(-9, 10, size=d).astype(float)
+    return c, first, steps
 
 
 @contextmanager
@@ -60,7 +62,7 @@ def _inverse_min_d(min_d: int):
         linalg.INVERSE_MIN_D = saved
 
 
-def _per_pivot_us(begin, steps, reps: int) -> float:
+def _per_pivot_us(begin, c, steps, reps: int) -> float:
     """Microseconds per pivot over ``reps`` chains, each starting from
     ``begin()``, which is not timed."""
     elapsed = 0.0
@@ -70,6 +72,7 @@ def _per_pivot_us(begin, steps, reps: int) -> float:
         for slot, row, m_new, b_new in steps:
             y = f.solve_transpose(row)
             f = linalg.replace_row(f, slot, y, m_new)
+            f.solve_transpose(c)
             f.solve(b_new)
         elapsed += time.perf_counter() - t0
     return elapsed / (reps * len(steps)) * 1e6
@@ -78,15 +81,15 @@ def _per_pivot_us(begin, steps, reps: int) -> float:
 def measure(d: int, rounds: int, reps: int) -> tuple[float, float]:
     """Median microseconds per pivot on the LU path and on the inverse path,
     over chains of 100 pivots; every round times both in turn."""
-    first, steps = _chain(np.random.default_rng(d), d, 100)
+    c, first, steps = _chain(np.random.default_rng(d), d, 100)
     lu_us, inv_us = [], []
     for _ in range(rounds):
         with _inverse_min_d(d + 1):
             # a factorization below the crossover is never consumed
             start = linalg.factor(first)
-            lu_us.append(_per_pivot_us(lambda: start, steps, reps))
+            lu_us.append(_per_pivot_us(lambda: start, c, steps, reps))
         with _inverse_min_d(d):
-            inv_us.append(_per_pivot_us(lambda: linalg.factor(first), steps, reps))
+            inv_us.append(_per_pivot_us(lambda: linalg.factor(first), c, steps, reps))
     return statistics.median(lu_us), statistics.median(inv_us)
 
 

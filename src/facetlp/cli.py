@@ -55,7 +55,7 @@ SOLVERS = ("facet", "dantzig", "oracle")
 # the solver flags each solver reads; given with any other solver they are
 # refused, not ignored
 _FLAGS_READ = {
-    "facet": ("rule", "max_iter", "tol_feas"),
+    "facet": ("rule", "max_iter", "tol_feas", "trace"),
     "dantzig": ("max_iter",),
     "oracle": (),
 }
@@ -132,7 +132,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (FacetLPError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if _ignored_flag(args, [args.solver]):
+    if _ignored_flag(args, [args.solver], ("rule", "max_iter", "tol_feas", "trace")):
         return EXIT_INPUT_ERROR
 
     rule, max_iter = _rule_and_max_iter(args)
@@ -156,7 +156,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         )
     if out.status is Status.UNBOUNDED and out.certificate is not None:
         print(f"unboundedness certificate: artificial bound facet {out.certificate}")
-    if args.trace is not None and out.trace is not None:
+    if args.trace is not None:
         with open(args.trace, "w") as fh:
             for record in out.trace:
                 fh.write(json.dumps(record.to_json_dict()) + "\n")

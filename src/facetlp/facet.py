@@ -8,17 +8,17 @@ each pivot swaps one violated non-base facet into the base so that the sign
 condition is preserved and the objective never decreases. The first feasible
 iterate is therefore optimal.
 
-Per iteration the factors of the base serve both linear solves: the
+Per iteration the factors of the base serve every linear solve: the
 transpose solve for the entering facet's expansion and, once the pivot has
-replaced a row of them, the solve for the new iterate. One pass of the
+replaced a row of them, the two solves for the new iterate. One pass of the
 ratio test also tells whether the leaving facet is redundant and whether
 infeasibility is certified. A pivot hands the row swap and the expansion to
 ``linalg.replace_row``, which refactors small bases (d below
 ``linalg.INVERSE_MIN_D``) as an LU and updates the inverse of larger ones in
-place, and computes the new residuals A x - b once, for its own check and
-the next pricing. On evidence about x (an updated inverse whose iterate
-fails its residual check) or y_c (drift from A_B^T y_c = c), the pivot
-factors the base afresh and solves the iterate again. A pivot writes one
+place, then solves y_c and x from the new factors and computes the new
+residuals A x - b once, for its own check and the next pricing. When an
+updated inverse gives an x that fails its residual check, the pivot factors
+the base afresh and solves y_c and x again. A pivot writes one
 slot of the :class:`Base` (indices, rows and factors) in place and
 replaces the :class:`SolverState`, which is the iterate; ``solve`` writes
 neither.
@@ -38,7 +38,6 @@ from facetlp.model import StandardGeneralLP, TOL_FEAS_BASE, residuals
 TOL_SIGN = 1e-9
 TOL_LIN = 1e-9
 TOL_OBJ_BASE = 1e-9
-YC_DRIFT_FACTOR = 10.0
 STALL_ITERATIONS = 200
 
 
@@ -299,20 +298,18 @@ def pivot(
     s: int,
     y_p: np.ndarray,
     c: np.ndarray,
-    drift_bound: float,
 ) -> tuple[Base, SolverState]:
     """Swap the facet in slot s (as ``select_leaving`` returns it, so
-    |y_p[s]| > ``TOL_SIGN``) out for facet p; update iterate and expansion.
+    |y_p[s]| > ``TOL_SIGN``) out for facet p; solve the new iterate.
 
     Row p is written into slot s of ``base`` in place, its factors by
-    ``linalg.replace_row`` given y_p, and the new iterate is solved from
-    them. Its residuals A x - b are computed once. One check guards the
-    iterate: if the factors are an updated inverse whose base rows fail
-    the basic-solution tolerance, or the updated y_c is more than
-    ``drift_bound`` off A_B^T y_c = ``c``, the base is factored afresh and
-    y_c, x and the residuals solved again. Returns ``base`` and a new
-    state; ``state`` is left as it was. A singular new base restores row s
-    before raising ``SingularMatrix``.
+    ``linalg.replace_row`` given y_p, and y_c (from ``c``) and x are solved
+    from them. Their residuals A x - b are computed once. One check guards
+    the iterate: if the factors are an updated inverse whose base rows fail
+    the basic-solution tolerance, the base is factored afresh and y_c, x
+    and the residuals solved again. Returns ``base`` and a new state;
+    ``state`` is left as it was. A singular new base restores row s before
+    raising ``SingularMatrix``.
     """
     A_B, b_B = base.A_B, base.b_B
     A_B[s] = sp.A[p]
@@ -331,16 +328,12 @@ def pivot(
     base.indices[s] = p
     base.is_eq[s] = p < sp.m
 
-    ratio = state.y_c[s] / y_p[s]
-    y_c = state.y_c - y_p * ratio
-    y_c[s] = ratio
+    y_c = fact.solve_transpose(c)
     x_new = fact.solve(b_B)
     sigma = residuals(sp, x_new)
     # an updated inverse drifts from the base it stands for, so its iterate
-    # is checked row by row at the basic-solution invariant's tolerance; the
-    # incremental y_c drifts from c whatever the factors
-    x_off = fact.updates and (np.abs(sigma[base.indices]) > TOL_LIN * (1 + np.abs(b_B))).any()
-    if x_off or np.abs(A_B.T @ y_c - c).max() > drift_bound:
+    # is checked row by row at the basic-solution invariant's tolerance
+    if fact.updates and (np.abs(sigma[base.indices]) > TOL_LIN * (1 + np.abs(b_B))).any():
         fact = linalg.factor(A_B)
         y_c = fact.solve_transpose(c)
         x_new = fact.solve(b_B)
@@ -372,7 +365,6 @@ def solve(
         raise NonFiniteData(f"tol_feas must be a nonnegative number, got {tol_feas!r}")
     c = sp.c_original
     c_scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
-    drift_bound = YC_DRIFT_FACTOR * TOL_LIN * c_scale
     row_tols = (
         np.full(sp.num_rows, tol_feas) if tol_feas is not None
         else sp.row_tolerances(TOL_FEAS_BASE)
@@ -432,7 +424,7 @@ def solve(
             row_tols[q] = np.inf
 
         prev_objective = objective
-        base, state = pivot(sp, base, state, p, s, y_p, c, drift_bound)
+        base, state = pivot(sp, base, state, p, s, y_p, c)
         iteration += 1
 
         objective = float(c @ state.x) + offset
@@ -495,10 +487,10 @@ def _audit_pivot(
     if (A_B.tobytes(), b_B.tobytes()) != (sp.A[rows].tobytes(), sp.b[rows].tobytes()):
         audit_log.violations.append(f"iter {k}: owned base rows differ from A[indices]")
 
-    drift = float(np.abs(A_B.T @ state.y_c - sp.c_original).max())
-    if drift > TOL_LIN * c_scale:
+    res = float(np.abs(A_B.T @ state.y_c - sp.c_original).max())
+    if res > TOL_LIN * c_scale:
         audit_log.violations.append(
-            f"iter {k}: expansion residual {drift:.3e} exceeds tolerance"
+            f"iter {k}: expansion residual {res:.3e} exceeds tolerance"
         )
 
     res = float(np.abs(A_B @ state.x - b_B).max())

@@ -13,10 +13,10 @@ up, a factorization holds M^-1, formed from the LU, which ``replace_row``
 multiplies by E^-1 in place, one rank-one update: the caller holds y
 already (the entering facet's expansion), so an update costs no solve, and
 a solve is one matrix product. A tiny y[s] takes a fresh inverse instead,
-as does the solver's per-pivot check, through ``factor``, when y_c drifts
-or an iterate fails its residual check. LAPACK and BLAS are called
-directly (scipy's wrappers' per-call overhead dominates at small d);
-``scripts/inverse_crossover.py`` measures the crossover.
+as does the solver's per-pivot check, through ``factor``, when an iterate
+solved from an updated inverse fails its residual check. LAPACK and BLAS
+are called directly (scipy's wrappers' per-call overhead dominates at
+small d); ``scripts/inverse_crossover.py`` measures the crossover.
 """
 
 from __future__ import annotations

@@ -122,6 +122,19 @@ class TestSolveCommand:
         assert f"{flag.split('=')[0]} applies to the " in captured.err
         assert captured.err.rstrip().endswith(f"only, not {solver}")
 
+    @pytest.mark.parametrize("solver", ["dantzig", "oracle"])
+    def test_trace_with_a_solver_that_ignores_it_is_input_error(
+        self, tmp_path, capsys, solver
+    ):
+        path, trace = tmp_path / "km2.json", tmp_path / "t.jsonl"
+        save_general_lp(klee_minty_v2(3), path)
+        code = main(["solve", str(path), "--solver", solver, "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert f"--trace applies to the facet solver only, not {solver}" in captured.err
+        assert not trace.exists()
+
     @pytest.mark.parametrize("solver", ["facet", "dantzig", "oracle"])
     def test_big_m_that_is_not_positive_and_finite_is_input_error(
         self, tmp_path, capsys, solver

@@ -46,12 +46,6 @@ def _dummy_base(rows, is_eq):
     )
 
 
-def _c_and_drift_bound(sp):
-    """The objective and y_c drift bound that ``solve`` hands each pivot."""
-    c = sp.c_original
-    return c, facet.YC_DRIFT_FACTOR * facet.TOL_LIN * (1.0 + float(np.max(np.abs(c))))
-
-
 class TestInitialState:
     def test_cube_start_sits_at_artificial_corner(self):
         sp = to_standard_general(klee_minty_v2(3))
@@ -282,7 +276,7 @@ class TestPivot:
         y_p = expand_entering(base, sp.A[0])
         x_before = state.x.copy()
         obj_before = float(sp.c_original @ state.x)
-        new_base, new_state = pivot(sp, base, state, 0, 0, y_p, *_c_and_drift_bound(sp))
+        new_base, new_state = pivot(sp, base, state, 0, 0, y_p, sp.c_original)
         np.testing.assert_allclose(new_state.x, x_before, atol=1e-12)
         assert float(sp.c_original @ new_state.x) == pytest.approx(obj_before)
 
@@ -295,7 +289,7 @@ class TestPivot:
         sp.b[0] = sp.b[base.indices[1]]
         indices, A_B, b_B = base.indices.copy(), base.A_B.copy(), base.b_B.copy()
         with pytest.raises(SingularMatrix):
-            pivot(sp, base, state, 0, 0, np.array([1.0, 1.0, 0.0]), *_c_and_drift_bound(sp))
+            pivot(sp, base, state, 0, 0, np.array([1.0, 1.0, 0.0]), sp.c_original)
         np.testing.assert_array_equal(base.indices, indices)
         assert base.A_B.tobytes() == A_B.tobytes() == sp.A[indices].tobytes()
         assert base.b_B.tobytes() == b_B.tobytes() == sp.b[indices].tobytes()
@@ -321,7 +315,8 @@ class TestPivot:
     @pytest.mark.parametrize("cube, d", [(klee_minty_v1, 16), (klee_minty_v2, 19)])
     def test_iterate_is_the_one_solve_of_its_base(self, monkeypatch, cube, d):
         """Each pivot makes exactly one plain solve, and the new iterate is
-        the basic solution of the new base's factors, bit for bit."""
+        the basic solution and objective expansion of the new base's
+        factors, bit for bit."""
         sp = to_standard_general(cube(d))
         base, state = initial_state(sp)
         solve_rhs = []
@@ -337,15 +332,17 @@ class TestPivot:
             y_p = expand_entering(base, sp.A[p])
             s, _ = select_leaving(p, float(state.sigma[p]), y_p, state.y_c, base)
             solve_rhs.clear()
-            base, state = pivot(sp, base, state, p, s, y_p, *_c_and_drift_bound(sp))
+            base, state = pivot(sp, base, state, p, s, y_p, sp.c_original)
             pivots += 1
             assert len(solve_rhs) == 1, pivots
             assert state.x.tobytes() == base.fact.solve(base.b_B).tobytes(), pivots
+            y_c = base.fact.solve_transpose(sp.c_original)
+            assert state.y_c.tobytes() == y_c.tobytes(), pivots
         assert pivots == d
 
     def test_incremental_expansion_matches_from_scratch(self):
-        """Walk the pivot loop manually; after each step the incrementally
-        updated y_c must match a fresh transpose solve to 1e-9."""
+        """Walk the pivot loop manually; after each step the residuals are
+        those of x, and y_c is the transpose solve of the new factors."""
         rng = np.random.default_rng(13)
         for seed in range(10):
             p = random_instance(seed, 3, 1, 4, "feasible")
@@ -360,10 +357,10 @@ class TestPivot:
                 if check_infeasible(sp, row, float(sigma[row]), y_p, base):
                     break
                 slot, _ = select_leaving(row, float(sigma[row]), y_p, state.y_c, base)
-                base, state = pivot(sp, base, state, row, slot, y_p, *_c_and_drift_bound(sp))
+                base, state = pivot(sp, base, state, row, slot, y_p, sp.c_original)
                 np.testing.assert_array_equal(state.sigma, sp.A @ state.x - sp.b)
                 fresh = base.fact.solve_transpose(sp.c_original)
-                np.testing.assert_allclose(state.y_c, fresh, atol=1e-9)
+                np.testing.assert_array_equal(state.y_c, fresh)
 
 
 class TestRedundancyDetection:
@@ -581,11 +578,12 @@ class TestBaseFactorizationPaths:
 
     def test_checks_refresh_a_corrupted_inverse(self, monkeypatch):
         # the inverse returned by the 100th update (of 261) is shifted by
-        # 1e-6 or 1e-9 times max|inv| in every entry: the next pivot's
-        # iterate fails the residual check, so the factors and y_c are
-        # rebuilt and the solve ends where the clean one does. The 1e-9 drift
-        # of y_c stays below the drift check's trigger but above the audit's
-        # tolerance, so only the fallback's own y_c refresh clears it
+        # 1e-6 or 1e-9 times max|inv| in every entry: the x solved from it
+        # fails the residual check, so that pivot factors the base afresh
+        # and solves y_c and x again, and the solve ends where the clean one
+        # does. The y_c solved from the shifted inverse is off c by about
+        # 2.6e4 times the audit's tolerance at 1e-9, so a clean audit shows
+        # that the rebuild replaced it too
         sp = to_standard_general(_dense_lp(0, 80))
         factor, replace_row = linalg.factor, linalg.replace_row
         calls = {"factor": 0, "replace_row": 0}
@@ -617,44 +615,49 @@ class TestBaseFactorizationPaths:
     @pytest.mark.parametrize(
         "lp", [klee_minty_v1(16), _dense_lp(0, 40)], ids=["km1-16", "dense-40"]
     )
-    def test_drifted_y_c_is_rebuilt_by_the_next_pivot(self, monkeypatch, lp):
+    def test_pushed_y_c_is_not_carried_into_the_next_pivot(self, monkeypatch, lp):
         # one pivot mid-solve hands back y_c with A_B^T y_c off c by 1e-6 *
-        # c_scale; the update carries that error on exactly, so the next
-        # pivot's drift check factors the base afresh and solves y_c again
+        # c_scale; the next pivot solves y_c from its factors afresh, so the
+        # error ends there without a rebuild
         sp = to_standard_general(lp)
-        c_scale = 1.0 + float(np.max(np.abs(sp.c_original)))
+        c = sp.c_original
+        c_scale = 1.0 + float(np.max(np.abs(c)))
         factor, real_pivot = linalg.factor, facet.pivot
         # entry k counts the factorizations of pivot k, entry 0 the start's
         factors_per_pivot = [0]
+        fresh_y_c = []
 
         def counting_factor(m):
             factors_per_pivot[-1] += 1
             return factor(m)
 
-        def pivot_drifting_once(*args):
+        def pivot_pushing_once(*args):
             factors_per_pivot.append(0)
             base, state = real_pivot(*args)
-            if len(factors_per_pivot) == drift_at + 1:
+            fresh = base.fact.solve_transpose(c)
+            fresh_y_c.append(state.y_c.tobytes() == fresh.tobytes())
+            if len(factors_per_pivot) == push_at + 1:
                 i = int((~base.is_eq & (state.y_c > 0)).nonzero()[0][0])
                 state.y_c[i] += 1e-6 * c_scale / np.abs(base.A_B[i]).max()
             return base, state
 
         monkeypatch.setattr(linalg, "factor", counting_factor)
-        monkeypatch.setattr(facet, "pivot", pivot_drifting_once)
-        drift_at = 0
+        monkeypatch.setattr(facet, "pivot", pivot_pushing_once)
+        push_at = 0
         clean = solve(sp, audit=True)
         clean_factors = factors_per_pivot
-        drift_at, factors_per_pivot = clean.iterations // 2, [0]
+        push_at, factors_per_pivot, fresh_y_c = clean.iterations // 2, [0], []
         out = solve(sp, audit=True)
-        assert 0 < drift_at < out.iterations
-        assert factors_per_pivot[drift_at + 1] == clean_factors[drift_at + 1] + 1
-        assert factors_per_pivot[: drift_at + 1] == clean_factors[: drift_at + 1]
+        assert 0 < push_at < out.iterations
+        assert len(fresh_y_c) == out.iterations and all(fresh_y_c)
+        assert factors_per_pivot == clean_factors
         assert out.audit.violations
-        assert all(v.startswith(f"iter {drift_at}: expansion residual")
+        assert all(v.startswith(f"iter {push_at}: expansion residual")
                    for v in out.audit.violations)
         assert out.status is clean.status is Status.OPTIMAL
         assert out.iterations == clean.iterations
-        assert abs(out.objective - clean.objective) <= 1e-12 * (1.0 + abs(clean.objective))
+        assert out.basis_rows == clean.basis_rows
+        assert _bits(out.objective) == _bits(clean.objective)
 
     def test_kb2_shaped_fixture_keeps_its_pivot_count(self, fixtures_dir):
         sp = to_standard_general(read_mps(fixtures_dir / "kb2_shape.mps"))
@@ -716,7 +719,6 @@ def _gather_select_entering(sp, base, state, rule, sigma, row_tols, row_norms):
 
 def _gather_pivot(sp, base, state, p, q, y_p, tol_lin=facet.TOL_LIN):
     s = base.slot_of(q)
-    ratio = state.y_c[s] / y_p[s]
     indices = base.indices.copy()
     is_eq = base.is_eq.copy()
     indices[s] = p
@@ -730,16 +732,11 @@ def _gather_pivot(sp, base, state, p, q, y_p, tol_lin=facet.TOL_LIN):
     if fact.updates and np.any(residual > tol_lin * (1.0 + np.abs(b_new))):
         fact = linalg.factor(m_new) if fact.updates else fact
         x_new = fact.solve(b_new)
-    y_c = state.y_c - y_p * ratio
-    y_c[s] = ratio
+    y_c = fact.solve_transpose(sp.c_original)
     return Base(indices=indices, is_eq=is_eq, A_B=m_new, b_B=b_new, fact=fact), _GatherState(
         x=x_new, y_c=y_c, iteration=state.iteration + 1,
         removed_rows=state.removed_rows, trace=state.trace,
     )
-
-
-def _gather_residual(sp, base, y_c):
-    return float(np.max(np.abs(sp.A[base.indices].T @ y_c - sp.c_original)))
 
 
 def _gather_audit(sp, base, state, prev_objective, objective, c_scale, log, seen):
@@ -748,9 +745,9 @@ def _gather_audit(sp, base, state, prev_objective, objective, c_scale, log, seen
     y_ineq = state.y_c[~base.is_eq]
     if y_ineq.size and float(y_ineq.min()) < -facet.TOL_SIGN:
         log.violations.append(f"iter {k}: sign maintenance broken, min y_c={y_ineq.min():.3e}")
-    drift = _gather_residual(sp, base, state.y_c)
-    if drift > facet.TOL_LIN * c_scale:
-        log.violations.append(f"iter {k}: expansion residual {drift:.3e} exceeds tolerance")
+    res = float(np.max(np.abs(sp.A[base.indices].T @ state.y_c - sp.c_original)))
+    if res > facet.TOL_LIN * c_scale:
+        log.violations.append(f"iter {k}: expansion residual {res:.3e} exceeds tolerance")
     b_base = sp.b[base.indices]
     res = float(np.max(np.abs(sp.A[base.indices] @ state.x - b_base)))
     allowed = facet.TOL_LIN * (1.0 + float(np.max(np.abs(b_base), initial=0.0)))
@@ -824,11 +821,6 @@ def _gather_solve(sp, rule, max_iter=10_000, *, collect_trace=False, audit=False
             state.removed_rows.add(q)
         prev_objective = objective
         base, state = _gather_pivot(sp, base, state, p, q, y_p)
-        drift = _gather_residual(sp, base, state.y_c)
-        if drift > facet.YC_DRIFT_FACTOR * facet.TOL_LIN * c_scale:
-            fact, m = base.fact, sp.A[base.indices]
-            base.fact = linalg.factor(m) if fact.updates else fact
-            state.y_c = base.fact.solve_transpose(sp.c_original)
         objective = float(c @ state.x) + offset
         if state.trace is not None:
             state.trace.append(facet.TraceRecord(
