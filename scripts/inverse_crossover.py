@@ -1,15 +1,15 @@
 """Per-pivot cost of the two ways ``facetlp.linalg`` absorbs a row swap.
 
 A pivot asks of ``linalg`` what ``facet.pivot`` asks: ``solve_transpose``
-for the entering facet's expansion y, ``replace_row`` with y, then
-``solve_transpose`` of the objective and ``solve`` of the new base's
-right-hand side for the iterate's y_c and x. For each dimension d, a
-fixed-length chain of pivots on random integer bases is timed on both
-paths, interleaved round by round so that drift in the host's speed hits
-both:
+for the entering facet's expansion y, ``replace_row`` with y (or, where
+it declines, ``factor`` of the new base), then ``solve_transpose`` of the
+objective and ``solve`` of the new base's right-hand side for the
+iterate's y_c and x. For each dimension d, a fixed-length chain of pivots
+on random integer bases is timed on both paths, interleaved round by round
+so that drift in the host's speed hits both:
 
-- LU: every ``replace_row`` factors the new base from scratch (getrf) and
-  every solve is one getrs;
+- LU: ``replace_row`` declines, so every pivot factors the new base from
+  scratch (getrf) and every solve is one getrs;
 - inverse: every ``replace_row`` updates the inverse in place (one ger) and
   every solve is one gemv. Each chain starts from a fresh inverse (getrf
   plus getri) outside the timing: the solver takes one only when a failed
@@ -71,7 +71,7 @@ def _per_pivot_us(begin, c, steps, reps: int) -> float:
         t0 = time.perf_counter()
         for slot, row, m_new, b_new in steps:
             y = f.solve_transpose(row)
-            f = linalg.replace_row(f, slot, y, m_new)
+            f = linalg.replace_row(f, slot, y) or linalg.factor(m_new)
             f.solve_transpose(c)
             f.solve(b_new)
         elapsed += time.perf_counter() - t0

@@ -16,6 +16,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -283,6 +284,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
     rule, max_iter = _rule_and_max_iter(args)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+    if not kinds or not set(kinds) <= set(generators.RANDOM_KINDS):
+        print(f"error: --kinds takes a list from {','.join(generators.RANDOM_KINDS)}",
+              file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.count < 1:
+        print("error: --count must be at least 1", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     mismatches: list[tuple[str, int, str]] = []
     checked = 0
     for kind in kinds:
@@ -315,8 +323,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY_MISMATCH if mismatches else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 5 on a usage error, not argparse's 2, which is the exit code of
+    an infeasible solve. Subcommand parsers take the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="facetlp",
         description="Facet pivot LP solver and benchmark harness",
     )
@@ -348,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--m", type=int, default=0)
     p_gen.add_argument("--n", type=int, default=4)
-    p_gen.add_argument("--kind", default="feasible",
-                       choices=["feasible", "infeasible", "unbounded"])
+    p_gen.add_argument("--kind", default="feasible", choices=generators.RANDOM_KINDS)
     p_gen.add_argument("--fixture", default=None,
                        choices=list(generators.CYCLING_FIXTURE_IDS))
     p_gen.add_argument("-o", "--output", default=None)

@@ -13,15 +13,16 @@ transpose solve for the entering facet's expansion and, once the pivot has
 replaced a row of them, the two solves for the new iterate. One pass of the
 ratio test also tells whether the leaving facet is redundant and whether
 infeasibility is certified. A pivot hands the row swap and the expansion to
-``linalg.replace_row``, which refactors small bases (d below
-``linalg.INVERSE_MIN_D``) as an LU and updates the inverse of larger ones in
-place, then solves y_c and x from the new factors and computes the new
-residuals A x - b once, for its own check and the next pricing. When an
-updated inverse gives an x that fails its residual check, the pivot factors
-the base afresh and solves y_c and x again. A pivot writes one
-slot of the :class:`Base` (indices, rows and factors) in place and
-replaces the :class:`SolverState`, which is the iterate; ``solve`` writes
-neither.
+``linalg.replace_row``, which updates the inverse of a large base in place;
+a small base (d below ``linalg.INVERSE_MIN_D``) it declines, and the pivot
+factors the rows the new indices name as an LU. It then solves y_c and x
+from the new factors and computes the new residuals A x - b once, for its
+own check and the next pricing. When an updated inverse gives an x that
+fails its residual check, the pivot factors the base afresh and solves y_c
+and x again. A :class:`Base` is its row indices and their factors; rows
+and rhs are read from the problem through the indices. A pivot writes one
+slot of the base in place and replaces the :class:`SolverState`, which is
+the iterate; ``solve`` writes neither.
 """
 
 from __future__ import annotations
@@ -56,21 +57,13 @@ class Status(Enum):
 
 @dataclass
 class Base:
-    """The d facets of the base in slot order: indices, equality flags, rows
-    ``A_B`` (C-ordered), rhs ``b_B`` and the factors of ``A_B``. Owned by
-    one solve; a pivot writes slot s of each in place."""
+    """The d facets of the base in slot order: their row indices, equality
+    flags and the factors of A_B = ``sp.A[indices]``. Owned by one solve; a
+    pivot writes slot s of each in place."""
 
     indices: np.ndarray
     is_eq: np.ndarray
-    A_B: np.ndarray
-    b_B: np.ndarray
     fact: linalg.SquareFactorization
-
-    def slot_of(self, row: int) -> int:
-        slots = (self.indices == row).nonzero()[0]
-        if slots.size != 1:
-            raise KeyError(f"row {row} is not in the base")
-        return int(slots[0])
 
 
 @dataclass
@@ -156,11 +149,9 @@ def initial_state(sp: StandardGeneralLP) -> tuple[Base, SolverState]:
     the expansion coefficients are the nonnegative adjusted objective."""
     d = sp.d
     rows = np.arange(sp.m + sp.n, sp.m + sp.n + d)
-    A_B = np.ascontiguousarray(sp.A[rows])
-    b_B = sp.b[rows]
-    fact = linalg.factor(A_B)
-    x0 = fact.solve(b_B)
-    base = Base(rows, np.zeros(d, dtype=bool), A_B, b_B, fact)
+    fact = linalg.factor(sp.A[rows])
+    x0 = fact.solve(sp.b[rows])
+    base = Base(rows, np.zeros(d, dtype=bool), fact)
     return base, SolverState(x0, sp.c_bar.astype(float).copy(), residuals(sp, x0))
 
 
@@ -280,11 +271,10 @@ def select_leaving(
     return int(tied[base.indices[tied].argmin()]), slots.size == 1
 
 
-def detect_leaving_redundant(q: int, y_p: np.ndarray, base: Base) -> bool:
-    """True when every other inequality member has a nonpositive expansion
-    entry, which proves the leaving facet can never bind again. The solve
-    reads the same test off ``select_leaving``."""
-    s = base.slot_of(q)
+def detect_leaving_redundant(s: int, y_p: np.ndarray, base: Base) -> bool:
+    """True when every inequality member but the one in the leaving slot s
+    has a nonpositive expansion entry, which proves the leaving facet can
+    never bind again. The solve reads the same test off ``select_leaving``."""
     others = ~base.is_eq
     others[s] = False
     return bool((y_p[others] <= TOL_SIGN).all())
@@ -302,39 +292,37 @@ def pivot(
     """Swap the facet in slot s (as ``select_leaving`` returns it, so
     |y_p[s]| > ``TOL_SIGN``) out for facet p; solve the new iterate.
 
-    Row p is written into slot s of ``base`` in place, its factors by
-    ``linalg.replace_row`` given y_p, and y_c (from ``c``) and x are solved
-    from them. Their residuals A x - b are computed once. One check guards
-    the iterate: if the factors are an updated inverse whose base rows fail
-    the basic-solution tolerance, the base is factored afresh and y_c, x
-    and the residuals solved again. Returns ``base`` and a new state;
-    ``state`` is left as it was. A singular new base restores row s before
-    raising ``SingularMatrix``.
+    Index p is written into slot s of ``base`` in place, and its factors
+    are ``linalg.replace_row``'s update given y_p or, where that declines,
+    the rows ``sp.A[base.indices]`` factored afresh. y_c (from ``c``) and x
+    are solved from them, and their residuals A x - b computed once. One
+    check guards the iterate: if the factors are an updated inverse whose
+    base rows fail the basic-solution tolerance, the base is factored
+    afresh and y_c, x and the residuals solved again. Returns ``base`` and
+    a new state; ``state`` is left as it was. A singular new base restores
+    index s before raising ``SingularMatrix``.
     """
-    A_B, b_B = base.A_B, base.b_B
-    A_B[s] = sp.A[p]
-    b_B[s] = sp.b[p]
-    fact = linalg.replace_row(base.fact, s, y_p, A_B)
+    q = base.indices[s]
+    base.indices[s] = p
+    fact = linalg.replace_row(base.fact, s, y_p) or linalg.factor(sp.A[base.indices])
     if fact.singular:
-        q = base.indices[s]
-        A_B[s] = sp.A[q]
-        b_B[s] = sp.b[q]
+        base.indices[s] = q
         raise SingularMatrix(
             f"pivot {p}<->{q} produced a singular base, which the independence "
             f"property rules out; numerical breakdown at diagonal entry "
             f"{fact.bad_pivot_index}",
             fact.bad_pivot_index,
         )
-    base.indices[s] = p
     base.is_eq[s] = p < sp.m
 
+    b_B = sp.b[base.indices]
     y_c = fact.solve_transpose(c)
     x_new = fact.solve(b_B)
     sigma = residuals(sp, x_new)
     # an updated inverse drifts from the base it stands for, so its iterate
     # is checked row by row at the basic-solution invariant's tolerance
     if fact.updates and (np.abs(sigma[base.indices]) > TOL_LIN * (1 + np.abs(b_B))).any():
-        fact = linalg.factor(A_B)
+        fact = linalg.factor(sp.A[base.indices])
         y_c = fact.solve_transpose(c)
         x_new = fact.solve(b_B)
         sigma = residuals(sp, x_new)
@@ -355,7 +343,7 @@ def solve(
     """Run the facet pivot loop to a terminal status.
 
     ``tol_feas`` overrides the per-row violation tolerances with one
-    absolute value, which must be nonnegative. ``audit`` checks the five
+    absolute value, which must be nonnegative. ``audit`` checks the four
     runtime invariants after every pivot and records base index sets to
     detect revisits. After ``STALL_ITERATIONS`` pivots without objective
     progress the rule switches to the least-index rule, whose termination
@@ -483,10 +471,9 @@ def _audit_pivot(
             f"iter {k}: sign maintenance broken, min y_c={y_ineq.min():.3e}"
         )
 
-    A_B, b_B, rows = base.A_B, base.b_B, base.indices
-    if (A_B.tobytes(), b_B.tobytes()) != (sp.A[rows].tobytes(), sp.b[rows].tobytes()):
-        audit_log.violations.append(f"iter {k}: owned base rows differ from A[indices]")
-
+    # the rows the indices name, so an index the factors do not stand for
+    # shows as a residual
+    A_B, b_B = sp.A[base.indices], sp.b[base.indices]
     res = float(np.abs(A_B.T @ state.y_c - sp.c_original).max())
     if res > TOL_LIN * c_scale:
         audit_log.violations.append(

@@ -159,6 +159,9 @@ def _nonzero_rows(rng: np.random.Generator, rows: int, cols: int,
     return A
 
 
+RANDOM_KINDS = ("feasible", "infeasible", "unbounded")
+
+
 def random_instance(
     seed: int, d: int, m: int, n: int, kind: str = "feasible"
 ) -> GeneralLP:
@@ -172,7 +175,7 @@ def random_instance(
     """
     if d > 8:
         raise SizeOutOfRange("random instances are capped at d <= 8 for the oracle")
-    if kind not in ("feasible", "infeasible", "unbounded"):
+    if kind not in RANDOM_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     rng = np.random.default_rng(seed)
 

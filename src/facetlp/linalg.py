@@ -7,14 +7,16 @@ matrix.
 
 A pivot replaces row s of the base M by a^T, which gives E M with E the
 identity whose row s is y^T, y = M^-T a. Below ``INVERSE_MIN_D`` a
-factorization is an LU with partial pivoting that ``replace_row`` takes
-from scratch, so every result keeps the bits of a plain LU solve. From it
-up, a factorization holds M^-1, formed from the LU, which ``replace_row``
+factorization is an LU with partial pivoting, which ``replace_row``
+declines to update, so the caller factors the new matrix from scratch and
+every result keeps the bits of a plain LU solve. From it up, a
+factorization holds M^-1, formed from the LU, which ``replace_row``
 multiplies by E^-1 in place, one rank-one update: the caller holds y
 already (the entering facet's expansion), so an update costs no solve, and
-a solve is one matrix product. A tiny y[s] takes a fresh inverse instead,
-as does the solver's per-pivot check, through ``factor``, when an iterate
-solved from an updated inverse fails its residual check. LAPACK and BLAS
+a solve is one matrix product. A tiny y[s] is declined too, and takes a
+fresh inverse, as does the solver's per-pivot check, through ``factor``,
+when an iterate solved from an updated inverse fails its residual check.
+Only ``factor`` reads matrix entries. LAPACK and BLAS
 are called directly (scipy's wrappers' per-call overhead dominates at
 small d); ``scripts/inverse_crossover.py`` measures the crossover.
 """
@@ -116,23 +118,24 @@ def factor(m: np.ndarray) -> SquareFactorization:
 
 
 def replace_row(
-    f: SquareFactorization, slot: int, y: np.ndarray, m_new: np.ndarray
-) -> SquareFactorization:
-    """Factors of ``m_new``, the factored matrix M with row ``slot`` replaced
-    by a^T, given ``y`` = M^-T a: the inverse of ``f`` updated in place, which
-    consumes ``f`` (a copy would cost what the update saves), or a fresh
-    factorization below ``INVERSE_MIN_D`` or when |y[slot]| is at most
-    ``NEAR_SINGULAR_FACTOR * TOL_PIVOT`` times max |y|."""
+    f: SquareFactorization, slot: int, y: np.ndarray
+) -> SquareFactorization | None:
+    """Factors of the factored matrix M with row ``slot`` replaced by a^T,
+    given ``y`` = M^-T a: the inverse of ``f`` updated in place, which
+    consumes ``f`` (a copy would cost what the update saves). None, with
+    ``f`` untouched, when ``f`` holds no inverse (below ``INVERSE_MIN_D``)
+    or |y[slot]| is at most ``NEAR_SINGULAR_FACTOR * TOL_PIVOT`` times
+    max |y|; the caller then factors the new matrix afresh."""
+    if f.inv is None:
+        return None
     d = f.dimension
-    if d < INVERSE_MIN_D:
-        return factor(m_new)
     y = np.asarray(y, dtype=float)
     if y.shape != (d,):
         raise DimensionMismatch(f"expansion of shape {y.shape}, dimension {d}")
     pivot = y[slot]
-    # written so that a NaN or infinite y also takes the fresh factorization
+    # written so that a NaN or infinite y also declines
     if not abs(pivot) > NEAR_SINGULAR_FACTOR * TOL_PIVOT * np.abs(y).max():
-        return factor(m_new)
+        return None
     # M_new^-1 = M^-1 E^-1 = M^-1 (I + e_s h^T); ger must not read the
     # column it writes
     h = y / -pivot

@@ -172,20 +172,20 @@ def _run_simplex(
     bland: bool,
     max_pivots: int,
     audit: SolveAudit | None,
-) -> tuple[str, int]:
+) -> tuple[Status, int]:
     pivots = 0
     while pivots < max_pivots:
         col = _enter_column(t, allowed, bland)
         if col is None:
-            return "optimal", pivots
+            return Status.OPTIMAL, pivots
         row = _leave_row(t, col, bland)
         if row is None:
-            return "unbounded", pivots
+            return Status.UNBOUNDED, pivots
         t.pivot(row, col)
         pivots += 1
         if audit is not None:
             audit.record(t.basis)
-    return "limit", pivots
+    return Status.ITERATION_LIMIT, pivots
 
 
 def dantzig_solve(
@@ -230,68 +230,50 @@ def dantzig_solve(
     t = _Tableau(T=T, basis=basis)
     audit_log = SolveAudit(seen={frozenset(t.basis.tolist())}) if audit else None
 
-    phase1 = 0
+    # without artificials the start basis is feasible: phase 1 is done
+    status, phase1, phase2 = Status.OPTIMAL, 0, 0
     if n_art:
         cost1 = np.zeros(N + n_art)
         cost1[N:] = 1.0
         t.price_out(cost1)
         status, phase1 = _run_simplex(t, N + n_art, bland, max_iter, audit_log)
-        if status == "limit":
-            return SolveOutcome(
-                status=Status.ITERATION_LIMIT, x_opt=None, objective=None,
-                iterations=phase1, audit=audit_log,
-                phase1_iterations=phase1, phase2_iterations=0,
-            )
-        if t.T[0, -1] < -TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
-            # phase-1 objective is -sum(artificials) in the rhs cell
-            x = sf.project(t.solution()[:N])
-            return SolveOutcome(
-                status=Status.INFEASIBLE, x_opt=x, objective=None,
-                iterations=phase1, audit=audit_log,
-                phase1_iterations=phase1, phase2_iterations=0,
-            )
-        # drive leftover artificials out of the basis, dropping redundant rows
-        drop: list[int] = []
-        for i in range(k):
-            if t.basis[i] < N:
-                continue
-            row = t.T[1 + i, :N]
-            cands = np.flatnonzero(np.abs(row) > TOL)
-            if cands.size:
-                t.pivot(i, int(cands[0]))
-            else:
-                drop.append(1 + i)
-        if drop:
-            keep = [r for r in range(t.T.shape[0]) if r not in drop]
-            t.T = t.T[keep]
-            t.basis = np.array(
-                [t.basis[i] for i in range(k) if (1 + i) not in drop], dtype=int
-            )
-            k = t.basis.size
+        # phase-1 objective is -sum(artificials) in the rhs cell
+        infeasible = t.T[0, -1] < -TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
+        if status is Status.OPTIMAL and infeasible:
+            status = Status.INFEASIBLE
+        if status is Status.OPTIMAL:
+            # drive leftover artificials out of the basis, dropping redundant rows
+            drop: list[int] = []
+            for i in range(k):
+                if t.basis[i] < N:
+                    continue
+                row = t.T[1 + i, :N]
+                cands = np.flatnonzero(np.abs(row) > TOL)
+                if cands.size:
+                    t.pivot(i, int(cands[0]))
+                else:
+                    drop.append(1 + i)
+            if drop:
+                keep = [r for r in range(t.T.shape[0]) if r not in drop]
+                t.T = t.T[keep]
+                t.basis = np.array(
+                    [t.basis[i] for i in range(k) if (1 + i) not in drop], dtype=int
+                )
 
-    t.T[:, N : N + n_art] = 0.0  # retire artificial columns
-    t.price_out(np.concatenate([sf.c, np.zeros(n_art)]))
-    status, phase2 = _run_simplex(t, N, bland, max_iter - phase1, audit_log)
+    if status is Status.OPTIMAL:
+        t.T[:, N : N + n_art] = 0.0  # retire artificial columns
+        t.price_out(np.concatenate([sf.c, np.zeros(n_art)]))
+        status, phase2 = _run_simplex(t, N, bland, max_iter - phase1, audit_log)
 
-    iterations = phase1 + phase2
-    if status == "limit":
-        return SolveOutcome(
-            status=Status.ITERATION_LIMIT, x_opt=None, objective=None,
-            iterations=iterations, audit=audit_log,
-            phase1_iterations=phase1, phase2_iterations=phase2,
-        )
-    x_std = t.solution()[:N]
-    x = sf.project(x_std)
-    if status == "unbounded":
-        return SolveOutcome(
-            status=Status.UNBOUNDED, x_opt=x, objective=None,
-            iterations=iterations, audit=audit_log,
-            phase1_iterations=phase1, phase2_iterations=phase2,
-        )
-    objective = float(sf.c @ x_std) + sf.objective_offset
+    x_opt = objective = None
+    if status is not Status.ITERATION_LIMIT:
+        x_std = t.solution()[:N]
+        x_opt = sf.project(x_std)
+        if status is Status.OPTIMAL:
+            objective = float(sf.c @ x_std) + sf.objective_offset
     return SolveOutcome(
-        status=Status.OPTIMAL, x_opt=x, objective=objective,
-        iterations=iterations, audit=audit_log,
+        status=status, x_opt=x_opt, objective=objective,
+        iterations=phase1 + phase2, audit=audit_log,
         phase1_iterations=phase1, phase2_iterations=phase2,
     )
 

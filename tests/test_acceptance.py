@@ -90,8 +90,8 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_runtime_invariants_on_criteria_1_to_3():
     """Re-run every facet solve from criteria 1-3 with the per-pivot audit:
-    sign maintenance, owned base rows, expansion consistency, basic-solution
-    residual, and objective monotonicity must never trip."""
+    sign maintenance, expansion consistency, basic-solution residual and
+    objective monotonicity must never trip."""
     t0 = time.perf_counter()
     violations_total = 0
     pivots_total = 0
@@ -111,7 +111,7 @@ def test_criterion_4_runtime_invariants_on_criteria_1_to_3():
             pivots_total += out.audit.pivots_checked
     elapsed = time.perf_counter() - t0
     ok = violations_total == 0 and pivots_total > 0
-    _report(4, ok, f"5 invariants on {pivots_total} audited pivots, "
+    _report(4, ok, f"4 invariants on {pivots_total} audited pivots, "
                    f"{violations_total} violations ({elapsed:.1f}s)")
 
 

@@ -38,6 +38,27 @@ def _read_csv(path):
     return comments, rows
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "km2.json", "--rule", "bogus"],
+        ["solve", "km2.json", "--max-iter", "1.5"],
+        ["bench", "--suite", "km1", "--sizes", "a:b"],
+    ], ids=["rule", "max-iter", "sizes"])
+    def test_usage_error_is_input_error_not_infeasible(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_INPUT_ERROR != EXIT_INFEASIBLE
+        assert captured.out == "" and "error: argument" in captured.err
+
+    @pytest.mark.parametrize("command", [[], ["solve"], ["verify"]])
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestSolveCommand:
     def test_km2_d10_facet(self, km2_d10, capsys):
         code = main(["solve", str(km2_d10)])
@@ -409,6 +430,17 @@ class TestVerifyCommand:
         assert code == 0
         assert "0 mismatches" in out
         assert "verified 60 instances" in out
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--kinds", "bogus"], "--kinds"),
+        (["--kinds", ","], "--kinds"),
+        (["--count", "0"], "--count"),
+    ], ids=["unknown-kind", "no-kind", "no-seed"])
+    def test_selection_that_checks_nothing_valid_is_input_error(self, capsys, flags, flag):
+        code = main(["verify", "--d", "3", "--n", "4", *flags])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.out == "" and captured.err.startswith(f"error: {flag} ")
 
     def test_tol_feas_is_input_error(self, capsys):
         code = main(["verify", "--count", "1", "--d", "3", "--n", "4", "--tol-feas=1e-6"])

@@ -88,7 +88,7 @@ def test_shape_errors():
                     solve(bad)
         if f.updates:
             with pytest.raises(DimensionMismatch):
-                linalg.replace_row(f, 0, np.ones(d + 1), np.eye(d))
+                linalg.replace_row(f, 0, np.ones(d + 1))
 
 
 def test_empty_matrix_is_refused():
@@ -110,11 +110,13 @@ def _well_conditioned(rng, d, diagonal=20.0):
 
 def _replace(rng, f, m, slot, diagonal=20.0):
     """Replace row ``slot`` of ``m`` by a random row with ``diagonal`` added
-    at the slot, as a pivot does: the expansion y comes from ``f``."""
+    at the slot, as a pivot does: the expansion y comes from ``f``, and
+    ``m_new`` is factored afresh where ``replace_row`` declines."""
     m_new = m.copy()
     m_new[slot] = rng.integers(-9, 10, size=m.shape[0])
     m_new[slot, slot] += diagonal
-    return linalg.replace_row(f, slot, f.solve_transpose(m_new[slot]), m_new), m_new
+    f = linalg.replace_row(f, slot, f.solve_transpose(m_new[slot]))
+    return f or linalg.factor(m_new), m_new
 
 
 def _updated(rng, count, d=linalg.INVERSE_MIN_D):
@@ -132,7 +134,9 @@ def test_replace_row_below_crossover_matches_a_fresh_factorization_bitwise():
     rng = np.random.default_rng(5)
     d = linalg.INVERSE_MIN_D - 1
     m = _well_conditioned(rng, d)
-    g, m_new = _replace(rng, linalg.factor(m), m, 4)
+    f = linalg.factor(m)
+    assert linalg.replace_row(f, 4, np.ones(d)) is None
+    g, m_new = _replace(rng, f, m, 4)
     fresh = linalg.factor(m_new)
     np.testing.assert_array_equal(g.lu, fresh.lu)
     np.testing.assert_array_equal(g.piv, fresh.piv)
@@ -153,15 +157,15 @@ def test_replace_row_consumes_its_argument_only_when_it_updates():
     assert not np.array_equal(f.inv, held)
     np.testing.assert_array_equal(f.solve(r), g.solve(r))
     assert np.max(np.abs(m_new @ f.solve(r) - r)) <= 1e-10
-    # a fresh factorization, for a tiny y[s] or below the crossover, leaves
-    # the argument as it was
+    # declining, for a tiny y[s] or below the crossover, leaves the argument
+    # as it was
     f = linalg.factor(m)
     held = f.inv.copy()
-    assert linalg.replace_row(f, 4, np.zeros(d), m_new).updates == 0
+    assert linalg.replace_row(f, 4, np.zeros(d)) is None
     np.testing.assert_array_equal(f.inv, held)
     f = linalg.factor(m[:-1, :-1])
     held = f.lu.copy()
-    linalg.replace_row(f, 4, np.ones(d - 1), m_new[:-1, :-1])
+    assert linalg.replace_row(f, 4, np.ones(d - 1)) is None
     np.testing.assert_array_equal(f.lu, held)
 
 
@@ -195,7 +199,8 @@ def test_replacing_a_row_by_a_copy_of_another_is_singular(d):
     f, m = _updated(rng, 2, d)
     m_new = m.copy()
     m_new[3] = m[7]
-    g = linalg.replace_row(f, 3, f.solve_transpose(m_new[3]), m_new)
+    assert linalg.replace_row(f, 3, f.solve_transpose(m_new[3])) is None
+    g = linalg.factor(m_new)
     assert g.singular
     assert g.inv is None and g.updates == 0
     with pytest.raises(SingularMatrix):
@@ -211,17 +216,17 @@ def test_near_singular_update_is_refactored_from_scratch():
     m_new = m.copy()
     m_new[3] = m[7]
     m_new[3, 0] += 1e-8
-    g = linalg.replace_row(f, 3, f.solve_transpose(m_new[3]), m_new)
+    assert linalg.replace_row(f, 3, f.solve_transpose(m_new[3])) is None
+    g = linalg.factor(m_new)
     assert g.near_singular and not g.singular
-    assert g.updates == 0
     r = rng.normal(size=d)
     assert np.max(np.abs(m_new @ g.solve(r) - r)) <= 1e-6 * np.max(np.abs(g.solve(r)))
 
 
 def test_tiny_eta_pivot_refactors_from_scratch():
     # the eta's pivot y[s] is tested against NEAR_SINGULAR_FACTOR * TOL_PIVOT
-    # times the largest |y|; at or below it, or not finite, the swap is
-    # factored from scratch, whatever the matrix passed in
+    # times the largest |y|; at or below it, or not finite, replace_row
+    # declines and leaves the inverse as it was
     slot = 5
     threshold = linalg.NEAR_SINGULAR_FACTOR * linalg.TOL_PIVOT * 4.0
     cases = {threshold: 0, -threshold: 0, np.nextafter(threshold, 1.0): 3,
@@ -230,16 +235,15 @@ def test_tiny_eta_pivot_refactors_from_scratch():
         # an update consumes its argument, so every case starts afresh
         rng = np.random.default_rng(13)
         f, _ = _updated(rng, 2)
-        d = f.dimension
-        m_new = _well_conditioned(rng, d)
-        y = np.linspace(-4.0, 4.0, d)
+        held = f.inv.copy()
+        y = np.linspace(-4.0, 4.0, f.dimension)
         y[slot] = pivot
-        g = linalg.replace_row(f, slot, y, m_new)
-        assert g.updates == updates, pivot
+        g = linalg.replace_row(f, slot, y)
         if not updates:
-            np.testing.assert_array_equal(g.inv, linalg.factor(m_new).inv)
+            assert g is None, pivot
+            np.testing.assert_array_equal(f.inv, held)
         else:
-            assert g.inv is f.inv
+            assert g.updates == updates and g.inv is f.inv, pivot
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
