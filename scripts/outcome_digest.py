@@ -2,9 +2,12 @@
 
 A line holds what a change to the solver's numerics can move: status,
 iterations, the objective as a float hex, a hash of the bytes of x_opt,
-the final base rows, the rows found redundant, the audit (violations, base
-repeats, pivots checked) and the number of ``linalg.factor`` calls. Every
-solve runs with ``audit=True``. The sweep:
+the final base rows, the rows found redundant, a hash of the certificate's
+repr, a hash of the trace's repr (entering and leaving rows, objective and
+violation per pivot), the audit (violations, base repeats, pivots
+checked) and the number of ``linalg.factor`` calls. Every solve runs with
+``audit=True`` and ``collect_trace=True``. Two builds whose digests are
+byte-identical gave bit-identical outcomes on every solve. The sweep:
 
 - under each pivot rule: km1 d=3..16, km2 d=3..19, the cycling fixtures,
   the MPS fixtures under ``tests/fixtures``, and seeds 0..149 of each
@@ -72,8 +75,13 @@ def cases(quick: bool):
             yield f"dense_lp-d{d}-{j}", model.to_standard_general(lp), default
 
 
+def _hash(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def digest(name: str, sp: model.StandardGeneralLP, rule: facet.PivotRule) -> dict:
-    """Solve once with the audit on, counting ``linalg.factor`` calls."""
+    """Solve once with the audit and trace on, counting ``linalg.factor``
+    calls."""
     factor, calls = linalg.factor, [0]
 
     def counting_factor(m):
@@ -82,7 +90,7 @@ def digest(name: str, sp: model.StandardGeneralLP, rule: facet.PivotRule) -> dic
 
     linalg.factor = counting_factor
     try:
-        out = facet.solve(sp, rule, audit=True)
+        out = facet.solve(sp, rule, audit=True, collect_trace=True)
     finally:
         linalg.factor = factor
     x_opt = None if out.x_opt is None else np.asarray(out.x_opt, dtype=float)
@@ -92,9 +100,11 @@ def digest(name: str, sp: model.StandardGeneralLP, rule: facet.PivotRule) -> dic
         "status": out.status.value,
         "iterations": out.iterations,
         "objective": None if out.objective is None else float(out.objective).hex(),
-        "x_opt": None if x_opt is None else hashlib.sha256(x_opt.tobytes()).hexdigest()[:16],
+        "x_opt": None if x_opt is None else _hash(x_opt.tobytes()),
         "basis_rows": list(out.basis_rows),
         "redundant_rows": sorted(out.redundant_rows),
+        "certificate": _hash(repr(out.certificate).encode()),
+        "trace": _hash(repr(out.trace).encode()),
         "violations": out.audit.violations,
         "base_repeated": out.audit.base_repeated,
         "pivots_checked": out.audit.pivots_checked,

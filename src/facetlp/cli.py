@@ -82,6 +82,8 @@ def _ignored_flag(
 def _rule_and_max_iter(args: argparse.Namespace) -> tuple[PivotRule, int]:
     """``--rule`` and ``--max-iter`` with their defaults applied; the parser
     leaves them None so that ``_ignored_flag`` sees whether they were given."""
+    if args.max_iter is not None and args.max_iter < 0:
+        raise FacetLPError(f"--max-iter must be nonnegative, got {args.max_iter}")
     rule = PivotRule.MAX_DEVIATION if args.rule is None else PivotRule(args.rule)
     return rule, 10_000 if args.max_iter is None else args.max_iter
 

@@ -149,14 +149,15 @@ def initial_state(sp: StandardGeneralLP) -> tuple[Base, SolverState]:
     the expansion coefficients are the nonnegative adjusted objective."""
     d = sp.d
     rows = np.arange(sp.m + sp.n, sp.m + sp.n + d)
-    fact = linalg.factor(sp.A[rows])
-    x0 = fact.solve(sp.b[rows])
-    base = Base(rows, np.zeros(d, dtype=bool), fact)
-    return base, SolverState(x0, sp.c_bar.astype(float).copy(), residuals(sp, x0))
+    base = Base(rows, np.zeros(d, dtype=bool), linalg.factor(sp.A[rows]))
+    return base, _iterate(sp, base, sp.c_original)
 
 
-def _row_norms(sp: StandardGeneralLP) -> np.ndarray:
-    return np.linalg.norm(sp.A, axis=1)
+def _iterate(sp: StandardGeneralLP, base: Base, c: np.ndarray) -> SolverState:
+    """y_c and x solved from the base's factors, and the residuals of x
+    computed once."""
+    x = base.fact.solve(sp.b[base.indices])
+    return SolverState(x, base.fact.solve_transpose(c), residuals(sp, x))
 
 
 def select_entering(
@@ -196,7 +197,7 @@ def select_entering(
     deviation = np.abs(sigma[pool])
     if rule is PivotRule.MAX_NORMALIZED_DEVIATION:
         if row_norms is None:
-            row_norms = _row_norms(sp)
+            row_norms = np.linalg.norm(sp.A, axis=1)
         # a violated all-zero row gets infinite priority: entering, it
         # certifies infeasibility at once
         with np.errstate(divide="ignore"):
@@ -314,21 +315,16 @@ def pivot(
             fact.bad_pivot_index,
         )
     base.is_eq[s] = p < sp.m
-
-    b_B = sp.b[base.indices]
-    y_c = fact.solve_transpose(c)
-    x_new = fact.solve(b_B)
-    sigma = residuals(sp, x_new)
-    # an updated inverse drifts from the base it stands for, so its iterate
-    # is checked row by row at the basic-solution invariant's tolerance
-    if fact.updates and (np.abs(sigma[base.indices]) > TOL_LIN * (1 + np.abs(b_B))).any():
-        fact = linalg.factor(sp.A[base.indices])
-        y_c = fact.solve_transpose(c)
-        x_new = fact.solve(b_B)
-        sigma = residuals(sp, x_new)
     base.fact = fact
 
-    return base, SolverState(x_new, y_c, sigma)
+    new = _iterate(sp, base, c)
+    # an updated inverse drifts from the base it stands for, so its iterate
+    # is checked row by row at the basic-solution invariant's tolerance
+    rows = base.indices
+    if fact.updates and (np.abs(new.sigma[rows]) > TOL_LIN * (1 + np.abs(sp.b[rows]))).any():
+        base.fact = linalg.factor(sp.A[rows])
+        new = _iterate(sp, base, c)
+    return base, new
 
 
 def solve(
@@ -357,7 +353,9 @@ def solve(
         np.full(sp.num_rows, tol_feas) if tol_feas is not None
         else sp.row_tolerances(TOL_FEAS_BASE)
     )
-    row_norms = _row_norms(sp) if rule is PivotRule.MAX_NORMALIZED_DEVIATION else None
+    row_norms = (
+        np.linalg.norm(sp.A, axis=1) if rule is PivotRule.MAX_NORMALIZED_DEVIATION else None
+    )
 
     base, state = initial_state(sp)
     iteration = 0

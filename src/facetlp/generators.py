@@ -171,10 +171,10 @@ def random_instance(
     always reports Optimal. ``infeasible`` adds a contradictory equality
     pair. ``unbounded`` drops the upper bounds and aims the objective along a
     coordinate ray no constraint blocks. The same seed yields bit-identical
-    data.
+    data. Raises ``SizeOutOfRange`` unless 1 <= d <= 8 and m, n >= 0.
     """
-    if d > 8:
-        raise SizeOutOfRange("random instances are capped at d <= 8 for the oracle")
+    if not (1 <= d <= 8 and m >= 0 and n >= 0):
+        raise SizeOutOfRange(f"random instances need 1 <= d <= 8, m, n >= 0; got {d, m, n}")
     if kind not in RANDOM_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     rng = np.random.default_rng(seed)

@@ -51,6 +51,34 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_INPUT_ERROR != EXIT_INFEASIBLE
         assert captured.out == "" and "error: argument" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "KM2", "--max-iter", "-5"],
+        ["bench", "--suite", "km1", "--max-iter", "-1"],
+        ["verify", "--max-iter", "-1"],
+    ], ids=["solve", "bench", "verify"])
+    def test_negative_max_iter_is_input_error(self, capsys, km2_d10, argv):
+        # it used to be taken as a limit of 0 pivots
+        argv = [str(km2_d10) if a == "KM2" else a for a in argv]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-iter must be nonnegative, got " + argv[-1] + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "random", "--d", "0"],
+        ["generate", "random", "--d", "9"],
+        ["generate", "random", "--n", "-1"],
+        ["verify", "--count", "1", "--d", "0"],
+        ["verify", "--count", "1", "--m", "-1"],
+        ["verify", "--count", "1", "--n", "-1"],
+    ], ids=["generate-d0", "generate-d9", "generate-n-1", "verify-d0", "verify-m-1",
+            "verify-n-1"])
+    def test_random_size_out_of_range_is_input_error(self, capsys, argv):
+        # d = 0 used to hang and a negative m to end in an internal error
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: random instances need 1 <= d <= 8" in captured.err
+
     @pytest.mark.parametrize("command", [[], ["solve"], ["verify"]])
     def test_help_exits_zero(self, capsys, command):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,6 @@
 import importlib.util
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +313,28 @@ class TestPivot:
         assert all(v.startswith("iter 1: ") and (
             "expansion residual" in v or "basic-solution residual" in v
         ) for v in out.audit.violations)
+
+    def test_audit_flags_a_broken_sign_and_a_falling_objective(self):
+        # the base of the upper-bound rows -e_i is a true base with an exact
+        # iterate, x = upper and y_c = -c, so only the negative y_c and the
+        # objective handed in below the one before it are flagged
+        sp = to_standard_general(
+            GeneralLP(c=[1.0, 2.0], lower=[0.0, 0.0], upper=[5.0, 9.0]))
+        rows = np.arange(sp.f_block.start, sp.f_block.stop)
+        fact = linalg.factor(sp.A[rows])
+        x = fact.solve(sp.b[rows])
+        y_c = fact.solve_transpose(sp.c_original)
+        np.testing.assert_array_equal(y_c, [-1.0, -2.0])
+        base = Base(rows, np.zeros(2, dtype=bool), fact)
+        state = SolverState(x, y_c, sp.A @ x - sp.b)
+        objective = float(sp.c_original @ x)
+        log = facet.SolveAudit()
+        facet._audit_pivot(sp, base, state, 7, objective + 1.0, objective, 3.0, log)
+        assert log.violations == [
+            "iter 7: sign maintenance broken, min y_c=-2.000e+00",
+            f"iter 7: objective decreased {objective + 1.0!r} -> {objective!r}",
+        ]
+        assert log.pivots_checked == 1 and not log.base_repeated
 
     def test_cube_solves_in_dimension_many_pivots(self):
         out = solve(to_standard_general(klee_minty_v2(3)))
@@ -717,35 +738,15 @@ class TestBaseFactorizationPaths:
         assert out.iterations == 31
 
 
-# Test-local copies of the pivot loop as it was before the base rows were
-# owned and written in place: every pivot gathers A[indices] and b[indices],
-# copies the base, and select_entering builds its masks from a full-length
-# candidate array. The new loop must reproduce them bit for bit.
-
-
-@dataclass
-class _GatherState:
-    x: np.ndarray
-    y_c: np.ndarray
-    iteration: int = 0
-    removed_rows: set = field(default_factory=set)
-    trace: list | None = None
-
-
-def _gather_initial_state(sp):
-    d = sp.d
-    rows = np.arange(sp.m + sp.n, sp.m + sp.n + d)
-    fact = linalg.factor(sp.A[rows])
-    x0 = fact.solve(sp.b[rows])
-    base = Base(indices=rows, is_eq=np.zeros(d, dtype=bool), fact=fact)
-    return base, _GatherState(x=x0, y_c=sp.c_bar.astype(float).copy())
-
-
-def _gather_select_entering(sp, base, state, rule, sigma, row_tols, row_norms):
+def _full_mask_select_entering(sp, base, sigma, rule, removed):
+    """The pricing kernel of ``select_entering`` written over a full-length
+    candidate mask that drops the base rows and the rows in ``removed``,
+    at the default row tolerances."""
+    row_tols = sp.row_tolerances(facet.TOL_FEAS_BASE)
     candidate = np.ones(sp.num_rows, dtype=bool)
     candidate[base.indices] = False
-    if state.removed_rows:
-        candidate[list(state.removed_rows)] = False
+    if removed:
+        candidate[list(removed)] = False
     eq_violated = candidate.copy()
     eq_violated[sp.m:] = False
     eq_violated &= np.abs(sigma) > row_tols
@@ -762,134 +763,11 @@ def _gather_select_entering(sp, base, state, rule, sigma, row_tols, row_norms):
         return int(pool[0])
     deviation = np.abs(sigma[pool])
     if rule is PivotRule.MAX_NORMALIZED_DEVIATION:
-        deviation = deviation / row_norms[pool]
+        deviation = deviation / np.linalg.norm(sp.A[pool], axis=1)
     return int(pool[int(np.argmax(deviation))])
 
 
-def _gather_pivot(sp, base, state, p, s, y_p, tol_lin=facet.TOL_LIN):
-    indices = base.indices.copy()
-    is_eq = base.is_eq.copy()
-    indices[s] = p
-    is_eq[s] = p < sp.m
-    m_new = sp.A[indices]
-    fact = linalg.replace_row(base.fact, s, y_p) or linalg.factor(m_new)
-    assert not fact.singular
-    b_new = sp.b[indices]
-    x_new = fact.solve(b_new)
-    residual = np.abs(m_new @ x_new - b_new)
-    if fact.updates and np.any(residual > tol_lin * (1.0 + np.abs(b_new))):
-        fact = linalg.factor(m_new) if fact.updates else fact
-        x_new = fact.solve(b_new)
-    y_c = fact.solve_transpose(sp.c_original)
-    return Base(indices=indices, is_eq=is_eq, fact=fact), _GatherState(
-        x=x_new, y_c=y_c, iteration=state.iteration + 1,
-        removed_rows=state.removed_rows, trace=state.trace,
-    )
-
-
-def _gather_audit(sp, base, state, prev_objective, objective, c_scale, log, seen):
-    k = state.iteration
-    log.pivots_checked += 1
-    y_ineq = state.y_c[~base.is_eq]
-    if y_ineq.size and float(y_ineq.min()) < -facet.TOL_SIGN:
-        log.violations.append(f"iter {k}: sign maintenance broken, min y_c={y_ineq.min():.3e}")
-    res = float(np.max(np.abs(sp.A[base.indices].T @ state.y_c - sp.c_original)))
-    if res > facet.TOL_LIN * c_scale:
-        log.violations.append(f"iter {k}: expansion residual {res:.3e} exceeds tolerance")
-    b_base = sp.b[base.indices]
-    res = float(np.max(np.abs(sp.A[base.indices] @ state.x - b_base)))
-    allowed = facet.TOL_LIN * (1.0 + float(np.max(np.abs(b_base), initial=0.0)))
-    if res > allowed:
-        log.violations.append(
-            f"iter {k}: basic-solution residual {res:.3e} exceeds {allowed:.3e}")
-    tol_obj = facet.TOL_OBJ_BASE * (1.0 + max(abs(objective), abs(prev_objective)))
-    if objective < prev_objective - tol_obj:
-        log.violations.append(
-            f"iter {k}: objective decreased {prev_objective!r} -> {objective!r}")
-    key = frozenset(int(r) for r in base.indices)
-    if key in seen:
-        log.base_repeated = True
-    seen.add(key)
-
-
-def _gather_solve(sp, rule, max_iter=10_000, *, collect_trace=False, audit=False):
-    c = sp.c_original
-    c_scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
-    row_tols = sp.row_tolerances(facet.TOL_FEAS_BASE)
-    row_norms = np.linalg.norm(sp.A, axis=1)
-    base, state = _gather_initial_state(sp)
-    if collect_trace:
-        state.trace = []
-    audit_log = facet.SolveAudit() if audit else None
-    seen = {frozenset(base.indices.tolist())}
-    active_rule = rule
-    offset = sp.objective_offset
-    objective = float(c @ state.x) + offset
-    best_objective = objective
-    stall = 0
-
-    def outcome(status, x_opt, objective, certificate=None):
-        return facet.SolveOutcome(
-            status=status, x_opt=x_opt, objective=objective,
-            iterations=state.iteration, certificate=certificate,
-            redundant_rows=frozenset(state.removed_rows),
-            basis_rows=tuple(int(r) for r in base.indices),
-            trace=state.trace, audit=audit_log,
-        )
-
-    while True:
-        sigma = sp.A @ state.x - sp.b
-        p = _gather_select_entering(sp, base, state, active_rule, sigma, row_tols, row_norms)
-        if p is None:
-            x_final = base.fact.solve(sp.b[base.indices]) + 0.0
-            objective = float(c @ x_final) + offset
-            artificial = sorted(set(base.indices.tolist()) & sp.artificial_rows)
-            if artificial:
-                return outcome(Status.UNBOUNDED, x_final, objective, int(artificial[0]))
-            return outcome(Status.OPTIMAL, x_final, objective)
-        if state.iteration >= max_iter:
-            return outcome(Status.ITERATION_LIMIT, state.x, None)
-        y_p = expand_entering(base, sp.A[p])
-        certificate = check_infeasible(sp, p, float(sigma[p]), y_p, base)
-        leaving = select_leaving(p, float(sigma[p]), y_p, state.y_c, base)
-        assert (leaving is None) == (certificate is not None)
-        if certificate is not None:
-            if state.trace is not None:
-                state.trace.append(facet.TraceRecord(
-                    k=state.iteration, entering=p, leaving=-1, objective=objective,
-                    max_violation=float(abs(sigma[p])), rule=active_rule.value,
-                    note=certificate.note or "infeasible",
-                ))
-            return outcome(Status.INFEASIBLE, state.x, None, certificate)
-        slot, sole = leaving
-        q = int(base.indices[slot])
-        redundant = detect_leaving_redundant(slot, y_p if sigma[p] < 0 else -y_p, base)
-        assert sole == redundant
-        if redundant:
-            state.removed_rows.add(q)
-        prev_objective = objective
-        base, state = _gather_pivot(sp, base, state, p, slot, y_p)
-        objective = float(c @ state.x) + offset
-        if state.trace is not None:
-            state.trace.append(facet.TraceRecord(
-                k=state.iteration - 1, entering=p, leaving=q, objective=objective,
-                max_violation=facet._max_violation(sp, sigma), rule=active_rule.value,
-            ))
-        if audit_log is not None:
-            _gather_audit(sp, base, state, prev_objective, objective, c_scale,
-                          audit_log, seen)
-        tol_obj = facet.TOL_OBJ_BASE * (1.0 + max(abs(objective), abs(best_objective)))
-        if objective > best_objective + tol_obj:
-            best_objective = objective
-            stall = 0
-        else:
-            stall += 1
-            if stall >= facet.STALL_ITERATIONS and active_rule is not PivotRule.LEAST_INDEX:
-                active_rule = PivotRule.LEAST_INDEX
-                stall = 0
-
-
-def _bit_identity_cases():
+def _step_cases():
     # the second copy of an equality is redundant once the first is in the base
     twin = GeneralLP(
         c=[1.0, 1.0], A_eq=[[1.0, 2.0], [1.0, 2.0]], b_eq=[2.0, 2.0],
@@ -915,35 +793,47 @@ def _bits(x):
     return None if x is None else np.asarray(x, dtype=float).tobytes()
 
 
-class TestOwnedBaseRowsBitIdentical:
-    """The base written in place, the sliced entering masks and the single
-    exit path give exactly the outcomes of the gathering loop."""
+def test_steps_agree_at_every_pivot(monkeypatch):
+    """While ``solve`` runs, each entering row is the full-mask reference's
+    pick, ``select_leaving`` finds no row exactly when ``check_infeasible``
+    certifies, and its ``sole`` flag is ``detect_leaving_redundant``'s test.
+    The reference drops the rows found redundant itself, so a redundant row
+    that re-entered would show too."""
+    real_entering, real_leaving = facet.select_entering, facet.select_leaving
+    removed, seen = set(), {"sole": 0, "not sole": 0, "certified": 0}
 
-    def test_outcomes_match_gathering_loop(self):
-        modes = [{}, {"audit": True, "collect_trace": True}]
-        statuses = set()
-        for name, sp, max_iter in _bit_identity_cases():
-            for rule in PivotRule:
-                for mode in modes:
-                    got = solve(sp, rule, max_iter, **mode)
-                    want = _gather_solve(sp, rule, max_iter, **mode)
-                    where = (name, rule, mode)
-                    statuses.add(got.status)
-                    assert got.status is want.status, where
-                    assert _bits(got.objective) == _bits(want.objective), where
-                    assert _bits(got.x_opt) == _bits(want.x_opt), where
-                    assert got.iterations == want.iterations, where
-                    assert got.basis_rows == want.basis_rows, where
-                    assert repr(got.certificate) == repr(want.certificate), where
-                    assert got.redundant_rows == want.redundant_rows, where
-                    assert repr(got.trace) == repr(want.trace), where
-                    if mode.get("audit"):
-                        assert got.audit.violations == want.audit.violations, where
-                        assert got.audit.base_repeated == want.audit.base_repeated, where
-                        assert got.audit.pivots_checked == want.audit.pivots_checked, where
-        assert statuses == {
-            Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED, Status.ITERATION_LIMIT,
-        }
+    def checked_entering(sp, base, state, rule, row_tols=None, row_norms=None):
+        got = real_entering(sp, base, state, rule, row_tols, row_norms)
+        assert got == _full_mask_select_entering(sp, base, state.sigma, rule, removed)
+        return got
+
+    def checked_leaving(p, sigma_p, y_p, y_c, base):
+        # sp is the problem the loop below is solving
+        got = real_leaving(p, sigma_p, y_p, y_c, base)
+        certificate = check_infeasible(sp, p, sigma_p, y_p, base)
+        assert (got is None) == (certificate is not None)
+        if got is None:
+            seen["certified"] += 1
+            return got
+        s, sole = got
+        assert sole == detect_leaving_redundant(s, y_p if sigma_p < 0 else -y_p, base)
+        seen["sole" if sole else "not sole"] += 1
+        if sole:
+            removed.add(int(base.indices[s]))
+        return got
+
+    monkeypatch.setattr(facet, "select_entering", checked_entering)
+    monkeypatch.setattr(facet, "select_leaving", checked_leaving)
+    statuses = set()
+    for name, sp, max_iter in _step_cases():
+        for rule in PivotRule:
+            removed.clear()
+            out = solve(sp, rule, max_iter, audit=True, collect_trace=True)
+            statuses.add(out.status)
+            assert out.redundant_rows == removed, (name, rule)
+            assert out.audit.violations == [], (name, rule)
+    assert statuses == set(Status)
+    assert min(seen.values()) > 0, seen
 
 
 def test_outcome_digest_script_writes_one_line_per_solve(tmp_path):
@@ -963,5 +853,8 @@ def test_outcome_digest_script_writes_one_line_per_solve(tmp_path):
     }
     assert {line["status"] for line in lines} == {"Optimal", "Infeasible", "Unbounded"}
     assert all(line["violations"] == [] and line["factor_calls"] > 0 for line in lines)
+    # a certificate and a trace reach the line as hashes of their reprs
+    assert len({line["certificate"] for line in lines if line["status"] == "Infeasible"}) > 1
+    assert len({line["trace"] for line in lines}) > len(lines) // 2
     name, sp, rule = next(script.cases(quick=True))
     assert script.digest(name, sp, rule) == lines[0]

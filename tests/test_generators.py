@@ -7,6 +7,7 @@ from facetlp.errors import SizeOutOfRange, UnknownFixture
 from facetlp.facet import PivotRule, Status, solve
 from facetlp.generators import (
     CYCLING_FIXTURE_IDS,
+    RANDOM_KINDS,
     InstanceSpec,
     cycling_fixture,
     klee_minty_v1,
@@ -133,6 +134,17 @@ class TestRandomInstances:
     def test_oracle_cap_guard(self):
         with pytest.raises(SizeOutOfRange):
             random_instance(0, 9, 1, 4)
+
+    @pytest.mark.parametrize("d, m, n", [(0, 1, 4), (-1, 1, 4), (3, -1, 4), (3, 1, -1)])
+    @pytest.mark.parametrize("kind", RANDOM_KINDS)
+    def test_sizes_out_of_range_are_refused(self, d, m, n, kind):
+        # d = 0 used to loop forever drawing a nonzero row of no columns
+        with pytest.raises(SizeOutOfRange):
+            random_instance(0, d, m, n, kind)
+
+    def test_one_dimension_is_in_range(self):
+        for kind in RANDOM_KINDS:
+            assert random_instance(0, 1, 0, 2, kind).d == 1
 
 
 class TestInstanceSpec:

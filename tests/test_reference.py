@@ -353,22 +353,28 @@ def _oracle_cases():
         yield cycling_fixture(fixture_id)
 
 
+def _assert_same_oracle_outcome(got, want):
+    assert got.status is want.status
+    assert got.objective == want.objective
+    assert (got.x_opt is None and want.x_opt is None) or np.array_equal(
+        got.x_opt, want.x_opt
+    )
+    assert got.basis_rows == want.basis_rows
+    assert got.certificate == want.certificate
+    assert got.iterations == want.iterations
+
+
 class TestOracleEnumeration:
-    def test_outcomes_match_enumerating_every_subset(self):
+    def test_outcomes_match_enumerating_every_subset(self, monkeypatch):
+        # small blocks, so that (5, 2, 8), with 20 rows, spans 12 of them; a
+        # block size bounds the oracle's memory, not its outcome
+        monkeypatch.setattr(reference, "_BLOCK", 1000)
         statuses = set()
         for p in _oracle_cases():
             sp = to_standard_general(p)
             got = brute_force_optimal(sp)
-            want = _enumerate_every_subset(sp)
             statuses.add(got.status)
-            assert got.status is want.status
-            assert got.objective == want.objective
-            assert (got.x_opt is None and want.x_opt is None) or np.array_equal(
-                got.x_opt, want.x_opt
-            )
-            assert got.basis_rows == want.basis_rows
-            assert got.certificate == want.certificate
-            assert got.iterations == want.iterations
+            _assert_same_oracle_outcome(got, _enumerate_every_subset(sp))
         assert statuses == {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED}
 
     @pytest.mark.parametrize("N,d", [(2, 1), (4, 2), (11, 3), (15, 4), (20, 5), (22, 5)])
@@ -409,32 +415,7 @@ class TestOracleEnumeration:
         assert len(reference._bases(sp.num_rows, sp.d)) < out.iterations
 
 
-def _assert_same_oracle_outcome(got, want):
-    assert got.status is want.status
-    assert got.objective == want.objective
-    assert (got.x_opt is None and want.x_opt is None) or np.array_equal(
-        got.x_opt, want.x_opt
-    )
-    assert got.basis_rows == want.basis_rows
-    assert got.certificate == want.certificate
-    assert got.iterations == want.iterations
-
-
 class TestOracleBlocks:
-    def test_blocks_match_enumerating_every_subset(self, monkeypatch):
-        # (5, 2, 8) has 20 rows, so its pair-free bases span 12 blocks
-        monkeypatch.setattr(reference, "_BLOCK", 1000)
-        statuses = set()
-        for seed in range(10):
-            for (d, m, n) in [(3, 1, 4), (4, 1, 6), (5, 2, 8)]:
-                for kind in ("feasible", "infeasible", "unbounded"):
-                    p = random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
-                    sp = to_standard_general(p)
-                    got = brute_force_optimal(sp)
-                    statuses.add(got.status)
-                    _assert_same_oracle_outcome(got, _enumerate_every_subset(sp))
-        assert statuses == {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED}
-
     def test_singular_and_infeasible_blocks_are_skipped(self, monkeypatch):
         # one base per block: the two contradictory equality rows together
         # make a wholly singular block, every other block is infeasible
