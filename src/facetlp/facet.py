@@ -23,6 +23,12 @@ and x again. A :class:`Base` is its row indices and their factors; rows
 and rhs are read from the problem through the indices. A pivot writes one
 slot of the base in place and replaces the :class:`SolverState`, which is
 the iterate; ``solve`` writes neither.
+
+``solve`` makes what every pivot reads once: c, the pricing and
+residual-check tolerances and the row norms. The small numpy calls around
+a pivot's kernels (five BLAS calls on the inverse path) cost as much as
+the kernels or more (``scripts/pivot_overhead.py``), so the step functions
+keep them few.
 """
 
 from __future__ import annotations
@@ -156,8 +162,8 @@ def initial_state(sp: StandardGeneralLP) -> tuple[Base, SolverState]:
 def _iterate(sp: StandardGeneralLP, base: Base, c: np.ndarray) -> SolverState:
     """y_c and x solved from the base's factors, and the residuals of x
     computed once."""
-    x = base.fact.solve(sp.b[base.indices])
-    return SolverState(x, base.fact.solve_transpose(c), residuals(sp, x))
+    x = linalg.solve(base.fact, sp.b[base.indices])
+    return SolverState(x, linalg.solve_transpose(base.fact, c), residuals(sp, x))
 
 
 def select_entering(
@@ -180,17 +186,18 @@ def select_entering(
     if row_tols is None:
         row_tols = sp.row_tolerances()
     m = sp.m
-    violated = np.empty(sp.num_rows, dtype=bool)
-    np.greater(np.abs(sigma[:m]), row_tols[:m], out=violated[:m])
-    np.less(sigma[m:], -row_tols[m:], out=violated[m:])
+    violated = sigma < -row_tols
+    if m:
+        np.greater(np.abs(sigma[:m]), row_tols[:m], out=violated[:m])
     violated[base.indices] = False
 
-    pool = violated[:m].nonzero()[0]
-    if not pool.size:
-        # no equality row is violated, so the whole mask holds inequalities only
+    if not (m and (pool := violated[:m].nonzero()[0]).size):
         pool = violated.nonzero()[0]
         if not pool.size:
             return None
+        if rule is PivotRule.MAX_DEVIATION:
+            # all violated rows have sigma < 0: the deepest is the first least
+            return int(pool[sigma[pool].argmin()])
 
     if rule is PivotRule.LEAST_INDEX:
         return int(pool[0])
@@ -209,7 +216,7 @@ def select_entering(
 
 def expand_entering(base: Base, a_p: np.ndarray) -> np.ndarray:
     """Coefficients y_p with A_B^T y_p = a_p, aligned with the base slots."""
-    return base.fact.solve_transpose(np.asarray(a_p, dtype=float))
+    return linalg.solve_transpose(base.fact, a_p)
 
 
 def check_infeasible(
@@ -263,13 +270,18 @@ def select_leaving(
     violated entering facet is ``check_infeasible``'s condition.
     """
     y_p = y_p if sigma_p < 0 else -y_p
-    slots = (~base.is_eq & (y_p > TOL_SIGN)).nonzero()[0]
-    if not slots.size:
-        return None
+    # bools compare as 0 < 1: positive entries off the equality members
+    slots = ((y_p > TOL_SIGN) > base.is_eq).nonzero()[0]
+    if slots.size < 2:
+        return (int(slots[0]), True) if slots.size else None
     ratios = y_c[slots] / y_p[slots]
-    best = ratios.min()
-    tied = slots[np.abs(ratios - best) <= 1e-12 * (1.0 + abs(best))]
-    return int(tied[base.indices[tied].argmin()]), slots.size == 1
+    # argmin's entry is min's (NaN too; a zero's sign aside); no abs needed
+    i = ratios.argmin()
+    best = float(ratios[i])
+    tied = (ratios - best <= 1e-12 * (1.0 + abs(best))).nonzero()[0]
+    if tied.size != 1:
+        i = tied[base.indices[slots[tied]].argmin()]
+    return int(slots[i]), False
 
 
 def detect_leaving_redundant(s: int, y_p: np.ndarray, base: Base) -> bool:
@@ -289,6 +301,7 @@ def pivot(
     s: int,
     y_p: np.ndarray,
     c: np.ndarray,
+    lin_tols: np.ndarray | None = None,
 ) -> tuple[Base, SolverState]:
     """Swap the facet in slot s (as ``select_leaving`` returns it, so
     |y_p[s]| > ``TOL_SIGN``) out for facet p; solve the new iterate.
@@ -298,10 +311,11 @@ def pivot(
     the rows ``sp.A[base.indices]`` factored afresh. y_c (from ``c``) and x
     are solved from them, and their residuals A x - b computed once. One
     check guards the iterate: if the factors are an updated inverse whose
-    base rows fail the basic-solution tolerance, the base is factored
-    afresh and y_c, x and the residuals solved again. Returns ``base`` and
-    a new state; ``state`` is left as it was. A singular new base restores
-    index s before raising ``SingularMatrix``.
+    base rows fail ``lin_tols``, the basic-solution tolerances (by default
+    ``sp.row_tolerances(TOL_LIN)``), the base is factored afresh and y_c, x
+    and the residuals solved again. Returns ``base`` and a new state;
+    ``state`` is left as it was. A singular new base restores index s
+    before raising ``SingularMatrix``.
     """
     q = base.indices[s]
     base.indices[s] = p
@@ -321,7 +335,9 @@ def pivot(
     # an updated inverse drifts from the base it stands for, so its iterate
     # is checked row by row at the basic-solution invariant's tolerance
     rows = base.indices
-    if fact.updates and (np.abs(new.sigma[rows]) > TOL_LIN * (1 + np.abs(sp.b[rows]))).any():
+    if lin_tols is None:
+        lin_tols = sp.row_tolerances(TOL_LIN)
+    if fact.updates and np.count_nonzero(np.abs(new.sigma[rows]) > lin_tols[rows]):
         base.fact = linalg.factor(sp.A[rows])
         new = _iterate(sp, base, c)
     return base, new
@@ -348,11 +364,11 @@ def solve(
     if tol_feas is not None and not tol_feas >= 0:
         raise NonFiniteData(f"tol_feas must be a nonnegative number, got {tol_feas!r}")
     c = sp.c_original
-    c_scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
     row_tols = (
         np.full(sp.num_rows, tol_feas) if tol_feas is not None
         else sp.row_tolerances(TOL_FEAS_BASE)
     )
+    lin_tols = sp.row_tolerances(TOL_LIN)
     row_norms = (
         np.linalg.norm(sp.A, axis=1) if rule is PivotRule.MAX_NORMALIZED_DEVIATION else None
     )
@@ -362,10 +378,12 @@ def solve(
     removed: set[int] = set()
     trace: list[TraceRecord] | None = [] if collect_trace else None
     audit_log = SolveAudit(seen={frozenset(base.indices.tolist())}) if audit else None
+    c_scale = 1.0 + float(np.max(np.abs(c), initial=0.0)) if audit else None
 
     active_rule = rule
     offset = sp.objective_offset
-    objective = float(c @ state.x) + offset
+    # c.dot is the ddot that c @ makes, without the ufunc's overhead
+    objective = float(c.dot(state.x)) + offset
     best_objective = objective
     stall = 0
 
@@ -375,7 +393,7 @@ def solve(
         p = select_entering(sp, base, state, active_rule, row_tols, row_norms)
         if p is None:
             x_opt = state.x + 0.0  # clear -0.0
-            objective = float(c @ x_opt) + offset
+            objective = float(c.dot(x_opt)) + offset
             artificial = sorted(set(base.indices.tolist()) & sp.artificial_rows)
             status = Status.UNBOUNDED if artificial else Status.OPTIMAL
             certificate = int(artificial[0]) if artificial else None
@@ -386,17 +404,18 @@ def solve(
             certificate = None
             break
 
+        sigma_p = float(sigma[p])
         y_p = expand_entering(base, sp.A[p])
-        leaving = select_leaving(p, float(sigma[p]), y_p, state.y_c, base)
+        leaving = select_leaving(p, sigma_p, y_p, state.y_c, base)
         if leaving is None:
             # for a violated entering facet that is the Farkas condition
-            certificate = check_infeasible(sp, p, float(sigma[p]), y_p, base)
+            certificate = check_infeasible(sp, p, sigma_p, y_p, base)
             if certificate is None:
                 raise NoLeavingCandidate(f"no positive expansion entry for facet {p}")
             if trace is not None:
                 trace.append(TraceRecord(
                     k=iteration, entering=p, leaving=-1,
-                    objective=objective, max_violation=float(abs(sigma[p])),
+                    objective=objective, max_violation=abs(sigma_p),
                     rule=active_rule.value, note=certificate.note or "infeasible",
                 ))
             status, x_opt, objective = Status.INFEASIBLE, state.x, None
@@ -410,10 +429,10 @@ def solve(
             row_tols[q] = np.inf
 
         prev_objective = objective
-        base, state = pivot(sp, base, state, p, s, y_p, c)
+        base, state = pivot(sp, base, state, p, s, y_p, c, lin_tols)
         iteration += 1
 
-        objective = float(c @ state.x) + offset
+        objective = float(c.dot(state.x)) + offset
         if trace is not None:
             trace.append(TraceRecord(
                 k=iteration - 1, entering=p, leaving=q,
@@ -441,7 +460,7 @@ def solve(
         status=status, x_opt=x_opt, objective=objective,
         iterations=iteration, certificate=certificate,
         redundant_rows=frozenset(removed),
-        basis_rows=tuple(int(r) for r in base.indices),
+        basis_rows=tuple(base.indices.tolist()),
         trace=trace, audit=audit_log,
     )
 

@@ -46,7 +46,7 @@ _getrf, _getri, _getri_lwork, _getrs = scipy.linalg.get_lapack_funcs(
 _gemv, _ger = scipy.linalg.get_blas_funcs(("gemv", "ger"), dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SquareFactorization:
     """Factors of a d-by-d matrix M. Below ``INVERSE_MIN_D`` (or if M is
     singular), ``lu`` and ``piv`` are the packed LU factors and 0-based row
@@ -54,7 +54,8 @@ class SquareFactorization:
     inverted from the LU of the last factorization from scratch, then
     updated in place by ``updates`` row replacements. The flags describe
     that LU. The fields are never reassigned, but ``replace_row`` writes
-    ``inv`` in place: it consumes the factorization it is given.
+    ``inv`` in place: it consumes the factorization it is given. Not frozen:
+    a frozen dataclass takes several times as long to build, once a pivot.
     """
 
     dimension: int
@@ -79,9 +80,10 @@ def _flagged(
     """Attach the singularity flags read off the triangular factor's diagonal,
     relative to the infinity norm of the factored matrix. The first pivot at
     or below the threshold is the bad one."""
+    # argmax and argmin find max's and min's entries without a reduction
     pivots = np.abs(diagonal)
-    threshold = TOL_PIVOT * max(row_sums.max(), _TINY)
-    smallest = pivots.min()
+    threshold = TOL_PIVOT * max(row_sums[row_sums.argmax()], _TINY)
+    smallest = pivots[pivots.argmin()]
     singular = bool(smallest <= threshold)
     return SquareFactorization(
         dimension=row_sums.shape[0],
@@ -132,9 +134,10 @@ def replace_row(
     y = np.asarray(y, dtype=float)
     if y.shape != (d,):
         raise DimensionMismatch(f"expansion of shape {y.shape}, dimension {d}")
-    pivot = y[slot]
-    # written so that a NaN or infinite y also declines
-    if not abs(pivot) > NEAR_SINGULAR_FACTOR * TOL_PIVOT * np.abs(y).max():
+    pivot, abs_y = y[slot], np.abs(y)
+    # written so that a NaN or infinite y also declines; the entry argmax
+    # finds is the one max returns, NaN included, at a fraction of the cost
+    if not abs(pivot) > NEAR_SINGULAR_FACTOR * TOL_PIVOT * abs_y[abs_y.argmax()]:
         return None
     # M_new^-1 = M^-1 E^-1 = M^-1 (I + e_s h^T); ger must not read the
     # column it writes

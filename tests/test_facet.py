@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import math
 from pathlib import Path
@@ -138,6 +139,70 @@ class TestSelectEntering:
             sp, base, state, PivotRule.MAX_NORMALIZED_DEVIATION
         ) == 1
 
+    @pytest.mark.parametrize("rule", list(PivotRule))
+    @pytest.mark.parametrize("with_equality", [False, True])
+    def test_rows_with_infinite_tolerance_never_enter(self, rule, with_equality):
+        # at x0 = (0, 0) every general row is violated: the equality, if
+        # any, comes first, then max-dev and max-norm-dev prefer x2 >= 100
+        # and least-index 4 x1 >= 8; for every set of them given an infinite
+        # tolerance, the pick is a violated row outside the set, and None
+        # once the set holds them all
+        eq = dict(A_eq=[[1.0, 0.0]], b_eq=[0.1]) if with_equality else {}
+        p = GeneralLP(
+            c=[0.0, 0.0], **eq,
+            A_ineq=[[4.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b_ineq=[8.0, 100.0, 50.0],
+            lower=[0.0, 0.0], upper=[200.0, 200.0],
+        )
+        sp = to_standard_general(p)
+        assert sp.m == int(with_equality)
+        base, state = initial_state(sp)
+        violated = list(range(sp.m + sp.n))
+        for size in range(len(violated) + 1):
+            for removed in itertools.combinations(violated, size):
+                row_tols = sp.row_tolerances()
+                row_tols[list(removed)] = np.inf
+                got = select_entering(sp, base, state, rule, row_tols)
+                if size == len(violated):
+                    assert got is None
+                else:
+                    assert got in violated and got not in removed, (removed, got)
+
+    @pytest.mark.parametrize("with_equality", [False, True])
+    def test_equal_deviations_go_to_the_least_row(self, with_equality):
+        # at x0 = (0, 0), which satisfies the equality if there is one, the
+        # rows x2 >= 2, 2 x1 >= 4, x1 >= 2 and x2 >= 2 deviate by 2, 4, 2, 2
+        # and all by 2 when normalized
+        eq = dict(A_eq=[[1.0, 1.0]], b_eq=[0.0]) if with_equality else {}
+        p = GeneralLP(
+            c=[0.0, 0.0], **eq,
+            A_ineq=[[0.0, 1.0], [2.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            b_ineq=[2.0, 4.0, 2.0, 2.0],
+            lower=[0.0, 0.0], upper=[9.0, 9.0],
+        )
+        sp = to_standard_general(p)
+        base, state = initial_state(sp)
+        m = sp.m
+        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION) == m + 1
+        assert select_entering(sp, base, state, PivotRule.MAX_NORMALIZED_DEVIATION) == m
+        row_tols = sp.row_tolerances()
+        row_tols[m + 1] = np.inf
+        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) == m
+
+    def test_equal_equality_deviations_of_either_sign_go_to_the_least_row(self):
+        # at x = (0, 0) the equalities are off by +2 and -2: argmin of sigma
+        # would pick row 1
+        p = GeneralLP(
+            c=[0.0, 0.0], A_eq=[[1.0, 0.0], [0.0, 1.0]], b_eq=[-2.0, 2.0],
+            lower=[-9.0, -9.0], upper=[9.0, 9.0],
+        )
+        sp = to_standard_general(p)
+        base, state = initial_state(sp)
+        state.x = np.zeros(2)
+        state.sigma = sp.A @ state.x - sp.b
+        np.testing.assert_array_equal(state.sigma[:2], [2.0, -2.0])
+        for rule in (PivotRule.MAX_DEVIATION, PivotRule.MAX_NORMALIZED_DEVIATION):
+            assert select_entering(sp, base, state, rule) == 0
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_violated_zero_row_enters_first_and_proves_infeasibility(self):
         # 0 >= 1: its normalized deviation is infinite, without a divide
@@ -236,6 +301,21 @@ class TestSelectLeaving:
         y_p = np.array([1.0, 1.0])
         y_c = np.array([1.0, 1.0])
         assert _leaving_row(0, -1.0, y_p, y_c, base) == 5
+
+    def test_three_way_tie_goes_to_the_least_row_not_the_first_slot(self):
+        # ratios 1, 1, 2, 1 in slots holding rows 9, 2, 1, 5
+        base = _dummy_base([9, 2, 1, 5], [False] * 4)
+        y_p = np.array([1.0, 2.0, 1.0, 4.0])
+        y_c = np.array([1.0, 2.0, 2.0, 4.0])
+        assert select_leaving(0, -1.0, y_p, y_c, base) == (1, False)
+
+    @pytest.mark.parametrize("gap, slot", [(3.9e-12, 1), (4.1e-12, 0)])
+    def test_ties_are_ratios_within_the_relative_tolerance(self, gap, slot):
+        # best ratio 3 at row 7; tolerance 1e-12 * (1 + 3)
+        base = _dummy_base([7, 3], [False, False])
+        y_p = np.ones(2)
+        y_c = np.array([3.0, 3.0 + gap])
+        assert select_leaving(0, -1.0, y_p, y_c, base) == (slot, False)
 
     def test_case2_max_ratio_over_negative_entries(self):
         base = _dummy_base([2, 6], [False, False])
@@ -401,11 +481,35 @@ class TestRedundancyDetection:
         assert detect_leaving_redundant(1, y_p, base)
         assert select_leaving(0, -1.0, y_p, np.ones(2), base) == (1, True)
 
+    def test_sole_among_equality_members_with_larger_entries(self):
+        base = _dummy_base([3, 8, 6], [True, False, True])
+        y_p = np.array([5.0, 2.0, 7.0])
+        y_c = np.array([0.1, 9.0, 0.1])
+        assert detect_leaving_redundant(1, y_p, base)
+        assert select_leaving(0, -1.0, y_p, y_c, base) == (1, True)
+
     def test_second_positive_entry_blocks_redundancy(self):
         base = _dummy_base([3, 8], [False, False])
         y_p = np.array([0.5, 2.0])
         assert not detect_leaving_redundant(1, y_p, base)
         assert select_leaving(0, -1.0, y_p, np.array([1.0, 0.1]), base) == (1, False)
+
+    def test_a_row_found_redundant_never_enters_again(self):
+        # under least-index, row 0 leaves the base as the sole eligible
+        # slot and is violated again at the last iterate: with a finite
+        # tolerance it would enter there and certify in place of row 1
+        p = GeneralLP(
+            c=[-1.0, -1.0],
+            A_ineq=[[-2.0, 2.0], [-1.0, 1.0], [-2.0, -2.0], [2.0, 1.0]],
+            b_ineq=[1.0, 2.0, 2.0, 0.0],
+            lower=[-3.0, -3.0], upper=[3.0, 3.0],
+        )
+        out = solve(to_standard_general(p), PivotRule.LEAST_INDEX, collect_trace=True)
+        assert out.status is Status.INFEASIBLE
+        assert out.redundant_rows == {0, 4, 5}
+        assert [(r.entering, r.leaving) for r in out.trace] == [
+            (0, 4), (1, 0), (2, 1), (3, 5), (1, -1)]
+        assert out.certificate.entering_row == 1
 
     def test_binding_row_not_flagged(self):
         p = GeneralLP(
@@ -858,3 +962,19 @@ def test_outcome_digest_script_writes_one_line_per_solve(tmp_path):
     assert len({line["trace"] for line in lines}) > len(lines) // 2
     name, sp, rule = next(script.cases(quick=True))
     assert script.digest(name, sp, rule) == lines[0]
+
+
+def test_pivot_overhead_script_prints_one_row_per_dimension(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "pivot_overhead.py"
+    spec = importlib.util.spec_from_file_location("pivot_overhead", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    d = linalg.INVERSE_MIN_D
+    script.main(["--dims", str(d), str(d + 1), "--instances", "1", "--rounds", "1",
+                 "--reps", "5"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("| d | pivots |") and len(lines) == 4
+    for dim, line in zip((d, d + 1), lines[2:]):
+        cells = line.strip("|").split("|")
+        assert int(cells[0]) == dim and int(cells[1]) > 0
+        assert float(cells[2]) > 0 and float(cells[3]) > 0 and cells[4].strip().endswith("%")
