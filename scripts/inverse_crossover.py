@@ -70,10 +70,10 @@ def _per_pivot_us(begin, c, steps, reps: int) -> float:
         f = begin()
         t0 = time.perf_counter()
         for slot, row, m_new, b_new in steps:
-            y = f.solve_transpose(row)
+            y = linalg.solve_transpose(f, row)
             f = linalg.replace_row(f, slot, y) or linalg.factor(m_new)
-            f.solve_transpose(c)
-            f.solve(b_new)
+            linalg.solve_transpose(f, c)
+            linalg.solve(f, b_new)
         elapsed += time.perf_counter() - t0
     return elapsed / (reps * len(steps)) * 1e6
 

@@ -208,7 +208,7 @@ def _bench_instances(args: argparse.Namespace):
         if not paths:
             raise FacetLPError(f"no .mps files under {directory}")
         for path in paths:
-            yield path.stem, (lambda path=path: mps.read_mps(path))
+            yield path.stem, (lambda path=path: _load_problem(str(path), "mps"))
     else:
         raise FacetLPError(f"unknown suite {args.suite!r}")
 

@@ -24,7 +24,7 @@ and rhs are read from the problem through the indices. A pivot writes one
 slot of the base in place and replaces the :class:`SolverState`, which is
 the iterate; ``solve`` writes neither.
 
-``solve`` makes what every pivot reads once: c, the pricing and
+``solve`` makes what every pivot reads once: the pricing and
 residual-check tolerances and the row norms. The small numpy calls around
 a pivot's kernels (five BLAS calls on the inverse path) cost as much as
 the kernels or more (``scripts/pivot_overhead.py``), so the step functions
@@ -156,14 +156,15 @@ def initial_state(sp: StandardGeneralLP) -> tuple[Base, SolverState]:
     d = sp.d
     rows = np.arange(sp.m + sp.n, sp.m + sp.n + d)
     base = Base(rows, np.zeros(d, dtype=bool), linalg.factor(sp.A[rows]))
-    return base, _iterate(sp, base, sp.c_original)
+    return base, _iterate(sp, base)
 
 
-def _iterate(sp: StandardGeneralLP, base: Base, c: np.ndarray) -> SolverState:
+def _iterate(sp: StandardGeneralLP, base: Base) -> SolverState:
     """y_c and x solved from the base's factors, and the residuals of x
     computed once."""
     x = linalg.solve(base.fact, sp.b[base.indices])
-    return SolverState(x, linalg.solve_transpose(base.fact, c), residuals(sp, x))
+    y_c = linalg.solve_transpose(base.fact, sp.c_original)
+    return SolverState(x, y_c, residuals(sp, x))
 
 
 def select_entering(
@@ -300,7 +301,6 @@ def pivot(
     p: int,
     s: int,
     y_p: np.ndarray,
-    c: np.ndarray,
     lin_tols: np.ndarray | None = None,
 ) -> tuple[Base, SolverState]:
     """Swap the facet in slot s (as ``select_leaving`` returns it, so
@@ -308,30 +308,34 @@ def pivot(
 
     Index p is written into slot s of ``base`` in place, and its factors
     are ``linalg.replace_row``'s update given y_p or, where that declines,
-    the rows ``sp.A[base.indices]`` factored afresh. y_c (from ``c``) and x
-    are solved from them, and their residuals A x - b computed once. One
-    check guards the iterate: if the factors are an updated inverse whose
-    base rows fail ``lin_tols``, the basic-solution tolerances (by default
+    the rows ``sp.A[base.indices]`` factored afresh. y_c and x are solved
+    from them, and their residuals A x - b computed once. One check guards
+    the iterate: if the factors are an updated inverse whose base rows fail
+    ``lin_tols``, the basic-solution tolerances (by default
     ``sp.row_tolerances(TOL_LIN)``), the base is factored afresh and y_c, x
     and the residuals solved again. Returns ``base`` and a new state;
-    ``state`` is left as it was. A singular new base restores index s
-    before raising ``SingularMatrix``.
+    ``state`` is left as it was. When ``linalg.factor`` finds the new base
+    singular, index s is restored and its SingularMatrix raised again,
+    naming both rows.
     """
     q = base.indices[s]
     base.indices[s] = p
-    fact = linalg.replace_row(base.fact, s, y_p) or linalg.factor(sp.A[base.indices])
-    if fact.singular:
+    try:
+        # only factor raises it, after replace_row declined and left the old
+        # factors intact
+        fact = linalg.replace_row(base.fact, s, y_p) or linalg.factor(sp.A[base.indices])
+    except SingularMatrix as exc:
         base.indices[s] = q
         raise SingularMatrix(
             f"pivot {p}<->{q} produced a singular base, which the independence "
             f"property rules out; numerical breakdown at diagonal entry "
-            f"{fact.bad_pivot_index}",
-            fact.bad_pivot_index,
-        )
+            f"{exc.pivot_index}",
+            exc.pivot_index,
+        ) from exc
     base.is_eq[s] = p < sp.m
     base.fact = fact
 
-    new = _iterate(sp, base, c)
+    new = _iterate(sp, base)
     # an updated inverse drifts from the base it stands for, so its iterate
     # is checked row by row at the basic-solution invariant's tolerance
     rows = base.indices
@@ -339,7 +343,7 @@ def pivot(
         lin_tols = sp.row_tolerances(TOL_LIN)
     if fact.updates and np.count_nonzero(np.abs(new.sigma[rows]) > lin_tols[rows]):
         base.fact = linalg.factor(sp.A[rows])
-        new = _iterate(sp, base, c)
+        new = _iterate(sp, base)
     return base, new
 
 
@@ -429,7 +433,7 @@ def solve(
             row_tols[q] = np.inf
 
         prev_objective = objective
-        base, state = pivot(sp, base, state, p, s, y_p, c, lin_tols)
+        base, state = pivot(sp, base, state, p, s, y_p, lin_tols)
         iteration += 1
 
         objective = float(c.dot(state.x)) + offset

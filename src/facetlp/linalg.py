@@ -16,9 +16,11 @@ already (the entering facet's expansion), so an update costs no solve, and
 a solve is one matrix product. A tiny y[s] is declined too, and takes a
 fresh inverse, as does the solver's per-pivot check, through ``factor``,
 when an iterate solved from an updated inverse fails its residual check.
-Only ``factor`` reads matrix entries. LAPACK and BLAS
-are called directly (scipy's wrappers' per-call overhead dominates at
-small d); ``scripts/inverse_crossover.py`` measures the crossover.
+Only ``factor`` reads matrix entries, and only it decides singularity: it
+raises SingularMatrix instead of returning factors of a singular matrix,
+so every factorization can be solved. LAPACK and BLAS are called directly
+(scipy's wrappers' per-call overhead dominates at small d);
+``scripts/inverse_crossover.py`` measures the crossover.
 """
 
 from __future__ import annotations
@@ -48,60 +50,48 @@ _gemv, _ger = scipy.linalg.get_blas_funcs(("gemv", "ger"), dtype=np.float64)
 
 @dataclass(slots=True)
 class SquareFactorization:
-    """Factors of a d-by-d matrix M. Below ``INVERSE_MIN_D`` (or if M is
-    singular), ``lu`` and ``piv`` are the packed LU factors and 0-based row
-    pivots of M. From it up, ``inv`` is M^-1 in Fortran order instead:
-    inverted from the LU of the last factorization from scratch, then
-    updated in place by ``updates`` row replacements. The flags describe
-    that LU. The fields are never reassigned, but ``replace_row`` writes
-    ``inv`` in place: it consumes the factorization it is given. Not frozen:
-    a frozen dataclass takes several times as long to build, once a pivot.
+    """Factors of a nonsingular d-by-d matrix M. Below ``INVERSE_MIN_D``,
+    ``lu`` and ``piv`` are the packed LU factors and 0-based row pivots of
+    M. From it up, ``inv`` is M^-1 in Fortran order instead: inverted from
+    the LU of the last factorization from scratch, then updated in place by
+    ``updates`` row replacements. ``near_singular`` describes that LU. The
+    fields are never reassigned, but ``replace_row`` writes ``inv`` in
+    place: it consumes the factorization it is given. Not frozen: a frozen
+    dataclass takes several times as long to build, once a pivot.
     """
 
     dimension: int
-    singular: bool
     near_singular: bool
-    bad_pivot_index: int | None = None
     lu: np.ndarray | None = None
     piv: np.ndarray | None = None
     inv: np.ndarray | None = None
     updates: int = 0
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        return solve(self, r)
 
-    def solve_transpose(self, r: np.ndarray) -> np.ndarray:
-        return solve_transpose(self, r)
-
-
-def _flagged(
-    row_sums: np.ndarray, diagonal: np.ndarray, **factors
-) -> SquareFactorization:
-    """Attach the singularity flags read off the triangular factor's diagonal,
-    relative to the infinity norm of the factored matrix. The first pivot at
-    or below the threshold is the bad one."""
+def _near_singular(row_sums: np.ndarray, diagonal: np.ndarray) -> bool:
+    """Whether the smallest pivot on the triangular factor's diagonal is
+    within ``NEAR_SINGULAR_FACTOR`` of the singularity threshold, which is
+    ``TOL_PIVOT`` times the infinity norm of the factored matrix. A pivot at
+    or below the threshold raises SingularMatrix, carrying the first such
+    pivot's index."""
     # argmax and argmin find max's and min's entries without a reduction
     pivots = np.abs(diagonal)
     threshold = TOL_PIVOT * max(row_sums[row_sums.argmax()], _TINY)
     smallest = pivots[pivots.argmin()]
-    singular = bool(smallest <= threshold)
-    return SquareFactorization(
-        dimension=row_sums.shape[0],
-        singular=singular,
-        near_singular=not singular and bool(smallest <= NEAR_SINGULAR_FACTOR * threshold),
-        bad_pivot_index=int((pivots <= threshold).argmax()) if singular else None,
-        **factors,
-    )
+    if smallest <= threshold:
+        bad = int((pivots <= threshold).argmax())
+        raise SingularMatrix(f"matrix is singular (pivot {bad})", bad)
+    return bool(smallest <= NEAR_SINGULAR_FACTOR * threshold)
 
 
 def factor(m: np.ndarray) -> SquareFactorization:
     """Factor a square matrix from scratch: an LU with row pivoting, and
     from ``INVERSE_MIN_D`` up the inverse computed from it.
 
-    Exactly or nearly singular input does not raise here; the condition is
-    recorded and the solves refuse to run. NaN or infinite entries raise
-    ValueError. Factorization is deterministic: identical input bits give
-    identical factors.
+    A pivot at or below ``TOL_PIVOT`` times the matrix's infinity norm
+    raises SingularMatrix. NaN or infinite entries raise ValueError.
+    Factorization is deterministic: identical input bits give identical
+    factors.
     """
     m = np.asarray_chkfinite(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
@@ -110,13 +100,14 @@ def factor(m: np.ndarray) -> SquareFactorization:
     lu, piv, info = _getrf(m)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
-    f = _flagged(row_sums, lu.diagonal(), lu=lu, piv=piv)
-    if f.dimension < INVERSE_MIN_D or f.singular:
-        return f
-    # getri overwrites the LU in place, after the flags were read off it
-    lwork = int(_getri_lwork(f.dimension)[0])
+    d = m.shape[0]
+    near = _near_singular(row_sums, lu.diagonal())
+    if d < INVERSE_MIN_D:
+        return SquareFactorization(d, near, lu=lu, piv=piv)
+    # getri overwrites the LU in place, after the pivots were read off it
+    lwork = int(_getri_lwork(d)[0])
     inv = _solved(_getri(lu, piv, lwork=lwork, overwrite_lu=1))
-    return SquareFactorization(f.dimension, False, f.near_singular, inv=inv)
+    return SquareFactorization(d, near, inv=inv)
 
 
 def replace_row(
@@ -144,14 +135,10 @@ def replace_row(
     h = y / -pivot
     h[slot] = 1.0 / pivot - 1.0
     inv = _ger(1.0, f.inv[:, slot].copy(), h, a=f.inv, overwrite_a=1)
-    return SquareFactorization(d, False, f.near_singular, inv=inv, updates=f.updates + 1)
+    return SquareFactorization(d, f.near_singular, inv=inv, updates=f.updates + 1)
 
 
 def _check(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
-    if f.singular:
-        raise SingularMatrix(
-            f"matrix is singular (pivot {f.bad_pivot_index})", f.bad_pivot_index
-        )
     r = np.asarray(r, dtype=float)
     if r.shape != (f.dimension,):
         raise DimensionMismatch(

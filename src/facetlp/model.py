@@ -79,10 +79,13 @@ class GeneralLP:
                 raise NonFiniteData(f"{label} contains a non-finite entry")
         if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
             raise NonFiniteData("bounds contain NaN")
-        if np.any(self.lower > self.upper):
-            i = int(np.argmax(self.lower > self.upper))
+        # lower = +inf or upper = -inf leaves no finite value for x[i]
+        bad = (self.lower > self.upper) | np.isposinf(self.lower) | np.isneginf(self.upper)
+        if bad.any():
+            i = int(bad.argmax())
             raise InconsistentBounds(
-                f"lower[{i}]={self.lower[i]} exceeds upper[{i}]={self.upper[i]}"
+                f"bounds lower[{i}]={self.lower[i]}, upper[{i}]={self.upper[i]} "
+                f"admit no finite x[{i}]"
             )
         self.objective_offset = float(self.objective_offset)
         if not np.isfinite(self.objective_offset):
@@ -103,14 +106,14 @@ class GeneralLP:
 
 @dataclass
 class StandardGeneralLP:
-    """Solver-facing stacked form; see the module docstring for the layout."""
+    """Solver-facing stacked form; see the module docstring for the layout.
+    ``c_original`` is the objective in the original coordinates."""
 
-    c_bar: np.ndarray
+    c_original: np.ndarray
     A: np.ndarray
     b: np.ndarray
     m: int
     n: int
-    flip: np.ndarray
     big_M: float
     artificial_rows: frozenset[int]
     objective_offset: float = 0.0
@@ -130,11 +133,6 @@ class StandardGeneralLP:
     @property
     def f_block(self) -> slice:
         return slice(self.m + self.n + self.d, self.m + self.n + 2 * self.d)
-
-    @property
-    def c_original(self) -> np.ndarray:
-        """Objective vector in the original coordinates: sum of c_bar[i] * E_i."""
-        return np.where(self.flip, -self.c_bar, self.c_bar)
 
     def rhs_scale(self) -> float:
         """Largest |b| entry over the non-artificial rows.
@@ -181,10 +179,10 @@ def to_standard_general(p: GeneralLP, big_M: float | None = None) -> StandardGen
     """Stack the problem into [A_eq; A_ineq; E; F] with sign-adjusted bounds.
 
     Per variable i: if c_i >= 0 the E row is +e_i with rhs lower_i and the F
-    row is -e_i with rhs -upper_i; if c_i < 0 the objective coefficient is
-    negated (c_bar_i = -c_i), the E row is -e_i with rhs -upper_i and the F
-    row is +e_i with rhs lower_i. Infinite bounds become -big_M on the
-    affected row, which is recorded in ``artificial_rows``.
+    row is -e_i with rhs -upper_i; if c_i < 0 the E row is -e_i with rhs
+    -upper_i and the F row is +e_i with rhs lower_i. Either way c expands
+    over E with the coefficients |c_i| >= 0. Infinite bounds become -big_M
+    on the affected row, which is recorded in ``artificial_rows``.
     """
     if big_M is None:
         big_M = default_big_m(p)
@@ -192,7 +190,6 @@ def to_standard_general(p: GeneralLP, big_M: float | None = None) -> StandardGen
         raise NonFiniteData("big_M must be a positive finite number")
     d, m, n = p.d, p.num_eq, p.num_ineq
     flip = p.c < 0
-    c_bar = np.abs(p.c)
 
     lower = np.where(np.isneginf(p.lower), -big_M, p.lower)
     upper = np.where(np.isposinf(p.upper), big_M, p.upper)
@@ -213,7 +210,7 @@ def to_standard_general(p: GeneralLP, big_M: float | None = None) -> StandardGen
             artificial.add(m + n + d + i if flip[i] else m + n + i)
 
     return StandardGeneralLP(
-        c_bar=c_bar, A=A, b=b, m=m, n=n, flip=flip,
+        c_original=p.c + 0.0, A=A, b=b, m=m, n=n,  # + 0.0 clears -0.0
         big_M=float(big_M), artificial_rows=frozenset(artificial),
         objective_offset=p.objective_offset,
     )

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from facetlp import cli, generators, mps
+from facetlp import cli, generators
 from facetlp.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
@@ -207,6 +207,19 @@ class TestSolveCommand:
         assert main(["solve", str(path), "--solver", solver]) == EXIT_INPUT_ERROR
         assert "at least one variable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver", ["facet", "dantzig", "oracle"])
+    @pytest.mark.parametrize("bounds", ['"lower": ["inf"]', '"upper": ["-inf"]'])
+    def test_bound_with_no_finite_value_is_input_error(
+        self, tmp_path, capsys, solver, bounds
+    ):
+        # every solver refuses it alike; run, the three gave three statuses
+        path = tmp_path / "no_finite_x.json"
+        path.write_text('{"c": [1.0], %s}' % bounds)
+        assert main(["solve", str(path), "--solver", solver]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "admit no finite x[0]" in captured.err
+
     def test_parse_error_reports_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.mps"
         bad.write_text("NAME X\nROWS\n Q  R1\nENDATA\n")
@@ -335,13 +348,13 @@ class TestBenchCommand:
         self, fixtures_dir, tmp_path, capsys, monkeypatch
     ):
         loaded = []
-        real_read_mps = mps.read_mps
+        real_load_problem = cli._load_problem
 
-        def counting_read_mps(path, *args, **kwargs):
+        def counting_load_problem(path, fmt):
             loaded.append(path)
-            return real_read_mps(path, *args, **kwargs)
+            return real_load_problem(path, fmt)
 
-        monkeypatch.setattr(mps, "read_mps", counting_read_mps)
+        monkeypatch.setattr(cli, "_load_problem", counting_load_problem)
         out_csv = tmp_path / "once.csv"
         code = main(["bench", "--suite", "netlib", "--netlib-dir", str(fixtures_dir),
                      "--solvers", "facet,dantzig", "--csv", str(out_csv)])
@@ -449,6 +462,15 @@ class TestBenchCommand:
         names = {r["name"] for r in rows}
         assert "kb2_shape" in names and "recipe_shape" in names
         assert all(r["status"] == "Optimal" for r in rows)
+
+    def test_netlib_suite_reports_mps_warnings(self, fixtures_dir, tmp_path, capsys):
+        # bench loads MPS files as solve does, warnings included
+        code = main(["bench", "--suite", "netlib", "--netlib-dir", str(fixtures_dir),
+                     "--solvers", "facet"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert f"warning: {fixtures_dir / 'bounds_all.mps'}: " in err
+        assert "relaxation" in err  # the BV bound warns
 
 
 class TestVerifyCommand:

@@ -12,32 +12,31 @@ from facetlp.errors import DimensionMismatch, SingularMatrix
 
 def test_identity_factors_to_identity_permutation():
     f = linalg.factor(np.eye(3))
-    assert not f.singular
     np.testing.assert_array_equal(f.piv, [0, 1, 2])
-    np.testing.assert_allclose(f.solve(np.array([1.0, 0.0, 0.0])), [1, 0, 0])
+    np.testing.assert_allclose(linalg.solve(f, np.array([1.0, 0.0, 0.0])), [1, 0, 0])
 
 
 def test_permutation_matrix_solve():
     f = linalg.factor(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_allclose(f.solve(np.array([1.0, 2.0])), [2.0, 1.0])
+    np.testing.assert_allclose(linalg.solve(f, np.array([1.0, 2.0])), [2.0, 1.0])
 
 
 def test_negated_diagonal_solve():
     # the bound block of a cube instance whose objective is all-negative
     f = linalg.factor(np.diag([-1.0, -1.0, -1.0]))
     b_l = np.array([-10.0, -10.0, -10.0])
-    np.testing.assert_allclose(f.solve(b_l), -b_l)
+    np.testing.assert_allclose(linalg.solve(f, b_l), -b_l)
 
 
 def test_diagonal_transpose_solve():
     f = linalg.factor(np.diag([2.0, 4.0]))
-    np.testing.assert_allclose(f.solve_transpose(np.array([2.0, 4.0])), [1.0, 1.0])
+    np.testing.assert_allclose(linalg.solve_transpose(f, np.array([2.0, 4.0])), [1.0, 1.0])
 
 
 def test_upper_triangular_transpose_solve():
     # M^T y = (1, 2) for M = [[1, 1], [0, 1]] gives y = (1, 1)
     f = linalg.factor(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    np.testing.assert_allclose(f.solve_transpose(np.array([1.0, 2.0])), [1.0, 1.0])
+    np.testing.assert_allclose(linalg.solve_transpose(f, np.array([1.0, 2.0])), [1.0, 1.0])
 
 
 def test_solve_residuals_on_random_well_conditioned_systems():
@@ -46,8 +45,8 @@ def test_solve_residuals_on_random_well_conditioned_systems():
         m = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
         f = linalg.factor(m)
         r = rng.normal(size=6)
-        assert np.max(np.abs(m @ f.solve(r) - r)) < 1e-10
-        assert np.max(np.abs(m.T @ f.solve_transpose(r) - r)) < 1e-10
+        assert np.max(np.abs(m @ linalg.solve(f, r) - r)) < 1e-10
+        assert np.max(np.abs(m.T @ linalg.solve_transpose(f, r) - r)) < 1e-10
 
 
 def test_factor_is_deterministic():
@@ -58,21 +57,17 @@ def test_factor_is_deterministic():
     np.testing.assert_array_equal(f1.piv, f2.piv)
 
 
-def test_singular_matrix_flagged_and_refuses_to_solve():
-    f = linalg.factor(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert f.singular
-    assert f.bad_pivot_index is not None
-    with pytest.raises(SingularMatrix):
-        f.solve(np.array([1.0, 2.0]))
-    with pytest.raises(SingularMatrix):
-        f.solve_transpose(np.array([1.0, 2.0]))
+def test_singular_matrix_raises_from_factor():
+    # the LU's diagonal is (1, 0): the pivot in position 1 is the bad one
+    with pytest.raises(SingularMatrix, match=r"^matrix is singular \(pivot 1\)$") as exc:
+        linalg.factor(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    assert exc.value.pivot_index == 1
 
 
 def test_near_singular_flag_does_not_block_solves():
     f = linalg.factor(np.diag([1.0, 1e-10]))
-    assert not f.singular
     assert f.near_singular
-    np.testing.assert_allclose(f.solve(np.array([1.0, 1e-10])), [1.0, 1.0])
+    np.testing.assert_allclose(linalg.solve(f, np.array([1.0, 1e-10])), [1.0, 1.0])
 
 
 def test_shape_errors():
@@ -83,9 +78,9 @@ def test_shape_errors():
         # a (d, k) block is refused like any other shape but (d,)
         for bad in (np.ones(d + 1), np.ones((d, 2)), np.ones((d + 1, 2)),
                     np.ones((d, 2, 1))):
-            for solve in (f.solve, f.solve_transpose):
+            for solve in (linalg.solve, linalg.solve_transpose):
                 with pytest.raises(DimensionMismatch):
-                    solve(bad)
+                    solve(f, bad)
         if f.updates:
             with pytest.raises(DimensionMismatch):
                 linalg.replace_row(f, 0, np.ones(d + 1))
@@ -115,7 +110,7 @@ def _replace(rng, f, m, slot, diagonal=20.0):
     m_new = m.copy()
     m_new[slot] = rng.integers(-9, 10, size=m.shape[0])
     m_new[slot, slot] += diagonal
-    f = linalg.replace_row(f, slot, f.solve_transpose(m_new[slot]))
+    f = linalg.replace_row(f, slot, linalg.solve_transpose(f, m_new[slot]))
     return f or linalg.factor(m_new), m_new
 
 
@@ -155,8 +150,8 @@ def test_replace_row_consumes_its_argument_only_when_it_updates():
     g, m_new = _replace(rng, f, m, 4, diagonal=10.0 * d)
     assert g.inv is f.inv and g.updates == 1 and f.updates == 0
     assert not np.array_equal(f.inv, held)
-    np.testing.assert_array_equal(f.solve(r), g.solve(r))
-    assert np.max(np.abs(m_new @ f.solve(r) - r)) <= 1e-10
+    np.testing.assert_array_equal(linalg.solve(f, r), linalg.solve(g, r))
+    assert np.max(np.abs(m_new @ linalg.solve(f, r) - r)) <= 1e-10
     # declining, for a tiny y[s] or below the crossover, leaves the argument
     # as it was
     f = linalg.factor(m)
@@ -182,15 +177,14 @@ def test_chained_row_replacements_keep_solves_accurate(d):
     for k in range(400):
         f, m = _replace(rng, f, m, int(rng.integers(d)), diagonal=10.0 * d)
         assert f.inv is inv and f.updates == k + 1
-        assert not f.singular
         r = rng.normal(size=d)
-        assert np.max(np.abs(m @ f.solve(r) - r)) <= 1e-10
-        assert np.max(np.abs(m.T @ f.solve_transpose(r) - r)) <= 1e-10
+        assert np.max(np.abs(m @ linalg.solve(f, r) - r)) <= 1e-10
+        assert np.max(np.abs(m.T @ linalg.solve_transpose(f, r) - r)) <= 1e-10
     fresh = linalg.factor(m)
     assert fresh.updates == 0
     want = linalg.factor(m)
     np.testing.assert_array_equal(fresh.inv, want.inv)
-    assert (fresh.singular, fresh.near_singular) == (want.singular, want.near_singular)
+    assert fresh.near_singular == want.near_singular
 
 
 @pytest.mark.parametrize("d", [64, 128])
@@ -199,14 +193,9 @@ def test_replacing_a_row_by_a_copy_of_another_is_singular(d):
     f, m = _updated(rng, 2, d)
     m_new = m.copy()
     m_new[3] = m[7]
-    assert linalg.replace_row(f, 3, f.solve_transpose(m_new[3])) is None
-    g = linalg.factor(m_new)
-    assert g.singular
-    assert g.inv is None and g.updates == 0
+    assert linalg.replace_row(f, 3, linalg.solve_transpose(f, m_new[3])) is None
     with pytest.raises(SingularMatrix):
-        g.solve(np.ones(d))
-    with pytest.raises(SingularMatrix):
-        g.solve_transpose(np.ones(d))
+        linalg.factor(m_new)
 
 
 def test_near_singular_update_is_refactored_from_scratch():
@@ -216,11 +205,11 @@ def test_near_singular_update_is_refactored_from_scratch():
     m_new = m.copy()
     m_new[3] = m[7]
     m_new[3, 0] += 1e-8
-    assert linalg.replace_row(f, 3, f.solve_transpose(m_new[3])) is None
+    assert linalg.replace_row(f, 3, linalg.solve_transpose(f, m_new[3])) is None
     g = linalg.factor(m_new)
-    assert g.near_singular and not g.singular
+    assert g.near_singular
     r = rng.normal(size=d)
-    assert np.max(np.abs(m_new @ g.solve(r) - r)) <= 1e-6 * np.max(np.abs(g.solve(r)))
+    assert np.max(np.abs(m_new @ linalg.solve(g, r) - r)) <= 1e-6 * np.max(np.abs(linalg.solve(g, r)))
 
 
 def test_tiny_eta_pivot_refactors_from_scratch():
@@ -263,8 +252,8 @@ def test_random_chains_of_row_replacements_stay_accurate(d, seed, length):
         f, m = _replace(rng, f, m, int(rng.integers(d)), diagonal=10.0 * d)
         assert f.updates == i + 1
         r = rng.normal(size=d)
-        assert np.max(np.abs(m @ f.solve(r) - r)) <= 1e-10
-        assert np.max(np.abs(m.T @ f.solve_transpose(r) - r)) <= 1e-10
+        assert np.max(np.abs(m @ linalg.solve(f, r) - r)) <= 1e-10
+        assert np.max(np.abs(m.T @ linalg.solve_transpose(f, r) - r)) <= 1e-10
 
 
 def test_crossover_script_measures_both_paths():
@@ -279,8 +268,8 @@ def test_crossover_script_measures_both_paths():
 
 
 def _flags_by_scan(row_sums, diagonal):
-    """The singularity flags as computed before they were read off the
-    smallest pivot: every pivot at or below the threshold is listed."""
+    """Whether the pivots are singular or near singular, and the first bad
+    pivot, from a scan that lists every pivot at or below the threshold."""
     norm = np.max(row_sums) if row_sums.shape[0] else 0.0
     pivots = np.abs(diagonal)
     threshold = linalg.TOL_PIVOT * max(norm, np.finfo(float).tiny)
@@ -305,9 +294,13 @@ def test_flags_match_a_scan_of_every_pivot():
         cases.append((row_sums, diagonal))
     seen = set()
     for row_sums, diagonal in cases:
-        f = linalg._flagged(row_sums, diagonal)
-        want = _flags_by_scan(row_sums, diagonal)
-        assert (f.singular, f.near_singular, f.bad_pivot_index) == want
-        assert f.dimension == row_sums.shape[0]
-        seen.add(want[:2])
+        singular, near, bad = _flags_by_scan(row_sums, diagonal)
+        if singular:
+            with pytest.raises(SingularMatrix) as exc:
+                linalg._near_singular(row_sums, diagonal)
+            assert exc.value.pivot_index == bad
+            assert str(exc.value) == f"matrix is singular (pivot {bad})"
+        else:
+            assert linalg._near_singular(row_sums, diagonal) is near
+        seen.add((singular, near))
     assert seen == {(True, False), (False, True), (False, False)}

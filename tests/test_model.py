@@ -30,7 +30,10 @@ class TestToStandardGeneral:
         """
         p = GeneralLP(c=[1.0, -2.0], lower=[0.0, 0.0], upper=[10.0, 20.0])
         sp = to_standard_general(p, big_M=1e6)
-        np.testing.assert_array_equal(sp.c_bar, [1.0, 2.0])
+        np.testing.assert_array_equal(sp.c_original, [1.0, -2.0])
+        # the start's expansion coefficients, solved from the E block
+        y_c = np.linalg.solve(sp.A[sp.e_block].T, sp.c_original)
+        np.testing.assert_array_equal(y_c, [1.0, 2.0])
         e = sp.A[sp.e_block]
         f = sp.A[sp.f_block]
         np.testing.assert_array_equal(e, np.diag([1.0, -1.0]))
@@ -38,6 +41,11 @@ class TestToStandardGeneral:
         np.testing.assert_array_equal(sp.b[sp.e_block], [0.0, -20.0])
         np.testing.assert_array_equal(sp.b[sp.f_block], [-10.0, 0.0])
         assert not sp.artificial_rows
+
+    def test_negative_zero_cost_is_cleared(self):
+        sp = to_standard_general(GeneralLP(c=[-0.0, 2.0, -3.0]))
+        assert sp.c_original.tolist() == [0.0, 2.0, -3.0]
+        assert not np.signbit(sp.c_original[0])
 
     def test_infinite_upper_bound_becomes_artificial_row(self):
         p = GeneralLP(c=[0.0], lower=[0.0], upper=[np.inf])
@@ -73,10 +81,11 @@ class TestToStandardGeneral:
             e, f = sp.A[sp.e_block], sp.A[sp.f_block]
             np.testing.assert_array_equal(e, -f)
             np.testing.assert_array_equal(np.abs(np.diag(e)), np.ones(d))
-            assert np.all(sp.c_bar >= 0)
+            assert np.all(np.linalg.solve(e.T, sp.c_original) >= 0)
 
     def test_objective_roundtrip_through_adjusted_coefficients(self):
-        """c.x must equal sum_i c_bar_i * (E_i . x): the sign bookkeeping is
+        """c.x must equal sum_i y_i * (E_i . x), y the start's expansion
+        coefficients solved from E^T y = c: the sign bookkeeping is
         lossless."""
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -88,7 +97,8 @@ class TestToStandardGeneral:
             )
             sp = to_standard_general(p)
             x = rng.normal(size=d)
-            reconstructed = float(sp.c_bar @ (sp.A[sp.e_block] @ x))
+            e = sp.A[sp.e_block]
+            reconstructed = float(np.linalg.solve(e.T, sp.c_original) @ (e @ x))
             assert reconstructed == pytest.approx(float(p.c @ x), abs=1e-12)
 
     def test_initial_point_picks_cheaper_bound_per_coordinate(self):
@@ -173,6 +183,15 @@ class TestValidation:
     def test_crossed_bounds_rejected(self):
         with pytest.raises(InconsistentBounds):
             GeneralLP(c=[1.0], lower=[2.0], upper=[1.0])
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([np.inf], None), (None, [-np.inf]), ([np.inf], [np.inf]),
+        ([-np.inf], [-np.inf]), ([0.0, np.inf], [1.0, np.inf]),
+    ])
+    def test_bounds_with_no_finite_value_rejected(self, lower, upper):
+        c = [1.0] * len(lower or upper)
+        with pytest.raises(InconsistentBounds):
+            GeneralLP(c=c, lower=lower, upper=upper)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
