@@ -18,7 +18,6 @@ from facetlp.facet import (
 )
 from facetlp.generators import (
     CYCLING_FIXTURE_IDS,
-    InstanceSpec,
     cycling_fixture,
     klee_minty_v1,
     klee_minty_v2,
@@ -52,7 +51,6 @@ __all__ = [
     "CYCLING_FIXTURE_IDS",
     "GeneralLP",
     "InfeasibilityCertificate",
-    "InstanceSpec",
     "MpsDocument",
     "PivotRule",
     "SolveOutcome",

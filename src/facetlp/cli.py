@@ -3,6 +3,9 @@ benchmark suites, and fuzz the solver against the brute-force oracle.
 
 Exit codes: 0 optimal/success, 2 infeasible, 3 unbounded, 4 iteration limit,
 5 input/parse error, 6 verify mismatch, 7 numerical breakdown, 1 internal error.
+Exit 5 also covers files that cannot be read, are malformed or cannot be
+written. Only ``main`` turns exceptions into exit codes; ``solve`` prefixes a
+load error with the path, and ``bench`` records a failed instance in its row.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NoReturn
-
-import numpy as np
 
 from facetlp import generators, mps
 from facetlp.errors import FacetLPError, NoLeavingCandidate, SingularMatrix
@@ -92,8 +93,7 @@ def _load_problem(path: str, fmt: str) -> GeneralLP:
     if fmt == "auto":
         fmt = "mps" if path.lower().endswith((".mps", ".sif")) else "json"
     if fmt == "mps":
-        with open(path) as fh:
-            doc = mps.parse_mps(fh.read())
+        doc = mps.parse_mps(mps.read_text(path))
         p = mps.to_general_lp(doc)
         for warning in doc.warnings:
             print(f"warning: {path}: {warning}", file=sys.stderr)
@@ -132,7 +132,7 @@ def _format_objective(objective: float | None) -> str:
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         p = _load_problem(args.path, args.format)
-    except (FacetLPError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (FacetLPError, OSError) as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if _ignored_flag(args, [args.solver], ("rule", "max_iter", "tol_feas", "trace")):
@@ -167,15 +167,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    try:
-        spec = generators.InstanceSpec(
-            family=args.family, d=args.d, seed=args.seed, m=args.m, n=args.n,
-            kind=args.kind, fixture=args.fixture,
-        )
-        p = spec.build()
-    except (FacetLPError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    if args.family == "km1":
+        p = generators.klee_minty_v1(args.d)
+    elif args.family == "km2":
+        p = generators.klee_minty_v2(args.d)
+    elif args.family == "cycling":
+        p = generators.cycling_fixture(args.fixture)
+    else:
+        p = generators.random_instance(args.seed, args.d, args.m, args.n, args.kind)
     doc = json.dumps(general_lp_to_dict(p), indent=1)
     if args.output:
         Path(args.output).write_text(doc + "\n")
@@ -222,11 +221,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
     rule, max_iter = _rule_and_max_iter(args)
     rows = []
-    try:
-        instances = list(_bench_instances(args))
-    except (FacetLPError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    instances = list(_bench_instances(args))
     if not instances:
         print(f"error: suite {args.suite} has no instances", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -368,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--m", type=int, default=0)
     p_gen.add_argument("--n", type=int, default=4)
     p_gen.add_argument("--kind", default="feasible", choices=generators.RANDOM_KINDS)
-    p_gen.add_argument("--fixture", default=None,
-                       choices=list(generators.CYCLING_FIXTURE_IDS))
+    p_gen.add_argument("--fixture", default="beale",
+                       choices=list(generators.CYCLING_FIXTURE_IDS),
+                       help="cycling fixture (default beale)")
     p_gen.add_argument("-o", "--output", default=None)
     p_gen.set_defaults(func=cmd_generate)
 
@@ -412,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SingularMatrix, NoLeavingCandidate) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except FacetLPError as exc:
+    except (FacetLPError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # pragma: no cover - internal failure path

@@ -9,6 +9,11 @@ class DimensionMismatch(FacetLPError):
     """Vector or matrix dimensions are inconsistent with the problem."""
 
 
+class MalformedInput(FacetLPError):
+    """A problem file or document that cannot be read: bytes that are not
+    text, text that is not JSON, or a field missing or of the wrong type."""
+
+
 class NonFiniteData(FacetLPError):
     """NaN (or an infinity outside the bound vectors) found in problem data."""
 

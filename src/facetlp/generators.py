@@ -10,8 +10,6 @@ all are known to defeat naive ratio-test tie-breaking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from facetlp.errors import SizeOutOfRange, UnknownFixture
@@ -208,27 +206,3 @@ def random_instance(
                      lower=np.full(d, -12.0), upper=np.full(d, 12.0),
                      names={"family": "random", "seed": seed, "kind": kind})
 
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Pure description of a generated instance; building it twice gives
-    bit-identical problems."""
-
-    family: str                     # km1 | km2 | cycling | random
-    d: int = 0
-    seed: int = 0
-    m: int = 0
-    n: int = 0
-    kind: str = "feasible"
-    fixture: str | None = None
-
-    def build(self) -> GeneralLP:
-        if self.family == "km1":
-            return klee_minty_v1(self.d)
-        if self.family == "km2":
-            return klee_minty_v2(self.d)
-        if self.family == "cycling":
-            return cycling_fixture(self.fixture or "beale")
-        if self.family == "random":
-            return random_instance(self.seed, self.d, self.m, self.n, self.kind)
-        raise UnknownFixture(f"unknown family {self.family!r}")

@@ -34,8 +34,10 @@ from facetlp.errors import DimensionMismatch, SingularMatrix
 
 TOL_PIVOT = 1e-12
 NEAR_SINGULAR_FACTOR = 1e3
-# smallest dimension whose factorizations hold the inverse; the per-pivot
-# timings behind it are in CHANGES.md
+# smallest dimension whose factorizations hold the inverse. Set to 1, km1 at
+# d = 13..16 factors afresh on 11-13 of its 13-16 pivots, and perfbench on a
+# 2-core host read cubes facet_solve_ms_p90 0.904 -> 0.977 ms and oracle
+# facet_pivots_per_s 8,737 -> 8,095 (README "Numerical behavior")
 INVERSE_MIN_D = 32
 
 _TINY = np.finfo(float).tiny

@@ -23,12 +23,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from facetlp.errors import DimensionMismatch, InconsistentBounds, NonFiniteData
+from facetlp.errors import (
+    DimensionMismatch,
+    InconsistentBounds,
+    MalformedInput,
+    NonFiniteData,
+)
 
 BIG_M_FACTOR = 1e7
 TOL_FEAS_BASE = 1e-8
-# smallest d whose bound rows ``residuals`` reads off x (timings in CHANGES.md)
+# smallest d whose bound rows ``residuals`` reads off x. Set to infinity,
+# perfbench/run.py --seed 1 on a 2-core host read dense facet_pivots_per_s
+# 15,550 -> 13,963 and p90 58.5 -> 72.7 ms, every run worse (4 each)
 BOUND_ROWS_MIN_D = 120
+
+
+def _as_vector(a, name: str) -> np.ndarray:
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.ndim != 1:
+        raise DimensionMismatch(f"{name} has shape {a.shape}, expected a vector")
+    return a
 
 
 def _as_matrix(a, rows: int | None, cols: int, name: str) -> np.ndarray:
@@ -55,21 +69,17 @@ class GeneralLP:
     objective_offset: float = 0.0
 
     def __post_init__(self):
-        self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
+        self.c = _as_vector(self.c, "c")
         d = self.c.shape[0]
         if not d:
             raise DimensionMismatch("c is empty: an LP needs at least one variable")
-        self.b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=float))
-        self.b_ineq = np.atleast_1d(np.asarray(self.b_ineq, dtype=float))
+        self.b_eq = _as_vector(self.b_eq, "b_eq")
+        self.b_ineq = _as_vector(self.b_ineq, "b_ineq")
         self.A_eq = _as_matrix(self.A_eq, self.b_eq.shape[0], d, "A_eq")
         self.A_ineq = _as_matrix(self.A_ineq, self.b_ineq.shape[0], d, "A_ineq")
-        self.lower = (
-            np.zeros(d) if self.lower is None
-            else np.atleast_1d(np.asarray(self.lower, dtype=float))
-        )
+        self.lower = np.zeros(d) if self.lower is None else _as_vector(self.lower, "lower")
         self.upper = (
-            np.full(d, np.inf) if self.upper is None
-            else np.atleast_1d(np.asarray(self.upper, dtype=float))
+            np.full(d, np.inf) if self.upper is None else _as_vector(self.upper, "upper")
         )
         if self.lower.shape != (d,) or self.upper.shape != (d,):
             raise DimensionMismatch("bound vectors must have length d")
@@ -301,18 +311,23 @@ def general_lp_to_dict(p: GeneralLP) -> dict:
 
 
 def general_lp_from_dict(doc: dict) -> GeneralLP:
-    d = len(doc["c"])
-    return GeneralLP(
-        c=doc["c"],
-        A_eq=doc.get("A_eq") or np.zeros((0, d)),
-        b_eq=doc.get("b_eq") or np.zeros(0),
-        A_ineq=doc.get("A_ineq") or np.zeros((0, d)),
-        b_ineq=doc.get("b_ineq") or np.zeros(0),
-        lower=[_bound_from_json(v) for v in doc["lower"]] if "lower" in doc else None,
-        upper=[_bound_from_json(v) for v in doc["upper"]] if "upper" in doc else None,
-        names=doc.get("names"),
-        objective_offset=doc.get("objective_offset", 0.0),
-    )
+    """The problem a JSON document holds; a malformed one is ``MalformedInput``."""
+    try:
+        d = len(doc["c"])
+        return GeneralLP(
+            c=doc["c"],
+            A_eq=doc.get("A_eq") or np.zeros((0, d)),
+            b_eq=doc.get("b_eq") or np.zeros(0),
+            A_ineq=doc.get("A_ineq") or np.zeros((0, d)),
+            b_ineq=doc.get("b_ineq") or np.zeros(0),
+            lower=[_bound_from_json(v) for v in doc["lower"]] if "lower" in doc else None,
+            upper=[_bound_from_json(v) for v in doc["upper"]] if "upper" in doc else None,
+            names=doc.get("names"),
+            objective_offset=doc.get("objective_offset", 0.0),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        what = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise MalformedInput(f"malformed problem document: {what}") from None
 
 
 def save_general_lp(p: GeneralLP, path) -> None:
@@ -323,4 +338,8 @@ def save_general_lp(p: GeneralLP, path) -> None:
 
 def load_general_lp(path) -> GeneralLP:
     with open(path) as fh:
-        return general_lp_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or bytes that are not text
+            raise MalformedInput(f"not a JSON document: {exc}") from None
+    return general_lp_from_dict(doc)

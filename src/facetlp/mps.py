@@ -16,6 +16,7 @@ import numpy as np
 
 from facetlp.errors import (
     ConflictingBounds,
+    MalformedInput,
     MpsSyntaxError,
     UnknownRowLabel,
     UnknownSection,
@@ -26,6 +27,7 @@ _SECTIONS = {"NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"}
 _ROW_TYPES = {"N", "E", "L", "G"}
 _BOUND_TYPES_VALUE = {"UP", "LO", "FX"}
 _BOUND_TYPES_FLAG = {"FR", "MI", "PL", "BV"}
+_MARKER_WARNING = "MARKER integrality sections present; continuous relaxation is used"
 
 
 @dataclass
@@ -55,16 +57,28 @@ class MpsDocument:
         return len(self.column_order)
 
 
-def _tokens_with_optional_set_name(tokens: list[str]) -> list[str]:
-    # RHS/RANGES data lines carry an optional leading set name; the payload
-    # is (row, value) pairs, so an odd token count means the name is present
-    return tokens[1:] if len(tokens) % 2 == 1 else tokens
+def _number(token: str, lineno: int) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise MpsSyntaxError(f"bad numeric value {token!r}", lineno) from None
+
+
+def _row_values(doc: MpsDocument, payload: list[str], section: str, lineno: int):
+    """The (row, value) pairs of a data line, each row a declared one."""
+    if not payload or len(payload) % 2:
+        raise MpsSyntaxError(f"{section} line needs (row, value) pairs", lineno)
+    for rlabel, value in zip(payload[0::2], payload[1::2]):
+        if rlabel not in doc.row_types:
+            raise UnknownRowLabel(f"unknown row {rlabel!r}", lineno)
+        yield rlabel, _number(value, lineno)
 
 
 def parse_mps(text: str) -> MpsDocument:
     doc = MpsDocument()
     section = None
-    seen_marker_warning = False
+    # rows and columns are separate name spaces: a column may share a row's name
+    columns: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("*"):
@@ -104,25 +118,14 @@ def parse_mps(text: str) -> MpsDocument:
         elif section == "COLUMNS":
             if len(tokens) >= 3 and tokens[1] == "'MARKER'":
                 # integrality is ignored; warned once at the first MARKER
-                if not seen_marker_warning:
-                    doc.warnings.append(
-                        "MARKER integrality sections present; continuous "
-                        "relaxation is used"
-                    )
-                    seen_marker_warning = True
+                if _MARKER_WARNING not in doc.warnings:
+                    doc.warnings.append(_MARKER_WARNING)
                 continue
-            if len(tokens) < 3 or len(tokens) % 2 == 0:
-                raise MpsSyntaxError("COLUMNS line needs (row, value) pairs", lineno)
             col = tokens[0]
-            if col not in doc.row_types and col not in doc.column_order:
+            if col not in columns:
+                columns.add(col)
                 doc.column_order.append(col)
-            for rlabel, value in zip(tokens[1::2], tokens[2::2]):
-                if rlabel not in doc.row_types:
-                    raise UnknownRowLabel(f"unknown row {rlabel!r}", lineno)
-                try:
-                    v = float(value)
-                except ValueError:
-                    raise MpsSyntaxError(f"bad numeric value {value!r}", lineno) from None
+            for rlabel, v in _row_values(doc, tokens[1:], section, lineno):
                 key = (col, rlabel)
                 if key in doc.entries:
                     doc.warnings.append(
@@ -133,16 +136,10 @@ def parse_mps(text: str) -> MpsDocument:
                     doc.entries[key] = v
 
         elif section in ("RHS", "RANGES"):
-            payload = _tokens_with_optional_set_name(tokens)
-            if not payload or len(payload) % 2 != 0:
-                raise MpsSyntaxError(f"{section} line needs (row, value) pairs", lineno)
-            for rlabel, value in zip(payload[0::2], payload[1::2]):
-                if rlabel not in doc.row_types:
-                    raise UnknownRowLabel(f"unknown row {rlabel!r}", lineno)
-                try:
-                    v = float(value)
-                except ValueError:
-                    raise MpsSyntaxError(f"bad numeric value {value!r}", lineno) from None
+            # an optional set name leads the (row, value) pairs, so an odd
+            # token count means it is present
+            payload = tokens[len(tokens) % 2:]
+            for rlabel, v in _row_values(doc, payload, section, lineno):
                 if section == "RHS":
                     if rlabel == doc.objective_row:
                         doc.objective_rhs = v
@@ -165,10 +162,7 @@ def parse_mps(text: str) -> MpsDocument:
                     col, value = tokens[1], tokens[2]
                 else:
                     raise MpsSyntaxError(f"{btype} bound needs a column and value", lineno)
-                try:
-                    doc.bounds.append((btype, col, float(value)))
-                except ValueError:
-                    raise MpsSyntaxError(f"bad numeric value {value!r}", lineno) from None
+                doc.bounds.append((btype, col, _number(value, lineno)))
             elif btype in _BOUND_TYPES_FLAG:
                 if len(tokens) == 3:
                     col = tokens[2]
@@ -324,7 +318,15 @@ def to_general_lp(doc: MpsDocument) -> GeneralLP:
     )
 
 
+def read_text(path) -> str:
+    """The text of an MPS file; a file that is not text is ``MalformedInput``."""
+    with open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(f"not a text file: {exc}") from None
+
+
 def read_mps(path) -> GeneralLP:
     """Parse an MPS file and convert it in one step."""
-    with open(path) as fh:
-        return to_general_lp(parse_mps(fh.read()))
+    return to_general_lp(parse_mps(read_text(path)))

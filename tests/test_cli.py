@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 import time
 
@@ -16,8 +17,13 @@ from facetlp.cli import (
 )
 from facetlp.errors import NoLeavingCandidate, SingularMatrix
 from facetlp.facet import PivotRule
-from facetlp.generators import klee_minty_v1, klee_minty_v2, random_instance
-from facetlp.model import save_general_lp
+from facetlp.generators import (
+    cycling_fixture,
+    klee_minty_v1,
+    klee_minty_v2,
+    random_instance,
+)
+from facetlp.model import general_lp_to_dict, save_general_lp
 
 
 @pytest.fixture
@@ -78,6 +84,12 @@ class TestUsageErrors:
         assert main(argv) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.out == "" and "error: random instances need 1 <= d <= 8" in captured.err
+
+    def test_unknown_generate_family_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "mystery"])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert "invalid choice: 'mystery'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [[], ["solve"], ["verify"]])
     def test_help_exits_zero(self, capsys, command):
@@ -220,6 +232,43 @@ class TestSolveCommand:
         assert captured.out == ""
         assert "admit no finite x[0]" in captured.err
 
+    @pytest.mark.parametrize("text", [
+        '{"c": 5}', '{"c": ["a"]}', '[1, 2]', '{"c": [1.0], "lower": [null]}',
+    ])
+    def test_malformed_json_is_input_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: malformed problem document: ")
+        assert "internal error" not in captured.err
+
+    @pytest.mark.parametrize("name", ["x.json", "x.mps"])
+    def test_file_that_is_not_text_is_input_error(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes(gzip.compress(b'{"c": [1.0]}'))
+        assert main(["solve", str(path)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {path}: ")
+        assert "internal error" not in captured.err
+
+    @pytest.mark.parametrize("solver", ["facet", "dantzig"])
+    def test_rhs_that_is_not_a_vector_is_input_error(self, tmp_path, capsys, solver):
+        # the facet solver used to fail on it (exit 1) and Dantzig to solve it
+        path = tmp_path / "matrix_rhs.json"
+        path.write_text('{"c": [1.0, 1.0], "A_eq": [[1.0, 1.0]], "b_eq": [[1.0]]}')
+        assert main(["solve", str(path), "--solver", solver]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: b_eq has shape (1, 1), expected a vector\n"
+
+    def test_mps_column_may_share_a_row_name(self, tmp_path, capsys, column_named_as_row):
+        path = tmp_path / "colrow.mps"
+        path.write_text(column_named_as_row)
+        assert main(["solve", str(path)]) == EXIT_OPTIMAL
+        assert "status=Optimal objective=-4 " in capsys.readouterr().out
+
     def test_parse_error_reports_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.mps"
         bad.write_text("NAME X\nROWS\n Q  R1\nENDATA\n")
@@ -275,6 +324,37 @@ class TestGenerateCommand:
     def test_bad_size_is_input_error(self, capsys):
         assert main(["generate", "km1", "--d", "1"]) == EXIT_INPUT_ERROR
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, want", [
+        (["km2", "--d", "5"], klee_minty_v2(5)),
+        (["cycling"], cycling_fixture("beale")),
+        (["random", "--d", "3", "--seed", "7", "--m", "1", "--n", "4"],
+         random_instance(7, 3, 1, 4)),
+    ], ids=["km2", "cycling-default-beale", "random"])
+    def test_each_family_emits_its_builder_s_problem(self, capsys, argv, want):
+        outputs = []
+        for _ in range(2):
+            assert main(["generate", *argv]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0]) == json.loads(json.dumps(general_lp_to_dict(want)))
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["generate", "km1", "-o", "OUT"],
+        ["solve", "KM2", "--trace", "OUT"],
+        ["bench", "--suite", "km2", "--sizes", "3:3", "--csv", "OUT"],
+    ], ids=["generate", "solve-trace", "bench-csv"])
+    def test_output_into_a_missing_directory_is_input_error(
+        self, tmp_path, capsys, km2_d10, argv
+    ):
+        out = tmp_path / "missing" / "out"
+        argv = [{"OUT": str(out), "KM2": str(km2_d10)}.get(a, a) for a in argv]
+        assert main(argv) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "internal error" not in err
 
 
 class TestBenchCommand:
@@ -451,6 +531,18 @@ class TestBenchCommand:
         by_name = {r["name"]: r for r in rows}
         assert by_name["broken"]["status"].startswith("error:")
         assert by_name["good"]["status"] == "Optimal"
+
+    def test_mps_column_sharing_a_row_name_does_not_stop_the_suite(
+        self, fixtures_dir, tmp_path, capsys, column_named_as_row
+    ):
+        suite_dir = tmp_path / "suite"
+        suite_dir.mkdir()
+        (suite_dir / "colrow.mps").write_text(column_named_as_row)
+        (suite_dir / "tiny_eq.mps").write_text((fixtures_dir / "tiny_eq.mps").read_text())
+        assert main(["bench", "--suite", "netlib", "--netlib-dir", str(suite_dir)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [r.split()[0] for r in rows] == ["colrow", "tiny_eq"]
+        assert all(" Optimal " in r for r in rows)
 
     def test_netlib_suite_reads_mps_directory(self, fixtures_dir, tmp_path, capsys):
         out_csv = tmp_path / "netlib.csv"

@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,9 @@ from facetlp.generators import (
 from facetlp.model import GeneralLP, to_standard_general, violations
 from facetlp.mps import read_mps
 from facetlp.reference import brute_force_optimal
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def _dummy_base(rows, is_eq):
@@ -664,22 +668,6 @@ class TestTerminationAndAgreement:
                 assert not out.audit.base_repeated
                 assert out.iterations <= math.comb(sp.num_rows, sp.d)
 
-    def test_agrees_with_enumeration_oracle(self):
-        for seed in range(40):
-            p = random_instance(seed, 4, 1, 6, "feasible")
-            sp = to_standard_general(p)
-            got = solve(sp)
-            want = brute_force_optimal(sp)
-            assert got.status == want.status
-            rel = abs(got.objective - want.objective) / (1 + abs(want.objective))
-            assert rel <= 1e-7
-
-    def test_audit_invariants_hold_on_random_instances(self):
-        for seed in range(25):
-            p = random_instance(seed, 5, 2, 8, "feasible")
-            out = solve(to_standard_general(p), audit=True)
-            assert out.audit.violations == []
-
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         rule=st.sampled_from(PivotRule),
@@ -721,19 +709,6 @@ class TestTerminationAndAgreement:
                 assert rel <= 1e-7
 
 
-def _dense_lp(seed, d):
-    """2d integer rows in [-9, 9], strictly satisfied at a planted integer
-    point inside the box [-20, 20]^d."""
-    rng = np.random.default_rng(seed)
-    A = rng.integers(-9, 10, size=(2 * d, d)).astype(float)
-    x0 = rng.integers(-3, 4, size=d).astype(float)
-    slack = rng.integers(1, 7, size=2 * d).astype(float)
-    return GeneralLP(
-        c=rng.integers(-9, 10, size=d).astype(float), A_ineq=A, b_ineq=A @ x0 - slack,
-        lower=np.full(d, -20.0), upper=np.full(d, 20.0),
-    )
-
-
 class TestBaseFactorizationPaths:
     """Bases below linalg.INVERSE_MIN_D are refactored as an LU per pivot;
     larger ones keep an explicit inverse, updated in place per pivot."""
@@ -743,7 +718,7 @@ class TestBaseFactorizationPaths:
         from scipy.optimize import linprog
 
         for seed in range(3):
-            p = _dense_lp(seed, d)
+            p = workloads.dense_lp(np.random.default_rng(seed), d)
             out = solve(to_standard_general(p), audit=True)
             assert out.audit.violations == []
             ref = linprog(p.c, A_ub=-p.A_ineq, b_ub=-p.b_ineq,
@@ -760,7 +735,7 @@ class TestBaseFactorizationPaths:
         # does. The y_c solved from the shifted inverse is off c by about
         # 2.6e4 times the audit's tolerance at 1e-9, so a clean audit shows
         # that the rebuild replaced it too
-        sp = to_standard_general(_dense_lp(0, 80))
+        sp = to_standard_general(workloads.dense_lp(np.random.default_rng(0), 80))
         factor, replace_row = linalg.factor, linalg.replace_row
         calls = {"factor": 0, "replace_row": 0}
 
@@ -789,7 +764,8 @@ class TestBaseFactorizationPaths:
             assert out.audit.violations == [] and not out.audit.base_repeated, shift
 
     @pytest.mark.parametrize(
-        "lp", [klee_minty_v1(16), _dense_lp(0, 40)], ids=["km1-16", "dense-40"]
+        "lp", [klee_minty_v1(16), workloads.dense_lp(np.random.default_rng(0), 40)],
+        ids=["km1-16", "dense-40"],
     )
     def test_pushed_y_c_is_not_carried_into_the_next_pivot(self, monkeypatch, lp):
         # one pivot mid-solve hands back y_c with A_B^T y_c off c by 1e-6 *
@@ -891,7 +867,8 @@ def _step_cases():
                 p = random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
                 yield f"{kind}-{seed}-{d}", to_standard_general(p), 10_000
     for d in (40, 80):
-        yield f"dense-{d}", to_standard_general(_dense_lp(0, d)), 10_000
+        p = workloads.dense_lp(np.random.default_rng(0), d)
+        yield f"dense-{d}", to_standard_general(p), 10_000
 
 
 def _bits(x):

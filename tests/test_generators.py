@@ -8,7 +8,6 @@ from facetlp.facet import PivotRule, Status, solve
 from facetlp.generators import (
     CYCLING_FIXTURE_IDS,
     RANDOM_KINDS,
-    InstanceSpec,
     cycling_fixture,
     klee_minty_v1,
     klee_minty_v2,
@@ -146,16 +145,3 @@ class TestRandomInstances:
         for kind in RANDOM_KINDS:
             assert random_instance(0, 1, 0, 2, kind).d == 1
 
-
-class TestInstanceSpec:
-    def test_dispatch_and_determinism(self):
-        spec = InstanceSpec(family="km2", d=5)
-        a, b = spec.build(), spec.build()
-        np.testing.assert_array_equal(a.A_ineq, b.A_ineq)
-        assert InstanceSpec(family="cycling", fixture="chvatal").build().d == 4
-        r = InstanceSpec(family="random", d=3, seed=7, m=1, n=4)
-        np.testing.assert_array_equal(r.build().c, r.build().c)
-
-    def test_unknown_family(self):
-        with pytest.raises(UnknownFixture):
-            InstanceSpec(family="mystery").build()

@@ -1,9 +1,16 @@
+import gzip
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from facetlp.errors import DimensionMismatch, InconsistentBounds, NonFiniteData
+from facetlp.errors import (
+    DimensionMismatch,
+    InconsistentBounds,
+    MalformedInput,
+    NonFiniteData,
+)
 from facetlp.generators import klee_minty_v1, klee_minty_v2
 from facetlp.model import (
     GeneralLP,
@@ -197,6 +204,18 @@ class TestValidation:
         with pytest.raises(DimensionMismatch):
             GeneralLP(c=[1.0, 2.0], A_eq=[[1.0]], b_eq=[1.0])
 
+    @pytest.mark.parametrize("field, value", [
+        ("c", [[1.0], [2.0]]), ("b_eq", [[1.0]]), ("b_ineq", [[1.0]]),
+    ])
+    def test_vector_field_with_more_than_one_dimension_rejected(self, field, value):
+        # c = [[1], [2]] used to build with d = 2, and b_eq = [[1]] to reach
+        # the facet solver, which failed on it with a bare numpy error
+        data = {"c": [1.0, 2.0], "A_eq": [[1.0, 1.0]], "b_eq": [1.0],
+                "A_ineq": [[1.0, 0.0]], "b_ineq": [0.0]}
+        data[field] = value
+        with pytest.raises(DimensionMismatch, match=f"{field} has shape"):
+            GeneralLP(**data, lower=[0.0, 0.0], upper=[1.0, 1.0])
+
     def test_default_big_m_tracks_data_magnitude(self):
         p = klee_minty_v2(5)  # largest rhs entry is 31
         assert default_big_m(p) == 1e7 * 31.0
@@ -229,6 +248,24 @@ class TestJsonFormat:
     def test_bad_sentinel_rejected(self):
         with pytest.raises(NonFiniteData):
             general_lp_from_dict({"c": [1.0], "lower": ["oops"], "upper": [1.0]})
+
+    @pytest.mark.parametrize("doc", [
+        {}, {"c": 5}, {"c": ["a"]}, [1, 2], {"c": [1.0], "lower": [None]},
+        {"c": [1.0], "b_ineq": [[1.0], [1.0, 2.0]]}, {"c": [10**400]},
+        {"c": [1.0], "objective_offset": "a"},
+    ], ids=["no-c", "c-int", "c-str", "list", "null-bound", "ragged", "huge-int",
+            "offset-str"])
+    def test_malformed_document_rejected(self, doc):
+        with pytest.raises(MalformedInput, match="malformed problem document"):
+            general_lp_from_dict(doc)
+
+    @pytest.mark.parametrize("data", [b'{"c": [1.0]', gzip.compress(b'{"c": [1.0]}')],
+                             ids=["truncated", "gzip"])
+    def test_file_that_is_not_json_rejected(self, tmp_path, data):
+        path = tmp_path / "x.json"
+        path.write_bytes(data)
+        with pytest.raises(MalformedInput, match="not a JSON document"):
+            load_general_lp(path)
 
 
 class TestResiduals:

@@ -1,8 +1,11 @@
+import gzip
+
 import numpy as np
 import pytest
 
 from facetlp.errors import (
     ConflictingBounds,
+    MalformedInput,
     MpsSyntaxError,
     UnknownRowLabel,
     UnknownSection,
@@ -75,6 +78,23 @@ class TestParse:
         with pytest.raises(MpsSyntaxError) as err:
             parse_mps(bad)
         assert err.value.line == 6
+
+    def test_column_may_share_a_row_name(self, column_named_as_row):
+        # rows and columns are separate name spaces; such a column used to
+        # be dropped, and the conversion failed on it with a bare KeyError
+        doc = parse_mps(column_named_as_row)
+        assert doc.column_order == ["X1", "X2"]
+        p = to_general_lp(doc)
+        np.testing.assert_array_equal(p.c, [1.0, -1.0])
+        np.testing.assert_array_equal(p.A_ineq, [[-1.0, -1.0]])
+        out = solve(to_standard_general(p))
+        assert out.status is Status.OPTIMAL and out.objective == -4.0
+
+    def test_file_that_is_not_text_rejected(self, tmp_path):
+        path = tmp_path / "x.mps"
+        path.write_bytes(gzip.compress(MINIMAL.encode()))
+        with pytest.raises(MalformedInput, match="not a text file"):
+            read_mps(path)
 
     def test_marker_sections_skip_with_warning(self):
         text = MINIMAL.replace(
