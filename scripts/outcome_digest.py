@@ -1,4 +1,4 @@
-"""One JSON line per facet solve of a fixed sweep, to compare two builds.
+"""One JSON line per facet solve and oracle call, to compare two builds.
 
 A line holds what a change to the solver's numerics can move: status,
 iterations, the objective as a float hex, a hash of the bytes of x_opt,
@@ -15,6 +15,11 @@ byte-identical gave bit-identical outcomes on every solve. The sweep:
 - under the default rule: the benchmark's ``dense`` decks of seeds 1..3,
   and its ``dense_lp`` at d=20..31 (three each) and d=250/300/400 (two
   each).
+
+After the facet lines come the oracle lines, one per
+``reference.brute_force_optimal`` call on seeds 0..49 of the random
+instances above: status, iterations, objective hex, a hash of x_opt's
+bytes, the base rows and the certificate (an artificial row or null).
 
 Run it on two checkouts with BLAS pinned to one thread, then compare:
 
@@ -38,9 +43,25 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
-from facetlp import facet, generators, linalg, model, mps  # noqa: E402
+from facetlp import facet, generators, linalg, model, mps, reference  # noqa: E402
 
 FIXTURE_DIR = ROOT / "tests" / "fixtures"
+
+
+def random_instances(seeds: int):
+    """Yield (name, problem) for seeds 0..seeds-1 of each shape and kind of
+    the benchmark's ``oracle`` deck."""
+    for d, m, n in workloads.ORACLE_SHAPES:
+        for kind in workloads.ORACLE_KINDS:
+            for seed in range(seeds):
+                lp = generators.random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
+                yield f"{kind}-d{d}m{m}n{n}-s{seed}", lp
+
+
+def oracle_cases(quick: bool):
+    """Yield (name, problem in the facet form) for every oracle call."""
+    for name, lp in random_instances(2 if quick else 50):
+        yield name, model.to_standard_general(lp)
 
 
 def cases(quick: bool):
@@ -52,11 +73,7 @@ def cases(quick: bool):
                for fid in generators.CYCLING_FIXTURE_IDS]
     shared += [(f"mps-{path.stem}", mps.read_mps(path))
                for path in sorted(FIXTURE_DIR.glob("*.mps"))]
-    for d, m, n in workloads.ORACLE_SHAPES:
-        for kind in workloads.ORACLE_KINDS:
-            for seed in range(seeds):
-                lp = generators.random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
-                shared.append((f"{kind}-d{d}m{m}n{n}-s{seed}", lp))
+    shared += list(random_instances(seeds))
     for name, lp in shared:
         sp = model.to_standard_general(lp)
         for rule in facet.PivotRule:
@@ -112,6 +129,21 @@ def digest(name: str, sp: model.StandardGeneralLP, rule: facet.PivotRule) -> dic
     }
 
 
+def oracle_digest(name: str, sp: model.StandardGeneralLP) -> dict:
+    """One ``brute_force_optimal`` call's outcome."""
+    out = reference.brute_force_optimal(sp)
+    return {
+        "name": name,
+        "solver": "oracle",
+        "status": out.status.value,
+        "iterations": out.iterations,
+        "objective": None if out.objective is None else float(out.objective).hex(),
+        "x_opt": None if out.x_opt is None else _hash(np.asarray(out.x_opt, float).tobytes()),
+        "basis_rows": None if out.basis_rows is None else list(out.basis_rows),
+        "certificate": out.certificate,
+    }
+
+
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="a small subset of the sweep")
@@ -121,6 +153,8 @@ def main(argv: list[str] | None = None) -> None:
     try:
         for case in cases(args.quick):
             out.write(json.dumps(digest(*case)) + "\n")
+        for case in oracle_cases(args.quick):
+            out.write(json.dumps(oracle_digest(*case)) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()

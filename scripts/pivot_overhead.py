@@ -62,11 +62,12 @@ def _kernels_us(sp: model.StandardGeneralLP, rng: np.random.Generator, reps: int
     A = sp.A if d < model.BOUND_ROWS_MIN_D else sp.A[: g + -g % 4]
     gemv, ger = linalg._gemv, linalg._ger
     t0 = time.perf_counter()
+    # the arguments go by position, as ``linalg`` passes them
     for k in range(reps):
-        gemv(1.0, inv, a, trans=1)
-        ger(-1.0 if k & 1 else 1.0, col, h, a=inv, overwrite_a=1)
+        gemv(1.0, inv, a, 0.0, None, 0, 1, 0, 1, 1)
+        ger(-1.0 if k & 1 else 1.0, col, h, 1, 1, inv, 1, 1, 1)
         gemv(1.0, inv, b)
-        gemv(1.0, inv, c, trans=1)
+        gemv(1.0, inv, c, 0.0, None, 0, 1, 0, 1, 1)
         A @ x
     return (time.perf_counter() - t0) / reps * 1e6
 

@@ -11,8 +11,8 @@ load error with the path, and ``bench`` records a failed instance in its row.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import sys
@@ -139,10 +139,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
 
     rule, max_iter = _rule_and_max_iter(args)
-    out = _run_solver(
-        p, args.solver, rule, max_iter, args.big_m, args.tol_feas,
-        collect_trace=args.trace is not None,
-    )
+    # the trace file opens before the solve, so that a bad path fails first
+    trace = contextlib.nullcontext() if args.trace is None else open(args.trace, "w")
+    with trace:
+        out = _run_solver(
+            p, args.solver, rule, max_iter, args.big_m, args.tol_feas,
+            collect_trace=args.trace is not None,
+        )
+        for record in out.trace or ():
+            trace.write(json.dumps(record.to_json_dict()) + "\n")
 
     detail = f"solver={args.solver}"
     if args.solver == "facet":
@@ -159,10 +164,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         )
     if out.status is Status.UNBOUNDED and out.certificate is not None:
         print(f"unboundedness certificate: artificial bound facet {out.certificate}")
-    if args.trace is not None:
-        with open(args.trace, "w") as fh:
-            for record in out.trace:
-                fh.write(json.dumps(record.to_json_dict()) + "\n")
     return _STATUS_EXIT[out.status]
 
 
@@ -226,52 +227,52 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: suite {args.suite} has no instances", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    for name, load in instances:
-        # one load serves every solver; a failed one gives each an error row
-        try:
-            p, load_error = load(), None
-        except (FacetLPError, OSError) as exc:
-            p, load_error = None, f"error:{type(exc).__name__}"
-        for solver in solvers:
-            n = m = d = 0
-            wall_ms = 0.0
-            if p is None:
-                status, iters, objective = load_error, 0, None
-            else:
-                n, m, d = p.num_ineq, p.num_eq, p.d
-                t0 = time.perf_counter()  # conversion plus solve, not the load
-                try:
-                    out = _run_solver(
-                        p, solver, rule, max_iter, args.big_m, args.tol_feas,
-                        collect_trace=False,
-                    )
-                    status, iters = out.status.value, out.iterations
-                    objective = out.objective
-                except (FacetLPError, OSError) as exc:  # record in-row, continue
-                    status, iters, objective = f"error:{type(exc).__name__}", 0, None
-                wall_ms = (time.perf_counter() - t0) * 1e3
-            rows.append({
-                "name": name, "n": n, "m": m, "d": d,
-                "solver": solver, "rule": rule.value if solver == "facet" else "-",
-                "iterations": iters, "wall_ms": f"{wall_ms:.3f}",
-                "status": status, "objective": _format_objective(objective),
-            })
+    # the CSV file opens before the suite runs, so that a bad path fails first
+    with open(args.csv, "w") if args.csv else contextlib.nullcontext() as fh:
+        for name, load in instances:
+            # one load serves every solver; a failed one gives each an error row
+            try:
+                p, load_error = load(), None
+            except (FacetLPError, OSError) as exc:
+                p, load_error = None, f"error:{type(exc).__name__}"
+            for solver in solvers:
+                n = m = d = 0
+                wall_ms = 0.0
+                if p is None:
+                    status, iters, objective = load_error, 0, None
+                else:
+                    n, m, d = p.num_ineq, p.num_eq, p.d
+                    t0 = time.perf_counter()  # conversion plus solve, not the load
+                    try:
+                        out = _run_solver(
+                            p, solver, rule, max_iter, args.big_m, args.tol_feas,
+                            collect_trace=False,
+                        )
+                        status, iters = out.status.value, out.iterations
+                        objective = out.objective
+                    except (FacetLPError, OSError) as exc:  # record in-row, continue
+                        status, iters, objective = f"error:{type(exc).__name__}", 0, None
+                    wall_ms = (time.perf_counter() - t0) * 1e3
+                rows.append({
+                    "name": name, "n": n, "m": m, "d": d,
+                    "solver": solver, "rule": rule.value if solver == "facet" else "-",
+                    "iterations": iters, "wall_ms": f"{wall_ms:.3f}",
+                    "status": status, "objective": _format_objective(objective),
+                })
 
-    header = CSV_COLUMNS.split(",")
-    widths = {h: max(len(h), *(len(str(r[h])) for r in rows)) for h in header}
-    print("  ".join(h.ljust(widths[h]) for h in header))
-    for r in rows:
-        print("  ".join(str(r[h]).ljust(widths[h]) for h in header))
+        header = CSV_COLUMNS.split(",")
+        widths = {h: max(len(h), *(len(str(r[h])) for r in rows)) for h in header}
+        print("  ".join(h.ljust(widths[h]) for h in header))
+        for r in rows:
+            print("  ".join(str(r[h]).ljust(widths[h]) for h in header))
 
-    if args.csv:
-        buf = io.StringIO()
-        buf.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-        buf.write(f"# suite={args.suite} rule={rule.value} max_iter={max_iter}")
-        buf.write(f" big_m={args.big_m} tol_feas={args.tol_feas}\n")
-        writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        Path(args.csv).write_text(buf.getvalue())
+        if args.csv:
+            fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+            fh.write(f"# suite={args.suite} rule={rule.value} max_iter={max_iter}")
+            fh.write(f" big_m={args.big_m} tol_feas={args.tol_feas}\n")
+            writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
     return 0
 
 

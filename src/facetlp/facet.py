@@ -137,6 +137,10 @@ class SolveAudit:
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """What a solver returns. On an Infeasible outcome ``x_opt`` is no
+    feasible point: ``solve`` gives its last iterate, ``dantzig_solve`` the
+    phase-1 point mapped back, and ``brute_force_optimal`` None."""
+
     status: Status
     x_opt: np.ndarray | None
     objective: float | None

@@ -136,17 +136,10 @@ def replace_row(
     # column it writes
     h = y / -pivot
     h[slot] = 1.0 / pivot - 1.0
-    inv = _ger(1.0, f.inv[:, slot].copy(), h, a=f.inv, overwrite_a=1)
+    # by position, as f2py parses keywords slowly: ger(alpha, x, y, incx,
+    # incy, a, overwrite_x, overwrite_y, overwrite_a)
+    inv = _ger(1.0, f.inv[:, slot].copy(), h, 1, 1, f.inv, 1, 1, 1)
     return SquareFactorization(d, f.near_singular, inv=inv, updates=f.updates + 1)
-
-
-def _check(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if r.shape != (f.dimension,):
-        raise DimensionMismatch(
-            f"right-hand side has shape {r.shape}, expected ({f.dimension},)"
-        )
-    return r
 
 
 def _solved(x_info: tuple[np.ndarray, int]) -> np.ndarray:
@@ -156,17 +149,26 @@ def _solved(x_info: tuple[np.ndarray, int]) -> np.ndarray:
     return x
 
 
+def _solve(f: SquareFactorization, r: np.ndarray, trans: int) -> np.ndarray:
+    """M^-1 r, or M^-T r when ``trans`` is 1. f2py parses keywords slowly,
+    so ``trans`` goes by position: gemv(alpha, a, x, beta, y, offx, incx,
+    offy, incy, trans) and getrs(lu, piv, b, trans)."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != (f.dimension,):
+        raise DimensionMismatch(
+            f"right-hand side has shape {r.shape}, expected ({f.dimension},)"
+        )
+    if f.inv is None:
+        return _solved(_getrs(f.lu, f.piv, r, trans))
+    # with trans 0, the default, the shortest call is the fastest
+    return _gemv(1.0, f.inv, r, 0.0, None, 0, 1, 0, 1, 1) if trans else _gemv(1.0, f.inv, r)
+
+
 def solve(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
     """Solve M x = r from the stored factors; r is a vector of length d."""
-    r = _check(f, r)
-    if f.inv is not None:
-        return _gemv(1.0, f.inv, r)
-    return _solved(_getrs(f.lu, f.piv, r, trans=0))
+    return _solve(f, r, 0)
 
 
 def solve_transpose(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
     """Solve M^T y = r from the same factors; r is a vector of length d."""
-    r = _check(f, r)
-    if f.inv is not None:
-        return _gemv(1.0, f.inv, r, trans=1)
-    return _solved(_getrs(f.lu, f.piv, r, trans=1))
+    return _solve(f, r, 1)

@@ -124,7 +124,6 @@ class StandardGeneralLP:
     b: np.ndarray
     m: int
     n: int
-    big_M: float
     artificial_rows: frozenset[int]
     objective_offset: float = 0.0
 
@@ -221,8 +220,7 @@ def to_standard_general(p: GeneralLP, big_M: float | None = None) -> StandardGen
 
     return StandardGeneralLP(
         c_original=p.c + 0.0, A=A, b=b, m=m, n=n,  # + 0.0 clears -0.0
-        big_M=float(big_M), artificial_rows=frozenset(artificial),
-        objective_offset=p.objective_offset,
+        artificial_rows=frozenset(artificial), objective_offset=p.objective_offset,
     )
 
 

@@ -356,6 +356,25 @@ class TestUnwritableOutput:
         assert err.startswith("error: ") and str(out) in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "KM2", "--trace", "OUT"],
+        ["bench", "--suite", "km2", "--sizes", "3:3", "--csv", "OUT"],
+    ], ids=["solve-trace", "bench-csv"])
+    def test_output_into_a_missing_directory_fails_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, km2_d10, argv
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before opening the output")
+
+        monkeypatch.setattr(cli, "_run_solver", refuse)
+        out = tmp_path / "missing" / "out"
+        argv = [{"OUT": str(out), "KM2": str(km2_d10)}.get(a, a) for a in argv]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        # no status line from solve, no table from bench
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+
 
 class TestBenchCommand:
     def test_km2_iteration_columns(self, tmp_path, capsys):

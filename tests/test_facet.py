@@ -34,7 +34,7 @@ from facetlp.generators import (
     klee_minty_v2,
     random_instance,
 )
-from facetlp.model import GeneralLP, to_standard_general, violations
+from facetlp.model import GeneralLP, default_big_m, to_standard_general, violations
 from facetlp.mps import read_mps
 from facetlp.reference import brute_force_optimal
 
@@ -53,10 +53,10 @@ def _dummy_base(rows, is_eq):
 
 class TestInitialState:
     def test_cube_start_sits_at_artificial_corner(self):
-        sp = to_standard_general(klee_minty_v2(3))
-        base, state = initial_state(sp)
+        p = klee_minty_v2(3)
+        base, state = initial_state(to_standard_general(p))
         np.testing.assert_array_equal(base.indices, [3, 4, 5])
-        np.testing.assert_array_equal(state.x, [sp.big_M] * 3)
+        np.testing.assert_array_equal(state.x, [default_big_m(p)] * 3)
         np.testing.assert_array_equal(state.y_c, [1.0, 1.0, 1.0])
 
     def test_nonnegative_objective_starts_at_lower_bounds(self):
@@ -928,6 +928,9 @@ def test_outcome_digest_script_writes_one_line_per_solve(tmp_path):
     script.main(["--quick", "-o", str(out)])
     assert linalg.factor is factor
     lines = [json.loads(line) for line in out.read_text().splitlines()]
+    # the facet lines come first, then one line per oracle call
+    oracle_cases = list(script.oracle_cases(quick=True))
+    lines, oracle = lines[: -len(oracle_cases)], lines[-len(oracle_cases):]
     assert len(lines) == len(list(script.cases(quick=True)))
     assert {line["name"].split("-")[0] for line in lines} >= {
         "km1", "km2", "cycling", "mps", "feasible", "infeasible", "unbounded", "dense",
@@ -940,6 +943,14 @@ def test_outcome_digest_script_writes_one_line_per_solve(tmp_path):
     assert len({line["trace"] for line in lines}) > len(lines) // 2
     name, sp, rule = next(script.cases(quick=True))
     assert script.digest(name, sp, rule) == lines[0]
+
+    assert [line["name"] for line in oracle] == [name for name, _ in oracle_cases]
+    assert {line["solver"] for line in oracle} == {"oracle"}
+    assert {line["status"] for line in oracle} == {"Optimal", "Infeasible", "Unbounded"}
+    for line in oracle:
+        unbounded = line["status"] == "Unbounded"
+        assert isinstance(line["certificate"], int) if unbounded else line["certificate"] is None
+    assert script.oracle_digest(*oracle_cases[-1]) == oracle[-1]
 
 
 def test_pivot_overhead_script_prints_one_row_per_dimension(capsys):

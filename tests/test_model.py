@@ -67,13 +67,14 @@ class TestToStandardGeneral:
     def test_all_negative_objective_cube_starts_at_big_m(self):
         p = klee_minty_v1(3)
         sp = to_standard_general(p)
+        big_m = default_big_m(p)
         np.testing.assert_array_equal(sp.A[sp.e_block], -np.eye(3))
-        np.testing.assert_array_equal(sp.b[sp.e_block], [-sp.big_M] * 3)
+        np.testing.assert_array_equal(sp.b[sp.e_block], [-big_m] * 3)
         np.testing.assert_array_equal(sp.A[sp.f_block], np.eye(3))
         np.testing.assert_array_equal(sp.b[sp.f_block], [0.0] * 3)
         # E x0 = b_L  =>  x0 = (M, M, M)
         x0 = np.linalg.solve(sp.A[sp.e_block], sp.b[sp.e_block])
-        np.testing.assert_array_equal(x0, [sp.big_M] * 3)
+        np.testing.assert_array_equal(x0, [big_m] * 3)
 
     def test_e_and_f_blocks_are_opposite_diagonals(self):
         rng = np.random.default_rng(11)
@@ -300,7 +301,7 @@ class TestResiduals:
             lower=lower, upper=upper,
         )
         sp = to_standard_general(p)
-        for scale in (1.0, 1e3, sp.big_M):
+        for scale in (1.0, 1e3, default_big_m(p)):
             x = rng.normal(scale=scale, size=d)
             got = residuals(sp, x)
             assert got.shape == (sp.num_rows,)

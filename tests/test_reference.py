@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -486,3 +488,22 @@ class TestOracleSolveFirst:
         assert got.status is Status.OPTIMAL
         assert got.basis_rows != tuple(base)
         _assert_same_oracle_outcome(got, _enumerate_every_subset(sp))
+
+
+def test_oracle_split_script_prints_one_row_per_shape_and_block(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "oracle_split.py"
+    spec = importlib.util.spec_from_file_location("oracle_split", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    block = reference._BLOCK
+    script.main(["--shapes", "3,1,4", "--blocks", "16", "200", "--instances", "1",
+                 "--rounds", "1"])
+    assert reference._BLOCK == block
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("| d | N | bases | block |") and len(lines) == 4
+    bases = len(reference._bases(11, 3))
+    for size, line in zip((16, 200), lines[2:]):
+        cells = line.strip("|").split("|")
+        assert [int(c) for c in cells[:5]] == [3, 11, bases, size, -(-bases // size)]
+        assert float(cells[5]) > 0 and float(cells[6]) > 0
+        assert all(float(c) >= 0 for c in cells[7:]) and float(cells[8]) > 0
