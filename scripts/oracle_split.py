@@ -63,7 +63,7 @@ def _stage_us(sp: model.StandardGeneralLP, block: int) -> tuple[float, dict[str,
     build_us = (clock() - t0) * 1e6
     row_norms = np.linalg.norm(sp.A, axis=1)
     tols = sp.row_tolerances()
-    A_T, m = np.ascontiguousarray(sp.A.T), sp.m
+    A_T = np.ascontiguousarray(sp.A.T)
     spent = dict.fromkeys(STAGES, 0.0)
     for start in range(0, len(bases), block):
         combos = bases[start : start + block]
@@ -75,9 +75,7 @@ def _stage_us(sp: model.StandardGeneralLP, block: int) -> tuple[float, dict[str,
             X = reference._umath_linalg.solve(A_stack, b_stack)[..., 0]
             t2 = clock()
             sigma = X @ A_T - sp.b
-        feas = (sigma >= -tols).all(axis=1)
-        if m:
-            feas &= (sigma[:, :m] <= tols[:m]).all(axis=1)
+        feas = sp.feasible(sigma, tols)
         t3 = clock()
         if feas.any():
             hadamard = np.prod(row_norms[combos[feas]], axis=1)

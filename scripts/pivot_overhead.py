@@ -13,9 +13,9 @@ at d = 60, 100 and 180, all on the inverse path of ``linalg``), this times
 
 and prints their difference as the share of a pivot spent outside the
 kernels: interpreter frames, small-array numpy calls and bookkeeping. The
-two are timed in turn round by round, as ``inverse_crossover.py`` does,
-so that drift in the host's speed hits both; medians over the rounds are
-printed. Run with BLAS pinned to one thread, as the benchmark does:
+two are timed in turn round by round, so that drift in the host's speed
+hits both; medians over the rounds are printed. Run with BLAS pinned to
+one thread, as the benchmark does:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/pivot_overhead.py
 """

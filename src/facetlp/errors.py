@@ -50,10 +50,6 @@ class TooLarge(FacetLPError):
     """Brute-force enumeration would exceed the configured cap."""
 
 
-class UnboundedBelowVariable(FacetLPError):
-    """Standard-form conversion hit a -inf lower bound with no big-M substitute."""
-
-
 class MpsSyntaxError(FacetLPError):
     """Malformed MPS input; carries the 1-based line number."""
 

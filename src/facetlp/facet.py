@@ -39,8 +39,8 @@ from enum import Enum
 import numpy as np
 
 from facetlp import linalg
-from facetlp.errors import NoLeavingCandidate, NonFiniteData, SingularMatrix
-from facetlp.model import StandardGeneralLP, TOL_FEAS_BASE, residuals
+from facetlp.errors import NoLeavingCandidate, SingularMatrix
+from facetlp.model import StandardGeneralLP, residuals
 
 TOL_SIGN = 1e-9
 TOL_LIN = 1e-9
@@ -363,19 +363,14 @@ def solve(
     """Run the facet pivot loop to a terminal status.
 
     ``tol_feas`` overrides the per-row violation tolerances with one
-    absolute value, which must be nonnegative. ``audit`` checks the four
-    runtime invariants after every pivot and records base index sets to
-    detect revisits. After ``STALL_ITERATIONS`` pivots without objective
-    progress the rule switches to the least-index rule, whose termination
-    guarantee breaks any cycling.
+    absolute value on every row, as ``violations`` reads it. ``audit``
+    checks the four runtime invariants after every pivot and records base
+    index sets to detect revisits. After ``STALL_ITERATIONS`` pivots
+    without objective progress the rule switches to the least-index rule,
+    whose termination guarantee breaks any cycling.
     """
-    if tol_feas is not None and not tol_feas >= 0:
-        raise NonFiniteData(f"tol_feas must be a nonnegative number, got {tol_feas!r}")
     c = sp.c_original
-    row_tols = (
-        np.full(sp.num_rows, tol_feas) if tol_feas is not None
-        else sp.row_tolerances(TOL_FEAS_BASE)
-    )
+    row_tols = sp.feasibility_tolerances(tol_feas)
     lin_tols = sp.row_tolerances(TOL_LIN)
     row_norms = (
         np.linalg.norm(sp.A, axis=1) if rule is PivotRule.MAX_NORMALIZED_DEVIATION else None
@@ -402,9 +397,7 @@ def solve(
         if p is None:
             x_opt = state.x + 0.0  # clear -0.0
             objective = float(c.dot(x_opt)) + offset
-            artificial = sorted(set(base.indices.tolist()) & sp.artificial_rows)
-            status = Status.UNBOUNDED if artificial else Status.OPTIMAL
-            certificate = int(artificial[0]) if artificial else None
+            status, certificate = final_status(sp, base.indices)
             break
 
         if iteration >= max_iter:
@@ -444,7 +437,7 @@ def solve(
         if trace is not None:
             trace.append(TraceRecord(
                 k=iteration - 1, entering=p, leaving=q,
-                objective=objective, max_violation=_max_violation(sp, sigma),
+                objective=objective, max_violation=sp.max_violation(sigma),
                 rule=active_rule.value,
             ))
 
@@ -473,9 +466,12 @@ def solve(
     )
 
 
-def _max_violation(sp: StandardGeneralLP, sigma: np.ndarray) -> float:
-    eq_part = float(np.max(np.abs(sigma[: sp.m]), initial=0.0))
-    return max(eq_part, float(np.max(-sigma[sp.m:], initial=0.0)))
+def final_status(sp: StandardGeneralLP, rows: np.ndarray) -> tuple[Status, int | None]:
+    """The status of a final base holding ``rows``, and its certificate:
+    Unbounded when the base holds an artificial big-M row, the least of
+    which certifies it, and Optimal otherwise."""
+    artificial = sp.artificial_rows.intersection(rows.tolist())
+    return (Status.UNBOUNDED, min(artificial)) if artificial else (Status.OPTIMAL, None)
 
 
 def _audit_pivot(

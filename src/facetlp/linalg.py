@@ -19,8 +19,7 @@ when an iterate solved from an updated inverse fails its residual check.
 Only ``factor`` reads matrix entries, and only it decides singularity: it
 raises SingularMatrix instead of returning factors of a singular matrix,
 so every factorization can be solved. LAPACK and BLAS are called directly
-(scipy's wrappers' per-call overhead dominates at small d);
-``scripts/inverse_crossover.py`` measures the crossover.
+(scipy's wrappers' per-call overhead dominates at small d).
 """
 
 from __future__ import annotations

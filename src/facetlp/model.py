@@ -143,28 +143,39 @@ class StandardGeneralLP:
     def f_block(self) -> slice:
         return slice(self.m + self.n + self.d, self.m + self.n + 2 * self.d)
 
-    def rhs_scale(self) -> float:
-        """Largest |b| entry over the non-artificial rows.
-
-        Artificial big-M entries are excluded: a tolerance scaled by M would
-        mask genuine violations on small-rhs rows.
-        """
-        real = np.ones(self.num_rows, dtype=bool)
-        if self.artificial_rows:
-            real[list(self.artificial_rows)] = False
-        return float(np.max(np.abs(self.b[real]), initial=0.0))
-
-    def default_tol_feas(self) -> float:
-        return TOL_FEAS_BASE * (1.0 + self.rhs_scale())
-
     def row_tolerances(self, base: float = TOL_FEAS_BASE) -> np.ndarray:
         """Per-row violation tolerances, scaled by each row's own rhs."""
         return base * (1.0 + np.abs(self.b))
 
+    def feasibility_tolerances(self, tol_feas: float | None = None) -> np.ndarray:
+        """Every feasibility verdict's per-row tolerances: ``row_tolerances()``,
+        or ``tol_feas`` on every row. A NaN or negative ``tol_feas`` is refused."""
+        if tol_feas is None:
+            return self.row_tolerances()
+        if not tol_feas >= 0:
+            raise NonFiniteData(f"tol_feas must be a nonnegative number, got {tol_feas!r}")
+        return np.full(self.num_rows, tol_feas)
+
+    def feasible(self, sigma: np.ndarray, tols: np.ndarray) -> np.ndarray | np.bool_:
+        """Whether the residuals ``sigma`` (rows on the last axis) are
+        feasible: sigma >= -tol on every row and sigma <= tol on the equality
+        rows, which is |sigma| <= tol there. A NaN residual fails."""
+        ok = (sigma >= -tols).all(axis=-1)
+        if self.m:
+            ok &= (sigma[..., : self.m] <= tols[: self.m]).all(axis=-1)
+        return ok
+
+    def max_violation(self, sigma: np.ndarray) -> float:
+        """Largest violation in the residuals ``sigma``: |sigma| on the
+        equality rows, -sigma on the others, and 0 when nothing is violated."""
+        eq_part = float(np.max(np.abs(sigma[: self.m]), initial=0.0))
+        return max(eq_part, float(np.max(-sigma[self.m:], initial=0.0)))
+
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """Residuals a_i.x - b_i split by row class, plus a feasibility verdict."""
+    """Residuals a_i.x - b_i split by row class, their ``max_violation`` and
+    the ``feasible`` verdict, both ``StandardGeneralLP``'s."""
 
     sigma_eq: np.ndarray
     sigma_ineq: np.ndarray
@@ -200,8 +211,9 @@ def to_standard_general(p: GeneralLP, big_M: float | None = None) -> StandardGen
     d, m, n = p.d, p.num_eq, p.num_ineq
     flip = p.c < 0
 
-    lower = np.where(np.isneginf(p.lower), -big_M, p.lower)
-    upper = np.where(np.isposinf(p.upper), big_M, p.upper)
+    neg_inf, pos_inf = np.isneginf(p.lower), np.isposinf(p.upper)
+    lower = np.where(neg_inf, -big_M, p.lower)
+    upper = np.where(pos_inf, big_M, p.upper)
 
     e_diag = np.where(flip, -1.0, 1.0)
     b_L = np.where(flip, -upper, lower)
@@ -210,17 +222,13 @@ def to_standard_general(p: GeneralLP, big_M: float | None = None) -> StandardGen
     A = np.vstack([p.A_eq, p.A_ineq, np.diag(e_diag), np.diag(-e_diag)])
     b = np.concatenate([p.b_eq, p.b_ineq, b_L, b_U])
 
-    artificial = set()
-    for i in range(d):
-        # the bound written as >= always carries -M on the affected side
-        if np.isposinf(p.upper[i]):
-            artificial.add(m + n + i if flip[i] else m + n + d + i)
-        if np.isneginf(p.lower[i]):
-            artificial.add(m + n + d + i if flip[i] else m + n + i)
+    # the bound written as >= always carries -M on the affected side
+    artificial = np.concatenate([np.where(flip, pos_inf, neg_inf),
+                                 np.where(flip, neg_inf, pos_inf)]).nonzero()[0] + m + n
 
     return StandardGeneralLP(
         c_original=p.c + 0.0, A=A, b=b, m=m, n=n,  # + 0.0 clears -0.0
-        artificial_rows=frozenset(artificial), objective_offset=p.objective_offset,
+        artificial_rows=frozenset(artificial.tolist()), objective_offset=p.objective_offset,
     )
 
 
@@ -244,20 +252,16 @@ def residuals(sp: StandardGeneralLP, x: np.ndarray) -> np.ndarray:
 def violations(
     sp: StandardGeneralLP, x: np.ndarray, tol_feas: float | None = None
 ) -> ViolationReport:
-    """Componentwise residuals of every stacked row at x."""
+    """Componentwise residuals of every stacked row at x, and whether x is
+    feasible: within each row's own tolerance, as in pricing and the
+    oracle, or within ``tol_feas`` on every row when it is given."""
     x = np.asarray(x, dtype=float)
     if x.shape != (sp.d,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({sp.d},)")
-    if tol_feas is None:
-        tol_feas = sp.default_tol_feas()
+    tols = sp.feasibility_tolerances(tol_feas)
     sigma = residuals(sp, x)
-    sigma_eq, sigma_ineq = sigma[: sp.m], sigma[sp.m:]
-    worst_eq = float(np.max(np.abs(sigma_eq), initial=0.0))
-    worst_ineq = float(max(0.0, -np.min(sigma_ineq, initial=0.0)))
-    return ViolationReport(
-        sigma_eq, sigma_ineq, max(worst_eq, worst_ineq),
-        is_feasible=bool(worst_eq <= tol_feas and worst_ineq <= tol_feas),
-    )
+    return ViolationReport(sigma[: sp.m], sigma[sp.m:], sp.max_violation(sigma),
+                           is_feasible=bool(sp.feasible(sigma, tols)))
 
 
 def objective_value(p: GeneralLP, x: np.ndarray) -> float:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from facetlp.errors import NonFiniteData, TooLarge, UnboundedBelowVariable
-from facetlp.facet import SolveAudit, SolveOutcome, Status
+from facetlp.errors import NonFiniteData, TooLarge
+from facetlp.facet import SolveAudit, SolveOutcome, Status, final_status
 from facetlp.model import GeneralLP, StandardGeneralLP
 
 ENUMERATION_CAP = 2_000_000
@@ -25,77 +25,87 @@ _BLOCK = 2048  # bases per oracle block: sized for the cache, never changes the 
 @dataclass
 class StandardFormLP:
     """min c.x subject to A x = b, x >= 0, plus the projection back to the
-    original coordinates (first ``original_dim`` entries, shifted)."""
+    original coordinates: x_i = shift_i + sign_i * x_std[i] for the first
+    ``original_dim`` entries, less the trailing columns for the variables
+    listed in ``free``."""
 
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
     original_dim: int
     shift: np.ndarray
+    sign: np.ndarray
+    free: np.ndarray
     objective_offset: float = 0.0
 
     def project(self, x_std: np.ndarray) -> np.ndarray:
-        return x_std[: self.original_dim] + self.shift
+        x = x_std[: self.original_dim] * self.sign + self.shift
+        x[self.free] -= x_std[self.A.shape[1] - self.free.size :]
+        return x
 
 
 def to_standard_form(p: GeneralLP, big_m: float | None = None) -> StandardFormLP:
     """Rewrite a general problem as equalities over nonnegative variables.
 
-    Inequality rows gain surplus columns. Variables are shifted down by their
-    (finite) lower bound so nonnegativity encodes it exactly; a variable with
-    a finite upper bound then gets the bounded-variable row pair
+    Inequality rows gain surplus columns. Each variable x becomes a
+    nonnegative x': shifted by its finite lower bound, x = lower + x';
+    mirrored when only its upper bound is finite, x = upper - x'; and split
+    when it is free, x = x' - x'', with the x'' columns appended after the
+    surplus columns. A variable whose x' has a finite upper bound
+    w = upper - lower then gets the bounded-variable row pair
 
-        x + y = u - lower,   x - z = 0,   y, z >= 0,
+        x' + y = w,   x' - z = 0,   y, z >= 0,
 
-    stacked after the equality block. Variables with no finite upper bound
-    contribute no extra rows. A -inf lower bound is an error unless a big-M
-    substitute is requested, which must be positive and finite.
+    stacked after the inequality block. Given ``big_m``, which must be
+    positive and finite, infinite bounds are replaced by -big_m and big_m
+    first, so every variable is shifted.
     """
-    lower = p.lower.copy()
-    upper = p.upper.copy()
+    lower, upper = p.lower, p.upper
     if big_m is not None:
         if not 0.0 < big_m < math.inf:
             raise NonFiniteData("big_M must be a positive finite number")
         lower = np.where(np.isneginf(lower), -float(big_m), lower)
         upper = np.where(np.isposinf(upper), float(big_m), upper)
-    if np.any(np.isneginf(lower)):
-        i = int(np.argmax(np.isneginf(lower)))
-        raise UnboundedBelowVariable(
-            f"variable {i} has lower bound -inf; pass big_m to substitute"
-        )
+    below = np.isneginf(lower)
+    mirror = below & np.isfinite(upper)
+    free = np.flatnonzero(below & ~mirror)
+    sign = np.where(mirror, -1.0, 1.0)
+    shift = np.where(mirror, upper, np.where(below, 0.0, lower))
 
     d, m, n = p.d, p.num_eq, p.num_ineq
-    shift = lower
     b_eq = p.b_eq - p.A_eq @ shift
     b_ineq = p.b_ineq - p.A_ineq @ shift
-    u_shifted = upper - shift
-    bounded = np.flatnonzero(np.isfinite(u_shifted))
+    width = upper - lower
+    bounded = np.flatnonzero(np.isfinite(width))
     nb = bounded.size
 
-    n_cols = d + 2 * nb + n
+    n_cols = d + 2 * nb + n + free.size
     n_rows = m + n + 2 * nb
     A = np.zeros((n_rows, n_cols))
     b = np.zeros(n_rows)
 
-    A[:m, :d] = p.A_eq
+    A[:m, :d] = p.A_eq * sign
     b[:m] = b_eq
-    A[m : m + n, :d] = p.A_ineq
+    A[m : m + n, :d] = p.A_ineq * sign
     b[m : m + n] = b_ineq
     for j in range(n):  # surplus columns for >= rows
         A[m + j, d + 2 * nb + j] = -1.0
-    for k, i in enumerate(bounded):  # x_i + y_k = u_i
+    for k, i in enumerate(bounded):  # x_i + y_k = w_i
         A[m + n + k, i] = 1.0
         A[m + n + k, d + k] = 1.0
-        b[m + n + k] = u_shifted[i]
+        b[m + n + k] = width[i]
     for k, i in enumerate(bounded):  # x_i - z_k = 0
         A[m + n + nb + k, i] = 1.0
         A[m + n + nb + k, d + nb + k] = -1.0
+    A[: m + n, d + 2 * nb + n :] = -A[: m + n, free]
 
     c = np.zeros(n_cols)
-    c[:d] = p.c
+    c[:d] = p.c * sign
+    c[d + 2 * nb + n :] = -p.c[free]
     offset = float(p.c @ shift) + p.objective_offset
     return StandardFormLP(
-        A=A, b=b, c=c, original_dim=d, shift=shift, objective_offset=offset
+        A=A, b=b, c=c, original_dim=d, shift=shift, sign=sign, free=free,
+        objective_offset=offset,
     )
 
 
@@ -337,7 +347,7 @@ def brute_force_optimal(
     bases = _bases(N, d)
     row_norms = np.linalg.norm(sp.A, axis=1)
     tols = sp.row_tolerances()
-    A_T, m = np.ascontiguousarray(sp.A.T), sp.m
+    A_T = np.ascontiguousarray(sp.A.T)
     kept_combos: list[np.ndarray] = []
     kept_X: list[np.ndarray] = []
     for start in range(0, len(bases), _BLOCK):
@@ -349,11 +359,7 @@ def brute_force_optimal(
         with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
             X = _umath_linalg.solve(A_stack, np.take(sp.b, combos)[..., None])[..., 0]
             sigma = X @ A_T - sp.b
-        # sigma >= -tol on every row and sigma <= tol on the equality rows,
-        # which is |sigma| <= tol there; a NaN row fails
-        feas = (sigma >= -tols).all(axis=1)
-        if m:
-            feas &= (sigma[:, :m] <= tols[:m]).all(axis=1)
+        feas = sp.feasible(sigma, tols)
         if not feas.any():
             continue
         hadamard = np.prod(row_norms[combos[feas]], axis=1)
@@ -372,12 +378,11 @@ def brute_force_optimal(
     best = float(objectives.min())
     tied = np.flatnonzero(objectives <= best + 1e-9 * (1.0 + abs(best)))
     # the first tied base free of artificial rows wins, else the first one
-    artificial = sp.artificial_rows
-    winner = next((i for i in tied if not set(combos[i].tolist()) & artificial), tied[0])
-    art_rows = sorted(set(combos[winner].tolist()) & artificial)
+    real = (i for i in tied if sp.artificial_rows.isdisjoint(combos[i].tolist()))
+    winner = next(real, tied[0])
+    status, certificate = final_status(sp, combos[winner])
     return SolveOutcome(
-        status=Status.UNBOUNDED if art_rows else Status.OPTIMAL, x_opt=X[winner],
-        objective=float(objectives[winner]), iterations=int(count),
-        certificate=int(art_rows[0]) if art_rows else None,
+        status=status, x_opt=X[winner], objective=float(objectives[winner]),
+        iterations=int(count), certificate=certificate,
         basis_rows=tuple(int(r) for r in combos[winner]),
     )

@@ -296,6 +296,13 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert "objective=-15" in out
 
+    def test_dantzig_solves_variables_unbounded_below(self, fixtures_dir, capsys):
+        # bounds_all's FR and MI columns have lower bound -inf
+        path = str(fixtures_dir / "bounds_all.mps")
+        for solver in ("dantzig", "facet", "oracle"):
+            assert main(["solve", path, "--solver", solver]) == EXIT_OPTIMAL
+            assert "status=Optimal objective=-9 " in capsys.readouterr().out
+
     def test_trace_file_is_jsonl(self, km2_d10, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         main(["solve", str(km2_d10), "--trace", str(trace)])

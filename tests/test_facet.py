@@ -19,6 +19,7 @@ from facetlp.facet import (
     check_infeasible,
     detect_leaving_redundant,
     expand_entering,
+    final_status,
     initial_state,
     pivot,
     select_entering,
@@ -28,13 +29,20 @@ from facetlp.facet import (
 from facetlp.errors import NonFiniteData, SingularMatrix
 from facetlp.generators import (
     CYCLING_FIXTURE_IDS,
+    KM1_MAX_D,
     RANDOM_KINDS,
     cycling_fixture,
     klee_minty_v1,
     klee_minty_v2,
     random_instance,
 )
-from facetlp.model import GeneralLP, default_big_m, to_standard_general, violations
+from facetlp.model import (
+    TOL_FEAS_BASE,
+    GeneralLP,
+    default_big_m,
+    to_standard_general,
+    violations,
+)
 from facetlp.mps import read_mps
 from facetlp.reference import brute_force_optimal
 
@@ -562,6 +570,26 @@ class TestSolveOutcomes:
         assert out.certificate in sp.artificial_rows
         assert out.certificate in out.basis_rows
 
+    def test_final_status_names_the_least_artificial_row(self):
+        # c < 0 flips both bound pairs: E row 0 carries x0 <= M, F row 3
+        # carries x1 >= -M
+        p = GeneralLP(c=[-1.0, -1.0], lower=[0.0, -np.inf], upper=[np.inf, 1.0])
+        sp = to_standard_general(p, big_M=1e6)
+        assert sp.artificial_rows == frozenset({0, 3})
+        assert final_status(sp, np.array([3, 0])) == (Status.UNBOUNDED, 0)
+        assert final_status(sp, np.array([1, 3])) == (Status.UNBOUNDED, 3)
+        assert final_status(sp, np.array([1, 2])) == (Status.OPTIMAL, None)
+
+    @pytest.mark.xfail(raises=SingularMatrix, strict=True, reason=(
+        "km1 from d = 20 reaches a base whose last LU pivot (9.5e-7 at d = 20) "
+        "is below linalg.TOL_PIVOT times its infinity norm"))
+    @pytest.mark.parametrize("rule", list(PivotRule), ids=lambda r: r.value)
+    @pytest.mark.parametrize("d", range(20, KM1_MAX_D + 1))
+    def test_km1_is_solved_up_to_its_largest_size(self, d, rule):
+        out = solve(to_standard_general(klee_minty_v1(d)), rule)
+        assert out.status is Status.OPTIMAL
+        assert out.objective == -(5.0**d)
+
     def test_equalities_that_pin_x_are_solved(self):
         # equality blocks of full column rank fix x; they are well posed
         from scipy.optimize import linprog
@@ -823,7 +851,7 @@ def _full_mask_select_entering(sp, base, sigma, rule, removed):
     """The pricing kernel of ``select_entering`` written over a full-length
     candidate mask that drops the base rows and the rows in ``removed``,
     at the default row tolerances."""
-    row_tols = sp.row_tolerances(facet.TOL_FEAS_BASE)
+    row_tols = sp.row_tolerances(TOL_FEAS_BASE)
     candidate = np.ones(sp.num_rows, dtype=bool)
     candidate[base.indices] = False
     if removed:

@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,17 +251,6 @@ def test_random_chains_of_row_replacements_stay_accurate(d, seed, length):
         r = rng.normal(size=d)
         assert np.max(np.abs(m @ linalg.solve(f, r) - r)) <= 1e-10
         assert np.max(np.abs(m.T @ linalg.solve_transpose(f, r) - r)) <= 1e-10
-
-
-def test_crossover_script_measures_both_paths():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "inverse_crossover.py"
-    spec = importlib.util.spec_from_file_location("inverse_crossover", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    min_d_before = linalg.INVERSE_MIN_D
-    lu_us, inv_us = script.measure(8, rounds=1, reps=2)
-    assert 0.0 < lu_us < 1e6 and 0.0 < inv_us < 1e6
-    assert linalg.INVERSE_MIN_D == min_d_before
 
 
 def _flags_by_scan(row_sums, diagonal):

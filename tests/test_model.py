@@ -64,6 +64,22 @@ class TestToStandardGeneral:
         # the F row is the artificial one (index m+n+d)
         assert sp.artificial_rows == frozenset({1})
 
+    def test_artificial_rows_are_the_rows_given_big_m(self):
+        """A bound row is artificial exactly when its rhs is -big_M, which
+        no finite bound here equals, over every sign of c and every pair of
+        infinite bounds."""
+        rng = np.random.default_rng(3)
+        inf = np.inf
+        for _ in range(40):
+            d = int(rng.integers(1, 7))
+            lower = rng.choice([-inf, -2.0, 0.0], d)
+            upper = rng.choice([inf, 3.0], d)
+            c = rng.choice([-1.0, 0.0, 2.0], d)
+            sp = to_standard_general(GeneralLP(c=c, lower=lower, upper=upper), big_M=1e6)
+            bound_rows = np.flatnonzero(sp.b == -1e6)
+            assert sp.artificial_rows == frozenset(bound_rows.tolist())
+            assert len(sp.artificial_rows) == np.isinf(lower).sum() + np.isinf(upper).sum()
+
     def test_all_negative_objective_cube_starts_at_big_m(self):
         p = klee_minty_v1(3)
         sp = to_standard_general(p)
@@ -150,15 +166,74 @@ class TestViolations:
             violations(sp, np.zeros(2))
 
     def test_feasibility_verdict_matches_componentwise_formula(self):
+        """The verdict reads each row's own tolerance, 1e-8 * (1 + |b_i|), or
+        tol_feas on every row: |sigma| within it on the equality rows and
+        sigma at least its negative on the others."""
         rng = np.random.default_rng(17)
-        sp = to_standard_general(klee_minty_v2(4))
-        tol = sp.default_tol_feas()
-        for _ in range(50):
-            x = rng.normal(scale=4.0, size=sp.d)
-            rep = violations(sp, x)
-            formula = (np.max(np.abs(rep.sigma_eq), initial=0.0) <= tol
-                       and np.min(rep.sigma_ineq, initial=0.0) >= -tol)
-            assert rep.is_feasible == formula
+        cube = klee_minty_v2(4)
+        # the cube plus the equality x_3 = 15, which its optimum satisfies
+        p = GeneralLP(c=cube.c, A_eq=[[0.0, 0.0, 0.0, 1.0]], b_eq=[15.0],
+                      A_ineq=cube.A_ineq, b_ineq=cube.b_ineq,
+                      lower=cube.lower, upper=cube.upper)
+        sp = to_standard_general(p)
+        x_opt = np.array([0.0, 0.0, 0.0, 15.0])
+        verdicts = set()
+        for k in range(150):
+            # wide points, and points within a few tolerances of the optimum
+            scale = (4.0, 1e-7, 1e-8)[k % 3]
+            x = x_opt + rng.normal(scale=scale, size=sp.d)
+            for tol_feas in (None, 2e-8):
+                rep = violations(sp, x, tol_feas)
+                tol = 1e-8 * (1.0 + np.abs(sp.b)) if tol_feas is None else np.full(
+                    sp.num_rows, tol_feas)
+                formula = bool(np.all(np.abs(rep.sigma_eq) <= tol[:1])
+                               and np.all(rep.sigma_ineq >= -tol[1:]))
+                assert rep.is_feasible == formula
+                verdicts.add((tol_feas, formula))
+        assert len(verdicts) == 4
+
+    def test_violation_far_beyond_its_row_tolerance_is_infeasible(self):
+        """A single width for every row, 1e-8 * (1 + max |b|), is 1,525.9 at
+        km1 d = 16 and passed x_0 = -1000; the row x_0 >= 0 allows 1e-8."""
+        d = 16
+        sp = to_standard_general(klee_minty_v1(d))
+        x = np.zeros(d)
+        x[-1] = 5.0**d
+        assert violations(sp, x).is_feasible
+        x[0] = -1000.0
+        rep = violations(sp, x)
+        assert not rep.is_feasible
+        assert rep.max_abs_violation == 1000.0
+
+    @pytest.mark.parametrize("tol_feas", [np.nan, -1e-8])
+    def test_nan_or_negative_tol_feas_is_refused(self, tol_feas):
+        sp = to_standard_general(klee_minty_v2(3))
+        with pytest.raises(NonFiniteData, match="tol_feas"):
+            violations(sp, np.array([0.0, 0.0, 7.0]), tol_feas=tol_feas)
+
+
+class TestFeasible:
+    def test_stacked_residuals_and_nan(self):
+        """``feasible`` reads the last axis, so one call judges a stack of
+        residual vectors; a NaN residual is infeasible."""
+        p = GeneralLP(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
+                      lower=[0.0, 0.0], upper=[1.0, 1.0])
+        sp = to_standard_general(p)
+        tols = sp.feasibility_tolerances()
+        sigma = np.zeros((5, sp.num_rows))
+        sigma[1, 0] = 1.0   # equality row over
+        sigma[2, 0] = -1.0  # equality row under
+        sigma[3, 2] = -1.0  # bound row under
+        sigma[4, 3] = np.nan
+        sigma[0, 1:] = 1.0  # slack on the >= rows is feasible
+        np.testing.assert_array_equal(sp.feasible(sigma, tols), [True] + [False] * 4)
+        assert sp.feasible(sigma[0], tols) and not sp.feasible(sigma[4], tols)
+
+    def test_feasibility_tolerances(self):
+        sp = to_standard_general(klee_minty_v2(3))
+        np.testing.assert_array_equal(sp.feasibility_tolerances(), sp.row_tolerances())
+        np.testing.assert_array_equal(sp.feasibility_tolerances(0.5),
+                                      np.full(sp.num_rows, 0.5))
 
 
 class TestObjectiveValue:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from facetlp import reference
-from facetlp.errors import NonFiniteData, TooLarge, UnboundedBelowVariable
+from facetlp.errors import NonFiniteData, TooLarge
 from facetlp.facet import SolveOutcome, Status, solve
 from facetlp.generators import (
     CYCLING_FIXTURE_IDS,
@@ -17,8 +17,17 @@ from facetlp.generators import (
     klee_minty_v2,
     random_instance,
 )
-from facetlp.model import GeneralLP, StandardGeneralLP, to_standard_general, violations
+from facetlp.model import (
+    GeneralLP,
+    StandardGeneralLP,
+    objective_value,
+    to_standard_general,
+    violations,
+)
+from facetlp.mps import read_mps
 from facetlp.reference import brute_force_optimal, dantzig_solve, to_standard_form
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestToStandardForm:
@@ -56,12 +65,47 @@ class TestToStandardForm:
         assert out.status is want.status is Status.OPTIMAL
         assert out.objective == pytest.approx(want.objective, rel=1e-9)
 
-    def test_free_below_variable_requires_big_m(self):
+    def test_infinite_lower_bounds_match_the_oracle(self):
+        """Without big_m a variable bounded above only is mirrored and a free
+        one is split, and Dantzig's answer is the oracle's: bounded above
+        only, free, free with an unbounded objective, and all kinds mixed."""
+        inf = np.inf
+        cases = [
+            GeneralLP(c=[1.0, 2.0], A_ineq=[[1.0, 1.0]], b_ineq=[1.0],
+                      lower=[-inf, 0.0], upper=[4.0, 5.0]),
+            GeneralLP(c=[1.0, 0.0], A_ineq=[[1.0, -1.0], [1.0, 1.0]], b_ineq=[-2.0, 0.0],
+                      lower=[-inf, 0.0], upper=[inf, 3.0]),
+            GeneralLP(c=[1.0, 0.0], A_ineq=[[1.0, 1.0]], b_ineq=[1.0],
+                      lower=[-inf, 0.0], upper=[inf, inf]),
+            GeneralLP(c=[2.0, -1.0, 1.0, -3.0], A_eq=[[1.0, 1.0, 1.0, 1.0]], b_eq=[2.0],
+                      A_ineq=[[1.0, -1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]],
+                      b_ineq=[-3.0, -1.0],
+                      lower=[-inf, -inf, -1.0, -inf], upper=[inf, 3.0, 4.0, 2.0]),
+        ]
+        statuses = []
+        for p in cases:
+            sp = to_standard_general(p)
+            want = brute_force_optimal(sp)
+            statuses.append(want.status)
+            for bland in (False, True):
+                got = dantzig_solve(to_standard_form(p), bland=bland)
+                assert got.status is want.status
+                if want.status is Status.OPTIMAL:
+                    assert got.objective == pytest.approx(want.objective, rel=1e-12)
+                    assert objective_value(p, got.x_opt) == pytest.approx(got.objective)
+                    assert violations(sp, got.x_opt).is_feasible
+        assert statuses == [Status.OPTIMAL, Status.OPTIMAL, Status.UNBOUNDED, Status.OPTIMAL]
+
+        # free x0 with one >= row: columns x0', x1, the surplus, then x0''
+        sf = to_standard_form(cases[2])
+        np.testing.assert_array_equal(sf.A, [[1.0, 1.0, -1.0, -1.0]])
+        np.testing.assert_array_equal(sf.c, [1.0, 0.0, 0.0, -1.0])
+        np.testing.assert_array_equal(sf.project(np.array([2.0, 0.0, 0.0, 5.0])), [-3.0, 0.0])
+
+        # given big_m, the infinite bound is substituted instead
         p = GeneralLP(c=[1.0], lower=[-np.inf], upper=[1.0])
-        with pytest.raises(UnboundedBelowVariable):
-            to_standard_form(p)
-        sf = to_standard_form(p, big_m=1e6)
-        out = dantzig_solve(sf)
+        assert dantzig_solve(to_standard_form(p)).status is Status.UNBOUNDED
+        out = dantzig_solve(to_standard_form(p, big_m=1e6))
         assert out.status is Status.OPTIMAL
         assert out.objective == -1e6
 
@@ -165,6 +209,41 @@ class TestBruteForceOracle:
         sp = to_standard_general(random_instance(0, 5, 2, 8, "feasible"))
         with pytest.raises(TooLarge):
             brute_force_optimal(sp, cap=100)
+
+
+def _verdict_cases():
+    """(name, problem): km1 and km2 at d = 3..19, the MPS fixtures, the
+    cycling fixtures, and seeds 0..49 of criterion 3's shapes."""
+    for d in range(3, 20):
+        yield f"km1-d{d}", klee_minty_v1(d)
+        yield f"km2-d{d}", klee_minty_v2(d)
+    for path in sorted(FIXTURES.glob("*.mps")):
+        yield path.stem, read_mps(path)
+    for fixture_id in CYCLING_FIXTURE_IDS:
+        yield fixture_id, cycling_fixture(fixture_id)
+    for d, m, n in [(3, 1, 4), (4, 1, 6), (5, 2, 8)]:
+        for seed in range(50):
+            yield f"random-d{d}-s{seed}", random_instance(seed, d, m, n, "feasible")
+
+
+class TestOptimalAnswersAreFeasible:
+    def test_every_solver_s_optimum_passes_violations(self):
+        """An Optimal x_opt from the facet solver, Dantzig under Bland's rule
+        or the oracle (where it enumerates at most 100,000 bases) is feasible
+        at every row's own tolerance."""
+        checked = dict.fromkeys(("facet", "dantzig", "oracle"), 0)
+        for name, p in _verdict_cases():
+            sp = to_standard_general(p)
+            outs = {"facet": solve(sp),
+                    "dantzig": dantzig_solve(to_standard_form(p), bland=True)}
+            if math.comb(sp.num_rows, sp.d) <= 100_000:
+                outs["oracle"] = brute_force_optimal(sp)
+            for solver, out in outs.items():
+                if out.status is Status.OPTIMAL:
+                    assert violations(sp, out.x_opt).is_feasible, (name, solver)
+                    checked[solver] += 1
+        # every one of the 195 cases is Optimal under each solver that runs
+        assert checked == {"facet": 195, "dantzig": 195, "oracle": 168}
 
 
 def _rowloop_pivot(self, row, col):
