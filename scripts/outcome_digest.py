@@ -21,6 +21,12 @@ After the facet lines come the oracle lines, one per
 instances above: status, iterations, objective hex, a hash of x_opt's
 bytes, the base rows and the certificate (an artificial row or null).
 
+Last come the Dantzig lines, one per ``reference.dantzig_solve`` call with
+at most 20,000 pivots: km1 d=3..12, km2 d=3..19 and the oracle's random
+instances under the most-negative rule, and the cycling fixtures under it
+and under Bland's rule. Each holds the status, the phase-1 and phase-2
+pivot counts, the objective hex and a hash of x_opt's bytes.
+
 Run it on two checkouts with BLAS pinned to one thread, then compare:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/outcome_digest.py -o a.jsonl
@@ -62,6 +68,20 @@ def oracle_cases(quick: bool):
     """Yield (name, problem in the facet form) for every oracle call."""
     for name, lp in random_instances(2 if quick else 50):
         yield name, model.to_standard_general(lp)
+
+
+def dantzig_cases(quick: bool):
+    """Yield (name, problem, bland) for every Dantzig call."""
+    km1_top, km2_top, seeds = (5, 5, 2) if quick else (12, 19, 50)
+    for d in range(3, km1_top + 1):
+        yield f"km1-d{d}", generators.klee_minty_v1(d), False
+    for d in range(3, km2_top + 1):
+        yield f"km2-d{d}", generators.klee_minty_v2(d), False
+    for fid in generators.CYCLING_FIXTURE_IDS:
+        for bland in (False, True):
+            yield f"cycling-{fid}", generators.cycling_fixture(fid), bland
+    for name, lp in random_instances(seeds):
+        yield name, lp, False
 
 
 def cases(quick: bool):
@@ -144,6 +164,22 @@ def oracle_digest(name: str, sp: model.StandardGeneralLP) -> dict:
     }
 
 
+def dantzig_digest(name: str, lp: model.GeneralLP, bland: bool) -> dict:
+    """One ``dantzig_solve`` call's outcome; the cycling fixtures that cycle
+    without Bland's rule stop at the pivot limit."""
+    out = reference.dantzig_solve(reference.to_standard_form(lp), max_iter=20_000, bland=bland)
+    return {
+        "name": name,
+        "solver": "dantzig",
+        "bland": bland,
+        "status": out.status.value,
+        "phase1": out.phase1_iterations,
+        "phase2": out.phase2_iterations,
+        "objective": None if out.objective is None else float(out.objective).hex(),
+        "x_opt": None if out.x_opt is None else _hash(np.asarray(out.x_opt, float).tobytes()),
+    }
+
+
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="a small subset of the sweep")
@@ -155,6 +191,8 @@ def main(argv: list[str] | None = None) -> None:
             out.write(json.dumps(digest(*case)) + "\n")
         for case in oracle_cases(args.quick):
             out.write(json.dumps(oracle_digest(*case)) + "\n")
+        for case in dantzig_cases(args.quick):
+            out.write(json.dumps(dantzig_digest(*case)) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()

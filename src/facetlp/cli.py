@@ -93,9 +93,8 @@ def _load_problem(path: str, fmt: str) -> GeneralLP:
     if fmt == "auto":
         fmt = "mps" if path.lower().endswith((".mps", ".sif")) else "json"
     if fmt == "mps":
-        doc = mps.parse_mps(mps.read_text(path))
-        p = mps.to_general_lp(doc)
-        for warning in doc.warnings:
+        p = mps.read_mps(path)
+        for warning in p.names["warnings"]:
             print(f"warning: {path}: {warning}", file=sys.stderr)
         return p
     return load_general_lp(path)

@@ -203,7 +203,11 @@ def to_general_lp(doc: MpsDocument) -> GeneralLP:
     the uniform >= sense. Default bounds are [0, +inf); MI lowers to -inf
     with the classic implied upper bound of 0 unless another bound type sets
     one; BV relaxes to [0, 1] with a warning.
+
+    The document is left unchanged. Its parse warnings, followed by the
+    conversion's own, are returned in ``names["warnings"]``.
     """
+    warnings = list(doc.warnings)
     cols = doc.column_order
     col_pos = {c: i for i, c in enumerate(cols)}
     d = len(cols)
@@ -214,7 +218,7 @@ def to_general_lp(doc: MpsDocument) -> GeneralLP:
             c[col_pos[col]] = v
     for spare in doc.extra_objective_rows:
         if any(row == spare for (_, row) in doc.entries):
-            doc.warnings.append(f"spare objective row {spare!r} ignored")
+            warnings.append(f"spare objective row {spare!r} ignored")
 
     row_vectors: dict[str, np.ndarray] = {
         label: np.zeros(d) for label in doc.row_order
@@ -253,7 +257,7 @@ def to_general_lp(doc: MpsDocument) -> GeneralLP:
     mi_cols = set()
     for btype, col, value in doc.bounds:
         if col not in col_pos:
-            doc.warnings.append(f"bound on unknown column {col!r} ignored")
+            warnings.append(f"bound on unknown column {col!r} ignored")
             continue
         i = col_pos[col]
         if btype == "LO":
@@ -265,7 +269,7 @@ def to_general_lp(doc: MpsDocument) -> GeneralLP:
                 # legacy convention: a negative upper bound on a default
                 # column frees the lower bound
                 lower[i] = -np.inf
-                doc.warnings.append(
+                warnings.append(
                     f"negative UP bound on {col!r} lowers its bound to -inf"
                 )
         elif btype == "FX":
@@ -286,7 +290,7 @@ def to_general_lp(doc: MpsDocument) -> GeneralLP:
             lower[i] = 0.0
             upper[i] = 1.0
             explicit_upper.add(i)
-            doc.warnings.append(
+            warnings.append(
                 f"binary bound on {col!r} relaxed to [0, 1] (LP relaxation)"
             )
     for i in mi_cols - explicit_upper:
@@ -304,6 +308,7 @@ def to_general_lp(doc: MpsDocument) -> GeneralLP:
         "columns": list(cols),
         "eq_rows": eq_names,
         "ineq_rows": ineq_names,
+        "warnings": warnings,
     }
     return GeneralLP(
         c=c,
@@ -328,5 +333,6 @@ def read_text(path) -> str:
 
 
 def read_mps(path) -> GeneralLP:
-    """Parse an MPS file and convert it in one step."""
+    """Parse an MPS file and convert it in one step; the warnings of both
+    steps are in the result's ``names["warnings"]``."""
     return to_general_lp(parse_mps(read_text(path)))

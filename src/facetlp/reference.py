@@ -6,9 +6,8 @@ enumerator over facet bases used as ground truth in tests.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -131,17 +130,33 @@ class _Tableau:
                 self.T[0] -= cj * self.T[i + 1]
 
     def pivot(self, row: int, col: int) -> None:
+        """Divide the pivot row by its pivot, then subtract from the whole
+        tableau at once the outer product of the pivot column and that row,
+        the pivot row's own product set to zero.
+
+        A row whose factor is nonzero gets the same products and differences
+        as a row-by-row update, and the pivot row stays as divided. A row
+        whose factor is zero keeps its values but may turn a -0.0 into +0.0,
+        which no choice reads: the entering and ratio tests compare values,
+        and argmin takes -0.0 and +0.0 as equal. A pivot row holding an
+        infinity or a NaN would put 0 * inf = NaN into those rows, so then
+        (or when its finite sum overflows) only the rows with a nonzero
+        factor are updated.
+        """
         T = self.T
         piv = T[row + 1]
         piv /= piv[col]
-        # only rows with a nonzero factor change, so signed zeros elsewhere
-        # survive exactly as under a row-by-row update
-        nonzero = T[:, col] != 0.0
-        nonzero[row + 1] = False
-        rows = nonzero.nonzero()[0]
-        block = T[rows]
-        block -= block[:, col, None] * piv
-        T[rows] = block
+        if math.isfinite(piv.sum()):
+            prod = T[:, col, None] * piv
+            prod[row + 1] = 0.0
+            T -= prod
+        else:
+            nonzero = T[:, col] != 0.0
+            nonzero[row + 1] = False
+            rows = nonzero.nonzero()[0]
+            block = T[rows]
+            block -= block[:, col, None] * piv
+            T[rows] = block
         self.basis[row] = col
 
     def solution(self) -> np.ndarray:
@@ -211,6 +226,12 @@ def dantzig_solve(
     feasible skip Phase 1 entirely. Ratio ties leave the basic variable with
     the least index. ``bland`` switches both choices to Bland's least-index
     rule, which guarantees termination on degenerate instances.
+
+    Phase 2 runs on the tableau without the artificial columns and the rows
+    found redundant. A pivot may turn a -0.0 into +0.0 (see
+    :meth:`_Tableau.pivot`), and a mirrored variable's -0.0 shift in
+    ``project`` would carry that sign into ``x_opt``, so ``x_opt`` and
+    ``objective`` are returned without -0.0.
     """
     A = sf.A.copy()
     b = sf.b.copy()
@@ -252,35 +273,28 @@ def dantzig_solve(
         if status is Status.OPTIMAL and infeasible:
             status = Status.INFEASIBLE
         if status is Status.OPTIMAL:
-            # drive leftover artificials out of the basis, dropping redundant rows
-            drop: list[int] = []
-            for i in range(k):
-                if t.basis[i] < N:
-                    continue
-                row = t.T[1 + i, :N]
-                cands = np.flatnonzero(np.abs(row) > TOL)
+            # drive leftover artificials out of the basis; a row with no
+            # candidate is redundant and dropped
+            keep = np.ones(k + 1, dtype=bool)
+            for i in np.flatnonzero(t.basis >= N):
+                cands = np.flatnonzero(np.abs(t.T[1 + i, :N]) > TOL)
                 if cands.size:
                     t.pivot(i, int(cands[0]))
                 else:
-                    drop.append(1 + i)
-            if drop:
-                keep = [r for r in range(t.T.shape[0]) if r not in drop]
-                t.T = t.T[keep]
-                t.basis = np.array(
-                    [t.basis[i] for i in range(k) if (1 + i) not in drop], dtype=int
-                )
+                    keep[1 + i] = False
+            # nothing in phase 2 reads the artificial columns: drop them too
+            t = _Tableau(T=np.delete(t.T[keep], np.s_[N:-1], axis=1), basis=t.basis[keep[1:]])
 
     if status is Status.OPTIMAL:
-        t.T[:, N : N + n_art] = 0.0  # retire artificial columns
-        t.price_out(np.concatenate([sf.c, np.zeros(n_art)]))
+        t.price_out(sf.c)
         status, phase2 = _run_simplex(t, N, bland, max_iter - phase1, audit_log)
 
     x_opt = objective = None
     if status is not Status.ITERATION_LIMIT:
         x_std = t.solution()[:N]
-        x_opt = sf.project(x_std)
+        x_opt = sf.project(x_std) + 0.0  # no -0.0 in the output
         if status is Status.OPTIMAL:
-            objective = float(sf.c @ x_std) + sf.objective_offset
+            objective = float(sf.c @ x_std) + sf.objective_offset + 0.0
     return SolveOutcome(
         status=status, x_opt=x_opt, objective=objective,
         iterations=phase1 + phase2, audit=audit_log,
@@ -296,15 +310,23 @@ def dantzig_solve(
 def _bases(N: int, d: int) -> np.ndarray:
     """Read-only (k, d) array of the d-subsets of range(N), in lexicographic
     order, without the subsets holding both bound rows N-2d+i and N-d+i of
-    one variable (the E and F rows of :func:`to_standard_general`)."""
-    count = math.comb(N, d)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(N), d))
-    combos = np.fromiter(flat, dtype=np.intp, count=count * d).reshape(count, d)
-    e_row = N - 2 * d
-    pair = np.zeros(count, dtype=bool)
-    for i in range(d):
-        pair |= np.any(combos == e_row + i, axis=1) & np.any(combos == e_row + d + i, axis=1)
-    combos = combos[~pair]
+    one variable (the E and F rows of :func:`to_standard_general`).
+
+    Built one column at a time: each partial subset is extended, in order,
+    by every larger index that still leaves room for the rest, and a new
+    F row whose E row the subset already holds drops the subset at once.
+    """
+    f_row = N - d  # the F rows are f_row.. and index m's E row is m - d
+    combos = np.empty((1, 0), dtype=np.intp)
+    last = np.full(1, -1, dtype=np.intp)
+    for j in range(d):
+        counts = N - d + j - last  # entry j runs over last+1 .. N-d+j
+        starts = np.cumsum(counts) - counts
+        nxt = np.arange(counts.sum(), dtype=np.intp) + np.repeat(last + 1 - starts, counts)
+        combos = np.repeat(combos, counts, axis=0)
+        keep = (nxt < f_row) | ~(combos == (nxt - d)[:, None]).any(axis=1)
+        combos = np.column_stack((combos[keep], nxt[keep]))
+        last = combos[:, -1]
     combos.flags.writeable = False
     return combos
 

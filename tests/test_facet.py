@@ -956,7 +956,10 @@ def test_outcome_digest_script_writes_one_line_per_solve(tmp_path):
     script.main(["--quick", "-o", str(out)])
     assert linalg.factor is factor
     lines = [json.loads(line) for line in out.read_text().splitlines()]
-    # the facet lines come first, then one line per oracle call
+    # the facet lines come first, then one line per oracle call, then one
+    # per Dantzig call
+    dantzig_cases = list(script.dantzig_cases(quick=True))
+    lines, dantzig = lines[: -len(dantzig_cases)], lines[-len(dantzig_cases):]
     oracle_cases = list(script.oracle_cases(quick=True))
     lines, oracle = lines[: -len(oracle_cases)], lines[-len(oracle_cases):]
     assert len(lines) == len(list(script.cases(quick=True)))
@@ -979,6 +982,16 @@ def test_outcome_digest_script_writes_one_line_per_solve(tmp_path):
         unbounded = line["status"] == "Unbounded"
         assert isinstance(line["certificate"], int) if unbounded else line["certificate"] is None
     assert script.oracle_digest(*oracle_cases[-1]) == oracle[-1]
+
+    assert [line["name"] for line in dantzig] == [name for name, _, _ in dantzig_cases]
+    assert {line["solver"] for line in dantzig} == {"dantzig"}
+    assert {line["status"] for line in dantzig} == {
+        "Optimal", "Infeasible", "Unbounded", "IterationLimit"}
+    # the cycling fixtures that cycle stop at the limit only without Bland's rule
+    limited = {(line["name"], line["bland"]) for line in dantzig
+               if line["status"] == "IterationLimit"}
+    assert limited and all(not bland for _, bland in limited)
+    assert script.dantzig_digest(*dantzig_cases[0]) == dantzig[0]
 
 
 def test_pivot_overhead_script_prints_one_row_per_dimension(capsys):

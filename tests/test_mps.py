@@ -3,6 +3,7 @@ import gzip
 import numpy as np
 import pytest
 
+from facetlp.cli import main
 from facetlp.errors import (
     ConflictingBounds,
     MalformedInput,
@@ -142,7 +143,7 @@ ENDATA
         doc = parse_mps(text)
         p = to_general_lp(doc)
         assert p.lower[0] == 0.0 and p.upper[0] == 1.0
-        assert any("relaxation" in w for w in doc.warnings)
+        assert any("relaxation" in w for w in p.names["warnings"])
 
     def test_conflicting_bounds_raise(self):
         text = MINIMAL.replace(
@@ -223,3 +224,33 @@ class TestFixtures:
             assert first.status == second.status, path.name
             assert first.objective == second.objective, path.name  # bitwise
             np.testing.assert_array_equal(first.x_opt, second.x_opt)
+
+
+class TestWarnings:
+    def test_conversion_leaves_its_document_unchanged(self, fixtures_dir):
+        doc = parse_mps((fixtures_dir / "bounds_all.mps").read_text())
+        assert doc.warnings == []
+        first = to_general_lp(doc)
+        second = to_general_lp(doc)
+        assert doc.warnings == []
+        assert first.names["warnings"] == second.names["warnings"]
+        assert len(first.names["warnings"]) == 1
+        assert "relaxation" in first.names["warnings"][0]  # the BV bound
+
+    def test_read_mps_returns_the_warnings_solve_prints(self, fixtures_dir, capsys):
+        path = fixtures_dir / "bounds_all.mps"
+        assert read_mps(path).names["warnings"] == [
+            "binary bound on 'XBV' relaxed to [0, 1] (LP relaxation)"
+        ]
+        main(["solve", str(path)])
+        printed = [line.removeprefix(f"warning: {path}: ")
+                   for line in capsys.readouterr().err.splitlines()]
+        assert printed == read_mps(path).names["warnings"]
+
+    def test_parse_warnings_come_first(self):
+        text = MINIMAL.replace("COLUMNS\n", "COLUMNS\n    M1        'MARKER'   'INTORG'\n")
+        text = text.replace("ENDATA", "BOUNDS\n BV BND       X1\nENDATA")
+        doc = parse_mps(text)
+        warnings = to_general_lp(doc).names["warnings"]
+        assert warnings[0] == doc.warnings[0] and "MARKER" in warnings[0]
+        assert "binary bound" in warnings[1] and len(warnings) == 2

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -26,6 +27,9 @@ from facetlp.model import (
 )
 from facetlp.mps import read_mps
 from facetlp.reference import brute_force_optimal, dantzig_solve, to_standard_form
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -162,6 +166,18 @@ class TestDantzigSolve:
         assert out.status is Status.ITERATION_LIMIT
         assert out.iterations == 5
 
+    def test_negative_zero_bound_leaves_no_negative_zero(self):
+        # x0 <= -0.0 is mirrored, x0 = -0.0 - x0', so x0' = 0 projects to
+        # 0 * -1 + -0.0 = -0.0 unless the output is cleared of it
+        p = GeneralLP(c=[-1.0, 1.0], A_ineq=[[1.0, 1.0]], b_ineq=[-1.0],
+                      lower=[-np.inf, -0.0], upper=[-0.0, 3.0])
+        for bland in (False, True):
+            out = dantzig_solve(to_standard_form(p), bland=bland)
+            assert out.status is Status.OPTIMAL
+            np.testing.assert_array_equal(out.x_opt, [0.0, 0.0])
+            assert not np.signbit(out.x_opt).any()
+            assert out.objective == 0.0 and not np.signbit(out.objective)
+
 
 class TestBruteForceOracle:
     def test_km2_optimum_and_optimizer(self):
@@ -288,6 +304,64 @@ def _rowloop_leave_row(t, col, bland):
     return int(tied[0])
 
 
+def _pivot_both(T, row, col):
+    """The tableau after ``_Tableau.pivot`` and after the row loop, both from
+    copies of ``T`` and under one errstate."""
+    got = reference._Tableau(T=T.copy(), basis=np.arange(T.shape[0] - 1))
+    want = reference._Tableau(T=T.copy(), basis=np.arange(T.shape[0] - 1))
+    with np.errstate(all="ignore"):
+        got.pivot(row, col)
+        _rowloop_pivot(want, row, col)
+    assert np.array_equal(got.basis, want.basis)
+    return got.T, want.T
+
+
+class TestTableauPivot:
+    def test_values_match_row_loop_with_signed_zeros(self):
+        nz = -0.0
+        T = np.array([[1.0, nz, 2.0, 0.0, 5.0],
+                      [2.0, 1.0, nz, 3.0, 4.0],   # pivot row 0, column 0
+                      [0.0, 4.0, 1.0, nz, 2.0],   # factor +0
+                      [nz, nz, 5.0, 1.0, nz],     # factor -0
+                      [-3.0, 2.0, 0.0, nz, 7.0]])
+        got, want = _pivot_both(T, 0, 0)
+        assert np.array_equal(got, want)
+        # the pivot row and the rows with a nonzero factor match bit for bit
+        for r in (0, 1, 4):
+            assert got[r].tobytes() == want[r].tobytes()
+        # a zero-factor row keeps its values; only a zero may change sign
+        assert np.array_equal(got[2:4], T[2:4])
+
+    def test_nonfinite_pivot_row_leaves_zero_factor_rows_bit_identical(self):
+        nz = -0.0
+        T = np.array([[1.0, nz, 2.0, 3.0],
+                      [0.5, 1.5e308, nz, 2.0],    # divides to +inf at column 1
+                      [0.0, 4.0, nz, 2.0],        # factor +0
+                      [nz, nz, 5.0, nz],          # factor -0
+                      [-3.0, 2.0, 0.0, 7.0]])
+        got, want = _pivot_both(T, 0, 0)
+        assert np.isposinf(got[1, 1])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got[2:4].tobytes() == want[2:4].tobytes() == T[2:4].tobytes()
+        assert not np.isnan(got[2:4]).any()
+
+        T[1, 1] = np.nan
+        got, want = _pivot_both(T, 0, 0)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got[2:4].tobytes() == want[2:4].tobytes() == T[2:4].tobytes()
+
+    def test_finite_row_whose_sum_overflows_takes_the_row_update(self):
+        nz = -0.0
+        T = np.array([[1.0, nz, 2.0, 3.0],
+                      [1.0, 1e308, 1e308, 2.0],   # finite, but sums to inf
+                      [0.0, 4.0, nz, 2.0],
+                      [nz, nz, 5.0, nz],
+                      [-1e-300, 2.0, 0.0, 7.0]])
+        got, want = _pivot_both(T, 0, 0)
+        assert np.isfinite(got[1]).all()
+        assert got.tobytes() == want.tobytes()
+
+
 def _dantzig_cases():
     for d in range(2, 13):
         yield to_standard_form(klee_minty_v1(d)), False
@@ -301,6 +375,9 @@ def _dantzig_cases():
             for kind in ("feasible", "infeasible", "unbounded"):
                 p = random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
                 yield to_standard_form(p, big_m=1e7), seed % 2 == 0
+    # tableaux of 80, 120 and 160 rows, each with a phase 1
+    for d in (20, 30, 40):
+        yield to_standard_form(workloads.dense_lp(np.random.default_rng(d), d)), d == 30
 
 
 class TestDantzigPivotUnchanged:
@@ -479,6 +556,19 @@ class TestOracleEnumeration:
             for j in range(1, d // 2 + 1)
         )
         assert len(rows) == math.comb(N, d) - with_pair
+
+    @pytest.mark.parametrize("N,d", [(2, 1), (6, 3), (7, 5), (11, 3), (16, 4), (22, 5)])
+    def test_index_array_matches_an_itertools_build(self, N, d):
+        count = math.comb(N, d)
+        flat = itertools.chain.from_iterable(itertools.combinations(range(N), d))
+        combos = np.fromiter(flat, dtype=np.intp, count=count * d).reshape(count, d)
+        e_row = N - 2 * d
+        pair = np.zeros(count, dtype=bool)
+        for i in range(d):
+            pair |= np.any(combos == e_row + i, axis=1) & np.any(combos == e_row + d + i, axis=1)
+        bases = reference._bases(N, d)
+        assert bases.dtype == combos.dtype
+        assert np.array_equal(bases, combos[~pair])
 
     def test_cap_is_checked_before_enumerating(self, monkeypatch):
         def refuse(N, d):
