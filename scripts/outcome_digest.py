@@ -32,6 +32,11 @@ Run it on two checkouts with BLAS pinned to one thread, then compare:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/outcome_digest.py -o a.jsonl
     cmp a.jsonl b.jsonl
 
+Where they differ, ``--against a.jsonl -o b.jsonl`` writes b.jsonl and
+prints what moved: per field, the number of lines whose value changed;
+every change of status, iteration count, final base, redundant rows or
+audit violations; and the largest relative move of an objective.
+
 ``--quick`` runs a small subset of each part.
 """
 
@@ -180,11 +185,63 @@ def dantzig_digest(name: str, lp: model.GeneralLP, bland: bool) -> dict:
     }
 
 
+# the fields whose every change the comparison lists: the Dantzig lines
+# count their pivots in phase1 and phase2
+LISTED = ("status", "iterations", "phase1", "phase2", "basis_rows", "redundant_rows",
+          "violations")
+
+
+def _key(line: dict) -> tuple:
+    return line["name"], line.get("rule"), line.get("solver"), line.get("bland")
+
+
+def _label(line: dict) -> str:
+    return " ".join([line["name"], line.get("rule") or line["solver"]]
+                    + ["bland"] * bool(line.get("bland")))
+
+
+def compare(old: list[dict], new: list[dict]) -> list[str]:
+    """The report of what moved from the digest ``old`` to ``new``, whose
+    lines must name the same solves in the same order."""
+    if [_key(line) for line in old] != [_key(line) for line in new]:
+        raise SystemExit("the two digests do not list the same solves")
+    moved: dict[str, int] = {}
+    changes, worst, worst_at = [], 0.0, ""
+    for a, b in zip(old, new):
+        for field in a.keys() | b.keys():
+            if a.get(field) != b.get(field):
+                moved[field] = moved.get(field, 0) + 1
+                if field in LISTED:
+                    changes.append(f"  {_label(a)}: {field} {a.get(field)} -> {b.get(field)}")
+        if a.get("objective") and b.get("objective"):
+            x, y = float.fromhex(a["objective"]), float.fromhex(b["objective"])
+            rel = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+            if rel > worst:
+                worst, worst_at = rel, f" ({_label(a)})"
+    report = [f"{len(new)} lines, {sum(a != b for a, b in zip(old, new))} moved"]
+    report += [f"  {field}: {count}" for field, count in sorted(moved.items())]
+    report.append(f"changes of {', '.join(LISTED)}: {len(changes)}")
+    report += changes
+    report.append(f"largest relative objective move: {worst:.3g}{worst_at}")
+    report.append("linalg.factor calls: " + " -> ".join(
+        str(sum(line.get("factor_calls", 0) for line in lines)) for lines in (old, new)))
+    return report
+
+
+def _read(path: str) -> list[dict]:
+    with open(path) as fh:
+        return [json.loads(line) for line in fh]
+
+
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="a small subset of the sweep")
     ap.add_argument("-o", "--output", default="-", help="JSON lines file (default stdout)")
+    ap.add_argument("--against", metavar="OLD.jsonl",
+                    help="print what moved from this digest to the one written to -o")
     args = ap.parse_args(argv)
+    if args.against and args.output == "-":
+        ap.error("--against needs -o")
     out = sys.stdout if args.output == "-" else open(args.output, "w")
     try:
         for case in cases(args.quick):
@@ -196,6 +253,8 @@ def main(argv: list[str] | None = None) -> None:
     finally:
         if out is not sys.stdout:
             out.close()
+    if args.against:
+        print("\n".join(compare(_read(args.against), _read(args.output))))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Where a ``dense`` pivot's time goes: kernels against everything else.
 
 For each plateau of the benchmark's ``dense`` workload (``workloads.dense_lp``
-at d = 60, 100 and 180, all on the inverse path of ``linalg``), this times
+at d = 60, 100 and 180; ``linalg`` keeps the inverse of the base at every
+d), this times
 
 - the wall time of ``facet.solve`` per pivot, over a few instances of the
   plateau (per-solve set-up included);

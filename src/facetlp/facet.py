@@ -13,22 +13,21 @@ transpose solve for the entering facet's expansion and, once the pivot has
 replaced a row of them, the two solves for the new iterate. One pass of the
 ratio test also tells whether the leaving facet is redundant and whether
 infeasibility is certified. A pivot hands the row swap and the expansion to
-``linalg.replace_row``, which updates the inverse of a large base in place;
-a small base (d below ``linalg.INVERSE_MIN_D``) it declines, and the pivot
-factors the rows the new indices name as an LU. It then solves y_c and x
-from the new factors and computes the new residuals A x - b once, for its
-own check and the next pricing. When an updated inverse gives an x that
-fails its residual check, the pivot factors the base afresh and solves y_c
-and x again. A :class:`Base` is its row indices and their factors; rows
-and rhs are read from the problem through the indices. A pivot writes one
-slot of the base in place and replaces the :class:`SolverState`, which is
-the iterate; ``solve`` writes neither.
+``linalg.replace_row``, which updates the inverse of the base in place at
+every d; where a tiny pivot element makes it decline, the pivot factors
+the rows the new indices name afresh. It then solves y_c and x from the
+new factors and computes the new residuals A x - b once, for its own check
+and the next pricing. When an updated inverse gives an x whose base rows
+fail the audit's basic-solution bound, the pivot factors the base afresh
+and solves y_c and x again. A :class:`Base` is its row indices and their
+factors; rows and rhs are read from the problem through the indices. A
+pivot writes one slot of the base in place and replaces the
+:class:`SolverState`, which is the iterate; ``solve`` writes neither.
 
-``solve`` makes what every pivot reads once: the pricing and
-residual-check tolerances and the row norms. The small numpy calls around
-a pivot's kernels (five BLAS calls on the inverse path) cost as much as
-the kernels or more (``scripts/pivot_overhead.py``), so the step functions
-keep them few.
+``solve`` makes what every pivot reads once: the pricing tolerances and
+the row norms. The small numpy calls around a pivot's kernels (five BLAS
+calls) cost as much as the kernels or more (``scripts/pivot_overhead.py``),
+so the step functions keep them few.
 """
 
 from __future__ import annotations
@@ -305,7 +304,6 @@ def pivot(
     p: int,
     s: int,
     y_p: np.ndarray,
-    lin_tols: np.ndarray | None = None,
 ) -> tuple[Base, SolverState]:
     """Swap the facet in slot s (as ``select_leaving`` returns it, so
     |y_p[s]| > ``TOL_SIGN``) out for facet p; solve the new iterate.
@@ -314,9 +312,9 @@ def pivot(
     are ``linalg.replace_row``'s update given y_p or, where that declines,
     the rows ``sp.A[base.indices]`` factored afresh. y_c and x are solved
     from them, and their residuals A x - b computed once. One check guards
-    the iterate: if the factors are an updated inverse whose base rows fail
-    ``lin_tols``, the basic-solution tolerances (by default
-    ``sp.row_tolerances(TOL_LIN)``), the base is factored afresh and y_c, x
+    the iterate: if the factors are an updated inverse and the largest
+    residual on the base rows exceeds ``TOL_LIN * (1 + max |b_B|)``, the
+    audit's basic-solution bound, the base is factored afresh and y_c, x
     and the residuals solved again. Returns ``base`` and a new state;
     ``state`` is left as it was. When ``linalg.factor`` finds the new base
     singular, index s is restored and its SingularMatrix raised again,
@@ -341,13 +339,20 @@ def pivot(
 
     new = _iterate(sp, base)
     # an updated inverse drifts from the base it stands for, so its iterate
-    # is checked row by row at the basic-solution invariant's tolerance
-    rows = base.indices
-    if lin_tols is None:
-        lin_tols = sp.row_tolerances(TOL_LIN)
-    if fact.updates and np.count_nonzero(np.abs(new.sigma[rows]) > lin_tols[rows]):
-        base.fact = linalg.factor(sp.A[rows])
-        new = _iterate(sp, base)
+    # is checked at the audit's basic-solution bound, which scales with the
+    # largest rhs of the base: a row's own 1 + |b_i| would flag the rounding
+    # of a product with a large x (near 2.4e15 on km1 at d=12) on rows whose
+    # b_i is small. The bound is never below TOL_LIN, so most pivots stop at
+    # that first test; argmax finds max's entry without a reduction
+    if fact.updates:
+        rows = base.indices
+        res = np.abs(new.sigma[rows])
+        worst = res[res.argmax()]
+        if worst > TOL_LIN:
+            b_B = np.abs(sp.b[rows])
+            if worst > TOL_LIN * (1.0 + b_B[b_B.argmax()]):
+                base.fact = linalg.factor(sp.A[rows])
+                new = _iterate(sp, base)
     return base, new
 
 
@@ -371,7 +376,6 @@ def solve(
     """
     c = sp.c_original
     row_tols = sp.feasibility_tolerances(tol_feas)
-    lin_tols = sp.row_tolerances(TOL_LIN)
     row_norms = (
         np.linalg.norm(sp.A, axis=1) if rule is PivotRule.MAX_NORMALIZED_DEVIATION else None
     )
@@ -430,7 +434,7 @@ def solve(
             row_tols[q] = np.inf
 
         prev_objective = objective
-        base, state = pivot(sp, base, state, p, s, y_p, lin_tols)
+        base, state = pivot(sp, base, state, p, s, y_p)
         iteration += 1
 
         objective = float(c.dot(state.x)) + offset

@@ -6,16 +6,13 @@ transpose solve and the iterate from a plain solve, both on the same base
 matrix.
 
 A pivot replaces row s of the base M by a^T, which gives E M with E the
-identity whose row s is y^T, y = M^-T a. Below ``INVERSE_MIN_D`` a
-factorization is an LU with partial pivoting, which ``replace_row``
-declines to update, so the caller factors the new matrix from scratch and
-every result keeps the bits of a plain LU solve. From it up, a
-factorization holds M^-1, formed from the LU, which ``replace_row``
+identity whose row s is y^T, y = M^-T a. At every d a factorization holds
+M^-1, formed from an LU with partial pivoting, which ``replace_row``
 multiplies by E^-1 in place, one rank-one update: the caller holds y
 already (the entering facet's expansion), so an update costs no solve, and
-a solve is one matrix product. A tiny y[s] is declined too, and takes a
-fresh inverse, as does the solver's per-pivot check, through ``factor``,
-when an iterate solved from an updated inverse fails its residual check.
+a solve is one matrix product. A tiny y[s] is declined and takes a fresh
+inverse, as does the solver's per-pivot check, through ``factor``, when an
+iterate solved from an updated inverse fails its residual check.
 Only ``factor`` reads matrix entries, and only it decides singularity: it
 raises SingularMatrix instead of returning factors of a singular matrix,
 so every factorization can be solved. LAPACK and BLAS are called directly
@@ -33,39 +30,31 @@ from facetlp.errors import DimensionMismatch, SingularMatrix
 
 TOL_PIVOT = 1e-12
 NEAR_SINGULAR_FACTOR = 1e3
-# smallest dimension whose factorizations hold the inverse. Set to 1, km1 at
-# d = 13..16 factors afresh on 11-13 of its 13-16 pivots, and perfbench on a
-# 2-core host read cubes facet_solve_ms_p90 0.904 -> 0.977 ms and oracle
-# facet_pivots_per_s 8,737 -> 8,095 (README "Numerical behavior")
-INVERSE_MIN_D = 32
 
 _TINY = np.finfo(float).tiny
 
-_getrf, _getri, _getri_lwork, _getrs = scipy.linalg.get_lapack_funcs(
-    ("getrf", "getri", "getri_lwork", "getrs"), dtype=np.float64
+_getrf, _getri, _getri_lwork = scipy.linalg.get_lapack_funcs(
+    ("getrf", "getri", "getri_lwork"), dtype=np.float64
 )
-# the inverse path calls BLAS through scipy, not numpy: with unpinned
-# threads numpy's own pool contends with scipy's
+# BLAS is called through scipy, not numpy: with unpinned threads numpy's
+# own pool contends with scipy's
 _gemv, _ger = scipy.linalg.get_blas_funcs(("gemv", "ger"), dtype=np.float64)
 
 
 @dataclass(slots=True)
 class SquareFactorization:
-    """Factors of a nonsingular d-by-d matrix M. Below ``INVERSE_MIN_D``,
-    ``lu`` and ``piv`` are the packed LU factors and 0-based row pivots of
-    M. From it up, ``inv`` is M^-1 in Fortran order instead: inverted from
-    the LU of the last factorization from scratch, then updated in place by
-    ``updates`` row replacements. ``near_singular`` describes that LU. The
-    fields are never reassigned, but ``replace_row`` writes ``inv`` in
-    place: it consumes the factorization it is given. Not frozen: a frozen
-    dataclass takes several times as long to build, once a pivot.
+    """The inverse of a nonsingular d-by-d matrix M. ``inv`` is M^-1 in
+    Fortran order: inverted from the LU of the last factorization from
+    scratch, then updated in place by ``updates`` row replacements.
+    ``near_singular`` describes that LU. The fields are never reassigned,
+    but ``replace_row`` writes ``inv`` in place: it consumes the
+    factorization it is given. Not frozen: a frozen dataclass takes several
+    times as long to build, once a pivot.
     """
 
     dimension: int
     near_singular: bool
-    lu: np.ndarray | None = None
-    piv: np.ndarray | None = None
-    inv: np.ndarray | None = None
+    inv: np.ndarray
     updates: int = 0
 
 
@@ -87,7 +76,7 @@ def _near_singular(row_sums: np.ndarray, diagonal: np.ndarray) -> bool:
 
 def factor(m: np.ndarray) -> SquareFactorization:
     """Factor a square matrix from scratch: an LU with row pivoting, and
-    from ``INVERSE_MIN_D`` up the inverse computed from it.
+    the inverse computed from it.
 
     A pivot at or below ``TOL_PIVOT`` times the matrix's infinity norm
     raises SingularMatrix. NaN or infinite entries raise ValueError.
@@ -103,12 +92,10 @@ def factor(m: np.ndarray) -> SquareFactorization:
         raise ValueError(f"illegal value in argument {-info} of getrf")
     d = m.shape[0]
     near = _near_singular(row_sums, lu.diagonal())
-    if d < INVERSE_MIN_D:
-        return SquareFactorization(d, near, lu=lu, piv=piv)
     # getri overwrites the LU in place, after the pivots were read off it
     lwork = int(_getri_lwork(d)[0])
     inv = _solved(_getri(lu, piv, lwork=lwork, overwrite_lu=1))
-    return SquareFactorization(d, near, inv=inv)
+    return SquareFactorization(d, near, inv)
 
 
 def replace_row(
@@ -117,11 +104,9 @@ def replace_row(
     """Factors of the factored matrix M with row ``slot`` replaced by a^T,
     given ``y`` = M^-T a: the inverse of ``f`` updated in place, which
     consumes ``f`` (a copy would cost what the update saves). None, with
-    ``f`` untouched, when ``f`` holds no inverse (below ``INVERSE_MIN_D``)
-    or |y[slot]| is at most ``NEAR_SINGULAR_FACTOR * TOL_PIVOT`` times
-    max |y|; the caller then factors the new matrix afresh."""
-    if f.inv is None:
-        return None
+    ``f`` untouched, when |y[slot]| is at most ``NEAR_SINGULAR_FACTOR *
+    TOL_PIVOT`` times max |y|, or not finite; the caller then factors the
+    new matrix afresh."""
     d = f.dimension
     y = np.asarray(y, dtype=float)
     if y.shape != (d,):
@@ -138,7 +123,7 @@ def replace_row(
     # by position, as f2py parses keywords slowly: ger(alpha, x, y, incx,
     # incy, a, overwrite_x, overwrite_y, overwrite_a)
     inv = _ger(1.0, f.inv[:, slot].copy(), h, 1, 1, f.inv, 1, 1, 1)
-    return SquareFactorization(d, f.near_singular, inv=inv, updates=f.updates + 1)
+    return SquareFactorization(d, f.near_singular, inv, f.updates + 1)
 
 
 def _solved(x_info: tuple[np.ndarray, int]) -> np.ndarray:
@@ -151,14 +136,12 @@ def _solved(x_info: tuple[np.ndarray, int]) -> np.ndarray:
 def _solve(f: SquareFactorization, r: np.ndarray, trans: int) -> np.ndarray:
     """M^-1 r, or M^-T r when ``trans`` is 1. f2py parses keywords slowly,
     so ``trans`` goes by position: gemv(alpha, a, x, beta, y, offx, incx,
-    offy, incy, trans) and getrs(lu, piv, b, trans)."""
+    offy, incy, trans)."""
     r = np.asarray(r, dtype=float)
     if r.shape != (f.dimension,):
         raise DimensionMismatch(
             f"right-hand side has shape {r.shape}, expected ({f.dimension},)"
         )
-    if f.inv is None:
-        return _solved(_getrs(f.lu, f.piv, r, trans))
     # with trans 0, the default, the shortest call is the fastest
     return _gemv(1.0, f.inv, r, 0.0, None, 0, 1, 0, 1, 1) if trans else _gemv(1.0, f.inv, r)
 

@@ -411,6 +411,20 @@ class TestBenchCommand:
         got = [int(r["iterations"]) for r in rows]
         assert got == [7, 15, 31]
 
+    def test_km1_top_sizes_are_solved(self, tmp_path, capsys):
+        # every facet row of km1 reaches the cube's optimum -5^d in d pivots
+        out_csv = tmp_path / "bench.csv"
+        code = main(["bench", "--suite", "km1", "--sizes", "20:25",
+                     "--solvers", "facet", "--csv", str(out_csv)])
+        assert code == 0
+        capsys.readouterr()
+        _, rows = _read_csv(out_csv)
+        assert [r["name"] for r in rows] == [f"km1_d{d}" for d in range(20, 26)]
+        for d, row in zip(range(20, 26), rows):
+            assert row["status"] == "Optimal"
+            assert int(row["iterations"]) == d
+            assert float(row["objective"]) == pytest.approx(-(5.0**d), rel=1e-9)
+
     def test_cycling_suite_all_optimal_under_least_index(self, tmp_path, capsys):
         out_csv = tmp_path / "cyc.csv"
         code = main(["bench", "--suite", "cycling", "--rule", "least-index",
