@@ -8,8 +8,8 @@ on a few ``feasible`` instances each) and each block size, this times
 - beside it, the stage calls the function makes on each block, on the same
   instances: the index array (``_bases``, built afresh rather than read
   from its cache), the gather of the bases' rows and right-hand sides, the
-  batched solve, the residuals plus the feasibility test, and the
-  determinant filter of the feasible bases.
+  batched solve, the residuals (laid out rows x bases) plus the feasibility
+  test, and the determinant filter of the feasible bases.
 
 The stages print in microseconds per block and the call in milliseconds,
 so ``blocks`` times the stage sum, plus ``_bases``, is about the call. The
@@ -63,7 +63,6 @@ def _stage_us(sp: model.StandardGeneralLP, block: int) -> tuple[float, dict[str,
     build_us = (clock() - t0) * 1e6
     row_norms = np.linalg.norm(sp.A, axis=1)
     tols = sp.row_tolerances()
-    A_T = np.ascontiguousarray(sp.A.T)
     spent = dict.fromkeys(STAGES, 0.0)
     for start in range(0, len(bases), block):
         combos = bases[start : start + block]
@@ -74,8 +73,9 @@ def _stage_us(sp: model.StandardGeneralLP, block: int) -> tuple[float, dict[str,
         with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
             X = reference._umath_linalg.solve(A_stack, b_stack)[..., 0]
             t2 = clock()
-            sigma = X @ A_T - sp.b
-        feas = sp.feasible(sigma, tols)
+            S = sp.A @ X.T
+            S -= sp.b[:, None]
+        feas = sp.feasible(S.T, tols)
         t3 = clock()
         if feas.any():
             hadamard = np.prod(row_norms[combos[feas]], axis=1)

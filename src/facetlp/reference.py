@@ -114,6 +114,9 @@ def to_standard_form(p: GeneralLP, big_m: float | None = None) -> StandardFormLP
 
 @dataclass
 class _Tableau:
+    """A simplex tableau and its basic column per constraint row. ``pivot``
+    is its one update rule, for the simplex loop and the phase-1 drive-out."""
+
     T: np.ndarray            # (k+1, N+1); row 0 = reduced costs, last col = rhs
     basis: np.ndarray        # basic column per constraint row
 
@@ -165,47 +168,34 @@ class _Tableau:
         return x
 
 
-def _enter_column(t: _Tableau, allowed: int, bland: bool) -> int | None:
-    """Entering column among the first ``allowed`` ones (the artificial
-    columns trail, so a prefix length selects the phase)."""
-    costs = t.T[0, :allowed]
-    if bland:
-        negative = (costs < -TOL).nonzero()[0]
-        return int(negative[0]) if negative.size else None
-    j = int(costs.argmin())
-    return j if costs[j] < -TOL else None
+def _run_simplex(t: _Tableau, allowed: int, bland: bool, max_pivots: int,
+                 audit: SolveAudit | None) -> tuple[Status, int]:
+    """Pivot until no reduced cost among the first ``allowed`` columns (the
+    artificial columns trail, so a prefix length selects the phase) is below
+    -TOL, no row is eligible to leave, or ``max_pivots`` pivots are made.
 
-
-def _leave_row(t: _Tableau, col: int, bland: bool) -> int | None:
-    column = t.T[1:, col]
-    eligible = (column > TOL).nonzero()[0]
-    if not eligible.size:
-        return None
-    ratios = t.T[1:, -1][eligible] / column[eligible]
-    best = float(ratios[ratios.argmin()])  # min's entry, NaN included, at less cost
-    tau = 1e-12 * (1.0 + abs(best))
-    tied = eligible[ratios <= best + tau]
-    if bland:
-        # Bland's guarantee needs the least basic-variable index among ties
-        return int(tied[t.basis[tied].argmin()])
-    return int(tied[0])
-
-
-def _run_simplex(
-    t: _Tableau,
-    allowed: int,
-    bland: bool,
-    max_pivots: int,
-    audit: SolveAudit | None,
-) -> tuple[Status, int]:
+    The most negative reduced cost enters, the first negative one under
+    ``bland``. Rows whose column entry is above TOL are eligible; those
+    within 1e-12 relative of the least ratio tie, and the first leaves, or
+    under ``bland`` the one with the least basic-variable index, as Bland's
+    guarantee needs. The cost row, body and rhs views are taken once:
+    ``pivot`` updates the tableau in place.
+    """
+    costs, body, rhs = t.T[0, :allowed], t.T[1:], t.T[1:, -1]
     pivots = 0
     while pivots < max_pivots:
-        col = _enter_column(t, allowed, bland)
-        if col is None:
+        # Bland: the first negative cost; with none, argmax gives column 0, not negative
+        col = int((costs < -TOL).argmax() if bland else costs.argmin())
+        if not costs[col] < -TOL:
             return Status.OPTIMAL, pivots
-        row = _leave_row(t, col, bland)
-        if row is None:
+        column = body[:, col]
+        eligible = (column > TOL).nonzero()[0]
+        if not eligible.size:
             return Status.UNBOUNDED, pivots
+        ratios = rhs[eligible] / column[eligible]
+        best = float(ratios[ratios.argmin()])  # min's entry, NaN included, at less cost
+        tied = eligible[ratios <= best + 1e-12 * (1.0 + abs(best))]
+        row = int(tied[t.basis[tied].argmin()] if bland else tied[0])
         t.pivot(row, col)
         pivots += 1
         if audit is not None:
@@ -356,10 +346,12 @@ def brute_force_optimal(
     block size bounds memory, by the block and the feasible set rather
     than by C(N, d), and never the result. Each block is solved whole, and
     its solutions are tested for feasibility; an exactly singular base
-    solves to NaN and fails that test. Only the feasible bases then have
-    their determinant taken, and those with ``|det|`` at most 1e-10 times
-    the Hadamard bound (the product of their row norms) are dropped as
-    numerically singular.
+    solves to NaN and fails that test. The residuals are laid out rows ×
+    bases, and ``feasible`` gets their transposed view, so each comparison
+    runs over a row's contiguous lane of bases. Only the feasible bases
+    then have their determinant taken, and those with ``|det|`` at most
+    1e-10 times the Hadamard bound (the product of their row norms) are
+    dropped as numerically singular.
     """
     N, d = sp.num_rows, sp.d
     count = math.comb(N, d)
@@ -369,7 +361,6 @@ def brute_force_optimal(
     bases = _bases(N, d)
     row_norms = np.linalg.norm(sp.A, axis=1)
     tols = sp.row_tolerances()
-    A_T = np.ascontiguousarray(sp.A.T)
     kept_combos: list[np.ndarray] = []
     kept_X: list[np.ndarray] = []
     for start in range(0, len(bases), _BLOCK):
@@ -380,8 +371,9 @@ def brute_force_optimal(
         # for that base alone.
         with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
             X = _umath_linalg.solve(A_stack, np.take(sp.b, combos)[..., None])[..., 0]
-            sigma = X @ A_T - sp.b
-        feas = sp.feasible(sigma, tols)
+            S = sp.A @ X.T
+            S -= sp.b[:, None]
+        feas = sp.feasible(S.T, tols)
         if not feas.any():
             continue
         hadamard = np.prod(row_norms[combos[feas]], axis=1)

@@ -229,6 +229,32 @@ class TestFeasible:
         np.testing.assert_array_equal(sp.feasible(sigma, tols), [True] + [False] * 4)
         assert sp.feasible(sigma[0], tols) and not sp.feasible(sigma[4], tols)
 
+    def test_transposed_view_gives_the_contiguous_verdicts(self):
+        """The oracle passes its rows x bases residuals as the view ``S.T``,
+        whose last axis is strided; the verdicts are those of a contiguous
+        copy, equality rows and a NaN column included."""
+        p = GeneralLP(c=[1.0, 1.0, 1.0], A_eq=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+                      b_eq=[1.0, 2.0], lower=[0.0, 0.0, 0.0], upper=[1.0, 1.0, 1.0],
+                      A_ineq=[[1.0, -1.0, 1.0]], b_ineq=[0.0])
+        sp = to_standard_general(p)
+        assert sp.m == 2
+        tols = sp.feasibility_tolerances()
+        rng = np.random.default_rng(0)
+        S = np.abs(rng.standard_normal((sp.num_rows, 40)))  # rows x bases
+        S[: sp.m] = rng.choice([0.0, 1e-12, -1e-12, 0.5, -0.5], size=(sp.m, 40))
+        S[3, 5] = -1.0                 # an inequality row under
+        S[:, 7] = np.nan               # a NaN column: a singular base
+        S[0, 9] = np.nan
+        S[:, 11] = 0.0                 # every row tight
+        S[1, 12] = 2 * tols[1]         # an equality row over
+        view = S.T
+        assert not view.flags.c_contiguous
+        got = sp.feasible(view, tols)
+        want = sp.feasible(np.ascontiguousarray(view), tols)
+        np.testing.assert_array_equal(got, want)
+        assert want[11] and not want[[5, 7, 9, 12]].any()
+        assert 0 < want.sum() < want.size
+
     def test_feasibility_tolerances(self):
         sp = to_standard_general(klee_minty_v2(3))
         np.testing.assert_array_equal(sp.feasibility_tolerances(), sp.row_tolerances())

@@ -304,6 +304,24 @@ def _rowloop_leave_row(t, col, bland):
     return int(tied[0])
 
 
+def _rowloop_run_simplex(t, allowed, bland, max_pivots, audit):
+    """The simplex loop as it was, one call per choice and per pivot: the
+    row-loop entering rule, ratio test and pivot above."""
+    pivots = 0
+    while pivots < max_pivots:
+        col = _rowloop_enter_column(t, allowed, bland)
+        if col is None:
+            return Status.OPTIMAL, pivots
+        row = _rowloop_leave_row(t, col, bland)
+        if row is None:
+            return Status.UNBOUNDED, pivots
+        _rowloop_pivot(t, row, col)
+        pivots += 1
+        if audit is not None:
+            audit.record(t.basis)
+    return Status.ITERATION_LIMIT, pivots
+
+
 def _pivot_both(T, row, col):
     """The tableau after ``_Tableau.pivot`` and after the row loop, both from
     copies of ``T`` and under one errstate."""
@@ -375,6 +393,9 @@ def _dantzig_cases():
             for kind in ("feasible", "infeasible", "unbounded"):
                 p = random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
                 yield to_standard_form(p, big_m=1e7), seed % 2 == 0
+                if kind == "unbounded":
+                    # without big_m the planted ray stays open: the Unbounded exit
+                    yield to_standard_form(p), seed % 2 == 0
     # tableaux of 80, 120 and 160 rows, each with a phase 1
     for d in (20, 30, 40):
         yield to_standard_form(workloads.dense_lp(np.random.default_rng(d), d)), d == 30
@@ -387,9 +408,9 @@ class TestDantzigPivotUnchanged:
         max_iter = 5000
         cases = list(_dantzig_cases())
         got = [dantzig_solve(sf, max_iter=max_iter, bland=b, audit=True) for sf, b in cases]
+        # the phase-1 drive-out pivots outside the loop, so pivot is swapped too
         monkeypatch.setattr(reference._Tableau, "pivot", _rowloop_pivot)
-        monkeypatch.setattr(reference, "_enter_column", _rowloop_enter_column)
-        monkeypatch.setattr(reference, "_leave_row", _rowloop_leave_row)
+        monkeypatch.setattr(reference, "_run_simplex", _rowloop_run_simplex)
         want = [dantzig_solve(sf, max_iter=max_iter, bland=b, audit=True) for sf, b in cases]
 
         statuses = set()
@@ -406,7 +427,10 @@ class TestDantzigPivotUnchanged:
             assert g.phase2_iterations == w.phase2_iterations
             assert g.audit.base_repeated == w.audit.base_repeated
             assert g.audit.pivots_checked == w.audit.pivots_checked
-        assert statuses == {Status.OPTIMAL, Status.INFEASIBLE, Status.ITERATION_LIMIT}
+        assert statuses == {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED,
+                            Status.ITERATION_LIMIT}
+        # the unbounded plants without big_m, and only they, return Unbounded
+        assert sum(g.status is Status.UNBOUNDED for g in got) == 90
 
 
 class TestDantzigRevisitAudit:
