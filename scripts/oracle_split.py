@@ -61,19 +61,20 @@ def _stage_us(sp: model.StandardGeneralLP, block: int) -> tuple[float, dict[str,
     t0 = clock()
     bases = reference._bases.__wrapped__(sp.num_rows, sp.d)
     build_us = (clock() - t0) * 1e6
-    row_norms = np.linalg.norm(sp.A, axis=1)
+    A = sp.rows(np.arange(sp.num_rows))
+    row_norms = np.linalg.norm(A, axis=1)
     tols = sp.row_tolerances()
     spent = dict.fromkeys(STAGES, 0.0)
     for start in range(0, len(bases), block):
         combos = bases[start : start + block]
         t0 = clock()
-        A_stack = np.take(sp.A, combos, axis=0)
+        A_stack = np.take(A, combos, axis=0)
         b_stack = np.take(sp.b, combos)[..., None]
         t1 = clock()
         with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
             X = reference._umath_linalg.solve(A_stack, b_stack)[..., 0]
             t2 = clock()
-            S = sp.A @ X.T
+            S = A @ X.T
             S -= sp.b[:, None]
         feas = sp.feasible(S.T, tols)
         t3 = clock()

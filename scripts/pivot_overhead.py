@@ -10,7 +10,8 @@ d), this times
   same shapes, with nothing around them. These are the transpose ``gemv``
   of the entering facet's expansion, the ``ger`` of the inverse update,
   the ``gemv`` of x, the transpose ``gemv`` of y_c and the residual
-  product A x;
+  product G x of the general rows (``model.residuals`` reads the bound
+  rows off x);
 
 and prints their difference as the share of a pivot spent outside the
 kernels: interpreter frames, small-array numpy calls and bookkeeping. The
@@ -51,16 +52,13 @@ def _solve_us_per_pivot(sps: list[model.StandardGeneralLP]) -> float:
 
 def _kernels_us(sp: model.StandardGeneralLP, rng: np.random.Generator, reps: int) -> float:
     """Microseconds of a pivot's five BLAS calls on a d-by-d inverse and the
-    problem's own matrix, each call's arguments made outside the timing."""
+    problem's own general rows, each call's arguments made outside the timing."""
     d = sp.d
     inv = np.asfortranarray(np.eye(d) + 1e-3 * rng.standard_normal((d, d)))
     a, b, c, x = (rng.standard_normal(d) for _ in range(4))
     # a small update of alternating sign keeps the inverse bounded over reps
     col, h = 1e-6 * rng.standard_normal(d), rng.standard_normal(d)
-    # from ``model.BOUND_ROWS_MIN_D`` up, ``model.residuals`` multiplies only
-    # the general rows, rounded up to a whole block of four
-    g = sp.m + sp.n
-    A = sp.A if d < model.BOUND_ROWS_MIN_D else sp.A[: g + -g % 4]
+    G = sp.G
     gemv, ger = linalg._gemv, linalg._ger
     t0 = time.perf_counter()
     # the arguments go by position, as ``linalg`` passes them
@@ -69,7 +67,7 @@ def _kernels_us(sp: model.StandardGeneralLP, rng: np.random.Generator, reps: int
         ger(-1.0 if k & 1 else 1.0, col, h, 1, 1, inv, 1, 1, 1)
         gemv(1.0, inv, b)
         gemv(1.0, inv, c, 0.0, None, 0, 1, 0, 1, 1)
-        A @ x
+        G @ x
     return (time.perf_counter() - t0) / reps * 1e6
 
 

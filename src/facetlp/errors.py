@@ -34,8 +34,9 @@ class SingularMatrix(FacetLPError):
 
 
 class NoLeavingCandidate(FacetLPError):
-    """No admissible leaving facet existed; indicates an internal inconsistency
-    because the infeasibility test is required to run first."""
+    """No admissible leaving facet or row existed: in the facet solver an
+    internal inconsistency, because the infeasibility test runs first; in
+    the Dantzig baseline a NaN ratio test."""
 
 
 class SizeOutOfRange(FacetLPError):

@@ -63,7 +63,7 @@ class Status(Enum):
 @dataclass
 class Base:
     """The d facets of the base in slot order: their row indices, equality
-    flags and the factors of A_B = ``sp.A[indices]``. Owned by one solve; a
+    flags and the factors of A_B = ``sp.rows(indices)``. Owned by one solve; a
     pivot writes slot s of each in place."""
 
     indices: np.ndarray
@@ -158,7 +158,7 @@ def initial_state(sp: StandardGeneralLP) -> tuple[Base, SolverState]:
     the expansion coefficients are the nonnegative adjusted objective."""
     d = sp.d
     rows = np.arange(sp.m + sp.n, sp.m + sp.n + d)
-    base = Base(rows, np.zeros(d, dtype=bool), linalg.factor(sp.A[rows]))
+    base = Base(rows, np.zeros(d, dtype=bool), linalg.factor(sp.rows(rows)))
     return base, _iterate(sp, base)
 
 
@@ -208,7 +208,7 @@ def select_entering(
     deviation = np.abs(sigma[pool])
     if rule is PivotRule.MAX_NORMALIZED_DEVIATION:
         if row_norms is None:
-            row_norms = np.linalg.norm(sp.A, axis=1)
+            row_norms = sp.row_norms()
         # a violated all-zero row gets infinite priority: entering, it
         # certifies infeasibility at once
         with np.errstate(divide="ignore"):
@@ -310,7 +310,7 @@ def pivot(
 
     Index p is written into slot s of ``base`` in place, and its factors
     are ``linalg.replace_row``'s update given y_p or, where that declines,
-    the rows ``sp.A[base.indices]`` factored afresh. y_c and x are solved
+    the rows ``sp.rows(base.indices)`` factored afresh. y_c and x are solved
     from them, and their residuals A x - b computed once. One check guards
     the iterate: if the factors are an updated inverse and the largest
     residual on the base rows exceeds ``TOL_LIN * (1 + max |b_B|)``, the
@@ -325,7 +325,7 @@ def pivot(
     try:
         # only factor raises it, after replace_row declined and left the old
         # factors intact
-        fact = linalg.replace_row(base.fact, s, y_p) or linalg.factor(sp.A[base.indices])
+        fact = linalg.replace_row(base.fact, s, y_p) or linalg.factor(sp.rows(base.indices))
     except SingularMatrix as exc:
         base.indices[s] = q
         raise SingularMatrix(
@@ -351,7 +351,7 @@ def pivot(
         if worst > TOL_LIN:
             b_B = np.abs(sp.b[rows])
             if worst > TOL_LIN * (1.0 + b_B[b_B.argmax()]):
-                base.fact = linalg.factor(sp.A[rows])
+                base.fact = linalg.factor(sp.rows(rows))
                 new = _iterate(sp, base)
     return base, new
 
@@ -376,9 +376,7 @@ def solve(
     """
     c = sp.c_original
     row_tols = sp.feasibility_tolerances(tol_feas)
-    row_norms = (
-        np.linalg.norm(sp.A, axis=1) if rule is PivotRule.MAX_NORMALIZED_DEVIATION else None
-    )
+    row_norms = sp.row_norms() if rule is PivotRule.MAX_NORMALIZED_DEVIATION else None
 
     base, state = initial_state(sp)
     iteration = 0
@@ -410,7 +408,7 @@ def solve(
             break
 
         sigma_p = float(sigma[p])
-        y_p = expand_entering(base, sp.A[p])
+        y_p = expand_entering(base, sp.rows(p))
         leaving = select_leaving(p, sigma_p, y_p, state.y_c, base)
         if leaving is None:
             # for a violated entering facet that is the Farkas condition
@@ -498,7 +496,7 @@ def _audit_pivot(
 
     # the rows the indices name, so an index the factors do not stand for
     # shows as a residual
-    A_B, b_B = sp.A[base.indices], sp.b[base.indices]
+    A_B, b_B = sp.rows(base.indices), sp.b[base.indices]
     res = float(np.abs(A_B.T @ state.y_c - sp.c_original).max())
     if res > TOL_LIN * c_scale:
         audit_log.violations.append(

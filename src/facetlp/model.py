@@ -6,14 +6,18 @@ A :class:`GeneralLP` is the user-facing problem
 
 with the inequality block uniformly in >= sense (callers negate <= rows on
 ingestion). :func:`to_standard_general` rewrites it into a
-:class:`StandardGeneralLP`, a single stacked facet matrix
+:class:`StandardGeneralLP`, the facets of one stacked system
 
-    A = [A_eq; A_ineq; E; F],   b = [b_eq; b_ineq; b_L; b_U]
+    [A_eq; A_ineq; E; F] x >= b,   b = [b_eq; b_ineq; b_L; b_U]
 
-whose E/F blocks are signed-diagonal bound rows chosen so the objective
-expands over E with nonnegative coefficients. Infinite bounds are replaced
-by a big-M artificial bound and the affected rows recorded, so a binding
-artificial row at termination certifies unboundedness.
+(= on the A_eq rows) whose E/F blocks are signed-diagonal bound rows chosen
+so the objective expands over E with nonnegative coefficients. Only the
+general rows G = [A_eq; A_ineq] are stored, with the signs ``e_diag`` of
+the E block; F = -E. Row indices run over all N = m + n + 2d rows, and
+``StandardGeneralLP.rows`` builds the rows an index set names. Infinite
+bounds are replaced by a big-M artificial bound and the affected rows
+recorded, so a binding artificial row at termination certifies
+unboundedness.
 """
 
 from __future__ import annotations
@@ -32,10 +36,6 @@ from facetlp.errors import (
 
 BIG_M_FACTOR = 1e7
 TOL_FEAS_BASE = 1e-8
-# smallest d whose bound rows ``residuals`` reads off x. Set to infinity,
-# perfbench/run.py --seed 1 on a 2-core host read dense facet_pivots_per_s
-# 15,550 -> 13,963 and p90 58.5 -> 72.7 ms, every run worse (4 each)
-BOUND_ROWS_MIN_D = 120
 
 
 def _as_vector(a, name: str) -> np.ndarray:
@@ -117,10 +117,13 @@ class GeneralLP:
 @dataclass
 class StandardGeneralLP:
     """Solver-facing stacked form; see the module docstring for the layout.
-    ``c_original`` is the objective in the original coordinates."""
+    ``c_original`` is the objective in the original coordinates, ``G`` the
+    general rows and ``e_diag`` the signs of the E rows; ``b`` spans all
+    N rows."""
 
     c_original: np.ndarray
-    A: np.ndarray
+    G: np.ndarray
+    e_diag: np.ndarray
     b: np.ndarray
     m: int
     n: int
@@ -129,11 +132,38 @@ class StandardGeneralLP:
 
     @property
     def d(self) -> int:
-        return self.A.shape[1]
+        return self.e_diag.shape[0]
 
     @property
     def num_rows(self) -> int:
-        return self.A.shape[0]
+        return self.b.shape[0]
+
+    def rows(self, idx) -> np.ndarray:
+        """The stacked rows that ``idx`` names: one row for an int, a
+        (k, d) array for a sequence of k indices. General rows come from
+        ``G`` (a single one as a view), bound rows are built as +-e_i; only
+        the rows asked for are built. The loop costs about a microsecond a
+        row, less than the dozen numpy calls a vectorized build makes for
+        the few rows of a small base; large bases are factored rarely."""
+        g = self.m + self.n
+        single = isinstance(idx, (int, np.integer))
+        if single:
+            if idx < g:
+                return self.G[idx]
+            idx = (idx,)
+        d = self.d
+        out = np.zeros((len(idx), d))
+        for r, i in enumerate(np.asarray(idx).tolist()):
+            if i < g:
+                out[r] = self.G[i]
+            else:
+                j = (i - g) % d
+                out[r, j] = self.e_diag[j] if i < g + d else -self.e_diag[j]
+        return out[0] if single else out
+
+    def row_norms(self) -> np.ndarray:
+        """The Euclidean norm of every stacked row; a bound row's is 1."""
+        return np.concatenate([np.linalg.norm(self.G, axis=1), np.ones(2 * self.d)])
 
     @property
     def e_block(self) -> slice:
@@ -202,7 +232,8 @@ def to_standard_general(p: GeneralLP, big_M: float | None = None) -> StandardGen
     row is -e_i with rhs -upper_i; if c_i < 0 the E row is -e_i with rhs
     -upper_i and the F row is +e_i with rhs lower_i. Either way c expands
     over E with the coefficients |c_i| >= 0. Infinite bounds become -big_M
-    on the affected row, which is recorded in ``artificial_rows``.
+    on the affected row, which is recorded in ``artificial_rows``. Only the
+    general rows and the E signs are stored: no bound row is built.
     """
     if big_M is None:
         big_M = default_big_m(p)
@@ -219,7 +250,7 @@ def to_standard_general(p: GeneralLP, big_M: float | None = None) -> StandardGen
     b_L = np.where(flip, -upper, lower)
     b_U = np.where(flip, lower, -upper)
 
-    A = np.vstack([p.A_eq, p.A_ineq, np.diag(e_diag), np.diag(-e_diag)])
+    G = np.vstack([p.A_eq, p.A_ineq])
     b = np.concatenate([p.b_eq, p.b_ineq, b_L, b_U])
 
     # the bound written as >= always carries -M on the affected side
@@ -227,23 +258,19 @@ def to_standard_general(p: GeneralLP, big_M: float | None = None) -> StandardGen
                                  np.where(flip, neg_inf, pos_inf)]).nonzero()[0] + m + n
 
     return StandardGeneralLP(
-        c_original=p.c + 0.0, A=A, b=b, m=m, n=n,  # + 0.0 clears -0.0
+        c_original=p.c + 0.0, G=G, e_diag=e_diag, b=b, m=m, n=n,  # + 0.0 clears -0.0
         artificial_rows=frozenset(artificial.tolist()), objective_offset=p.objective_offset,
     )
 
 
 def residuals(sp: StandardGeneralLP, x: np.ndarray) -> np.ndarray:
-    """``sp.A @ x - sp.b``, bit for bit. From ``BOUND_ROWS_MIN_D`` up the E
-    and F rows (+-e_i) are read off x and the general rows' product runs over
-    whole blocks of four rows, as OpenBLAS's gemv rounds a row of a partial
-    block differently; the bound rows overwrite what it wrote past them."""
+    """A x - b over all N stacked rows: the general rows' product ``G @ x``,
+    and the bound rows +-e_i read off x as e_diag * x and its negation."""
     g, d = sp.m + sp.n, sp.d
-    if d < BOUND_ROWS_MIN_D:
-        return sp.A @ x - sp.b
     sigma = np.empty(sp.num_rows)
-    np.matmul(sp.A[: g + -g % 4], x, out=sigma[: g + -g % 4])
+    sp.G.dot(x, out=sigma[:g])  # the gemv of G @ x, without the ufunc's overhead
     e = sigma[g : g + d]
-    np.multiply(sp.A[g : g + d].diagonal(), x, out=e)
+    np.multiply(sp.e_diag, x, out=e)
     np.negative(e, out=sigma[g + d :])
     sigma -= sp.b
     return sigma

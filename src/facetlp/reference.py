@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from facetlp.errors import NonFiniteData, TooLarge
+from facetlp.errors import NoLeavingCandidate, NonFiniteData, TooLarge
 from facetlp.facet import SolveAudit, SolveOutcome, Status, final_status
 from facetlp.model import GeneralLP, StandardGeneralLP
 
@@ -178,7 +178,8 @@ def _run_simplex(t: _Tableau, allowed: int, bland: bool, max_pivots: int,
     ``bland``. Rows whose column entry is above TOL are eligible; those
     within 1e-12 relative of the least ratio tie, and the first leaves, or
     under ``bland`` the one with the least basic-variable index, as Bland's
-    guarantee needs. The cost row, body and rhs views are taken once:
+    guarantee needs. A NaN least ratio ties with no row and raises
+    ``NoLeavingCandidate``. The cost row, body and rhs views are taken once:
     ``pivot`` updates the tableau in place.
     """
     costs, body, rhs = t.T[0, :allowed], t.T[1:], t.T[1:, -1]
@@ -195,6 +196,8 @@ def _run_simplex(t: _Tableau, allowed: int, bland: bool, max_pivots: int,
         ratios = rhs[eligible] / column[eligible]
         best = float(ratios[ratios.argmin()])  # min's entry, NaN included, at less cost
         tied = eligible[ratios <= best + 1e-12 * (1.0 + abs(best))]
+        if not tied.size:
+            raise NoLeavingCandidate(f"the ratio test of column {col} is NaN")
         row = int(tied[t.basis[tied].argmin()] if bland else tied[0])
         t.pivot(row, col)
         pivots += 1
@@ -359,19 +362,20 @@ def brute_force_optimal(
         raise TooLarge(f"{count} bases exceed the enumeration cap {cap}")
 
     bases = _bases(N, d)
-    row_norms = np.linalg.norm(sp.A, axis=1)
+    A = sp.rows(np.arange(N))  # the stacked matrix, small under the cap
+    row_norms = np.linalg.norm(A, axis=1)
     tols = sp.row_tolerances()
     kept_combos: list[np.ndarray] = []
     kept_X: list[np.ndarray] = []
     for start in range(0, len(bases), _BLOCK):
         combos = bases[start : start + _BLOCK]
-        A_stack = np.take(sp.A, combos, axis=0)
+        A_stack = np.take(A, combos, axis=0)
         # np.linalg.solve wraps this gufunc but raises for the whole stack
         # when one base is exactly singular; called directly, it returns NaN
         # for that base alone.
         with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
             X = _umath_linalg.solve(A_stack, np.take(sp.b, combos)[..., None])[..., 0]
-            S = sp.A @ X.T
+            S = A @ X.T
             S -= sp.b[:, None]
         feas = sp.feasible(S.T, tols)
         if not feas.any():

@@ -145,11 +145,12 @@ def test_criterion_6_certificates():
         rows = np.array(sorted(cert.y_by_row))
         y = np.array([cert.y_by_row[int(r)] for r in rows])
         # expansion must reproduce the entering facet from the terminal base
-        recon = y @ sp.A[rows]
-        if np.max(np.abs(recon - sp.A[cert.entering_row])) > 1e-6:
+        a_p = sp.rows(cert.entering_row)
+        recon = y @ sp.rows(rows)
+        if np.max(np.abs(recon - a_p)) > 1e-6:
             bad += 1
             continue
-        sigma_p = float(sp.A[cert.entering_row] @ out.x_opt - sp.b[cert.entering_row])
+        sigma_p = float(a_p @ out.x_opt - sp.b[cert.entering_row])
         ineq_members = rows[rows >= sp.m]
         y_ineq = np.array([cert.y_by_row[int(r)] for r in ineq_members])
         if cert.case == 1:
@@ -166,7 +167,7 @@ def test_criterion_6_certificates():
             bad += 1
             continue
         row = out.certificate
-        binding = abs(sp.A[row] @ out.x_opt - sp.b[row]) <= 1e-9 * (1 + abs(sp.b[row]))
+        binding = abs(sp.rows(row) @ out.x_opt - sp.b[row]) <= 1e-9 * (1 + abs(sp.b[row]))
         if not (row in sp.artificial_rows and row in out.basis_rows and binding):
             bad += 1
     elapsed = time.perf_counter() - t0

@@ -148,6 +148,20 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err == f"numerical breakdown: {error}\n"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_dantzig_nan_ratio_is_numerical_breakdown(self, tmp_path, capsys):
+        # a NaN least ratio in the Dantzig baseline once raised a bare
+        # IndexError, which main reported as an internal error (exit 1)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "c": [-1, 1e-300, 1e-300],
+            "A_ineq": [[2, 1e300, 2], [1, 1e300, 1e300], [1e300, 2, 2]],
+            "b_ineq": [1e300, 1, -1],
+        }))
+        assert main(["solve", str(path), "--solver", "dantzig"]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.err == "numerical breakdown: the ratio test of column 3 is NaN\n"
+
     def test_nan_or_negative_tol_feas_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "km2.json"
         save_general_lp(klee_minty_v2(3), path)

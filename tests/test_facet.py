@@ -40,6 +40,7 @@ from facetlp.model import (
     TOL_FEAS_BASE,
     GeneralLP,
     default_big_m,
+    residuals,
     to_standard_general,
     violations,
 )
@@ -88,7 +89,7 @@ class TestSelectEntering:
         sp = to_standard_general(klee_minty_v2(3))
         base, state = initial_state(sp)
         state.x = np.array([0.0, 0.0, 7.0])  # the optimizer: nothing violated
-        state.sigma = sp.A @ state.x - sp.b
+        state.sigma = residuals(sp, state.x)
         assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION) is None
 
     def test_equality_priority_is_absolute(self):
@@ -210,7 +211,7 @@ class TestSelectEntering:
         sp = to_standard_general(p)
         base, state = initial_state(sp)
         state.x = np.zeros(2)
-        state.sigma = sp.A @ state.x - sp.b
+        state.sigma = residuals(sp, state.x)
         np.testing.assert_array_equal(state.sigma[:2], [2.0, -2.0])
         for rule in (PivotRule.MAX_DEVIATION, PivotRule.MAX_NORMALIZED_DEVIATION):
             assert select_entering(sp, base, state, rule) == 0
@@ -235,7 +236,7 @@ class TestExpandEntering:
     def test_base_row_expands_to_unit_vector(self):
         sp = to_standard_general(klee_minty_v2(3))
         base, _ = initial_state(sp)
-        y = expand_entering(base, sp.A[base.indices[1]])
+        y = expand_entering(base, sp.rows(base.indices[1]))
         np.testing.assert_allclose(y, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_negated_identity_base(self):
@@ -362,10 +363,9 @@ class TestPivot:
         sp = to_standard_general(p)
         base, state = initial_state(sp)
         dup = base.indices[0]
-        a_dup = sp.A[dup]
-        sp.A[0] = a_dup
+        sp.G[0] = sp.rows(dup)
         sp.b[0] = sp.b[dup]
-        y_p = expand_entering(base, sp.A[0])
+        y_p = expand_entering(base, sp.rows(0))
         x_before = state.x.copy()
         obj_before = float(sp.c_original @ state.x)
         new_base, new_state = pivot(sp, base, state, 0, 0, y_p)
@@ -378,12 +378,12 @@ class TestPivot:
         # replace_row decline and factor raise
         sp = to_standard_general(klee_minty_v2(3))
         base, state = initial_state(sp)
-        sp.A[0] = sp.A[base.indices[1]]
+        sp.G[0] = sp.rows(base.indices[1])
         sp.b[0] = sp.b[base.indices[1]]
         indices, is_eq, fact = base.indices.copy(), base.is_eq.copy(), base.fact
         inv = fact.inv.tobytes()
         q = base.indices[0]
-        y_p = expand_entering(base, sp.A[0])
+        y_p = expand_entering(base, sp.rows(0))
         assert y_p[0] == 0.0
         with pytest.raises(SingularMatrix, match=rf"^pivot 0<->{q} produced a singular base"):
             pivot(sp, base, state, 0, 0, y_p)
@@ -417,12 +417,12 @@ class TestPivot:
         sp = to_standard_general(
             GeneralLP(c=[1.0, 2.0], lower=[0.0, 0.0], upper=[5.0, 9.0]))
         rows = np.arange(sp.f_block.start, sp.f_block.stop)
-        fact = linalg.factor(sp.A[rows])
+        fact = linalg.factor(sp.rows(rows))
         x = linalg.solve(fact, sp.b[rows])
         y_c = linalg.solve_transpose(fact, sp.c_original)
         np.testing.assert_array_equal(y_c, [-1.0, -2.0])
         base = Base(rows, np.zeros(2, dtype=bool), fact)
-        state = SolverState(x, y_c, sp.A @ x - sp.b)
+        state = SolverState(x, y_c, residuals(sp, x))
         objective = float(sp.c_original @ x)
         log = facet.SolveAudit()
         facet._audit_pivot(sp, base, state, 7, objective + 1.0, objective, 3.0, log)
@@ -455,7 +455,7 @@ class TestPivot:
         monkeypatch.setattr(linalg, "solve", recording_solve)
         pivots = 0
         while (p := select_entering(sp, base, state, PivotRule.MAX_DEVIATION)) is not None:
-            y_p = expand_entering(base, sp.A[p])
+            y_p = expand_entering(base, sp.rows(p))
             s, _ = select_leaving(p, float(state.sigma[p]), y_p, state.y_c, base)
             solve_rhs.clear()
             base, state = pivot(sp, base, state, p, s, y_p)
@@ -476,16 +476,16 @@ class TestPivot:
             sp = to_standard_general(p)
             base, state = initial_state(sp)
             for _ in range(40):
-                sigma = sp.A @ state.x - sp.b
+                sigma = residuals(sp, state.x)
                 row = select_entering(sp, base, state, PivotRule.MAX_DEVIATION)
                 if row is None:
                     break
-                y_p = expand_entering(base, sp.A[row])
+                y_p = expand_entering(base, sp.rows(row))
                 if check_infeasible(sp, row, float(sigma[row]), y_p, base):
                     break
                 slot, _ = select_leaving(row, float(sigma[row]), y_p, state.y_c, base)
                 base, state = pivot(sp, base, state, row, slot, y_p)
-                np.testing.assert_array_equal(state.sigma, sp.A @ state.x - sp.b)
+                np.testing.assert_array_equal(state.sigma, residuals(sp, state.x))
                 fresh = linalg.solve_transpose(base.fact, sp.c_original)
                 np.testing.assert_array_equal(state.y_c, fresh)
 
@@ -820,7 +820,7 @@ class TestBaseFactorizationPaths:
             fresh_y_c.append(state.y_c.tobytes() == fresh.tobytes())
             if len(factors_per_pivot) == push_at + 1:
                 i = int((~base.is_eq & (state.y_c > 0)).nonzero()[0][0])
-                state.y_c[i] += 1e-6 * c_scale / np.abs(sp.A[base.indices[i]]).max()
+                state.y_c[i] += 1e-6 * c_scale / np.abs(sp.rows(base.indices[i])).max()
             return base, state
 
         monkeypatch.setattr(linalg, "factor", counting_factor)
@@ -873,7 +873,7 @@ def _full_mask_select_entering(sp, base, sigma, rule, removed):
         return int(pool[0])
     deviation = np.abs(sigma[pool])
     if rule is PivotRule.MAX_NORMALIZED_DEVIATION:
-        deviation = deviation / np.linalg.norm(sp.A[pool], axis=1)
+        deviation = deviation / np.linalg.norm(sp.rows(pool), axis=1)
     return int(pool[int(np.argmax(deviation))])
 
 

@@ -1,4 +1,7 @@
+import dataclasses
 import gzip
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +22,25 @@ from facetlp.model import (
     general_lp_to_dict,
     load_general_lp,
     objective_value,
-    BOUND_ROWS_MIN_D,
     residuals,
     save_general_lp,
     to_standard_general,
     violations,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+
+def _block(sp, rows: slice) -> np.ndarray:
+    """The stacked rows of one block, as ``StandardGeneralLP.rows`` builds them."""
+    return sp.rows(range(sp.num_rows)[rows])
+
+
+def _stacked(p: GeneralLP, sp) -> np.ndarray:
+    """The dense stacked matrix [A_eq; A_ineq; E; F] that ``to_standard_general``
+    once stored, rebuilt from the problem and the E signs."""
+    return np.vstack([p.A_eq, p.A_ineq, np.diag(sp.e_diag), np.diag(-sp.e_diag)])
 
 
 class TestToStandardGeneral:
@@ -39,10 +55,10 @@ class TestToStandardGeneral:
         sp = to_standard_general(p, big_M=1e6)
         np.testing.assert_array_equal(sp.c_original, [1.0, -2.0])
         # the start's expansion coefficients, solved from the E block
-        y_c = np.linalg.solve(sp.A[sp.e_block].T, sp.c_original)
+        y_c = np.linalg.solve(_block(sp, sp.e_block).T, sp.c_original)
         np.testing.assert_array_equal(y_c, [1.0, 2.0])
-        e = sp.A[sp.e_block]
-        f = sp.A[sp.f_block]
+        e = _block(sp, sp.e_block)
+        f = _block(sp, sp.f_block)
         np.testing.assert_array_equal(e, np.diag([1.0, -1.0]))
         np.testing.assert_array_equal(f, np.diag([-1.0, 1.0]))
         np.testing.assert_array_equal(sp.b[sp.e_block], [0.0, -20.0])
@@ -57,9 +73,9 @@ class TestToStandardGeneral:
     def test_infinite_upper_bound_becomes_artificial_row(self):
         p = GeneralLP(c=[0.0], lower=[0.0], upper=[np.inf])
         sp = to_standard_general(p, big_M=1e7)
-        np.testing.assert_array_equal(sp.A[sp.e_block], [[1.0]])
+        np.testing.assert_array_equal(_block(sp, sp.e_block), [[1.0]])
         np.testing.assert_array_equal(sp.b[sp.e_block], [0.0])
-        np.testing.assert_array_equal(sp.A[sp.f_block], [[-1.0]])
+        np.testing.assert_array_equal(_block(sp, sp.f_block), [[-1.0]])
         np.testing.assert_array_equal(sp.b[sp.f_block], [-1e7])
         # the F row is the artificial one (index m+n+d)
         assert sp.artificial_rows == frozenset({1})
@@ -84,12 +100,12 @@ class TestToStandardGeneral:
         p = klee_minty_v1(3)
         sp = to_standard_general(p)
         big_m = default_big_m(p)
-        np.testing.assert_array_equal(sp.A[sp.e_block], -np.eye(3))
+        np.testing.assert_array_equal(_block(sp, sp.e_block), -np.eye(3))
         np.testing.assert_array_equal(sp.b[sp.e_block], [-big_m] * 3)
-        np.testing.assert_array_equal(sp.A[sp.f_block], np.eye(3))
+        np.testing.assert_array_equal(_block(sp, sp.f_block), np.eye(3))
         np.testing.assert_array_equal(sp.b[sp.f_block], [0.0] * 3)
         # E x0 = b_L  =>  x0 = (M, M, M)
-        x0 = np.linalg.solve(sp.A[sp.e_block], sp.b[sp.e_block])
+        x0 = np.linalg.solve(_block(sp, sp.e_block), sp.b[sp.e_block])
         np.testing.assert_array_equal(x0, [big_m] * 3)
 
     def test_e_and_f_blocks_are_opposite_diagonals(self):
@@ -102,7 +118,7 @@ class TestToStandardGeneral:
                 upper=rng.integers(1, 6, d).astype(float),
             )
             sp = to_standard_general(p)
-            e, f = sp.A[sp.e_block], sp.A[sp.f_block]
+            e, f = _block(sp, sp.e_block), _block(sp, sp.f_block)
             np.testing.assert_array_equal(e, -f)
             np.testing.assert_array_equal(np.abs(np.diag(e)), np.ones(d))
             assert np.all(np.linalg.solve(e.T, sp.c_original) >= 0)
@@ -121,7 +137,7 @@ class TestToStandardGeneral:
             )
             sp = to_standard_general(p)
             x = rng.normal(size=d)
-            e = sp.A[sp.e_block]
+            e = _block(sp, sp.e_block)
             reconstructed = float(np.linalg.solve(e.T, sp.c_original) @ (e @ x))
             assert reconstructed == pytest.approx(float(p.c @ x), abs=1e-12)
 
@@ -133,7 +149,7 @@ class TestToStandardGeneral:
             hi = rng.integers(1, 7, d).astype(float)
             c = rng.integers(-5, 6, d).astype(float)
             sp = to_standard_general(GeneralLP(c=c, lower=lo, upper=hi))
-            x0 = np.linalg.solve(sp.A[sp.e_block], sp.b[sp.e_block])
+            x0 = np.linalg.solve(_block(sp, sp.e_block), sp.b[sp.e_block])
             for i in range(d):
                 assert x0[i] == (hi[i] if c[i] < 0 else lo[i])
                 assert c[i] * x0[i] == min(c[i] * lo[i], c[i] * hi[i])
@@ -370,12 +386,26 @@ class TestJsonFormat:
             load_general_lp(path)
 
 
+def _random_lp(d: int, m: int, n: int, seed: int) -> GeneralLP:
+    """Float data, objective signs of both kinds (flipped bound rows) and
+    infinite bounds (artificial rows)."""
+    rng = np.random.default_rng(seed)
+    lower = np.where(rng.random(d) < 0.3, -np.inf, rng.normal(size=d))
+    upper = np.where(rng.random(d) < 0.3, np.inf, lower + rng.random(d) + 1.0)
+    upper = np.where(np.isinf(lower), rng.normal(size=d), upper)
+    return GeneralLP(
+        c=rng.normal(size=d),
+        A_eq=rng.normal(size=(m, d)), b_eq=rng.normal(size=m),
+        A_ineq=rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1)),
+        b_ineq=rng.normal(size=n),
+        lower=lower, upper=upper,
+    )
+
+
 class TestResiduals:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
-        # both sides of the size at which the bound rows are read off x
-        d=st.one_of(st.integers(1, 40),
-                    st.integers(BOUND_ROWS_MIN_D - 8, BOUND_ROWS_MIN_D + 40)),
+        d=st.integers(1, 160),
         m=st.integers(0, 9),
         n=st.integers(0, 13),
         seed=st.integers(0, 2**32 - 1),
@@ -383,27 +413,58 @@ class TestResiduals:
     @example(d=12, m=0, n=0, seed=0)
     @example(d=12, m=0, n=5, seed=1)
     @example(d=12, m=1, n=0, seed=2)
-    @example(d=BOUND_ROWS_MIN_D - 1, m=1, n=6, seed=3)
-    @example(d=BOUND_ROWS_MIN_D, m=1, n=6, seed=4)
-    @example(d=BOUND_ROWS_MIN_D, m=0, n=0, seed=5)
-    @example(d=BOUND_ROWS_MIN_D + 1, m=0, n=1, seed=6)
+    @example(d=119, m=1, n=6, seed=3)
+    @example(d=120, m=1, n=6, seed=4)
+    @example(d=150, m=0, n=0, seed=5)
+    @example(d=121, m=0, n=1, seed=6)
+    @example(d=60, m=3, n=6, seed=7)
     def test_equal_to_the_full_product(self, d, m, n, seed):
-        # float data, objective signs of both kinds (flipped bound rows) and
-        # infinite bounds (artificial rows); signed zeros may differ, so ==
-        rng = np.random.default_rng(seed)
-        lower = np.where(rng.random(d) < 0.3, -np.inf, rng.normal(size=d))
-        upper = np.where(rng.random(d) < 0.3, np.inf, lower + rng.random(d) + 1.0)
-        upper = np.where(np.isinf(lower), rng.normal(size=d), upper)
-        p = GeneralLP(
-            c=rng.normal(size=d),
-            A_eq=rng.normal(size=(m, d)), b_eq=rng.normal(size=m),
-            A_ineq=rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1)),
-            b_ineq=rng.normal(size=n),
-            lower=lower, upper=upper,
-        )
+        """General rows: bit for bit G x - b; bound rows: exactly +-x - b,
+        over every g = m + n, zero and off a multiple of four included."""
+        p = _random_lp(d, m, n, seed)
         sp = to_standard_general(p)
+        g = m + n
+        rng = np.random.default_rng([seed, 1])
+        plus = sp.e_diag > 0
         for scale in (1.0, 1e3, default_big_m(p)):
             x = rng.normal(scale=scale, size=d)
             got = residuals(sp, x)
             assert got.shape == (sp.num_rows,)
-            assert (got == sp.A @ x - sp.b).all()
+            assert (got[:g] == sp.G @ x - sp.b[:g]).all()
+            bound_x = np.concatenate([np.where(plus, x, -x), np.where(plus, -x, x)])
+            assert (got[g:] == bound_x - sp.b[g:]).all()
+
+
+class TestRows:
+    @pytest.mark.parametrize("d, m, n", [(1, 0, 0), (3, 0, 5), (5, 2, 0), (7, 2, 9),
+                                         (12, 1, 6)])
+    def test_equal_to_the_dense_stacked_rows(self, d, m, n):
+        """For random index sets, and single indices, the rows built are the
+        rows of the dense stacked matrix, bit for bit, as are the row norms."""
+        p = _random_lp(d, m, n, seed=d + m + n)
+        sp = to_standard_general(p)
+        stacked = _stacked(p, sp)
+        assert stacked.shape == (sp.num_rows, d)
+        rng = np.random.default_rng(d)
+        for _ in range(30):
+            idx = rng.choice(sp.num_rows, size=int(rng.integers(1, d + 1)), replace=False)
+            got = sp.rows(idx)
+            assert got.shape == (idx.size, d) and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, stacked[idx])
+            i = int(idx[0])
+            np.testing.assert_array_equal(sp.rows(i), stacked[i])
+        np.testing.assert_array_equal(sp.rows(np.arange(sp.num_rows)), stacked)
+        np.testing.assert_array_equal(sp.row_norms(), np.linalg.norm(stacked, axis=1))
+
+    def test_dense_deck_stores_no_bound_block(self):
+        """At d = 400 the stacked form's arrays hold the general rows and
+        vectors only: at most 8 ((m + n) d + 4 N) bytes, counting the whole
+        buffer of any view, so no (2d) x d block of bound rows is kept."""
+        d = 400
+        sp = to_standard_general(workloads.dense_lp(np.random.default_rng(0), d))
+        held = 0
+        for f in dataclasses.fields(sp):
+            v = getattr(sp, f.name)
+            if isinstance(v, np.ndarray):
+                held += (v if v.base is None else v.base).nbytes
+        assert held <= 8 * ((sp.m + sp.n) * d + 4 * sp.num_rows)

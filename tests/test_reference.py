@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from facetlp import reference
-from facetlp.errors import NonFiniteData, TooLarge
+from facetlp.errors import NoLeavingCandidate, NonFiniteData, TooLarge
 from facetlp.facet import SolveOutcome, Status, solve
 from facetlp.generators import (
     CYCLING_FIXTURE_IDS,
@@ -177,6 +177,16 @@ class TestDantzigSolve:
             np.testing.assert_array_equal(out.x_opt, [0.0, 0.0])
             assert not np.signbit(out.x_opt).any()
             assert out.objective == 0.0 and not np.signbit(out.objective)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_ratio_test_is_no_leaving_candidate(self):
+        # pivots overflow the tableau to inf and then NaN, so the ratio test
+        # of the fourth pivot has a NaN least ratio, which ties with no row
+        p = GeneralLP(c=[-1.0, 1e-300, 1e-300],
+                      A_ineq=[[2.0, 1e300, 2.0], [1.0, 1e300, 1e300], [1e300, 2.0, 2.0]],
+                      b_ineq=[1e300, 1.0, -1.0])
+        with pytest.raises(NoLeavingCandidate, match="ratio test of column 3 is NaN"):
+            dantzig_solve(to_standard_form(p))
 
 
 class TestBruteForceOracle:
@@ -472,11 +482,12 @@ def _enumerate_every_subset(sp: StandardGeneralLP) -> SolveOutcome:
     N, d = sp.num_rows, sp.d
     count = math.comb(N, d)
     combos = np.array(list(itertools.combinations(range(N), d)), dtype=int)
-    A_stack = sp.A[combos]
+    A = sp.rows(np.arange(N))
+    A_stack = A[combos]
     b_stack = sp.b[combos]
 
     dets = np.linalg.det(A_stack)
-    row_norms = np.linalg.norm(sp.A, axis=1)
+    row_norms = np.linalg.norm(A, axis=1)
     hadamard = np.prod(row_norms[combos], axis=1)
     nonsingular = np.abs(dets) > 1e-10 * np.maximum(hadamard, np.finfo(float).tiny)
     if not nonsingular.any():
@@ -486,7 +497,7 @@ def _enumerate_every_subset(sp: StandardGeneralLP) -> SolveOutcome:
     combos = combos[nonsingular]
     X = np.linalg.solve(A_stack[nonsingular], b_stack[nonsingular][..., None])[..., 0]
 
-    sigma = X @ sp.A.T - sp.b
+    sigma = X @ A.T - sp.b
     tols = sp.row_tolerances()
     feas = np.all(np.abs(sigma[:, : sp.m]) <= tols[: sp.m], axis=1)
     feas &= np.all(sigma[:, sp.m :] >= -tols[sp.m :], axis=1)
@@ -619,7 +630,7 @@ class TestOracleBlocks:
                       A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 3.0],
                       lower=[0.0, 0.0], upper=[10.0, 10.0])
         sp = to_standard_general(p)
-        assert np.linalg.det(sp.A[:2]) == 0.0
+        assert np.linalg.det(sp.rows([0, 1])) == 0.0
         got = brute_force_optimal(sp)
         assert got.status is Status.INFEASIBLE
         _assert_same_oracle_outcome(got, _enumerate_every_subset(sp))
@@ -671,10 +682,11 @@ class TestOracleSolveFirst:
                       lower=[0.0, 0.0], upper=[10.0, 10.0])
         sp = to_standard_general(p)
         base = [0, 1]
-        det = np.linalg.det(sp.A[base])
-        hadamard = np.prod(np.linalg.norm(sp.A[base], axis=1))
+        A_B = sp.rows(base)
+        det = np.linalg.det(A_B)
+        hadamard = np.prod(np.linalg.norm(A_B, axis=1))
         assert 0.0 < abs(det) <= 1e-10 * hadamard
-        x = _solve_gufunc(sp.A[base][None], sp.b[base][None])[0]
+        x = _solve_gufunc(A_B[None], sp.b[base][None])[0]
         assert violations(sp, x).is_feasible
 
         got = brute_force_optimal(sp)
