@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NoReturn
@@ -124,6 +125,28 @@ def _run_solver(
     raise ValueError(f"unknown solver {solver!r}")
 
 
+@contextlib.contextmanager
+def _float_warnings_reported():
+    """Record numpy's floating-point RuntimeWarnings (overflow, invalid
+    value, divide by zero) while the block runs, and print one ``warning:``
+    line of the CLI's own for them to stderr, also when the block raises.
+    Other warnings are shown as they would have been."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            yield
+    finally:
+        floating = set()
+        for w in caught:
+            if issubclass(w.category, RuntimeWarning):
+                floating.add(str(w.message))
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        if floating:
+            print(f"warning: floating-point trouble in the solve, its result may be "
+                  f"unreliable: {'; '.join(sorted(floating))}", file=sys.stderr)
+
+
 def _format_objective(objective: float | None) -> str:
     return "" if objective is None else format(objective, ".10g")
 
@@ -141,10 +164,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # the trace file opens before the solve, so that a bad path fails first
     trace = contextlib.nullcontext() if args.trace is None else open(args.trace, "w")
     with trace:
-        out = _run_solver(
-            p, args.solver, rule, max_iter, args.big_m, args.tol_feas,
-            collect_trace=args.trace is not None,
-        )
+        with _float_warnings_reported():
+            out = _run_solver(
+                p, args.solver, rule, max_iter, args.big_m, args.tol_feas,
+                collect_trace=args.trace is not None,
+            )
         for record in out.trace or ():
             trace.write(json.dumps(record.to_json_dict()) + "\n")
 

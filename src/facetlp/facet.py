@@ -8,16 +8,18 @@ each pivot swaps one violated non-base facet into the base so that the sign
 condition is preserved and the objective never decreases. The first feasible
 iterate is therefore optimal.
 
-Per iteration the factors of the base serve every linear solve: the
-transpose solve for the entering facet's expansion and, once the pivot has
-replaced a row of them, the two solves for the new iterate. One pass of the
-ratio test also tells whether the leaving facet is redundant and whether
-infeasibility is certified. A pivot hands the row swap and the expansion to
-``linalg.replace_row``, which updates the inverse of the base in place at
-every d; where a tiny pivot element makes it decline, the pivot factors
-the rows the new indices name afresh. It then solves y_c and x from the
-new factors and computes the new residuals A x - b once, for its own check
-and the next pricing. When an updated inverse gives an x whose base rows
+The start base is the bound block E, a diagonal of +-1 and its own
+inverse, so the start iterate is read off E's signs with no factorization
+or solve. Per iteration the factors of the base serve every linear solve:
+the transpose solve for the entering facet's expansion and, once the pivot
+has replaced a row of them, the two solves for the new iterate. One pass
+of the ratio test also tells whether the leaving facet is redundant and
+whether infeasibility is certified. A pivot hands the row swap and the
+expansion to ``linalg.replace_row``, which updates the inverse of the base
+in place at every d; where a tiny pivot element makes it decline, the
+pivot factors the rows the new indices name afresh. It then solves y_c and
+x from the new factors and computes the new residuals A x - b once, for
+its own check and the next pricing. When an updated inverse gives an x whose base rows
 fail the audit's basic-solution bound, the pivot factors the base afresh
 and solves y_c and x again. A :class:`Base` is its row indices and their
 factors; rows and rhs are read from the problem through the indices. A
@@ -154,12 +156,16 @@ class SolveOutcome:
 
 
 def initial_state(sp: StandardGeneralLP) -> tuple[Base, SolverState]:
-    """Start from the signed-diagonal bound block: x0 solves E x0 = b_L and
-    the expansion coefficients are the nonnegative adjusted objective."""
-    d = sp.d
-    rows = np.arange(sp.m + sp.n, sp.m + sp.n + d)
-    base = Base(rows, np.zeros(d, dtype=bool), linalg.factor(sp.rows(rows)))
-    return base, _iterate(sp, base)
+    """Start from the signed-diagonal bound block E = diag(``sp.e_diag``),
+    which is its own inverse, so the start is read off the signs without a
+    factorization or a solve: x0 = E b_L solves E x0 = b_L, and the
+    expansion coefficients y_c = E c = |c| are the nonnegative adjusted
+    objective. Both are exact, bit for bit what solves from factors of E
+    give."""
+    g, d, e = sp.m + sp.n, sp.d, sp.e_diag
+    base = Base(np.arange(g, g + d), np.zeros(d, dtype=bool), linalg.signed_identity(e))
+    x = e * sp.b[g : g + d] + 0.0  # + 0.0 clears -0.0, as the solve's sum does
+    return base, SolverState(x, e * sp.c_original, residuals(sp, x))
 
 
 def _iterate(sp: StandardGeneralLP, base: Base) -> SolverState:

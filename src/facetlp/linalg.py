@@ -15,7 +15,9 @@ inverse, as does the solver's per-pivot check, through ``factor``, when an
 iterate solved from an updated inverse fails its residual check.
 Only ``factor`` reads matrix entries, and only it decides singularity: it
 raises SingularMatrix instead of returning factors of a singular matrix,
-so every factorization can be solved. LAPACK and BLAS are called directly
+so every factorization can be solved. The one other constructor,
+``signed_identity``, takes the signs of a diagonal of +-1, which is its own
+inverse: the solver's start base. LAPACK and BLAS are called directly
 (scipy's wrappers' per-call overhead dominates at small d).
 """
 
@@ -44,12 +46,13 @@ _gemv, _ger = scipy.linalg.get_blas_funcs(("gemv", "ger"), dtype=np.float64)
 @dataclass(slots=True)
 class SquareFactorization:
     """The inverse of a nonsingular d-by-d matrix M. ``inv`` is M^-1 in
-    Fortran order: inverted from the LU of the last factorization from
-    scratch, then updated in place by ``updates`` row replacements.
-    ``near_singular`` describes that LU. The fields are never reassigned,
-    but ``replace_row`` writes ``inv`` in place: it consumes the
-    factorization it is given. Not frozen: a frozen dataclass takes several
-    times as long to build, once a pivot.
+    Fortran order: a signed identity's own, or inverted from the LU of the
+    last factorization from scratch, then updated in place by ``updates``
+    row replacements. ``near_singular`` describes that LU (False for a
+    signed identity). The fields are never reassigned, but ``replace_row``
+    writes ``inv`` in place: it consumes the factorization it is given. Not
+    frozen: a frozen dataclass takes several times as long to build, once a
+    pivot.
     """
 
     dimension: int
@@ -96,6 +99,17 @@ def factor(m: np.ndarray) -> SquareFactorization:
     lwork = int(_getri_lwork(d)[0])
     inv = _solved(_getri(lu, piv, lwork=lwork, overwrite_lu=1))
     return SquareFactorization(d, near, inv)
+
+
+def signed_identity(signs: np.ndarray) -> SquareFactorization:
+    """Factors of diag(signs), whose entries are +-1: the matrix is its own
+    inverse, laid out in Fortran order as ``factor``'s is, so that
+    ``replace_row`` updates it in place. Reads no matrix and cannot be
+    singular."""
+    d = signs.shape[0]
+    inv = np.zeros((d, d), order="F")
+    inv.flat[:: d + 1] = signs
+    return SquareFactorization(d, False, inv)
 
 
 def replace_row(

@@ -142,9 +142,11 @@ class StandardGeneralLP:
         """The stacked rows that ``idx`` names: one row for an int, a
         (k, d) array for a sequence of k indices. General rows come from
         ``G`` (a single one as a view), bound rows are built as +-e_i; only
-        the rows asked for are built. The loop costs about a microsecond a
-        row, less than the dozen numpy calls a vectorized build makes for
-        the few rows of a small base; large bases are factored rarely."""
+        the rows asked for are built. The facet solver asks for one row
+        per pivot, the entering one, and for a whole base only to factor
+        it afresh or to audit a pivot; its start base, the E block, is read
+        off ``e_diag`` and never built. The brute-force oracle stacks every
+        row once. The loop costs about a microsecond a row."""
         g = self.m + self.n
         single = isinstance(idx, (int, np.integer))
         if single:

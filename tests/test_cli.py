@@ -2,6 +2,7 @@ import csv
 import gzip
 import json
 import time
+import warnings
 
 import pytest
 
@@ -99,6 +100,24 @@ class TestUsageErrors:
         assert "usage:" in capsys.readouterr().out
 
 
+def test_warnings_other_than_runtime_ones_pass_through_the_solve(capsys):
+    with pytest.warns(UserWarning, match="kept"):
+        with cli._float_warnings_reported():
+            warnings.warn("kept", UserWarning)
+    assert capsys.readouterr().err == ""
+
+
+def _overflow_reproducer(tmp_path):
+    """An LP whose solves overflow under every solver."""
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "c": [-1, 1e-300, 1e-300],
+        "A_ineq": [[2, 1e300, 2], [1, 1e300, 1e300], [1e300, 2, 2]],
+        "b_ineq": [1e300, 1, -1],
+    }))
+    return path
+
+
 class TestSolveCommand:
     def test_km2_d10_facet(self, km2_d10, capsys):
         code = main(["solve", str(km2_d10)])
@@ -148,19 +167,42 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err == f"numerical breakdown: {error}\n"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_dantzig_nan_ratio_is_numerical_breakdown(self, tmp_path, capsys):
         # a NaN least ratio in the Dantzig baseline once raised a bare
         # IndexError, which main reported as an internal error (exit 1)
-        path = tmp_path / "overflow.json"
-        path.write_text(json.dumps({
-            "c": [-1, 1e-300, 1e-300],
-            "A_ineq": [[2, 1e300, 2], [1, 1e300, 1e300], [1e300, 2, 2]],
-            "b_ineq": [1e300, 1, -1],
-        }))
+        path = _overflow_reproducer(tmp_path)
         assert main(["solve", str(path), "--solver", "dantzig"]) == EXIT_NUMERICAL
         captured = capsys.readouterr()
-        assert captured.err == "numerical breakdown: the ratio test of column 3 is NaN\n"
+        assert captured.err == (
+            "warning: floating-point trouble in the solve, its result may be unreliable: "
+            "invalid value encountered in multiply; invalid value encountered in subtract; "
+            "overflow encountered in multiply\n"
+            "numerical breakdown: the ratio test of column 3 is NaN\n"
+        )
+
+    @pytest.mark.parametrize("solver, code, stdout", [
+        ("facet", EXIT_UNBOUNDED,
+         "status=Unbounded objective=-1e+307 iterations=0 (solver=facet rule=max-dev)\n"
+         "unboundedness certificate: artificial bound facet 3\n"),
+        ("dantzig", EXIT_NUMERICAL, ""),
+        ("oracle", EXIT_UNBOUNDED,
+         "status=Unbounded objective=-1e+307 iterations=84 (solver=oracle)\n"
+         "unboundedness certificate: artificial bound facet 3\n"),
+    ])
+    def test_floating_point_warnings_are_one_line_of_its_own(
+        self, tmp_path, capsys, solver, code, stdout
+    ):
+        # numpy's RuntimeWarnings (errors under this suite's filter) are
+        # recorded during the solve and reported as one stderr line
+        path = _overflow_reproducer(tmp_path)
+        assert main(["solve", str(path), "--solver", solver]) == code
+        captured = capsys.readouterr()
+        assert captured.out == stdout
+        first, *rest = captured.err.splitlines()
+        assert first.startswith("warning: floating-point trouble in the solve")
+        assert "overflow encountered in" in first
+        assert rest == ([] if code != EXIT_NUMERICAL
+                        else ["numerical breakdown: the ratio test of column 3 is NaN"])
 
     def test_nan_or_negative_tol_feas_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "km2.json"

@@ -60,6 +60,26 @@ def _dummy_base(rows, is_eq):
     )
 
 
+def _oracle_shape_lps(seeds):
+    """Seeds 0..seeds-1 of each shape and kind of the benchmark's oracle deck."""
+    return [random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
+            for d, m, n in workloads.ORACLE_SHAPES for kind in workloads.ORACLE_KINDS
+            for seed in range(seeds)]
+
+
+def _start_cases():
+    """The cubes, the cycling fixtures, oracle-shape instances, one dense
+    LP and one whose start has zero bounds of either sign, in the facet
+    form."""
+    lps = [GeneralLP(c=[1.0, -1.0, 0.0], lower=[-0.0, -1.0, 0.0], upper=[2.0, 0.0, 1.0])]
+    lps += [klee_minty_v1(d) for d in range(3, 17)]
+    lps += [klee_minty_v2(d) for d in range(3, 20)]
+    lps += [cycling_fixture(fid) for fid in CYCLING_FIXTURE_IDS]
+    lps += _oracle_shape_lps(10)
+    lps.append(workloads.dense_lp(np.random.default_rng(0), 60))
+    return [to_standard_general(lp) for lp in lps]
+
+
 class TestInitialState:
     def test_cube_start_sits_at_artificial_corner(self):
         p = klee_minty_v2(3)
@@ -82,6 +102,50 @@ class TestInitialState:
         assert out.status is Status.OPTIMAL
         assert out.iterations == 0
         assert out.objective == 0.0
+
+    def test_start_is_the_factored_bound_block_bit_for_bit(self):
+        """The start read off the signs of E is what factors of E and the
+        solves from them give: the same inverse by value (getri writes -0.0
+        off the diagonal) and the same iterate bit for bit."""
+        for sp in _start_cases():
+            base, state = initial_state(sp)
+            g = sp.m + sp.n
+            np.testing.assert_array_equal(base.indices, np.arange(g, g + sp.d))
+            assert not base.is_eq.any()
+            fact = linalg.factor(sp.rows(base.indices))
+            start = base.fact
+            assert (start.dimension, start.near_singular, start.updates) == (sp.d, False, 0)
+            assert (start.inv == fact.inv).all()
+            want = facet._iterate(sp, Base(base.indices.copy(), base.is_eq.copy(), fact))
+            assert state.x.tobytes() == want.x.tobytes()
+            assert state.y_c.tobytes() == want.y_c.tobytes()
+            assert state.sigma.tobytes() == want.sigma.tobytes()
+
+    def test_first_pivot_updates_the_start_inverse_in_place(self):
+        sp = to_standard_general(klee_minty_v2(5))
+        base, state = initial_state(sp)
+        inv = base.fact.inv
+        assert inv.flags.f_contiguous
+        p = select_entering(sp, base, state, PivotRule.MAX_DEVIATION)
+        y_p = expand_entering(base, sp.rows(p))
+        s, _ = select_leaving(p, float(state.sigma[p]), y_p, state.y_c, base)
+        base, state = pivot(sp, base, state, p, s, y_p)
+        assert base.fact.updates == 1
+        assert base.fact.inv is inv
+
+    @pytest.mark.parametrize("rule", list(PivotRule))
+    def test_a_solve_that_never_refactors_calls_no_factor(self, monkeypatch, rule):
+        def no_factor(m):
+            raise AssertionError("linalg.factor called")
+
+        monkeypatch.setattr(linalg, "factor", no_factor)
+        lps = [klee_minty_v1(16), klee_minty_v2(19)] + _oracle_shape_lps(3)
+        statuses = set()
+        for lp in lps:
+            out = solve(to_standard_general(lp), rule, audit=True)
+            assert out.audit.violations == []
+            statuses.add(out.status)
+        assert statuses == {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED}
 
 
 class TestSelectEntering:
@@ -947,7 +1011,7 @@ def test_steps_agree_at_every_pivot(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
-def test_outcome_digest_script_writes_one_line_per_solve(tmp_path):
+def test_outcome_digest_script_writes_one_line_per_solve(tmp_path, monkeypatch):
     path = Path(__file__).resolve().parents[1] / "scripts" / "outcome_digest.py"
     spec = importlib.util.spec_from_file_location("outcome_digest", path)
     script = importlib.util.module_from_spec(spec)
@@ -969,12 +1033,18 @@ def test_outcome_digest_script_writes_one_line_per_solve(tmp_path):
         "dense_lp",
     }
     assert {line["status"] for line in lines} == {"Optimal", "Infeasible", "Unbounded"}
-    assert all(line["violations"] == [] and line["factor_calls"] > 0 for line in lines)
+    # the start base needs no factorization and no quick solve refactors
+    assert all(line["violations"] == [] and line["factor_calls"] == 0 for line in lines)
     # a certificate and a trace reach the line as hashes of their reprs
     assert len({line["certificate"] for line in lines if line["status"] == "Infeasible"}) > 1
     assert len({line["trace"] for line in lines}) > len(lines) // 2
     name, sp, rule = next(script.cases(quick=True))
     assert script.digest(name, sp, rule) == lines[0]
+    # the counter counts: where replace_row declines, every pivot factors
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "replace_row", lambda f, slot, y: None)
+        counted = script.digest(name, sp, rule)
+    assert counted["factor_calls"] == counted["iterations"] > 0
 
     assert [line["name"] for line in oracle] == [name for name, _ in oracle_cases]
     assert {line["solver"] for line in oracle} == {"oracle"}

@@ -27,6 +27,27 @@ def test_negated_diagonal_solve():
     np.testing.assert_allclose(linalg.solve(f, b_l), -b_l)
 
 
+@pytest.mark.parametrize("d", [1, 3, 8, 60])
+def test_signed_identity_is_its_own_inverse(d):
+    rng = np.random.default_rng(d)
+    signs = np.where(rng.random(d) < 0.5, -1.0, 1.0)
+    f = linalg.signed_identity(signs)
+    assert (f.dimension, f.near_singular, f.updates) == (d, False, 0)
+    assert f.inv.flags.f_contiguous
+    np.testing.assert_array_equal(f.inv, np.diag(signs))
+    np.testing.assert_array_equal(f.inv, linalg.factor(np.diag(signs)).inv)
+    r = rng.normal(size=d)
+    np.testing.assert_array_equal(linalg.solve(f, r), signs * r)
+    np.testing.assert_array_equal(linalg.solve_transpose(f, r), signs * r)
+    # a row replacement updates it in place and solves the new matrix
+    m = np.diag(signs)
+    m[0] = rng.normal(size=d)
+    m[0, 0] += 4.0 * signs[0]
+    g = linalg.replace_row(f, 0, linalg.solve_transpose(f, m[0]))
+    assert g.inv is f.inv and g.updates == 1
+    np.testing.assert_allclose(m @ linalg.solve(g, r), r, rtol=0, atol=1e-12)
+
+
 def test_diagonal_transpose_solve():
     f = linalg.factor(np.diag([2.0, 4.0]))
     np.testing.assert_allclose(linalg.solve_transpose(f, np.array([2.0, 4.0])), [1.0, 1.0])
