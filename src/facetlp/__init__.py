@@ -14,7 +14,6 @@ from facetlp.facet import (
     SolverState,
     Status,
     solve,
-    solve_general,
 )
 from facetlp.generators import (
     CYCLING_FIXTURE_IDS,
@@ -74,7 +73,6 @@ __all__ = [
     "read_mps",
     "save_general_lp",
     "solve",
-    "solve_general",
     "to_general_lp",
     "to_standard_form",
     "to_standard_general",

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from facetlp import generators, mps
-from facetlp.errors import FacetLPError, NoLeavingCandidate, SingularMatrix
+from facetlp.errors import FacetLPError, NumericalBreakdown
 from facetlp.facet import PivotRule, SolveOutcome, Status, solve
 from facetlp.model import (
     GeneralLP,
@@ -106,31 +106,28 @@ def _run_solver(
     solver: str,
     rule: PivotRule,
     max_iter: int,
-    big_m: float | None,
     tol_feas: float | None,
     collect_trace: bool,
 ) -> SolveOutcome:
     if solver == "facet":
-        sp = to_standard_general(p, big_M=big_m)
+        sp = to_standard_general(p)
         return solve(
             sp, rule=rule, max_iter=max_iter,
             collect_trace=collect_trace, tol_feas=tol_feas,
         )
     if solver == "dantzig":
-        sf = to_standard_form(p, big_m=big_m)
-        return dantzig_solve(sf, max_iter=max_iter)
+        return dantzig_solve(to_standard_form(p), max_iter=max_iter)
     if solver == "oracle":
-        sp = to_standard_general(p, big_M=big_m)
-        return brute_force_optimal(sp)
+        return brute_force_optimal(to_standard_general(p))
     raise ValueError(f"unknown solver {solver!r}")
 
 
 @contextlib.contextmanager
-def _float_warnings_reported():
+def _float_warnings_reported(prefix: str = ""):
     """Record numpy's floating-point RuntimeWarnings (overflow, invalid
     value, divide by zero) while the block runs, and print one ``warning:``
-    line of the CLI's own for them to stderr, also when the block raises.
-    Other warnings are shown as they would have been."""
+    line of the CLI's own for them, ``prefix`` first, to stderr, also when
+    the block raises. Other warnings are shown as they would have been."""
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
@@ -143,7 +140,7 @@ def _float_warnings_reported():
             else:
                 warnings.showwarning(w.message, w.category, w.filename, w.lineno)
         if floating:
-            print(f"warning: floating-point trouble in the solve, its result may be "
+            print(f"warning: {prefix}floating-point trouble in the solve, its result may be "
                   f"unreliable: {'; '.join(sorted(floating))}", file=sys.stderr)
 
 
@@ -166,7 +163,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     with trace:
         with _float_warnings_reported():
             out = _run_solver(
-                p, args.solver, rule, max_iter, args.big_m, args.tol_feas,
+                p, args.solver, rule, max_iter, args.tol_feas,
                 collect_trace=args.trace is not None,
             )
         for record in out.trace or ():
@@ -267,10 +264,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     n, m, d = p.num_ineq, p.num_eq, p.d
                     t0 = time.perf_counter()  # conversion plus solve, not the load
                     try:
-                        out = _run_solver(
-                            p, solver, rule, max_iter, args.big_m, args.tol_feas,
-                            collect_trace=False,
-                        )
+                        with _float_warnings_reported(f"{name} ({solver}): "):
+                            out = _run_solver(
+                                p, solver, rule, max_iter, args.tol_feas,
+                                collect_trace=False,
+                            )
                         status, iters = out.status.value, out.iterations
                         objective = out.objective
                     except (FacetLPError, OSError) as exc:  # record in-row, continue
@@ -292,7 +290,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if args.csv:
             fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
             fh.write(f"# suite={args.suite} rule={rule.value} max_iter={max_iter}")
-            fh.write(f" big_m={args.big_m} tol_feas={args.tol_feas}\n")
+            fh.write(f" tol_feas={args.tol_feas}\n")
             writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
@@ -318,7 +316,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for seed in range(args.count):
             m = 0 if kind == "unbounded" else args.m
             p = generators.random_instance(seed, args.d, m, args.n, kind)
-            sp = to_standard_general(p, big_M=args.big_m)
+            sp = to_standard_general(p)
             got = solve(sp, rule=rule, max_iter=max_iter)
             want = brute_force_optimal(sp)
             checked += 1
@@ -366,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="facet pivot entering rule (default max-dev)")
         sp_.add_argument("--max-iter", type=int, default=None,
                          help="pivot limit of the facet and dantzig solvers (default 10000)")
-        sp_.add_argument("--big-m", type=float, default=None,
-                         help="artificial bound magnitude for infinite bounds")
         sp_.add_argument("--tol-feas", type=float, default=None,
                          help="absolute feasibility tolerance override (facet only)")
 
@@ -429,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SingularMatrix, NoLeavingCandidate) as exc:
+    except NumericalBreakdown as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (FacetLPError, OSError) as exc:

@@ -22,7 +22,11 @@ class InconsistentBounds(FacetLPError):
     """A lower bound exceeds the matching upper bound."""
 
 
-class SingularMatrix(FacetLPError):
+class NumericalBreakdown(FacetLPError):
+    """A singular base, no leaving candidate or an Optimal answer not finite."""
+
+
+class SingularMatrix(NumericalBreakdown):
     """A square system was (numerically) singular.
 
     Carries the offending pivot index when known.
@@ -33,7 +37,7 @@ class SingularMatrix(FacetLPError):
         self.pivot_index = pivot_index
 
 
-class NoLeavingCandidate(FacetLPError):
+class NoLeavingCandidate(NumericalBreakdown):
     """No admissible leaving facet or row existed: in the facet solver an
     internal inconsistency, because the infeasibility test runs first; in
     the Dantzig baseline a NaN ratio test."""

@@ -34,13 +34,14 @@ so the step functions keep them few.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from facetlp import linalg
-from facetlp.errors import NoLeavingCandidate, SingularMatrix
+from facetlp.errors import NoLeavingCandidate, NumericalBreakdown, SingularMatrix
 from facetlp.model import StandardGeneralLP, residuals
 
 TOL_SIGN = 1e-9
@@ -138,9 +139,10 @@ class SolveAudit:
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """What a solver returns. On an Infeasible outcome ``x_opt`` is no
-    feasible point: ``solve`` gives its last iterate, ``dantzig_solve`` the
-    phase-1 point mapped back, and ``brute_force_optimal`` None."""
+    """What a solver returns; only an Optimal one has an objective, finite.
+    On an Infeasible outcome ``x_opt`` is no feasible point: ``solve`` gives
+    its last iterate, ``dantzig_solve`` the phase-1 point mapped back, and
+    ``brute_force_optimal`` None."""
 
     status: Status
     x_opt: np.ndarray | None
@@ -404,8 +406,9 @@ def solve(
         p = select_entering(sp, base, state, active_rule, row_tols, row_norms)
         if p is None:
             x_opt = state.x + 0.0  # clear -0.0
-            objective = float(c.dot(x_opt)) + offset
             status, certificate = final_status(sp, base.indices)
+            objective = (finite_optimum(x_opt, float(c.dot(x_opt)) + offset)
+                         if status is Status.OPTIMAL else None)
             break
 
         if iteration >= max_iter:
@@ -482,6 +485,15 @@ def final_status(sp: StandardGeneralLP, rows: np.ndarray) -> tuple[Status, int |
     return (Status.UNBOUNDED, min(artificial)) if artificial else (Status.OPTIMAL, None)
 
 
+def finite_optimum(x_opt: np.ndarray, objective: float) -> float:
+    """``objective``, once it and ``x_opt`` are found finite: every solver
+    checks its Optimal answer here, once, and one that overflowed or is NaN
+    is a numerical breakdown."""
+    if not (math.isfinite(objective) and np.isfinite(x_opt).all()):
+        raise NumericalBreakdown(f"the optimal objective {objective!r} is not finite")
+    return objective
+
+
 def _audit_pivot(
     sp: StandardGeneralLP,
     base: Base,
@@ -522,16 +534,3 @@ def _audit_pivot(
             f"iter {k}: objective decreased {prev_objective!r} -> {objective!r}"
         )
 
-
-def solve_general(
-    p,
-    rule: PivotRule = PivotRule.MAX_DEVIATION,
-    max_iter: int = 10_000,
-    big_M: float | None = None,
-    **kwargs,
-) -> SolveOutcome:
-    """Convenience wrapper: convert a GeneralLP and solve it."""
-    from facetlp.model import to_standard_general
-
-    sp = to_standard_general(p, big_M=big_M)
-    return solve(sp, rule=rule, max_iter=max_iter, **kwargs)

@@ -175,9 +175,9 @@ class StandardGeneralLP:
     def f_block(self) -> slice:
         return slice(self.m + self.n + self.d, self.m + self.n + 2 * self.d)
 
-    def row_tolerances(self, base: float = TOL_FEAS_BASE) -> np.ndarray:
+    def row_tolerances(self) -> np.ndarray:
         """Per-row violation tolerances, scaled by each row's own rhs."""
-        return base * (1.0 + np.abs(self.b))
+        return TOL_FEAS_BASE * (1.0 + np.abs(self.b))
 
     def feasibility_tolerances(self, tol_feas: float | None = None) -> np.ndarray:
         """Every feasibility verdict's per-row tolerances: ``row_tolerances()``,
@@ -227,26 +227,30 @@ def default_big_m(p: GeneralLP) -> float:
     return BIG_M_FACTOR * max(candidates)
 
 
-def to_standard_general(p: GeneralLP, big_M: float | None = None) -> StandardGeneralLP:
+def to_standard_general(p: GeneralLP) -> StandardGeneralLP:
     """Stack the problem into [A_eq; A_ineq; E; F] with sign-adjusted bounds.
 
     Per variable i: if c_i >= 0 the E row is +e_i with rhs lower_i and the F
     row is -e_i with rhs -upper_i; if c_i < 0 the E row is -e_i with rhs
     -upper_i and the F row is +e_i with rhs lower_i. Either way c expands
-    over E with the coefficients |c_i| >= 0. Infinite bounds become -big_M
-    on the affected row, which is recorded in ``artificial_rows``. Only the
-    general rows and the E signs are stored: no bound row is built.
+    over E with the coefficients |c_i| >= 0. Infinite bounds become
+    -``default_big_m(p)`` on the affected row, which is recorded in
+    ``artificial_rows``; data so large that this M overflows are refused
+    with ``NonFiniteData``. Only the general rows and the E signs are
+    stored: no bound row is built.
     """
-    if big_M is None:
-        big_M = default_big_m(p)
-    if not np.isfinite(big_M) or big_M <= 0:
-        raise NonFiniteData("big_M must be a positive finite number")
     d, m, n = p.d, p.num_eq, p.num_ineq
     flip = p.c < 0
 
     neg_inf, pos_inf = np.isneginf(p.lower), np.isposinf(p.upper)
-    lower = np.where(neg_inf, -big_M, p.lower)
-    upper = np.where(pos_inf, big_M, p.upper)
+    lower, upper = p.lower, p.upper
+    if neg_inf.any() or pos_inf.any():
+        bound = default_big_m(p)
+        if bound == np.inf:
+            raise NonFiniteData("data too large for an infinite bound: its artificial "
+                                "bound, 1e7 times their magnitude, overflows")
+        lower = np.where(neg_inf, -bound, lower)
+        upper = np.where(pos_inf, bound, upper)
 
     e_diag = np.where(flip, -1.0, 1.0)
     b_L = np.where(flip, -upper, lower)

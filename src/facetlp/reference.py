@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from facetlp.errors import NoLeavingCandidate, NonFiniteData, TooLarge
-from facetlp.facet import SolveAudit, SolveOutcome, Status, final_status
+from facetlp.errors import NoLeavingCandidate, TooLarge
+from facetlp.facet import SolveAudit, SolveOutcome, Status, final_status, finite_optimum
 from facetlp.model import GeneralLP, StandardGeneralLP
 
 ENUMERATION_CAP = 2_000_000
@@ -43,7 +43,7 @@ class StandardFormLP:
         return x
 
 
-def to_standard_form(p: GeneralLP, big_m: float | None = None) -> StandardFormLP:
+def to_standard_form(p: GeneralLP) -> StandardFormLP:
     """Rewrite a general problem as equalities over nonnegative variables.
 
     Inequality rows gain surplus columns. Each variable x becomes a
@@ -55,16 +55,9 @@ def to_standard_form(p: GeneralLP, big_m: float | None = None) -> StandardFormLP
 
         x' + y = w,   x' - z = 0,   y, z >= 0,
 
-    stacked after the inequality block. Given ``big_m``, which must be
-    positive and finite, infinite bounds are replaced by -big_m and big_m
-    first, so every variable is shifted.
+    stacked after the inequality block.
     """
     lower, upper = p.lower, p.upper
-    if big_m is not None:
-        if not 0.0 < big_m < math.inf:
-            raise NonFiniteData("big_M must be a positive finite number")
-        lower = np.where(np.isneginf(lower), -float(big_m), lower)
-        upper = np.where(np.isposinf(upper), float(big_m), upper)
     below = np.isneginf(lower)
     mirror = below & np.isfinite(upper)
     free = np.flatnonzero(below & ~mirror)
@@ -287,7 +280,7 @@ def dantzig_solve(
         x_std = t.solution()[:N]
         x_opt = sf.project(x_std) + 0.0  # no -0.0 in the output
         if status is Status.OPTIMAL:
-            objective = float(sf.c @ x_std) + sf.objective_offset + 0.0
+            objective = finite_optimum(x_opt, float(sf.c @ x_std) + sf.objective_offset + 0.0)
     return SolveOutcome(
         status=status, x_opt=x_opt, objective=objective,
         iterations=phase1 + phase2, audit=audit_log,
@@ -333,7 +326,8 @@ def brute_force_optimal(
     This is the ground-truth oracle: a basic optimal solution exists whenever
     an optimum does, so exhaustive enumeration is exact at desk scale. On
     ties the non-artificial base wins; an optimum that can only be attained
-    on an artificial big-M facet means the true problem is unbounded.
+    on an artificial big-M facet means the true problem is unbounded, with
+    no objective. A least objective not finite raises ``NumericalBreakdown``.
 
     The index array comes from :func:`_bases`, built once per (N, d) and
     cached. It skips the subsets holding both bound rows of one variable:
@@ -393,14 +387,16 @@ def brute_force_optimal(
     combos = np.concatenate(kept_combos)
     X = np.concatenate(kept_X)
     objectives = X @ sp.c_original + sp.objective_offset
-    best = float(objectives.min())
+    first = objectives.argmin()  # a NaN's index if there is one, as min gives NaN
+    best = finite_optimum(X[first], float(objectives[first]))
     tied = np.flatnonzero(objectives <= best + 1e-9 * (1.0 + abs(best)))
     # the first tied base free of artificial rows wins, else the first one
     real = (i for i in tied if sp.artificial_rows.isdisjoint(combos[i].tolist()))
     winner = next(real, tied[0])
     status, certificate = final_status(sp, combos[winner])
+    objective = float(objectives[winner]) if status is Status.OPTIMAL else None
     return SolveOutcome(
-        status=status, x_opt=X[winner], objective=float(objectives[winner]),
+        status=status, x_opt=X[winner], objective=objective,
         iterations=int(count), certificate=certificate,
         basis_rows=tuple(int(r) for r in combos[winner]),
     )

@@ -26,7 +26,7 @@ from facetlp.facet import (
     select_leaving,
     solve,
 )
-from facetlp.errors import NonFiniteData, SingularMatrix
+from facetlp.errors import NonFiniteData, NumericalBreakdown, SingularMatrix
 from facetlp.generators import (
     CYCLING_FIXTURE_IDS,
     KM1_MAX_D,
@@ -37,7 +37,6 @@ from facetlp.generators import (
     random_instance,
 )
 from facetlp.model import (
-    TOL_FEAS_BASE,
     GeneralLP,
     default_big_m,
     residuals,
@@ -636,12 +635,31 @@ class TestSolveOutcomes:
         assert out.status is Status.UNBOUNDED
         assert out.certificate in sp.artificial_rows
         assert out.certificate in out.basis_rows
+        # the objective at the artificial bound is a function of M, not an answer
+        assert out.objective is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("p", [
+        # c.x of the optimum overflows to inf
+        GeneralLP(c=[2.0, 1.0, 1e300],
+                  A_ineq=[[2.0, 1.0, -1.0], [1e-300, -1.0, 1.0], [1.0, 1e-300, -1.0]],
+                  b_ineq=[1.0, 1e300, 1e300]),
+        # the one feasible point's objective is 1e310 - 1e310: NaN, or +-inf
+        # where the dot product fuses a multiply and an add
+        GeneralLP(c=[1e300, -1e300], lower=[1e10, 1e10], upper=[1e10, 1e10]),
+    ], ids=["inf", "inf-minus-inf"])
+    def test_optimum_that_is_not_finite_is_numerical_breakdown(self, p):
+        # it was once returned as an Optimal answer
+        sp = to_standard_general(p)
+        for rule in PivotRule:
+            with pytest.raises(NumericalBreakdown, match="is not finite"):
+                solve(sp, rule)
 
     def test_final_status_names_the_least_artificial_row(self):
         # c < 0 flips both bound pairs: E row 0 carries x0 <= M, F row 3
         # carries x1 >= -M
         p = GeneralLP(c=[-1.0, -1.0], lower=[0.0, -np.inf], upper=[np.inf, 1.0])
-        sp = to_standard_general(p, big_M=1e6)
+        sp = to_standard_general(p)
         assert sp.artificial_rows == frozenset({0, 3})
         assert final_status(sp, np.array([3, 0])) == (Status.UNBOUNDED, 0)
         assert final_status(sp, np.array([1, 3])) == (Status.UNBOUNDED, 3)
@@ -742,12 +760,6 @@ class TestSolveOptions:
         assert out.status is Status.INFEASIBLE
         assert "equalit" in out.certificate.note
         assert out.trace[-1].note == out.certificate.note
-
-    def test_solve_general_wrapper(self):
-        from facetlp.facet import solve_general
-
-        out = solve_general(klee_minty_v2(4))
-        assert out.objective == -15.0
 
 
 class TestTerminationAndAgreement:
@@ -916,7 +928,7 @@ def _full_mask_select_entering(sp, base, sigma, rule, removed):
     """The pricing kernel of ``select_entering`` written over a full-length
     candidate mask that drops the base rows and the rows in ``removed``,
     at the default row tolerances."""
-    row_tols = sp.row_tolerances(TOL_FEAS_BASE)
+    row_tols = sp.row_tolerances()
     candidate = np.ones(sp.num_rows, dtype=bool)
     candidate[base.indices] = False
     if removed:

@@ -52,7 +52,7 @@ class TestToStandardGeneral:
             d=2, c=(1,-2), bounds [0,10] x [0,20]
         """
         p = GeneralLP(c=[1.0, -2.0], lower=[0.0, 0.0], upper=[10.0, 20.0])
-        sp = to_standard_general(p, big_M=1e6)
+        sp = to_standard_general(p)
         np.testing.assert_array_equal(sp.c_original, [1.0, -2.0])
         # the start's expansion coefficients, solved from the E block
         y_c = np.linalg.solve(_block(sp, sp.e_block).T, sp.c_original)
@@ -72,7 +72,7 @@ class TestToStandardGeneral:
 
     def test_infinite_upper_bound_becomes_artificial_row(self):
         p = GeneralLP(c=[0.0], lower=[0.0], upper=[np.inf])
-        sp = to_standard_general(p, big_M=1e7)
+        sp = to_standard_general(p)  # M = 1e7 * max(1, |lower|)
         np.testing.assert_array_equal(_block(sp, sp.e_block), [[1.0]])
         np.testing.assert_array_equal(sp.b[sp.e_block], [0.0])
         np.testing.assert_array_equal(_block(sp, sp.f_block), [[-1.0]])
@@ -81,9 +81,9 @@ class TestToStandardGeneral:
         assert sp.artificial_rows == frozenset({1})
 
     def test_artificial_rows_are_the_rows_given_big_m(self):
-        """A bound row is artificial exactly when its rhs is -big_M, which
-        no finite bound here equals, over every sign of c and every pair of
-        infinite bounds."""
+        """A bound row is artificial exactly when its rhs is -M, the default
+        big M, which no finite bound here equals, over every sign of c and
+        every pair of infinite bounds."""
         rng = np.random.default_rng(3)
         inf = np.inf
         for _ in range(40):
@@ -91,8 +91,9 @@ class TestToStandardGeneral:
             lower = rng.choice([-inf, -2.0, 0.0], d)
             upper = rng.choice([inf, 3.0], d)
             c = rng.choice([-1.0, 0.0, 2.0], d)
-            sp = to_standard_general(GeneralLP(c=c, lower=lower, upper=upper), big_M=1e6)
-            bound_rows = np.flatnonzero(sp.b == -1e6)
+            p = GeneralLP(c=c, lower=lower, upper=upper)
+            sp = to_standard_general(p)
+            bound_rows = np.flatnonzero(sp.b == -default_big_m(p))
             assert sp.artificial_rows == frozenset(bound_rows.tolist())
             assert len(sp.artificial_rows) == np.isinf(lower).sum() + np.isinf(upper).sum()
 
@@ -337,6 +338,20 @@ class TestValidation:
     def test_default_big_m_tracks_data_magnitude(self):
         p = klee_minty_v2(5)  # largest rhs entry is 31
         assert default_big_m(p) == 1e7 * 31.0
+
+    def test_artificial_bound_that_overflows_is_refused(self):
+        """Only an infinite bound needs M; where 1e7 times the data's
+        magnitude overflows, conversion refuses the problem, and with every
+        bound finite it needs no M, however large the data."""
+        huge = {"c": [1.0], "A_ineq": [[1.0]], "b_ineq": [1e302]}
+        refused = "too large for an infinite bound: its artificial bound"
+        with pytest.raises(NonFiniteData, match=refused):
+            to_standard_general(GeneralLP(**huge))
+        with pytest.raises(NonFiniteData, match=refused):
+            to_standard_general(GeneralLP(c=[1.0], lower=[-np.inf], upper=[2e301]))
+        sp = to_standard_general(GeneralLP(**huge, upper=[5e302]))
+        assert not sp.artificial_rows
+        np.testing.assert_array_equal(sp.b, [1e302, 0.0, -5e302])
 
 
 class TestJsonFormat:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import itertools
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from facetlp import reference
-from facetlp.errors import NoLeavingCandidate, NonFiniteData, TooLarge
+from facetlp.errors import NoLeavingCandidate, NumericalBreakdown, TooLarge
 from facetlp.facet import SolveOutcome, Status, solve
 from facetlp.generators import (
     CYCLING_FIXTURE_IDS,
@@ -70,9 +71,9 @@ class TestToStandardForm:
         assert out.objective == pytest.approx(want.objective, rel=1e-9)
 
     def test_infinite_lower_bounds_match_the_oracle(self):
-        """Without big_m a variable bounded above only is mirrored and a free
-        one is split, and Dantzig's answer is the oracle's: bounded above
-        only, free, free with an unbounded objective, and all kinds mixed."""
+        """A variable bounded above only is mirrored and a free one is split,
+        and Dantzig's answer is the oracle's: bounded above only, free, free
+        with an unbounded objective, and all kinds mixed."""
         inf = np.inf
         cases = [
             GeneralLP(c=[1.0, 2.0], A_ineq=[[1.0, 1.0]], b_ineq=[1.0],
@@ -106,22 +107,6 @@ class TestToStandardForm:
         np.testing.assert_array_equal(sf.c, [1.0, 0.0, 0.0, -1.0])
         np.testing.assert_array_equal(sf.project(np.array([2.0, 0.0, 0.0, 5.0])), [-3.0, 0.0])
 
-        # given big_m, the infinite bound is substituted instead
-        p = GeneralLP(c=[1.0], lower=[-np.inf], upper=[1.0])
-        assert dantzig_solve(to_standard_form(p)).status is Status.UNBOUNDED
-        out = dantzig_solve(to_standard_form(p, big_m=1e6))
-        assert out.status is Status.OPTIMAL
-        assert out.objective == -1e6
-
-    def test_big_m_must_be_positive_and_finite(self):
-        p = GeneralLP(c=[1.0, 1.0], A_ineq=[[1.0, 1.0]], b_ineq=[1.0],
-                      lower=[-np.inf, 0.0], upper=[np.inf, np.inf])
-        for bad in (math.nan, -5.0, 0.0, math.inf):
-            with pytest.raises(NonFiniteData, match="big_M must be a positive finite"):
-                to_standard_form(p, big_m=bad)
-        out = dantzig_solve(to_standard_form(p, big_m=1e6))
-        assert out.status is Status.OPTIMAL
-        assert out.objective == 1.0
 
 
 class TestDantzigSolve:
@@ -272,6 +257,78 @@ class TestOptimalAnswersAreFeasible:
         assert checked == {"facet": 195, "dantzig": 195, "oracle": 168}
 
 
+# c.x of the optimum overflows to inf; the oracle's least objective over the
+# feasible bases of the second is -inf
+_OVERFLOWING_OPTIMUM = GeneralLP(
+    c=[2.0, 1.0, 1e300], A_ineq=[[2.0, 1.0, -1.0], [1e-300, -1.0, 1.0], [1.0, 1e-300, -1.0]],
+    b_ineq=[1.0, 1e300, 1e300])
+_OVERFLOWING_LEAST_OBJECTIVE = GeneralLP(
+    c=[-1e300, -1e-300, 1e-300],
+    A_ineq=[[1e300, -1.0, 1e-300], [1e-300, 1.0, -1.0], [2.0, -1.0, 1.0]],
+    b_ineq=[1.0, 1e300, 1e300])
+# the one feasible point (1e10, 1e10) has objective 1e310 - 1e310: NaN, or
+# +-inf where the dot product fuses a multiply and an add
+_INF_MINUS_INF_OPTIMUM = GeneralLP(c=[1e300, -1e300], lower=[1e10, 1e10], upper=[1e10, 1e10])
+
+
+def _overflow_prone_lp(seed):
+    """Three variables and three >= rows, with c and A drawn from
+    {1e-300, +-1, 2, 1e300}, c's signs at random, and b from {+-1, 1e300}."""
+    rng = np.random.default_rng(seed)
+    values = np.array([1e-300, 1.0, -1.0, 2.0, 1e300])
+    c = rng.choice(values, 3) * rng.choice([-1.0, 1.0], 3)
+    return GeneralLP(c=c, A_ineq=rng.choice(values, (3, 3)),
+                     b_ineq=rng.choice([1.0, -1.0, 1e300], 3))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOptimalAnswersAreFinite:
+    def test_optimum_that_overflows_is_numerical_breakdown(self):
+        p = _OVERFLOWING_OPTIMUM
+        for bland in (False, True):
+            with pytest.raises(NumericalBreakdown, match="objective inf is not finite"):
+                dantzig_solve(to_standard_form(p), bland=bland)
+        with pytest.raises(NumericalBreakdown, match="objective inf is not finite"):
+            brute_force_optimal(to_standard_general(p))
+
+    def test_optimum_of_inf_minus_inf_is_numerical_breakdown(self):
+        p = _INF_MINUS_INF_OPTIMUM
+        with pytest.raises(NumericalBreakdown, match="is not finite"):
+            dantzig_solve(to_standard_form(p))
+        # a NaN or -inf least objective once left the tie test empty: a bare
+        # IndexError
+        with pytest.raises(NumericalBreakdown, match="is not finite"):
+            brute_force_optimal(to_standard_general(p))
+
+    def test_oracle_least_objective_of_minus_inf_is_numerical_breakdown(self):
+        with pytest.raises(NumericalBreakdown, match="objective -inf is not finite"):
+            brute_force_optimal(to_standard_general(_OVERFLOWING_LEAST_OBJECTIVE))
+
+    def test_no_solver_answers_optimal_with_a_nonfinite_objective(self):
+        """Over 300 overflow-prone LPs every outcome of every solver is an
+        Optimal one with a finite x and objective, one with no objective, or
+        a numerical breakdown; each solver reaches the breakdown."""
+        breakdowns = dict.fromkeys(("facet", "oracle", "dantzig", "bland"), 0)
+        for seed in range(300):
+            p = _overflow_prone_lp(seed)
+            runs = {"facet": lambda: solve(to_standard_general(p)),
+                    "oracle": lambda: brute_force_optimal(to_standard_general(p)),
+                    "dantzig": lambda: dantzig_solve(to_standard_form(p)),
+                    "bland": lambda: dantzig_solve(to_standard_form(p), bland=True)}
+            for solver, run in runs.items():
+                try:
+                    out = run()
+                except NumericalBreakdown:
+                    breakdowns[solver] += 1
+                    continue
+                if out.status is Status.OPTIMAL:
+                    assert math.isfinite(out.objective), (seed, solver)
+                    assert np.isfinite(out.x_opt).all(), (seed, solver)
+                else:
+                    assert out.objective is None, (seed, solver)
+        assert all(breakdowns.values()), breakdowns
+
+
 def _rowloop_pivot(self, row, col):
     """The tableau pivot as it was before the batched row update: one
     Python-level subtraction per row with a nonzero factor."""
@@ -390,6 +447,13 @@ class TestTableauPivot:
         assert got.tobytes() == want.tobytes()
 
 
+def _boxed(p, big_m):
+    """``p`` with its infinite bounds replaced by -big_m and big_m, so that
+    every variable is shifted and the planted rays are closed."""
+    return dataclasses.replace(p, lower=np.where(np.isneginf(p.lower), -big_m, p.lower),
+                               upper=np.where(np.isposinf(p.upper), big_m, p.upper))
+
+
 def _dantzig_cases():
     for d in range(2, 13):
         yield to_standard_form(klee_minty_v1(d)), False
@@ -402,9 +466,9 @@ def _dantzig_cases():
         for (d, m, n) in [(3, 1, 4), (4, 1, 6), (5, 2, 8)]:
             for kind in ("feasible", "infeasible", "unbounded"):
                 p = random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
-                yield to_standard_form(p, big_m=1e7), seed % 2 == 0
+                yield to_standard_form(_boxed(p, 1e7)), seed % 2 == 0
                 if kind == "unbounded":
-                    # without big_m the planted ray stays open: the Unbounded exit
+                    # unboxed, the planted ray stays open: the Unbounded exit
                     yield to_standard_form(p), seed % 2 == 0
     # tableaux of 80, 120 and 160 rows, each with a phase 1
     for d in (20, 30, 40):
@@ -439,7 +503,7 @@ class TestDantzigPivotUnchanged:
             assert g.audit.pivots_checked == w.audit.pivots_checked
         assert statuses == {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED,
                             Status.ITERATION_LIMIT}
-        # the unbounded plants without big_m, and only they, return Unbounded
+        # the unboxed unbounded plants, and only they, return Unbounded
         assert sum(g.status is Status.UNBOUNDED for g in got) == 90
 
 
@@ -478,7 +542,8 @@ class TestBaselineAgreement:
 
 def _enumerate_every_subset(sp: StandardGeneralLP) -> SolveOutcome:
     """The oracle as it was before the cached, pair-free index array: every
-    d-subset of rows from a fresh ``itertools.combinations`` list."""
+    d-subset of rows from a fresh ``itertools.combinations`` list. An
+    Unbounded outcome reports no objective, as the oracle's does now."""
     N, d = sp.num_rows, sp.d
     count = math.comb(N, d)
     combos = np.array(list(itertools.combinations(range(N), d)), dtype=int)
@@ -521,8 +586,7 @@ def _enumerate_every_subset(sp: StandardGeneralLP) -> SolveOutcome:
         winner = int(np.flatnonzero(tie)[0])
         art_row = sorted(set(combos[winner].tolist()) & artificial)[0]
         return SolveOutcome(
-            status=Status.UNBOUNDED, x_opt=X[winner],
-            objective=float(objectives[winner]), iterations=int(count),
+            status=Status.UNBOUNDED, x_opt=X[winner], objective=None, iterations=int(count),
             certificate=int(art_row),
             basis_rows=tuple(int(r) for r in combos[winner]),
         )
