@@ -58,20 +58,18 @@ SOLVERS = ("facet", "dantzig", "oracle")
 # the solver flags each solver reads; given with any other solver they are
 # refused, not ignored
 _FLAGS_READ = {
-    "facet": ("rule", "max_iter", "tol_feas", "trace"),
+    "facet": ("rule", "max_iter", "trace"),
     "dantzig": ("max_iter",),
     "oracle": (),
 }
 
 
-def _ignored_flag(
-    args: argparse.Namespace, solvers: list[str],
-    flags: tuple[str, ...] = ("rule", "max_iter", "tol_feas"),
-) -> bool:
-    """Report the first of ``flags`` given with a solver that would ignore it."""
-    for flag in flags:
+def _ignored_flag(args: argparse.Namespace, solvers: list[str]) -> bool:
+    """Report the first solver flag the subcommand defines that is given
+    with a solver that would ignore it."""
+    for flag in ("rule", "max_iter", "trace"):
         others = [s for s in solvers if flag not in _FLAGS_READ[s]]
-        if getattr(args, flag) is None or not others:
+        if getattr(args, flag, None) is None or not others:
             continue
         readers = [s for s in SOLVERS if flag in _FLAGS_READ[s]]
         print(f"error: --{flag.replace('_', '-')} applies to the {' and '.join(readers)} "
@@ -106,15 +104,11 @@ def _run_solver(
     solver: str,
     rule: PivotRule,
     max_iter: int,
-    tol_feas: float | None,
     collect_trace: bool,
 ) -> SolveOutcome:
     if solver == "facet":
         sp = to_standard_general(p)
-        return solve(
-            sp, rule=rule, max_iter=max_iter,
-            collect_trace=collect_trace, tol_feas=tol_feas,
-        )
+        return solve(sp, rule=rule, max_iter=max_iter, collect_trace=collect_trace)
     if solver == "dantzig":
         return dantzig_solve(to_standard_form(p), max_iter=max_iter)
     if solver == "oracle":
@@ -154,7 +148,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (FacetLPError, OSError) as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if _ignored_flag(args, [args.solver], ("rule", "max_iter", "tol_feas", "trace")):
+    if _ignored_flag(args, [args.solver]):
         return EXIT_INPUT_ERROR
 
     rule, max_iter = _rule_and_max_iter(args)
@@ -162,10 +156,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     trace = contextlib.nullcontext() if args.trace is None else open(args.trace, "w")
     with trace:
         with _float_warnings_reported():
-            out = _run_solver(
-                p, args.solver, rule, max_iter, args.tol_feas,
-                collect_trace=args.trace is not None,
-            )
+            out = _run_solver(p, args.solver, rule, max_iter,
+                              collect_trace=args.trace is not None)
         for record in out.trace or ():
             trace.write(json.dumps(record.to_json_dict()) + "\n")
 
@@ -265,10 +257,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     t0 = time.perf_counter()  # conversion plus solve, not the load
                     try:
                         with _float_warnings_reported(f"{name} ({solver}): "):
-                            out = _run_solver(
-                                p, solver, rule, max_iter, args.tol_feas,
-                                collect_trace=False,
-                            )
+                            out = _run_solver(p, solver, rule, max_iter,
+                                              collect_trace=False)
                         status, iters = out.status.value, out.iterations
                         objective = out.objective
                     except (FacetLPError, OSError) as exc:  # record in-row, continue
@@ -289,8 +279,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
         if args.csv:
             fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-            fh.write(f"# suite={args.suite} rule={rule.value} max_iter={max_iter}")
-            fh.write(f" tol_feas={args.tol_feas}\n")
+            fh.write(f"# suite={args.suite} rule={rule.value} max_iter={max_iter}\n")
             writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
@@ -299,8 +288,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # --rule and --max-iter steer the facet solves; the oracle reads no flag
-    if _ignored_flag(args, ["facet", "oracle"], flags=("tol_feas",)):
-        return EXIT_INPUT_ERROR
     rule, max_iter = _rule_and_max_iter(args)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     if not kinds or not set(kinds) <= set(generators.RANDOM_KINDS):
@@ -364,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="facet pivot entering rule (default max-dev)")
         sp_.add_argument("--max-iter", type=int, default=None,
                          help="pivot limit of the facet and dantzig solvers (default 10000)")
-        sp_.add_argument("--tol-feas", type=float, default=None,
-                         help="absolute feasibility tolerance override (facet only)")
 
     p_solve = sub.add_parser("solve", help="solve one instance from a file")
     p_solve.add_argument("path")

@@ -183,20 +183,19 @@ def select_entering(
     base: Base,
     state: SolverState,
     rule: PivotRule,
-    row_tols: np.ndarray | None = None,
+    row_tols: np.ndarray,
     row_norms: np.ndarray | None = None,
 ) -> int | None:
     """Pick the violated non-base facet to enter, or None at optimality,
     from the state's residuals. A row whose tolerance is infinite is never
-    violated; ``solve`` gives one to each row it finds redundant.
+    violated; ``solve`` gives one to each row it finds redundant. Only the
+    max-norm-dev rule reads ``row_norms``.
 
     Violated equality rows take absolute priority over violated inequality
     rows; within the eligible class the pivot rule decides, ties going to the
     least row index.
     """
     sigma = state.sigma
-    if row_tols is None:
-        row_tols = sp.row_tolerances()
     m = sp.m
     violated = sigma < -row_tols
     if m:
@@ -215,8 +214,6 @@ def select_entering(
         return int(pool[0])
     deviation = np.abs(sigma[pool])
     if rule is PivotRule.MAX_NORMALIZED_DEVIATION:
-        if row_norms is None:
-            row_norms = sp.row_norms()
         # a violated all-zero row gets infinite priority: entering, it
         # certifies infeasibility at once
         with np.errstate(divide="ignore"):
@@ -325,42 +322,48 @@ def pivot(
     audit's basic-solution bound, the base is factored afresh and y_c, x
     and the residuals solved again. Returns ``base`` and a new state;
     ``state`` is left as it was. When ``linalg.factor`` finds the new base
-    singular, index s is restored and its SingularMatrix raised again,
-    naming both rows.
+    singular, on either path, its SingularMatrix is raised again naming
+    both rows. Where ``replace_row`` had declined, index s is restored and
+    ``base`` is as it was; where the check's rebuild raised, ``base`` holds
+    p and its updated inverse.
     """
     q = base.indices[s]
     base.indices[s] = p
+    # only factor raises SingularMatrix; fact is still None in the handler
+    # only where replace_row declined, which leaves the old factors intact
+    fact = linalg.replace_row(base.fact, s, y_p)
     try:
-        # only factor raises it, after replace_row declined and left the old
-        # factors intact
-        fact = linalg.replace_row(base.fact, s, y_p) or linalg.factor(sp.rows(base.indices))
+        if fact is None:
+            fact = linalg.factor(sp.rows(base.indices))
+        base.is_eq[s] = p < sp.m
+        base.fact = fact
+
+        new = _iterate(sp, base)
+        # an updated inverse drifts from the base it stands for, so its
+        # iterate is checked at the audit's basic-solution bound, which
+        # scales with the largest rhs of the base: a row's own 1 + |b_i|
+        # would flag the rounding of a product with a large x (near 2.4e15
+        # on km1 at d=12) on rows whose b_i is small. The bound is never
+        # below TOL_LIN, so most pivots stop at that first test; argmax
+        # finds max's entry without a reduction
+        if fact.updates:
+            rows = base.indices
+            res = np.abs(new.sigma[rows])
+            worst = res[res.argmax()]
+            if worst > TOL_LIN:
+                b_B = np.abs(sp.b[rows])
+                if worst > TOL_LIN * (1.0 + b_B[b_B.argmax()]):
+                    base.fact = linalg.factor(sp.rows(rows))
+                    new = _iterate(sp, base)
     except SingularMatrix as exc:
-        base.indices[s] = q
+        if fact is None:
+            base.indices[s] = q
         raise SingularMatrix(
             f"pivot {p}<->{q} produced a singular base, which the independence "
             f"property rules out; numerical breakdown at diagonal entry "
             f"{exc.pivot_index}",
             exc.pivot_index,
         ) from exc
-    base.is_eq[s] = p < sp.m
-    base.fact = fact
-
-    new = _iterate(sp, base)
-    # an updated inverse drifts from the base it stands for, so its iterate
-    # is checked at the audit's basic-solution bound, which scales with the
-    # largest rhs of the base: a row's own 1 + |b_i| would flag the rounding
-    # of a product with a large x (near 2.4e15 on km1 at d=12) on rows whose
-    # b_i is small. The bound is never below TOL_LIN, so most pivots stop at
-    # that first test; argmax finds max's entry without a reduction
-    if fact.updates:
-        rows = base.indices
-        res = np.abs(new.sigma[rows])
-        worst = res[res.argmax()]
-        if worst > TOL_LIN:
-            b_B = np.abs(sp.b[rows])
-            if worst > TOL_LIN * (1.0 + b_B[b_B.argmax()]):
-                base.fact = linalg.factor(sp.rows(rows))
-                new = _iterate(sp, base)
     return base, new
 
 
@@ -371,19 +374,16 @@ def solve(
     *,
     collect_trace: bool = False,
     audit: bool = False,
-    tol_feas: float | None = None,
 ) -> SolveOutcome:
     """Run the facet pivot loop to a terminal status.
 
-    ``tol_feas`` overrides the per-row violation tolerances with one
-    absolute value on every row, as ``violations`` reads it. ``audit``
-    checks the four runtime invariants after every pivot and records base
-    index sets to detect revisits. After ``STALL_ITERATIONS`` pivots
-    without objective progress the rule switches to the least-index rule,
-    whose termination guarantee breaks any cycling.
+    ``audit`` checks the four runtime invariants after every pivot and
+    records base index sets to detect revisits. After ``STALL_ITERATIONS``
+    pivots without objective progress the rule switches to the least-index
+    rule, whose termination guarantee breaks any cycling.
     """
     c = sp.c_original
-    row_tols = sp.feasibility_tolerances(tol_feas)
+    row_tols = sp.row_tolerances()
     row_norms = sp.row_norms() if rule is PivotRule.MAX_NORMALIZED_DEVIATION else None
 
     base, state = initial_state(sp)

@@ -179,15 +179,6 @@ class StandardGeneralLP:
         """Per-row violation tolerances, scaled by each row's own rhs."""
         return TOL_FEAS_BASE * (1.0 + np.abs(self.b))
 
-    def feasibility_tolerances(self, tol_feas: float | None = None) -> np.ndarray:
-        """Every feasibility verdict's per-row tolerances: ``row_tolerances()``,
-        or ``tol_feas`` on every row. A NaN or negative ``tol_feas`` is refused."""
-        if tol_feas is None:
-            return self.row_tolerances()
-        if not tol_feas >= 0:
-            raise NonFiniteData(f"tol_feas must be a nonnegative number, got {tol_feas!r}")
-        return np.full(self.num_rows, tol_feas)
-
     def feasible(self, sigma: np.ndarray, tols: np.ndarray) -> np.ndarray | np.bool_:
         """Whether the residuals ``sigma`` (rows on the last axis) are
         feasible: sigma >= -tol on every row and sigma <= tol on the equality
@@ -282,19 +273,16 @@ def residuals(sp: StandardGeneralLP, x: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def violations(
-    sp: StandardGeneralLP, x: np.ndarray, tol_feas: float | None = None
-) -> ViolationReport:
+def violations(sp: StandardGeneralLP, x: np.ndarray) -> ViolationReport:
     """Componentwise residuals of every stacked row at x, and whether x is
     feasible: within each row's own tolerance, as in pricing and the
-    oracle, or within ``tol_feas`` on every row when it is given."""
+    oracle."""
     x = np.asarray(x, dtype=float)
     if x.shape != (sp.d,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({sp.d},)")
-    tols = sp.feasibility_tolerances(tol_feas)
     sigma = residuals(sp, x)
     return ViolationReport(sigma[: sp.m], sigma[sp.m:], sp.max_violation(sigma),
-                           is_feasible=bool(sp.feasible(sigma, tols)))
+                           is_feasible=bool(sp.feasible(sigma, sp.row_tolerances())))
 
 
 def objective_value(p: GeneralLP, x: np.ndarray) -> float:

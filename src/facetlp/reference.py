@@ -317,9 +317,7 @@ def _bases(N: int, d: int) -> np.ndarray:
     return combos
 
 
-def brute_force_optimal(
-    sp: StandardGeneralLP, cap: int = ENUMERATION_CAP
-) -> SolveOutcome:
+def brute_force_optimal(sp: StandardGeneralLP) -> SolveOutcome:
     """Enumerate every d-subset of facets, solve the square systems in bulk,
     and keep the best feasible basic solution.
 
@@ -352,8 +350,8 @@ def brute_force_optimal(
     """
     N, d = sp.num_rows, sp.d
     count = math.comb(N, d)
-    if count > cap:
-        raise TooLarge(f"{count} bases exceed the enumeration cap {cap}")
+    if count > ENUMERATION_CAP:
+        raise TooLarge(f"{count} bases exceed the enumeration cap {ENUMERATION_CAP}")
 
     bases = _bases(N, d)
     A = sp.rows(np.arange(N))  # the stacked matrix, small under the cap

@@ -26,7 +26,7 @@ from facetlp.facet import (
     select_leaving,
     solve,
 )
-from facetlp.errors import NonFiniteData, NumericalBreakdown, SingularMatrix
+from facetlp.errors import NumericalBreakdown, SingularMatrix
 from facetlp.generators import (
     CYCLING_FIXTURE_IDS,
     KM1_MAX_D,
@@ -125,7 +125,7 @@ class TestInitialState:
         base, state = initial_state(sp)
         inv = base.fact.inv
         assert inv.flags.f_contiguous
-        p = select_entering(sp, base, state, PivotRule.MAX_DEVIATION)
+        p = select_entering(sp, base, state, PivotRule.MAX_DEVIATION, sp.row_tolerances())
         y_p = expand_entering(base, sp.rows(p))
         s, _ = select_leaving(p, float(state.sigma[p]), y_p, state.y_c, base)
         base, state = pivot(sp, base, state, p, s, y_p)
@@ -153,7 +153,8 @@ class TestSelectEntering:
         base, state = initial_state(sp)
         state.x = np.array([0.0, 0.0, 7.0])  # the optimizer: nothing violated
         state.sigma = residuals(sp, state.x)
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION) is None
+        row_tols = sp.row_tolerances()
+        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) is None
 
     def test_equality_priority_is_absolute(self):
         # equality off by 0.1 must beat an inequality violated by 100
@@ -165,7 +166,7 @@ class TestSelectEntering:
         )
         sp = to_standard_general(p)
         base, state = initial_state(sp)  # x0 = (0, 0)
-        p_row = select_entering(sp, base, state, PivotRule.MAX_DEVIATION)
+        p_row = select_entering(sp, base, state, PivotRule.MAX_DEVIATION, sp.row_tolerances())
         assert p_row == 0
 
     def test_base_and_removed_rows_never_enter(self):
@@ -197,8 +198,9 @@ class TestSelectEntering:
         )
         sp = to_standard_general(p)
         base, state = initial_state(sp)  # x0 = (0,0): residuals -3 and -7
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION) == 1
-        assert select_entering(sp, base, state, PivotRule.LEAST_INDEX) == 0
+        row_tols = sp.row_tolerances()
+        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) == 1
+        assert select_entering(sp, base, state, PivotRule.LEAST_INDEX, row_tols) == 0
 
     def test_normalized_rule_divides_by_row_norm(self):
         # row 0 violated by 4 with norm 4; row 1 violated by 3 with norm 1:
@@ -210,9 +212,10 @@ class TestSelectEntering:
         )
         sp = to_standard_general(p)
         base, state = initial_state(sp)
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION) == 0
+        row_tols, row_norms = sp.row_tolerances(), sp.row_norms()
+        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) == 0
         assert select_entering(
-            sp, base, state, PivotRule.MAX_NORMALIZED_DEVIATION
+            sp, base, state, PivotRule.MAX_NORMALIZED_DEVIATION, row_tols, row_norms
         ) == 1
 
     @pytest.mark.parametrize("rule", list(PivotRule))
@@ -237,7 +240,7 @@ class TestSelectEntering:
             for removed in itertools.combinations(violated, size):
                 row_tols = sp.row_tolerances()
                 row_tols[list(removed)] = np.inf
-                got = select_entering(sp, base, state, rule, row_tols)
+                got = select_entering(sp, base, state, rule, row_tols, sp.row_norms())
                 if size == len(violated):
                     assert got is None
                 else:
@@ -258,9 +261,11 @@ class TestSelectEntering:
         sp = to_standard_general(p)
         base, state = initial_state(sp)
         m = sp.m
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION) == m + 1
-        assert select_entering(sp, base, state, PivotRule.MAX_NORMALIZED_DEVIATION) == m
-        row_tols = sp.row_tolerances()
+        row_tols, row_norms = sp.row_tolerances(), sp.row_norms()
+        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) == m + 1
+        assert select_entering(
+            sp, base, state, PivotRule.MAX_NORMALIZED_DEVIATION, row_tols, row_norms
+        ) == m
         row_tols[m + 1] = np.inf
         assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) == m
 
@@ -277,7 +282,8 @@ class TestSelectEntering:
         state.sigma = residuals(sp, state.x)
         np.testing.assert_array_equal(state.sigma[:2], [2.0, -2.0])
         for rule in (PivotRule.MAX_DEVIATION, PivotRule.MAX_NORMALIZED_DEVIATION):
-            assert select_entering(sp, base, state, rule) == 0
+            assert select_entering(
+                sp, base, state, rule, sp.row_tolerances(), sp.row_norms()) == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_violated_zero_row_enters_first_and_proves_infeasibility(self):
@@ -517,7 +523,9 @@ class TestPivot:
 
         monkeypatch.setattr(linalg, "solve", recording_solve)
         pivots = 0
-        while (p := select_entering(sp, base, state, PivotRule.MAX_DEVIATION)) is not None:
+        row_tols = sp.row_tolerances()
+        while (p := select_entering(sp, base, state, PivotRule.MAX_DEVIATION,
+                                    row_tols)) is not None:
             y_p = expand_entering(base, sp.rows(p))
             s, _ = select_leaving(p, float(state.sigma[p]), y_p, state.y_c, base)
             solve_rhs.clear()
@@ -538,9 +546,10 @@ class TestPivot:
             p = random_instance(seed, 3, 1, 4, "feasible")
             sp = to_standard_general(p)
             base, state = initial_state(sp)
+            row_tols = sp.row_tolerances()
             for _ in range(40):
                 sigma = residuals(sp, state.x)
-                row = select_entering(sp, base, state, PivotRule.MAX_DEVIATION)
+                row = select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols)
                 if row is None:
                     break
                 y_p = expand_entering(base, sp.rows(row))
@@ -738,20 +747,6 @@ class TestSolveOptions:
         assert {r.rule for r in out.trace} == {"max-dev", "least-index"}
         assert not out.audit.base_repeated
 
-    def test_tol_feas_override_short_circuits(self):
-        sp = to_standard_general(klee_minty_v2(3))
-        out = solve(sp, tol_feas=1e99)
-        assert out.iterations == 0
-
-    def test_nan_or_negative_tol_feas_is_refused(self):
-        # a NaN tolerance makes every violation test false, so the big-M
-        # start corner would be reported as the answer
-        sp = to_standard_general(klee_minty_v2(3))
-        for bad in (np.nan, -1.0):
-            with pytest.raises(NonFiniteData):
-                solve(sp, tol_feas=bad)
-        assert solve(sp, tol_feas=0.0).objective == -7.0
-
     def test_dependent_equality_note_reaches_certificate_and_trace(self):
         p = GeneralLP(c=[1.0, 1.0],
                       A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 3.0],
@@ -868,6 +863,38 @@ class TestBaseFactorizationPaths:
             assert out.status is clean.status is Status.OPTIMAL, shift
             assert abs(out.objective - clean.objective) <= 1e-9 * (1.0 + abs(clean.objective))
             assert out.audit.violations == [] and not out.audit.base_repeated, shift
+
+    def test_singular_rebuild_names_both_rows(self, monkeypatch):
+        # the first pivot's updated inverse is shifted by 1e-6 times
+        # max|inv|, so its x fails the residual check, and the fresh
+        # factorization of the rebuild finds the base singular: the error
+        # names both rows, and the base keeps p and its updated inverse
+        sp = to_standard_general(klee_minty_v2(6))
+        base, state = initial_state(sp)
+        row_tols = sp.row_tolerances()
+        p = select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols)
+        y_p = expand_entering(base, sp.rows(p))
+        s, _ = select_leaving(p, float(state.sigma[p]), y_p, state.y_c, base)
+        q = int(base.indices[s])
+        replace_row = linalg.replace_row
+        updated = []
+
+        def corrupting_replace_row(*args):
+            f = replace_row(*args)
+            f.inv[:] += 1e-6 * np.abs(f.inv).max()
+            updated.append(f)
+            return f
+
+        def singular_factor(m):
+            raise SingularMatrix("matrix is singular (pivot 2)", 2)
+
+        monkeypatch.setattr(linalg, "replace_row", corrupting_replace_row)
+        monkeypatch.setattr(linalg, "factor", singular_factor)
+        with pytest.raises(SingularMatrix,
+                           match=rf"^pivot {p}<->{q} produced a singular base") as exc:
+            pivot(sp, base, state, p, s, y_p)
+        assert exc.value.pivot_index == 2
+        assert base.indices[s] == p and base.fact is updated[0]
 
     @pytest.mark.parametrize(
         "lp", [klee_minty_v1(16), workloads.dense_lp(np.random.default_rng(0), 40)],
@@ -989,7 +1016,7 @@ def test_steps_agree_at_every_pivot(monkeypatch):
     real_entering, real_leaving = facet.select_entering, facet.select_leaving
     removed, seen = set(), {"sole": 0, "not sole": 0, "certified": 0}
 
-    def checked_entering(sp, base, state, rule, row_tols=None, row_norms=None):
+    def checked_entering(sp, base, state, rule, row_tols, row_norms=None):
         got = real_entering(sp, base, state, rule, row_tols, row_norms)
         assert got == _full_mask_select_entering(sp, base, state.sigma, rule, removed)
         return got

@@ -183,9 +183,9 @@ class TestViolations:
             violations(sp, np.zeros(2))
 
     def test_feasibility_verdict_matches_componentwise_formula(self):
-        """The verdict reads each row's own tolerance, 1e-8 * (1 + |b_i|), or
-        tol_feas on every row: |sigma| within it on the equality rows and
-        sigma at least its negative on the others."""
+        """The verdict reads each row's own tolerance, 1e-8 * (1 + |b_i|):
+        |sigma| within it on the equality rows and sigma at least its
+        negative on the others."""
         rng = np.random.default_rng(17)
         cube = klee_minty_v2(4)
         # the cube plus the equality x_3 = 15, which its optimum satisfies
@@ -199,15 +199,13 @@ class TestViolations:
             # wide points, and points within a few tolerances of the optimum
             scale = (4.0, 1e-7, 1e-8)[k % 3]
             x = x_opt + rng.normal(scale=scale, size=sp.d)
-            for tol_feas in (None, 2e-8):
-                rep = violations(sp, x, tol_feas)
-                tol = 1e-8 * (1.0 + np.abs(sp.b)) if tol_feas is None else np.full(
-                    sp.num_rows, tol_feas)
-                formula = bool(np.all(np.abs(rep.sigma_eq) <= tol[:1])
-                               and np.all(rep.sigma_ineq >= -tol[1:]))
-                assert rep.is_feasible == formula
-                verdicts.add((tol_feas, formula))
-        assert len(verdicts) == 4
+            rep = violations(sp, x)
+            tol = 1e-8 * (1.0 + np.abs(sp.b))
+            formula = bool(np.all(np.abs(rep.sigma_eq) <= tol[:1])
+                           and np.all(rep.sigma_ineq >= -tol[1:]))
+            assert rep.is_feasible == formula
+            verdicts.add(formula)
+        assert verdicts == {True, False}
 
     def test_violation_far_beyond_its_row_tolerance_is_infeasible(self):
         """A single width for every row, 1e-8 * (1 + max |b|), is 1,525.9 at
@@ -222,12 +220,6 @@ class TestViolations:
         assert not rep.is_feasible
         assert rep.max_abs_violation == 1000.0
 
-    @pytest.mark.parametrize("tol_feas", [np.nan, -1e-8])
-    def test_nan_or_negative_tol_feas_is_refused(self, tol_feas):
-        sp = to_standard_general(klee_minty_v2(3))
-        with pytest.raises(NonFiniteData, match="tol_feas"):
-            violations(sp, np.array([0.0, 0.0, 7.0]), tol_feas=tol_feas)
-
 
 class TestFeasible:
     def test_stacked_residuals_and_nan(self):
@@ -236,7 +228,7 @@ class TestFeasible:
         p = GeneralLP(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
                       lower=[0.0, 0.0], upper=[1.0, 1.0])
         sp = to_standard_general(p)
-        tols = sp.feasibility_tolerances()
+        tols = sp.row_tolerances()
         sigma = np.zeros((5, sp.num_rows))
         sigma[1, 0] = 1.0   # equality row over
         sigma[2, 0] = -1.0  # equality row under
@@ -255,7 +247,7 @@ class TestFeasible:
                       A_ineq=[[1.0, -1.0, 1.0]], b_ineq=[0.0])
         sp = to_standard_general(p)
         assert sp.m == 2
-        tols = sp.feasibility_tolerances()
+        tols = sp.row_tolerances()
         rng = np.random.default_rng(0)
         S = np.abs(rng.standard_normal((sp.num_rows, 40)))  # rows x bases
         S[: sp.m] = rng.choice([0.0, 1e-12, -1e-12, 0.5, -0.5], size=(sp.m, 40))
@@ -271,12 +263,6 @@ class TestFeasible:
         np.testing.assert_array_equal(got, want)
         assert want[11] and not want[[5, 7, 9, 12]].any()
         assert 0 < want.sum() < want.size
-
-    def test_feasibility_tolerances(self):
-        sp = to_standard_general(klee_minty_v2(3))
-        np.testing.assert_array_equal(sp.feasibility_tolerances(), sp.row_tolerances())
-        np.testing.assert_array_equal(sp.feasibility_tolerances(0.5),
-                                      np.full(sp.num_rows, 0.5))
 
 
 class TestObjectiveValue:

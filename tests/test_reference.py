@@ -216,10 +216,11 @@ class TestBruteForceOracle:
             assert out.status == base_out.status
             assert out.objective == pytest.approx(base_out.objective, rel=1e-12)
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
         sp = to_standard_general(random_instance(0, 5, 2, 8, "feasible"))
+        monkeypatch.setattr(reference, "ENUMERATION_CAP", 100)
         with pytest.raises(TooLarge):
-            brute_force_optimal(sp, cap=100)
+            brute_force_optimal(sp)
 
 
 def _verdict_cases():
@@ -675,8 +676,9 @@ class TestOracleEnumeration:
 
         sp = to_standard_general(random_instance(0, 5, 2, 8, "feasible"))
         monkeypatch.setattr(reference, "_bases", refuse)
+        monkeypatch.setattr(reference, "ENUMERATION_CAP", 100)
         with pytest.raises(TooLarge):
-            brute_force_optimal(sp, cap=100)
+            brute_force_optimal(sp)
 
     def test_iterations_count_every_subset(self):
         sp = to_standard_general(random_instance(0, 5, 2, 8, "feasible"))
