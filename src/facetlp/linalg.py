@@ -17,16 +17,29 @@ Only ``factor`` reads matrix entries, and only it decides singularity: it
 raises SingularMatrix instead of returning factors of a singular matrix,
 so every factorization can be solved. The one other constructor,
 ``signed_identity``, takes the signs of a diagonal of +-1, which is its own
-inverse: the solver's start base. LAPACK and BLAS are called directly
-(scipy's wrappers' per-call overhead dominates at small d).
+inverse: the solver's start base.
+
+LAPACK and BLAS are called directly, as dgetrf, dgetri, dgetri_lwork, dgemv
+and dger (scipy's wrappers' per-call overhead dominates at small d). They
+come from scipy's compiled modules ``_flapack`` and ``_fblas``, loaded from
+the ``linalg`` directory of the scipy package. The package ``scipy.linalg``
+is not imported: its ``__init__`` pulls in scipy's array-API layer, which
+imports numpy.f2py, numpy.testing, numpy.random and numpy.ma, none of which
+the solver uses, and which made ``import facetlp`` take three times as long
+(README, "Start-up"). The function objects are scipy's own, the very ones
+``scipy.linalg.get_lapack_funcs`` and ``get_blas_funcs`` return for
+float64, whichever of the two is imported first.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
 
 import numpy as np
-import scipy.linalg
 
 from facetlp.errors import DimensionMismatch, SingularMatrix
 
@@ -35,12 +48,35 @@ NEAR_SINGULAR_FACTOR = 1e3
 
 _TINY = np.finfo(float).tiny
 
-_getrf, _getri, _getri_lwork = scipy.linalg.get_lapack_funcs(
-    ("getrf", "getri", "getri_lwork"), dtype=np.float64
-)
+# find_spec locates the scipy package without importing it
+_LINALG_DIR = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                           "linalg")
+
+
+def _compiled(name: str):
+    """scipy's compiled module ``scipy.linalg.<name>``, loaded from its file
+    in ``_LINALG_DIR`` without running ``scipy/linalg/__init__.py``.
+    ImportError, naming the directory, when no such module is there. The
+    interpreter files a single-phase extension module in sys.modules as it
+    loads it; that entry is taken out again unless it was there before, so
+    that a later ``import scipy.linalg`` binds the module to its package."""
+    spec = PathFinder.find_spec(f"scipy.linalg.{name}", [_LINALG_DIR])
+    if spec is None:
+        raise ImportError(f"no compiled module {name} in {_LINALG_DIR}")
+    known = spec.name in sys.modules
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not known:
+        sys.modules.pop(spec.name, None)
+    return module
+
+
+_flapack = _compiled("_flapack")
+_getrf, _getri, _getri_lwork = _flapack.dgetrf, _flapack.dgetri, _flapack.dgetri_lwork
 # BLAS is called through scipy, not numpy: with unpinned threads numpy's
 # own pool contends with scipy's
-_gemv, _ger = scipy.linalg.get_blas_funcs(("gemv", "ger"), dtype=np.float64)
+_fblas = _compiled("_fblas")
+_gemv, _ger = _fblas.dgemv, _fblas.dger
 
 
 @dataclass(slots=True)

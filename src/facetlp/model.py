@@ -167,14 +167,6 @@ class StandardGeneralLP:
         """The Euclidean norm of every stacked row; a bound row's is 1."""
         return np.concatenate([np.linalg.norm(self.G, axis=1), np.ones(2 * self.d)])
 
-    @property
-    def e_block(self) -> slice:
-        return slice(self.m + self.n, self.m + self.n + self.d)
-
-    @property
-    def f_block(self) -> slice:
-        return slice(self.m + self.n + self.d, self.m + self.n + 2 * self.d)
-
     def row_tolerances(self) -> np.ndarray:
         """Per-row violation tolerances, scaled by each row's own rhs."""
         return TOL_FEAS_BASE * (1.0 + np.abs(self.b))

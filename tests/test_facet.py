@@ -485,7 +485,7 @@ class TestPivot:
         # objective handed in below the one before it are flagged
         sp = to_standard_general(
             GeneralLP(c=[1.0, 2.0], lower=[0.0, 0.0], upper=[5.0, 9.0]))
-        rows = np.arange(sp.f_block.start, sp.f_block.stop)
+        rows = np.arange(sp.m + sp.n + sp.d, sp.m + sp.n + 2 * sp.d)
         fact = linalg.factor(sp.rows(rows))
         x = linalg.solve(fact, sp.b[rows])
         y_c = linalg.solve_transpose(fact, sp.c_original)

@@ -1,4 +1,7 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,3 +298,50 @@ def test_flags_match_a_scan_of_every_pivot():
             assert linalg._near_singular(row_sums, diagonal) is near
         seen.add((singular, near))
     assert seen == {(True, False), (False, True), (False, False)}
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _in_fresh_interpreter(code: str) -> None:
+    """Run ``code`` in a new interpreter with ``src`` on the path; fail with
+    its stderr if it raises."""
+    prelude = f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+    done = subprocess.run([sys.executable, "-c", prelude + code],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_loads_neither_scipy_linalg_nor_f2py():
+    _in_fresh_interpreter(
+        "import facetlp, facetlp.cli\n"
+        "names = ('scipy.linalg', 'numpy.f2py', 'scipy.linalg._flapack', 'scipy.linalg._fblas')\n"
+        "loaded = [name for name in names if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+@pytest.mark.parametrize("first, second", [("facetlp", "scipy.linalg"),
+                                           ("scipy.linalg", "facetlp")])
+def test_kernels_are_the_ones_scipy_linalg_hands_out(first, second):
+    _in_fresh_interpreter(
+        f"import {first}\n"
+        f"import {second}\n"
+        "import numpy as np\n"
+        "from facetlp import linalg\n"
+        "lapack = scipy.linalg.get_lapack_funcs(('getrf', 'getri', 'getri_lwork'),"
+        " dtype=np.float64)\n"
+        "blas = scipy.linalg.get_blas_funcs(('gemv', 'ger'), dtype=np.float64)\n"
+        "ours = (linalg._getrf, linalg._getri, linalg._getri_lwork, linalg._gemv, linalg._ger)\n"
+        "assert all(a is b for a, b in zip(ours, lapack + blas, strict=True))\n"
+        "assert scipy.linalg._flapack.dgetrf is linalg._getrf\n"
+        "assert scipy.linalg._fblas.dger is linalg._ger\n"
+        "np.testing.assert_array_equal(scipy.linalg.lu_factor(np.eye(2))[1], [0, 1])\n"
+    )
+
+
+def test_missing_compiled_module_names_the_directory():
+    with pytest.raises(ImportError) as exc:
+        linalg._compiled("_no_such_module")
+    assert str(exc.value) == f"no compiled module _no_such_module in {linalg._LINALG_DIR}"
+    assert Path(linalg._LINALG_DIR).is_dir()

@@ -37,6 +37,16 @@ def _block(sp, rows: slice) -> np.ndarray:
     return sp.rows(range(sp.num_rows)[rows])
 
 
+def _e_rows(sp) -> slice:
+    """The E block: the d bound rows after the m + n general rows."""
+    return slice(sp.m + sp.n, sp.m + sp.n + sp.d)
+
+
+def _f_rows(sp) -> slice:
+    """The F block: the last d bound rows, the negations of E's."""
+    return slice(sp.m + sp.n + sp.d, sp.m + sp.n + 2 * sp.d)
+
+
 def _stacked(p: GeneralLP, sp) -> np.ndarray:
     """The dense stacked matrix [A_eq; A_ineq; E; F] that ``to_standard_general``
     once stored, rebuilt from the problem and the E signs."""
@@ -55,14 +65,14 @@ class TestToStandardGeneral:
         sp = to_standard_general(p)
         np.testing.assert_array_equal(sp.c_original, [1.0, -2.0])
         # the start's expansion coefficients, solved from the E block
-        y_c = np.linalg.solve(_block(sp, sp.e_block).T, sp.c_original)
+        y_c = np.linalg.solve(_block(sp, _e_rows(sp)).T, sp.c_original)
         np.testing.assert_array_equal(y_c, [1.0, 2.0])
-        e = _block(sp, sp.e_block)
-        f = _block(sp, sp.f_block)
+        e = _block(sp, _e_rows(sp))
+        f = _block(sp, _f_rows(sp))
         np.testing.assert_array_equal(e, np.diag([1.0, -1.0]))
         np.testing.assert_array_equal(f, np.diag([-1.0, 1.0]))
-        np.testing.assert_array_equal(sp.b[sp.e_block], [0.0, -20.0])
-        np.testing.assert_array_equal(sp.b[sp.f_block], [-10.0, 0.0])
+        np.testing.assert_array_equal(sp.b[_e_rows(sp)], [0.0, -20.0])
+        np.testing.assert_array_equal(sp.b[_f_rows(sp)], [-10.0, 0.0])
         assert not sp.artificial_rows
 
     def test_negative_zero_cost_is_cleared(self):
@@ -73,10 +83,10 @@ class TestToStandardGeneral:
     def test_infinite_upper_bound_becomes_artificial_row(self):
         p = GeneralLP(c=[0.0], lower=[0.0], upper=[np.inf])
         sp = to_standard_general(p)  # M = 1e7 * max(1, |lower|)
-        np.testing.assert_array_equal(_block(sp, sp.e_block), [[1.0]])
-        np.testing.assert_array_equal(sp.b[sp.e_block], [0.0])
-        np.testing.assert_array_equal(_block(sp, sp.f_block), [[-1.0]])
-        np.testing.assert_array_equal(sp.b[sp.f_block], [-1e7])
+        np.testing.assert_array_equal(_block(sp, _e_rows(sp)), [[1.0]])
+        np.testing.assert_array_equal(sp.b[_e_rows(sp)], [0.0])
+        np.testing.assert_array_equal(_block(sp, _f_rows(sp)), [[-1.0]])
+        np.testing.assert_array_equal(sp.b[_f_rows(sp)], [-1e7])
         # the F row is the artificial one (index m+n+d)
         assert sp.artificial_rows == frozenset({1})
 
@@ -101,12 +111,12 @@ class TestToStandardGeneral:
         p = klee_minty_v1(3)
         sp = to_standard_general(p)
         big_m = default_big_m(p)
-        np.testing.assert_array_equal(_block(sp, sp.e_block), -np.eye(3))
-        np.testing.assert_array_equal(sp.b[sp.e_block], [-big_m] * 3)
-        np.testing.assert_array_equal(_block(sp, sp.f_block), np.eye(3))
-        np.testing.assert_array_equal(sp.b[sp.f_block], [0.0] * 3)
+        np.testing.assert_array_equal(_block(sp, _e_rows(sp)), -np.eye(3))
+        np.testing.assert_array_equal(sp.b[_e_rows(sp)], [-big_m] * 3)
+        np.testing.assert_array_equal(_block(sp, _f_rows(sp)), np.eye(3))
+        np.testing.assert_array_equal(sp.b[_f_rows(sp)], [0.0] * 3)
         # E x0 = b_L  =>  x0 = (M, M, M)
-        x0 = np.linalg.solve(_block(sp, sp.e_block), sp.b[sp.e_block])
+        x0 = np.linalg.solve(_block(sp, _e_rows(sp)), sp.b[_e_rows(sp)])
         np.testing.assert_array_equal(x0, [big_m] * 3)
 
     def test_e_and_f_blocks_are_opposite_diagonals(self):
@@ -119,7 +129,7 @@ class TestToStandardGeneral:
                 upper=rng.integers(1, 6, d).astype(float),
             )
             sp = to_standard_general(p)
-            e, f = _block(sp, sp.e_block), _block(sp, sp.f_block)
+            e, f = _block(sp, _e_rows(sp)), _block(sp, _f_rows(sp))
             np.testing.assert_array_equal(e, -f)
             np.testing.assert_array_equal(np.abs(np.diag(e)), np.ones(d))
             assert np.all(np.linalg.solve(e.T, sp.c_original) >= 0)
@@ -138,7 +148,7 @@ class TestToStandardGeneral:
             )
             sp = to_standard_general(p)
             x = rng.normal(size=d)
-            e = _block(sp, sp.e_block)
+            e = _block(sp, _e_rows(sp))
             reconstructed = float(np.linalg.solve(e.T, sp.c_original) @ (e @ x))
             assert reconstructed == pytest.approx(float(p.c @ x), abs=1e-12)
 
@@ -150,7 +160,7 @@ class TestToStandardGeneral:
             hi = rng.integers(1, 7, d).astype(float)
             c = rng.integers(-5, 6, d).astype(float)
             sp = to_standard_general(GeneralLP(c=c, lower=lo, upper=hi))
-            x0 = np.linalg.solve(_block(sp, sp.e_block), sp.b[sp.e_block])
+            x0 = np.linalg.solve(_block(sp, _e_rows(sp)), sp.b[_e_rows(sp)])
             for i in range(d):
                 assert x0[i] == (hi[i] if c[i] < 0 else lo[i])
                 assert c[i] * x0[i] == min(c[i] * lo[i], c[i] * hi[i])
