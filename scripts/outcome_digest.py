@@ -35,7 +35,8 @@ Run it on two checkouts with BLAS pinned to one thread, then compare:
 Where they differ, ``--against a.jsonl -o b.jsonl`` writes b.jsonl and
 prints what moved: per field, the number of lines whose value changed;
 every change of status, iteration count, final base, redundant rows or
-audit violations; and the largest relative move of an objective.
+audit violations; and the largest relative move of an objective. It exits
+1 when any line moved, and 0 when none did.
 
 ``--quick`` runs a small subset of each part.
 """
@@ -254,7 +255,10 @@ def main(argv: list[str] | None = None) -> None:
         if out is not sys.stdout:
             out.close()
     if args.against:
-        print("\n".join(compare(_read(args.against), _read(args.output))))
+        old, new = _read(args.against), _read(args.output)
+        print("\n".join(compare(old, new)))
+        if old != new:
+            raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -65,12 +65,12 @@ class Status(Enum):
 
 @dataclass
 class Base:
-    """The d facets of the base in slot order: their row indices, equality
-    flags and the factors of A_B = ``sp.rows(indices)``. Owned by one solve; a
-    pivot writes slot s of each in place."""
+    """The d facets of the base in slot order: their row indices and the
+    factors of A_B = ``sp.rows(indices)``. A slot holds an equality row
+    exactly when its index is below ``sp.m``. Owned by one solve; a pivot
+    writes slot s of ``indices`` and updates or replaces ``fact``."""
 
     indices: np.ndarray
-    is_eq: np.ndarray
     fact: linalg.SquareFactorization
 
 
@@ -165,7 +165,7 @@ def initial_state(sp: StandardGeneralLP) -> tuple[Base, SolverState]:
     objective. Both are exact, bit for bit what solves from factors of E
     give."""
     g, d, e = sp.m + sp.n, sp.d, sp.e_diag
-    base = Base(np.arange(g, g + d), np.zeros(d, dtype=bool), linalg.signed_identity(e))
+    base = Base(np.arange(g, g + d), linalg.signed_identity(e))
     x = e * sp.b[g : g + d] + 0.0  # + 0.0 clears -0.0, as the solve's sum does
     return base, SolverState(x, e * sp.c_original, residuals(sp, x))
 
@@ -241,7 +241,7 @@ def check_infeasible(
     inequality member, or an over-violated equality facet whose expansion is
     nonnegative there, certifies an empty feasible set.
     """
-    y_ineq = y_p[~base.is_eq]
+    y_ineq = y_p[base.indices >= sp.m]
     if sigma_p < 0 and (y_ineq <= TOL_SIGN).all():
         case = 1
     elif p < sp.m and sigma_p > 0 and (y_ineq >= -TOL_SIGN).all():
@@ -261,7 +261,7 @@ def check_infeasible(
 
 
 def select_leaving(
-    p: int,
+    sp: StandardGeneralLP,
     sigma_p: float,
     y_p: np.ndarray,
     y_c: np.ndarray,
@@ -279,8 +279,10 @@ def select_leaving(
     violated entering facet is ``check_infeasible``'s condition.
     """
     y_p = y_p if sigma_p < 0 else -y_p
-    # bools compare as 0 < 1: positive entries off the equality members
-    slots = ((y_p > TOL_SIGN) > base.is_eq).nonzero()[0]
+    eligible = y_p > TOL_SIGN
+    if sp.m:
+        eligible &= base.indices >= sp.m
+    slots = eligible.nonzero()[0]
     if slots.size < 2:
         return (int(slots[0]), True) if slots.size else None
     ratios = y_c[slots] / y_p[slots]
@@ -293,11 +295,12 @@ def select_leaving(
     return int(slots[i]), False
 
 
-def detect_leaving_redundant(s: int, y_p: np.ndarray, base: Base) -> bool:
+def detect_leaving_redundant(sp: StandardGeneralLP, s: int, y_p: np.ndarray,
+                             base: Base) -> bool:
     """True when every inequality member but the one in the leaving slot s
     has a nonpositive expansion entry, which proves the leaving facet can
     never bind again. The solve reads the same test off ``select_leaving``."""
-    others = ~base.is_eq
+    others = base.indices >= sp.m
     others[s] = False
     return bool((y_p[others] <= TOL_SIGN).all())
 
@@ -313,11 +316,11 @@ def pivot(
     """Swap the facet in slot s (as ``select_leaving`` returns it, so
     |y_p[s]| > ``TOL_SIGN``) out for facet p; solve the new iterate.
 
-    Index p is written into slot s of ``base`` in place, and its factors
-    are ``linalg.replace_row``'s update given y_p or, where that declines,
-    the rows ``sp.rows(base.indices)`` factored afresh. y_c and x are solved
-    from them, and their residuals A x - b computed once. One check guards
-    the iterate: if the factors are an updated inverse and the largest
+    Index p is written into slot s of ``base`` in place, and
+    ``linalg.replace_row`` updates ``base.fact`` in place given y_p or, where
+    it declines, ``sp.rows(base.indices)`` is factored afresh. y_c and x are
+    solved from the factors, and their residuals A x - b computed once. One
+    check guards the iterate: if the factors were updated and the largest
     residual on the base rows exceeds ``TOL_LIN * (1 + max |b_B|)``, the
     audit's basic-solution bound, the base is factored afresh and y_c, x
     and the residuals solved again. Returns ``base`` and a new state;
@@ -329,14 +332,12 @@ def pivot(
     """
     q = base.indices[s]
     base.indices[s] = p
-    # only factor raises SingularMatrix; fact is still None in the handler
-    # only where replace_row declined, which leaves the old factors intact
-    fact = linalg.replace_row(base.fact, s, y_p)
+    # only factor raises SingularMatrix, and it assigns nothing when it
+    # does; where replace_row declined, the old factors are intact
+    updated = linalg.replace_row(base.fact, s, y_p)
     try:
-        if fact is None:
-            fact = linalg.factor(sp.rows(base.indices))
-        base.is_eq[s] = p < sp.m
-        base.fact = fact
+        if not updated:
+            base.fact = linalg.factor(sp.rows(base.indices))
 
         new = _iterate(sp, base)
         # an updated inverse drifts from the base it stands for, so its
@@ -346,7 +347,7 @@ def pivot(
         # on km1 at d=12) on rows whose b_i is small. The bound is never
         # below TOL_LIN, so most pivots stop at that first test; argmax
         # finds max's entry without a reduction
-        if fact.updates:
+        if updated:
             rows = base.indices
             res = np.abs(new.sigma[rows])
             worst = res[res.argmax()]
@@ -356,7 +357,7 @@ def pivot(
                     base.fact = linalg.factor(sp.rows(rows))
                     new = _iterate(sp, base)
     except SingularMatrix as exc:
-        if fact is None:
+        if not updated:
             base.indices[s] = q
         raise SingularMatrix(
             f"pivot {p}<->{q} produced a singular base, which the independence "
@@ -388,7 +389,6 @@ def solve(
 
     base, state = initial_state(sp)
     iteration = 0
-    removed: set[int] = set()
     trace: list[TraceRecord] | None = [] if collect_trace else None
     audit_log = SolveAudit(seen={frozenset(base.indices.tolist())}) if audit else None
     c_scale = 1.0 + float(np.max(np.abs(c), initial=0.0)) if audit else None
@@ -418,7 +418,7 @@ def solve(
 
         sigma_p = float(sigma[p])
         y_p = expand_entering(base, sp.rows(p))
-        leaving = select_leaving(p, sigma_p, y_p, state.y_c, base)
+        leaving = select_leaving(sp, sigma_p, y_p, state.y_c, base)
         if leaving is None:
             # for a violated entering facet that is the Farkas condition
             certificate = check_infeasible(sp, p, sigma_p, y_p, base)
@@ -436,8 +436,7 @@ def solve(
         s, sole = leaving
         q = int(base.indices[s])
         if sole:
-            # the leaving row can never bind again: never let it re-enter
-            removed.add(q)
+            # the leaving row can never bind again: it is redundant, never to re-enter
             row_tols[q] = np.inf
 
         prev_objective = objective
@@ -471,7 +470,7 @@ def solve(
     return SolveOutcome(
         status=status, x_opt=x_opt, objective=objective,
         iterations=iteration, certificate=certificate,
-        redundant_rows=frozenset(removed),
+        redundant_rows=frozenset(np.isinf(row_tols).nonzero()[0].tolist()),
         basis_rows=tuple(base.indices.tolist()),
         trace=trace, audit=audit_log,
     )
@@ -506,7 +505,7 @@ def _audit_pivot(
 ) -> None:
     audit_log.record(base.indices)
 
-    y_ineq = state.y_c[~base.is_eq]
+    y_ineq = state.y_c[base.indices >= sp.m]
     if y_ineq.size and float(y_ineq.min()) < -TOL_SIGN:
         audit_log.violations.append(
             f"iter {k}: sign maintenance broken, min y_c={y_ineq.min():.3e}"

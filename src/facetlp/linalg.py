@@ -81,20 +81,14 @@ _gemv, _ger = _fblas.dgemv, _fblas.dger
 
 @dataclass(slots=True)
 class SquareFactorization:
-    """The inverse of a nonsingular d-by-d matrix M. ``inv`` is M^-1 in
-    Fortran order: a signed identity's own, or inverted from the LU of the
-    last factorization from scratch, then updated in place by ``updates``
-    row replacements. ``near_singular`` describes that LU (False for a
-    signed identity). The fields are never reassigned, but ``replace_row``
-    writes ``inv`` in place: it consumes the factorization it is given. Not
-    frozen: a frozen dataclass takes several times as long to build, once a
-    pivot.
-    """
+    """The inverse of a nonsingular d-by-d matrix M: ``inv`` is M^-1 in
+    Fortran order, a signed identity's own or inverted from an LU, then
+    updated in place by each ``replace_row``. ``near_singular`` describes
+    that LU (False for a signed identity)."""
 
     dimension: int
     near_singular: bool
     inv: np.ndarray
-    updates: int = 0
 
 
 def _near_singular(row_sums: np.ndarray, diagonal: np.ndarray) -> bool:
@@ -148,15 +142,13 @@ def signed_identity(signs: np.ndarray) -> SquareFactorization:
     return SquareFactorization(d, False, inv)
 
 
-def replace_row(
-    f: SquareFactorization, slot: int, y: np.ndarray
-) -> SquareFactorization | None:
-    """Factors of the factored matrix M with row ``slot`` replaced by a^T,
-    given ``y`` = M^-T a: the inverse of ``f`` updated in place, which
-    consumes ``f`` (a copy would cost what the update saves). None, with
-    ``f`` untouched, when |y[slot]| is at most ``NEAR_SINGULAR_FACTOR *
-    TOL_PIVOT`` times max |y|, or not finite; the caller then factors the
-    new matrix afresh."""
+def replace_row(f: SquareFactorization, slot: int, y: np.ndarray) -> bool:
+    """Update ``f`` in place to stand for the factored matrix M with row
+    ``slot`` replaced by a^T, given ``y`` = M^-T a, and return True (a copy
+    would cost what the update saves). Return False, with ``f`` untouched,
+    when |y[slot]| is at most ``NEAR_SINGULAR_FACTOR * TOL_PIVOT`` times
+    max |y|, or not finite; the caller then factors the new matrix
+    afresh."""
     d = f.dimension
     y = np.asarray(y, dtype=float)
     if y.shape != (d,):
@@ -165,15 +157,15 @@ def replace_row(
     # written so that a NaN or infinite y also declines; the entry argmax
     # finds is the one max returns, NaN included, at a fraction of the cost
     if not abs(pivot) > NEAR_SINGULAR_FACTOR * TOL_PIVOT * abs_y[abs_y.argmax()]:
-        return None
-    # M_new^-1 = M^-1 E^-1 = M^-1 (I + e_s h^T); ger must not read the
-    # column it writes
+        return False
+    # M_new^-1 = M^-1 E^-1 = M^-1 (I + e_s h^T), written over f.inv, which
+    # is in Fortran order; ger must not read the column it writes
     h = y / -pivot
     h[slot] = 1.0 / pivot - 1.0
     # by position, as f2py parses keywords slowly: ger(alpha, x, y, incx,
     # incy, a, overwrite_x, overwrite_y, overwrite_a)
-    inv = _ger(1.0, f.inv[:, slot].copy(), h, 1, 1, f.inv, 1, 1, 1)
-    return SquareFactorization(d, f.near_singular, inv, f.updates + 1)
+    _ger(1.0, f.inv[:, slot].copy(), h, 1, 1, f.inv, 1, 1, 1)
+    return True
 
 
 def _solved(x_info: tuple[np.ndarray, int]) -> np.ndarray:

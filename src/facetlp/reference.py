@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from facetlp.errors import NoLeavingCandidate, TooLarge
+from facetlp.errors import NoLeavingCandidate, NumericalBreakdown, TooLarge
 from facetlp.facet import SolveAudit, SolveOutcome, Status, final_status, finite_optimum
-from facetlp.model import GeneralLP, StandardGeneralLP
+from facetlp.model import TOL_FEAS_BASE, GeneralLP, StandardGeneralLP
 
 ENUMERATION_CAP = 2_000_000
 TOL = 1e-9
@@ -217,7 +217,10 @@ def dantzig_solve(
     found redundant. A pivot may turn a -0.0 into +0.0 (see
     :meth:`_Tableau.pivot`), and a mirrored variable's -0.0 shift in
     ``project`` would carry that sign into ``x_opt``, so ``x_opt`` and
-    ``objective`` are returned without -0.0.
+    ``objective`` are returned without -0.0. An Optimal answer that is not
+    finite, or whose basic solution rounding left below -``TOL_FEAS_BASE``
+    or off a row by more than ``TOL_FEAS_BASE * (1 + |b_i| + ||a_i||_1
+    max|x|)``, raises ``NumericalBreakdown``.
     """
     A = sf.A.copy()
     b = sf.b.copy()
@@ -281,6 +284,12 @@ def dantzig_solve(
         x_opt = sf.project(x_std) + 0.0  # no -0.0 in the output
         if status is Status.OPTIMAL:
             objective = finite_optimum(x_opt, float(sf.c @ x_std) + sf.objective_offset + 0.0)
+            # rounding grows with the largest x, which a wide box makes far above b_i
+            scale = np.abs(sf.b) + np.abs(sf.A).sum(axis=1) * np.abs(x_std).max()
+            off = np.abs(sf.A @ x_std - sf.b) > TOL_FEAS_BASE * (1.0 + scale)
+            if off.any() or (x_std < -TOL_FEAS_BASE).any():
+                raise NumericalBreakdown(f"the optimal basic solution is not feasible: {off.sum()} "
+                                         f"rows off, least entry {float(x_std.min())!r}")
     return SolveOutcome(
         status=status, x_opt=x_opt, objective=objective,
         iterations=phase1 + phase2, audit=audit_log,

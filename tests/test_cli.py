@@ -4,6 +4,7 @@ import json
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from facetlp import cli, generators
@@ -24,7 +25,7 @@ from facetlp.generators import (
     klee_minty_v2,
     random_instance,
 )
-from facetlp.model import general_lp_to_dict, save_general_lp
+from facetlp.model import GeneralLP, general_lp_to_dict, save_general_lp
 
 
 @pytest.fixture
@@ -247,6 +248,21 @@ class TestSolveCommand:
         assert "overflow encountered in" in first
         assert rest == ([] if code != EXIT_NUMERICAL
                         else ["numerical breakdown: the ratio test of column 3 is NaN"])
+
+    def test_dantzig_optimum_off_its_rows_is_numerical_breakdown(self, tmp_path, capsys):
+        # the km1 dual at d=6 with dual variable k scaled by 0.01^k, boxed
+        # at 1e13: the tableau's basic solution ends with an entry of -1
+        lp = klee_minty_v1(6)
+        r = 0.01 ** np.arange(6)
+        path = tmp_path / "scaled.json"
+        save_general_lp(GeneralLP(c=-r * lp.b_ineq, A_ineq=-(r[:, None] * lp.A_ineq).T,
+                                  b_ineq=-lp.c, lower=np.zeros(6), upper=np.full(6, 1e13)),
+                        path)
+        assert main(["solve", str(path), "--solver", "dantzig"]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(
+            "numerical breakdown: the optimal basic solution is not feasible")
 
     @pytest.mark.parametrize("solver", ["facet", "dantzig", "oracle"])
     def test_optimum_that_is_not_finite_is_numerical_breakdown(

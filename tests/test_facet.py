@@ -4,6 +4,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,13 +51,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 
-def _dummy_base(rows, is_eq):
+def _dummy_base(rows):
     d = len(rows)
-    return Base(
-        indices=np.array(rows, dtype=int),
-        is_eq=np.array(is_eq, dtype=bool),
-        fact=linalg.factor(np.eye(d)),
-    )
+    return Base(indices=np.array(rows, dtype=int), fact=linalg.factor(np.eye(d)))
+
+
+def _eq_below(m):
+    """A stand-in problem for the ratio test, which reads only ``m``: a base
+    slot holds an equality row exactly when its index is below m."""
+    return SimpleNamespace(m=m)
 
 
 def _oracle_shape_lps(seeds):
@@ -110,12 +113,11 @@ class TestInitialState:
             base, state = initial_state(sp)
             g = sp.m + sp.n
             np.testing.assert_array_equal(base.indices, np.arange(g, g + sp.d))
-            assert not base.is_eq.any()
             fact = linalg.factor(sp.rows(base.indices))
             start = base.fact
-            assert (start.dimension, start.near_singular, start.updates) == (sp.d, False, 0)
+            assert (start.dimension, start.near_singular) == (sp.d, False)
             assert (start.inv == fact.inv).all()
-            want = facet._iterate(sp, Base(base.indices.copy(), base.is_eq.copy(), fact))
+            want = facet._iterate(sp, Base(base.indices.copy(), fact))
             assert state.x.tobytes() == want.x.tobytes()
             assert state.y_c.tobytes() == want.y_c.tobytes()
             assert state.sigma.tobytes() == want.sigma.tobytes()
@@ -123,14 +125,14 @@ class TestInitialState:
     def test_first_pivot_updates_the_start_inverse_in_place(self):
         sp = to_standard_general(klee_minty_v2(5))
         base, state = initial_state(sp)
-        inv = base.fact.inv
+        fact, inv = base.fact, base.fact.inv
         assert inv.flags.f_contiguous
         p = select_entering(sp, base, state, PivotRule.MAX_DEVIATION, sp.row_tolerances())
         y_p = expand_entering(base, sp.rows(p))
-        s, _ = select_leaving(p, float(state.sigma[p]), y_p, state.y_c, base)
+        s, _ = select_leaving(sp, float(state.sigma[p]), y_p, state.y_c, base)
         base, state = pivot(sp, base, state, p, s, y_p)
-        assert base.fact.updates == 1
-        assert base.fact.inv is inv
+        assert base.fact is fact and base.fact.inv is inv
+        assert not (inv == linalg.signed_identity(sp.e_diag).inv).all()
 
     @pytest.mark.parametrize("rule", list(PivotRule))
     def test_a_solve_that_never_refactors_calls_no_factor(self, monkeypatch, rule):
@@ -309,8 +311,7 @@ class TestExpandEntering:
         np.testing.assert_allclose(y, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_negated_identity_base(self):
-        base = Base(indices=np.array([0, 1, 2]), is_eq=np.zeros(3, dtype=bool),
-                    fact=linalg.factor(-np.eye(3)))
+        base = Base(indices=np.array([0, 1, 2]), fact=linalg.factor(-np.eye(3)))
         y = expand_entering(base, np.array([2.0, 1.0, 0.0]))
         np.testing.assert_allclose(y, [-2.0, -1.0, 0.0])
 
@@ -318,8 +319,7 @@ class TestExpandEntering:
         rng = np.random.default_rng(21)
         for _ in range(30):
             m = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
-            base = Base(indices=np.arange(4), is_eq=np.zeros(4, dtype=bool),
-                        fact=linalg.factor(m))
+            base = Base(indices=np.arange(4), fact=linalg.factor(m))
             a_p = rng.normal(size=4)
             y = expand_entering(base, a_p)
             np.testing.assert_allclose(m.T @ y, a_p, atol=1e-10)
@@ -359,65 +359,65 @@ class TestCheckInfeasible:
         assert out.status is Status.OPTIMAL
 
 
-def _leaving_row(p, sigma_p, y_p, y_c, base):
-    slot, _ = select_leaving(p, sigma_p, y_p, y_c, base)
+def _leaving_row(sp, sigma_p, y_p, y_c, base):
+    slot, _ = select_leaving(sp, sigma_p, y_p, y_c, base)
     return base.indices[slot]
 
 
 class TestSelectLeaving:
     def test_single_positive_entry_leaves_regardless_of_ratio(self):
-        base = _dummy_base([4, 9], [False, False])
+        sp, base = _eq_below(0), _dummy_base([4, 9])
         y_p = np.array([0.0, 3.0])
         y_c = np.array([5.0, 17.0])
-        assert _leaving_row(0, -1.0, y_p, y_c, base) == 9
+        assert _leaving_row(sp, -1.0, y_p, y_c, base) == 9
 
     def test_min_ratio_wins_in_case1(self):
         # ratios: 2.0 at row 7, 0.5 at row 3
-        base = _dummy_base([7, 3], [False, False])
+        sp, base = _eq_below(0), _dummy_base([7, 3])
         y_p = np.array([1.0, 2.0])
         y_c = np.array([2.0, 1.0])
-        assert _leaving_row(0, -1.0, y_p, y_c, base) == 3
+        assert _leaving_row(sp, -1.0, y_p, y_c, base) == 3
 
     def test_ratio_tie_breaks_to_least_row_index(self):
-        base = _dummy_base([9, 5], [False, False])
+        sp, base = _eq_below(0), _dummy_base([9, 5])
         y_p = np.array([1.0, 1.0])
         y_c = np.array([1.0, 1.0])
-        assert _leaving_row(0, -1.0, y_p, y_c, base) == 5
+        assert _leaving_row(sp, -1.0, y_p, y_c, base) == 5
 
     def test_three_way_tie_goes_to_the_least_row_not_the_first_slot(self):
         # ratios 1, 1, 2, 1 in slots holding rows 9, 2, 1, 5
-        base = _dummy_base([9, 2, 1, 5], [False] * 4)
+        sp, base = _eq_below(0), _dummy_base([9, 2, 1, 5])
         y_p = np.array([1.0, 2.0, 1.0, 4.0])
         y_c = np.array([1.0, 2.0, 2.0, 4.0])
-        assert select_leaving(0, -1.0, y_p, y_c, base) == (1, False)
+        assert select_leaving(sp, -1.0, y_p, y_c, base) == (1, False)
 
     @pytest.mark.parametrize("gap, slot", [(3.9e-12, 1), (4.1e-12, 0)])
     def test_ties_are_ratios_within_the_relative_tolerance(self, gap, slot):
         # best ratio 3 at row 7; tolerance 1e-12 * (1 + 3)
-        base = _dummy_base([7, 3], [False, False])
+        sp, base = _eq_below(0), _dummy_base([7, 3])
         y_p = np.ones(2)
         y_c = np.array([3.0, 3.0 + gap])
-        assert select_leaving(0, -1.0, y_p, y_c, base) == (slot, False)
+        assert select_leaving(sp, -1.0, y_p, y_c, base) == (slot, False)
 
     def test_case2_max_ratio_over_negative_entries(self):
-        base = _dummy_base([2, 6], [False, False])
+        sp, base = _eq_below(0), _dummy_base([2, 6])
         y_p = np.array([-1.0, -4.0])
         y_c = np.array([2.0, 1.0])
         # ratios -2.0 (row 2) and -0.25 (row 6): case 2 takes the max
-        assert _leaving_row(0, +1.0, y_p, y_c, base) == 6
+        assert _leaving_row(sp, +1.0, y_p, y_c, base) == 6
 
     def test_equality_members_never_leave(self):
-        base = _dummy_base([2, 6], [True, False])
+        sp, base = _eq_below(3), _dummy_base([2, 6])
         y_p = np.array([5.0, 1.0])
         y_c = np.array([1.0, 3.0])
-        assert _leaving_row(0, -1.0, y_p, y_c, base) == 6
+        assert _leaving_row(sp, -1.0, y_p, y_c, base) == 6
 
     def test_none_exactly_when_no_inequality_member_is_eligible(self):
-        base = _dummy_base([2, 6], [True, False])
+        sp, base = _eq_below(3), _dummy_base([2, 6])
         y_c = np.array([1.0, 3.0])
-        assert select_leaving(0, -1.0, np.array([5.0, 1e-9]), y_c, base) is None
-        assert select_leaving(0, +1.0, np.array([5.0, -1e-9]), y_c, base) is None
-        assert select_leaving(0, +1.0, np.array([5.0, -2e-9]), y_c, base) == (1, True)
+        assert select_leaving(sp, -1.0, np.array([5.0, 1e-9]), y_c, base) is None
+        assert select_leaving(sp, +1.0, np.array([5.0, -1e-9]), y_c, base) is None
+        assert select_leaving(sp, +1.0, np.array([5.0, -2e-9]), y_c, base) == (1, True)
 
 
 class TestPivot:
@@ -449,7 +449,7 @@ class TestPivot:
         base, state = initial_state(sp)
         sp.G[0] = sp.rows(base.indices[1])
         sp.b[0] = sp.b[base.indices[1]]
-        indices, is_eq, fact = base.indices.copy(), base.is_eq.copy(), base.fact
+        indices, fact = base.indices.copy(), base.fact
         inv = fact.inv.tobytes()
         q = base.indices[0]
         y_p = expand_entering(base, sp.rows(0))
@@ -457,7 +457,6 @@ class TestPivot:
         with pytest.raises(SingularMatrix, match=rf"^pivot 0<->{q} produced a singular base"):
             pivot(sp, base, state, 0, 0, y_p)
         np.testing.assert_array_equal(base.indices, indices)
-        np.testing.assert_array_equal(base.is_eq, is_eq)
         assert base.fact is fact and fact.inv.tobytes() == inv
 
     def test_audit_flags_indices_that_disagree_with_the_factors(self, monkeypatch):
@@ -490,7 +489,7 @@ class TestPivot:
         x = linalg.solve(fact, sp.b[rows])
         y_c = linalg.solve_transpose(fact, sp.c_original)
         np.testing.assert_array_equal(y_c, [-1.0, -2.0])
-        base = Base(rows, np.zeros(2, dtype=bool), fact)
+        base = Base(rows, fact)
         state = SolverState(x, y_c, residuals(sp, x))
         objective = float(sp.c_original @ x)
         log = facet.SolveAudit()
@@ -527,7 +526,7 @@ class TestPivot:
         while (p := select_entering(sp, base, state, PivotRule.MAX_DEVIATION,
                                     row_tols)) is not None:
             y_p = expand_entering(base, sp.rows(p))
-            s, _ = select_leaving(p, float(state.sigma[p]), y_p, state.y_c, base)
+            s, _ = select_leaving(sp, float(state.sigma[p]), y_p, state.y_c, base)
             solve_rhs.clear()
             base, state = pivot(sp, base, state, p, s, y_p)
             pivots += 1
@@ -555,7 +554,7 @@ class TestPivot:
                 y_p = expand_entering(base, sp.rows(row))
                 if check_infeasible(sp, row, float(sigma[row]), y_p, base):
                     break
-                slot, _ = select_leaving(row, float(sigma[row]), y_p, state.y_c, base)
+                slot, _ = select_leaving(sp, float(sigma[row]), y_p, state.y_c, base)
                 base, state = pivot(sp, base, state, row, slot, y_p)
                 np.testing.assert_array_equal(state.sigma, residuals(sp, state.x))
                 fresh = linalg.solve_transpose(base.fact, sp.c_original)
@@ -564,23 +563,23 @@ class TestPivot:
 
 class TestRedundancyDetection:
     def test_sole_inequality_member_is_redundant_on_leaving(self):
-        base = _dummy_base([3, 8], [True, False])
+        sp, base = _eq_below(4), _dummy_base([3, 8])
         y_p = np.array([4.0, 2.0])
-        assert detect_leaving_redundant(1, y_p, base)
-        assert select_leaving(0, -1.0, y_p, np.ones(2), base) == (1, True)
+        assert detect_leaving_redundant(sp, 1, y_p, base)
+        assert select_leaving(sp, -1.0, y_p, np.ones(2), base) == (1, True)
 
     def test_sole_among_equality_members_with_larger_entries(self):
-        base = _dummy_base([3, 8, 6], [True, False, True])
+        sp, base = _eq_below(7), _dummy_base([3, 8, 6])
         y_p = np.array([5.0, 2.0, 7.0])
         y_c = np.array([0.1, 9.0, 0.1])
-        assert detect_leaving_redundant(1, y_p, base)
-        assert select_leaving(0, -1.0, y_p, y_c, base) == (1, True)
+        assert detect_leaving_redundant(sp, 1, y_p, base)
+        assert select_leaving(sp, -1.0, y_p, y_c, base) == (1, True)
 
     def test_second_positive_entry_blocks_redundancy(self):
-        base = _dummy_base([3, 8], [False, False])
+        sp, base = _eq_below(0), _dummy_base([3, 8])
         y_p = np.array([0.5, 2.0])
-        assert not detect_leaving_redundant(1, y_p, base)
-        assert select_leaving(0, -1.0, y_p, np.array([1.0, 0.1]), base) == (1, False)
+        assert not detect_leaving_redundant(sp, 1, y_p, base)
+        assert select_leaving(sp, -1.0, y_p, np.array([1.0, 0.1]), base) == (1, False)
 
     def test_a_row_found_redundant_never_enters_again(self):
         # under least-index, row 0 leaves the base as the sole eligible
@@ -844,12 +843,12 @@ class TestBaseFactorizationPaths:
             calls["factor"] += 1
             return factor(m)
 
-        def corrupting_replace_row(*args):
-            f = replace_row(*args)
+        def corrupting_replace_row(f, slot, y):
+            updated = replace_row(f, slot, y)
             calls["replace_row"] += 1
             if calls["replace_row"] == 100:
                 f.inv[:] += shift * np.abs(f.inv).max()
-            return f
+            return updated
 
         monkeypatch.setattr(linalg, "factor", counting_factor)
         clean = solve(sp, audit=True)
@@ -874,16 +873,16 @@ class TestBaseFactorizationPaths:
         row_tols = sp.row_tolerances()
         p = select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols)
         y_p = expand_entering(base, sp.rows(p))
-        s, _ = select_leaving(p, float(state.sigma[p]), y_p, state.y_c, base)
+        s, _ = select_leaving(sp, float(state.sigma[p]), y_p, state.y_c, base)
         q = int(base.indices[s])
         replace_row = linalg.replace_row
         updated = []
 
-        def corrupting_replace_row(*args):
-            f = replace_row(*args)
+        def corrupting_replace_row(f, slot, y):
+            assert replace_row(f, slot, y)
             f.inv[:] += 1e-6 * np.abs(f.inv).max()
             updated.append(f)
-            return f
+            return True
 
         def singular_factor(m):
             raise SingularMatrix("matrix is singular (pivot 2)", 2)
@@ -922,7 +921,7 @@ class TestBaseFactorizationPaths:
             fresh = linalg.solve_transpose(base.fact, c)
             fresh_y_c.append(state.y_c.tobytes() == fresh.tobytes())
             if len(factors_per_pivot) == push_at + 1:
-                i = int((~base.is_eq & (state.y_c > 0)).nonzero()[0][0])
+                i = int(((base.indices >= sp.m) & (state.y_c > 0)).nonzero()[0][0])
                 state.y_c[i] += 1e-6 * c_scale / np.abs(sp.rows(base.indices[i])).max()
             return base, state
 
@@ -1015,22 +1014,23 @@ def test_steps_agree_at_every_pivot(monkeypatch):
     that re-entered would show too."""
     real_entering, real_leaving = facet.select_entering, facet.select_leaving
     removed, seen = set(), {"sole": 0, "not sole": 0, "certified": 0}
+    entering = []
 
     def checked_entering(sp, base, state, rule, row_tols, row_norms=None):
         got = real_entering(sp, base, state, rule, row_tols, row_norms)
         assert got == _full_mask_select_entering(sp, base, state.sigma, rule, removed)
+        entering.append(got)
         return got
 
-    def checked_leaving(p, sigma_p, y_p, y_c, base):
-        # sp is the problem the loop below is solving
-        got = real_leaving(p, sigma_p, y_p, y_c, base)
-        certificate = check_infeasible(sp, p, sigma_p, y_p, base)
+    def checked_leaving(sp, sigma_p, y_p, y_c, base):
+        got = real_leaving(sp, sigma_p, y_p, y_c, base)
+        certificate = check_infeasible(sp, entering[-1], sigma_p, y_p, base)
         assert (got is None) == (certificate is not None)
         if got is None:
             seen["certified"] += 1
             return got
         s, sole = got
-        assert sole == detect_leaving_redundant(s, y_p if sigma_p < 0 else -y_p, base)
+        assert sole == detect_leaving_redundant(sp, s, y_p if sigma_p < 0 else -y_p, base)
         seen["sole" if sole else "not sole"] += 1
         if sole:
             removed.add(int(base.indices[s]))
@@ -1081,7 +1081,7 @@ def test_outcome_digest_script_writes_one_line_per_solve(tmp_path, monkeypatch):
     assert script.digest(name, sp, rule) == lines[0]
     # the counter counts: where replace_row declines, every pivot factors
     with monkeypatch.context() as patch:
-        patch.setattr(linalg, "replace_row", lambda f, slot, y: None)
+        patch.setattr(linalg, "replace_row", lambda f, slot, y: False)
         counted = script.digest(name, sp, rule)
     assert counted["factor_calls"] == counted["iterations"] > 0
 
@@ -1159,3 +1159,26 @@ def test_pivot_overhead_script_prints_one_row_per_dimension(capsys):
         cells = line.strip("|").split("|")
         assert int(cells[0]) == dim and int(cells[1]) > 0
         assert float(cells[2]) > 0 and float(cells[3]) > 0 and cells[4].strip().endswith("%")
+
+
+def test_outcome_digest_against_exits_1_when_a_line_moved(tmp_path, capsys, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "outcome_digest.py"
+    spec = importlib.util.spec_from_file_location("outcome_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    # a sweep of one solve, whose line is read off ``iterations``
+    iterations = [3]
+    monkeypatch.setattr(script, "cases", lambda quick: [("km1-d3", None, None)])
+    monkeypatch.setattr(script, "digest", lambda name, sp, rule: {
+        "name": name, "rule": "max-dev", "iterations": iterations[0]})
+    for name in ("oracle_cases", "dantzig_cases"):
+        monkeypatch.setattr(script, name, lambda quick: [])
+    old_path, new_path = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    script.main(["-o", str(old_path)])
+    script.main(["--against", str(old_path), "-o", str(new_path)])
+    assert capsys.readouterr().out.splitlines()[0] == "1 lines, 0 moved"
+    iterations[0] = 4
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--against", str(old_path), "-o", str(new_path)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().out.splitlines()[:2] == ["1 lines, 1 moved", "  iterations: 1"]

@@ -330,6 +330,27 @@ class TestOptimalAnswersAreFinite:
         assert all(breakdowns.values()), breakdowns
 
 
+def _scaled_km1_dual(L, d):
+    """The LP dual of km1 with dual variable k scaled by L^k, boxed at 1e13:
+    min (r*b).y s.t. (r*A)^T y >= -c, 0 <= y <= 1e13, for km1's <= rows
+    A x <= b and objective c."""
+    lp = klee_minty_v1(d)
+    A, b, c = -lp.A_ineq, -lp.b_ineq, lp.c
+    r = L ** np.arange(d)
+    return GeneralLP(c=r * b, A_ineq=(r[:, None] * A).T, b_ineq=-c,
+                     lower=np.zeros(d), upper=np.full(d, 1e13))
+
+
+class TestOptimalBasicSolutionIsChecked:
+    @pytest.mark.parametrize("L, d", [(0.05, 8), (0.02, 7), (0.01, 6), (0.1, 12), (0.01, 10)])
+    def test_scaled_dual_cube_is_numerical_breakdown(self, L, d):
+        # rounding in the tableau leaves a basic entry of -1 to -16: the
+        # point Dantzig would call Optimal violates a row by as much
+        p = _scaled_km1_dual(L, d)
+        with pytest.raises(NumericalBreakdown, match="optimal basic solution is not feasible"):
+            dantzig_solve(to_standard_form(p))
+
+
 def _rowloop_pivot(self, row, col):
     """The tableau pivot as it was before the batched row update: one
     Python-level subtraction per row with a nonzero factor."""
