@@ -30,6 +30,7 @@ from facetlp.model import (
     general_lp_from_dict,
     general_lp_to_dict,
     load_general_lp,
+    lp_dual,
     objective_value,
     save_general_lp,
     to_standard_general,
@@ -67,6 +68,7 @@ __all__ = [
     "klee_minty_v1",
     "klee_minty_v2",
     "load_general_lp",
+    "lp_dual",
     "objective_value",
     "parse_mps",
     "random_instance",

@@ -38,9 +38,9 @@ class SingularMatrix(NumericalBreakdown):
 
 
 class NoLeavingCandidate(NumericalBreakdown):
-    """No admissible leaving facet or row existed: in the facet solver an
-    internal inconsistency, because the infeasibility test runs first; in
-    the Dantzig baseline a NaN ratio test."""
+    """No admissible leaving facet or row existed: a NaN ratio test, in
+    either solver, or in the facet solver an internal inconsistency, because
+    the infeasibility test runs first."""
 
 
 class SizeOutOfRange(FacetLPError):

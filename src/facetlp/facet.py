@@ -272,7 +272,8 @@ def select_leaving(
     nonnegative there. An over-violated entering equality enters as its
     mirror image -a_p >= -b_p, whose expansion is -y_p; negation is exact, so
     this picks the row that maximizing y_c/y_p over negative y_p would. Ties
-    go to the least row index. Equality members never leave.
+    go to the least row index. Equality members never leave. A NaN least
+    ratio ties with no slot and raises ``NoLeavingCandidate``.
 
     Returns the leaving slot and whether it was the only eligible one
     (``detect_leaving_redundant``'s test), or None if none is, which for a
@@ -291,6 +292,8 @@ def select_leaving(
     best = float(ratios[i])
     tied = (ratios - best <= 1e-12 * (1.0 + abs(best))).nonzero()[0]
     if tied.size != 1:
+        if not tied.size:
+            raise NoLeavingCandidate("the ratio test is NaN")
         i = tied[base.indices[slots[tied]].argmin()]
     return int(slots[i]), False
 

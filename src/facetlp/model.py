@@ -13,11 +13,15 @@ ingestion). :func:`to_standard_general` rewrites it into a
 (= on the A_eq rows) whose E/F blocks are signed-diagonal bound rows chosen
 so the objective expands over E with nonnegative coefficients. Only the
 general rows G = [A_eq; A_ineq] are stored, with the signs ``e_diag`` of
-the E block; F = -E. Row indices run over all N = m + n + 2d rows, and
+the E block; F = -E. When one of the two blocks has no rows, G is the
+other block itself, shared with the problem rather than copied (a C-ordered
+copy only if it was not C-ordered); otherwise G is a C-ordered stack of
+both. Row indices run over all N = m + n + 2d rows, and
 ``StandardGeneralLP.rows`` builds the rows an index set names. Infinite
 bounds are replaced by a big-M artificial bound and the affected rows
 recorded, so a binding artificial row at termination certifies
-unboundedness.
+unboundedness. :func:`lp_dual` builds a problem's LP dual, whose rows are
+all equalities.
 """
 
 from __future__ import annotations
@@ -118,8 +122,10 @@ class GeneralLP:
 class StandardGeneralLP:
     """Solver-facing stacked form; see the module docstring for the layout.
     ``c_original`` is the objective in the original coordinates, ``G`` the
-    general rows and ``e_diag`` the signs of the E rows; ``b`` spans all
-    N rows."""
+    general rows, C-ordered, and ``e_diag`` the signs of the E rows; ``b``
+    spans all N rows. ``G`` is the problem's lone ``A_eq`` or ``A_ineq``
+    itself when the other block is empty, so the form may share its rows
+    with the ``GeneralLP`` it came from; no solver writes to either."""
 
     c_original: np.ndarray
     G: np.ndarray
@@ -220,7 +226,9 @@ def to_standard_general(p: GeneralLP) -> StandardGeneralLP:
     -``default_big_m(p)`` on the affected row, which is recorded in
     ``artificial_rows``; data so large that this M overflows are refused
     with ``NonFiniteData``. Only the general rows and the E signs are
-    stored: no bound row is built.
+    stored: no bound row is built. G is a C-ordered stack of A_eq and
+    A_ineq when both have rows; otherwise it is the lone block itself, not
+    a copy, unless that block is not C-ordered.
     """
     d, m, n = p.d, p.num_eq, p.num_ineq
     flip = p.c < 0
@@ -239,7 +247,11 @@ def to_standard_general(p: GeneralLP) -> StandardGeneralLP:
     b_L = np.where(flip, -upper, lower)
     b_U = np.where(flip, lower, -upper)
 
-    G = np.vstack([p.A_eq, p.A_ineq])
+    # a lone block is shared as it is, so no problem holds its rows twice
+    if m and n:
+        G = np.vstack([p.A_eq, p.A_ineq])
+    else:
+        G = np.ascontiguousarray(p.A_ineq if n else p.A_eq)
     b = np.concatenate([p.b_eq, p.b_ineq, b_L, b_U])
 
     # the bound written as >= always carries -M on the affected side
@@ -283,6 +295,22 @@ def objective_value(p: GeneralLP, x: np.ndarray) -> float:
     if x.shape != (p.d,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({p.d},)")
     return float(p.c @ x) + p.objective_offset
+
+
+def lp_dual(p: GeneralLP) -> GeneralLP:
+    """The LP dual of min c.x s.t. A_eq x = b_eq, A_ineq x >= b_ineq,
+    l <= x <= u, as a minimization: a free variable per equality row and a
+    nonnegative one per inequality row and per finite bound, with equality
+    rows [A_eq^T A_ineq^T I_l -I_u] w = c and objective
+    -[b_eq; b_ineq; l; -u].w - offset. Its optimum is minus the primal's."""
+    low, up = np.isfinite(p.lower), np.isfinite(p.upper)
+    eye = np.eye(p.d)
+    A = np.hstack([p.A_eq.T, p.A_ineq.T, eye[:, low], -eye[:, up]])
+    b = np.concatenate([p.b_eq, p.b_ineq, p.lower[low], -p.upper[up]])
+    lower = np.zeros(A.shape[1])
+    lower[: p.num_eq] = -np.inf
+    return GeneralLP(c=-b, A_eq=A, b_eq=p.c, lower=lower,
+                     objective_offset=-p.objective_offset)
 
 
 # ---------------------------------------------------------------------------

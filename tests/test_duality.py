@@ -4,7 +4,8 @@ Each LP is solved together with its LP dual, and the two statuses must be a
 pair that duality allows: both Optimal with objectives summing to zero, or
 an Infeasible side facing an Unbounded or Infeasible one. Neither side
 needs the brute-force oracle or an outside solver, so the check runs at any
-d.
+d. The dual of the dual, in turn, must solve to the primal's status and
+objective.
 """
 
 import sys
@@ -16,7 +17,7 @@ import pytest
 
 from facetlp.facet import Status, solve
 from facetlp.generators import klee_minty_v1, klee_minty_v2, random_instance
-from facetlp.model import GeneralLP, to_standard_general
+from facetlp.model import GeneralLP, lp_dual, to_standard_general
 from facetlp.mps import read_mps
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -28,22 +29,6 @@ OPTIMAL, INFEASIBLE, UNBOUNDED = Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOU
 # (primal, dual) pairs that strong duality allows
 ALLOWED = {(OPTIMAL, OPTIMAL), (INFEASIBLE, UNBOUNDED), (INFEASIBLE, INFEASIBLE),
            (UNBOUNDED, INFEASIBLE)}
-
-
-def _lp_dual(p: GeneralLP) -> GeneralLP:
-    """The LP dual of min c.x s.t. A_eq x = b_eq, A_ineq x >= b_ineq,
-    l <= x <= u, as a minimization: a free variable per equality row and a
-    nonnegative one per inequality row and per finite bound, with equality
-    rows [A_eq^T A_ineq^T I_l -I_u] w = c and objective
-    -[b_eq; b_ineq; l; -u].w - offset. Its optimum is minus the primal's."""
-    low, up = np.isfinite(p.lower), np.isfinite(p.upper)
-    eye = np.eye(p.d)
-    A = np.hstack([p.A_eq.T, p.A_ineq.T, eye[:, low], -eye[:, up]])
-    b = np.concatenate([p.b_eq, p.b_ineq, p.lower[low], -p.upper[up]])
-    lower = np.zeros(A.shape[1])
-    lower[: p.num_eq] = -np.inf
-    return GeneralLP(c=-b, A_eq=A, b_eq=p.c, lower=lower,
-                     objective_offset=-p.objective_offset)
 
 
 def _oracle_deck():
@@ -81,7 +66,7 @@ def test_every_lp_and_its_dual_obey_strong_duality(family):
     pairs = Counter()
     for i, p in enumerate(build()):
         primal = solve(to_standard_general(p))
-        dual = solve(to_standard_general(_lp_dual(p)))
+        dual = solve(to_standard_general(lp_dual(p)))
         pair = primal.status, dual.status
         assert pair in ALLOWED, (family, i, pair)
         if pair == (OPTIMAL, OPTIMAL):
@@ -92,13 +77,26 @@ def test_every_lp_and_its_dual_obey_strong_duality(family):
     assert pairs == want
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_dual_of_the_dual_solves_to_the_primal(family):
+    build, _ = FAMILIES[family]
+    for i, p in enumerate(build()):
+        primal = solve(to_standard_general(p))
+        again = solve(to_standard_general(lp_dual(lp_dual(p))))
+        assert again.status == primal.status, (family, i, primal.status, again.status)
+        if primal.status is OPTIMAL:
+            scale = max(1.0, abs(primal.objective))
+            assert abs(again.objective - primal.objective) <= 1e-7 * scale, (
+                family, i, primal.objective, again.objective)
+
+
 def test_dual_of_a_small_lp_by_hand():
     # min x1 + 2 x2 s.t. x1 + x2 = 1, x1 - x2 >= -3, 0 <= x1 <= 4, x2 >= 0:
     # its dual has variables (u free, v, w_l1, w_l2, w_u1) and rows
     # u + v + w_l1 - w_u1 = 1 and u - v + w_l2 = 2
     p = GeneralLP(c=[1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], A_ineq=[[1.0, -1.0]],
                   b_ineq=[-3.0], upper=[4.0, np.inf], objective_offset=0.5)
-    q = _lp_dual(p)
+    q = lp_dual(p)
     np.testing.assert_array_equal(q.A_eq, [[1.0, 1.0, 1.0, 0.0, -1.0],
                                            [1.0, -1.0, 0.0, 1.0, 0.0]])
     np.testing.assert_array_equal(q.b_eq, [1.0, 2.0])

@@ -27,7 +27,7 @@ from facetlp.facet import (
     select_leaving,
     solve,
 )
-from facetlp.errors import NumericalBreakdown, SingularMatrix
+from facetlp.errors import NoLeavingCandidate, NumericalBreakdown, SingularMatrix
 from facetlp.generators import (
     CYCLING_FIXTURE_IDS,
     KM1_MAX_D,
@@ -418,6 +418,15 @@ class TestSelectLeaving:
         assert select_leaving(sp, -1.0, np.array([5.0, 1e-9]), y_c, base) is None
         assert select_leaving(sp, +1.0, np.array([5.0, -1e-9]), y_c, base) is None
         assert select_leaving(sp, +1.0, np.array([5.0, -2e-9]), y_c, base) == (1, True)
+
+    def test_a_nan_least_ratio_is_a_numerical_breakdown(self):
+        # a NaN least ratio ties with no slot
+        sp = to_standard_general(GeneralLP(c=[1, 1, 1], A_ineq=[[1, 1, 1]], b_ineq=[1]))
+        base, _ = initial_state(sp)
+        y_c = np.array([np.nan, 1.0, 2.0])
+        with pytest.raises(NoLeavingCandidate, match="ratio test is NaN"):
+            select_leaving(sp, -1.0, np.ones(3), y_c, base)
+        assert issubclass(NoLeavingCandidate, NumericalBreakdown)
 
 
 class TestPivot:

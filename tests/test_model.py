@@ -14,6 +14,7 @@ from facetlp.errors import (
     MalformedInput,
     NonFiniteData,
 )
+from facetlp.facet import Status, solve
 from facetlp.generators import klee_minty_v1, klee_minty_v2
 from facetlp.model import (
     GeneralLP,
@@ -21,6 +22,7 @@ from facetlp.model import (
     general_lp_from_dict,
     general_lp_to_dict,
     load_general_lp,
+    lp_dual,
     objective_value,
     residuals,
     save_general_lp,
@@ -468,14 +470,57 @@ class TestRows:
         np.testing.assert_array_equal(sp.row_norms(), np.linalg.norm(stacked, axis=1))
 
     def test_dense_deck_stores_no_bound_block(self):
-        """At d = 400 the stacked form's arrays hold the general rows and
-        vectors only: at most 8 ((m + n) d + 4 N) bytes, counting the whole
-        buffer of any view, so no (2d) x d block of bound rows is kept."""
+        """At d = 400 a problem and its stacked form together hold the
+        general rows once, and vectors: at most 8 ((m + n) d + 4 N) bytes,
+        counting the whole buffer of any view and each buffer once. So
+        neither a (2d) x d block of bound rows nor a second copy of A_ineq
+        is kept."""
         d = 400
-        sp = to_standard_general(workloads.dense_lp(np.random.default_rng(0), d))
-        held = 0
-        for f in dataclasses.fields(sp):
-            v = getattr(sp, f.name)
-            if isinstance(v, np.ndarray):
-                held += (v if v.base is None else v.base).nbytes
-        assert held <= 8 * ((sp.m + sp.n) * d + 4 * sp.num_rows)
+        p = workloads.dense_lp(np.random.default_rng(0), d)
+        sp = to_standard_general(p)
+        buffers = {}
+        for obj in (p, sp):
+            for f in dataclasses.fields(obj):
+                v = getattr(obj, f.name)
+                if isinstance(v, np.ndarray):
+                    owner = v if v.base is None else v.base
+                    buffers[id(owner)] = owner.nbytes
+        assert sum(buffers.values()) <= 8 * ((sp.m + sp.n) * d + 4 * sp.num_rows)
+
+
+class TestSharedRows:
+    """G is the lone general block itself, or a C-ordered stack of both."""
+
+    def test_a_lone_block_is_shared(self):
+        ineq_only = _random_lp(4, 0, 6, seed=1)
+        assert np.shares_memory(to_standard_general(ineq_only).G, ineq_only.A_ineq)
+        eq_only = _random_lp(4, 3, 0, seed=2)
+        assert np.shares_memory(to_standard_general(eq_only).G, eq_only.A_eq)
+        dual = lp_dual(ineq_only)
+        assert np.shares_memory(to_standard_general(dual).G, dual.A_eq)
+
+    def test_two_blocks_are_stacked_afresh(self):
+        p = _random_lp(4, 2, 5, seed=3)
+        G = to_standard_general(p).G
+        assert not np.shares_memory(G, p.A_eq) and not np.shares_memory(G, p.A_ineq)
+        assert G.flags.c_contiguous
+        np.testing.assert_array_equal(G, np.vstack([p.A_eq, p.A_ineq]))
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_a_lone_block_not_c_ordered_is_copied_c_ordered(self, layout):
+        p = _random_lp(5, 0, 7, seed=4)
+        A = (np.asfortranarray(p.A_ineq) if layout == "fortran"
+             else np.repeat(p.A_ineq, 2, axis=0)[::2])
+        q = dataclasses.replace(p, A_ineq=A)
+        assert not q.A_ineq.flags.c_contiguous
+        G = to_standard_general(q).G
+        assert G.flags.c_contiguous and not np.shares_memory(G, A)
+        np.testing.assert_array_equal(G, p.A_ineq)
+
+    def test_a_fortran_ordered_block_solves_bit_for_bit_alike(self):
+        p = workloads.dense_lp(np.random.default_rng(20), 20)
+        q = dataclasses.replace(p, A_ineq=np.asfortranarray(p.A_ineq))
+        a, b = solve(to_standard_general(p)), solve(to_standard_general(q))
+        assert a.status is Status.OPTIMAL
+        assert (a.iterations, a.basis_rows) == (b.iterations, b.basis_rows)
+        assert a.x_opt.tobytes() == b.x_opt.tobytes()

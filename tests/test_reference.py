@@ -11,7 +11,7 @@ import pytest
 
 from facetlp import reference
 from facetlp.errors import NoLeavingCandidate, NumericalBreakdown, TooLarge
-from facetlp.facet import SolveOutcome, Status, solve
+from facetlp.facet import PivotRule, SolveOutcome, Status, solve
 from facetlp.generators import (
     CYCLING_FIXTURE_IDS,
     cycling_fixture,
@@ -799,3 +799,45 @@ def test_oracle_split_script_prints_one_row_per_shape_and_block(capsys):
         assert [int(c) for c in cells[:5]] == [3, 11, bases, size, -(-bases // size)]
         assert float(cells[5]) > 0 and float(cells[6]) > 0
         assert all(float(c) >= 0 for c in cells[7:]) and float(cells[8]) > 0
+
+
+def _freeze(obj):
+    """Make every ndarray field of a problem object read-only."""
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, np.ndarray):
+            v.flags.writeable = False
+    return obj
+
+
+def _read_only_cases():
+    """One oracle-deck instance per shape and kind, km1 and km2 at d = 3..6,
+    the cycling fixtures, one dense LP and the MPS fixtures."""
+    lps = [random_instance(0, d, 0 if kind == "unbounded" else m, n, kind)
+           for d, m, n in workloads.ORACLE_SHAPES for kind in workloads.ORACLE_KINDS]
+    lps += [cube(d) for cube in (klee_minty_v1, klee_minty_v2) for d in range(3, 7)]
+    lps += [cycling_fixture(fid) for fid in CYCLING_FIXTURE_IDS]
+    lps.append(workloads.dense_lp(np.random.default_rng(0), 20))
+    lps += [read_mps(path) for path in sorted(FIXTURES.glob("*.mps"))]
+    return lps
+
+
+def test_no_solver_writes_to_a_problem():
+    """Problem objects are pure values: with every array of a problem, its
+    stacked form and its standard form read-only, each solver runs through,
+    where a write would raise. The stacked form may share rows with the
+    problem, so this holds for both."""
+    for p in _read_only_cases():
+        _freeze(p)
+        sp = _freeze(to_standard_general(p))
+        sf = _freeze(to_standard_form(p))
+        for rule in PivotRule:
+            out = solve(sp, rule, audit=True, collect_trace=True)
+            if out.x_opt is not None:
+                violations(sp, out.x_opt)
+        if p.d <= 5:
+            brute_force_optimal(sp)
+        for bland in (False, True):
+            # the most-negative rule cycles on the cycling fixtures, and a
+            # cycle repeats its pivots long before the cap
+            dantzig_solve(sf, max_iter=1_000, bland=bland)
