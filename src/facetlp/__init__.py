@@ -7,11 +7,9 @@ brute-force oracle (:mod:`facetlp.reference`), instance generators
 """
 
 from facetlp.facet import (
-    Base,
     InfeasibilityCertificate,
     PivotRule,
     SolveOutcome,
-    SolverState,
     Status,
     solve,
 )
@@ -47,14 +45,12 @@ from facetlp.reference import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Base",
     "CYCLING_FIXTURE_IDS",
     "GeneralLP",
     "InfeasibilityCertificate",
     "MpsDocument",
     "PivotRule",
     "SolveOutcome",
-    "SolverState",
     "StandardFormLP",
     "StandardGeneralLP",
     "Status",

@@ -13,11 +13,20 @@ already (the entering facet's expansion), so an update costs no solve, and
 a solve is one matrix product. A tiny y[s] is declined and takes a fresh
 inverse, as does the solver's per-pivot check, through ``factor``, when an
 iterate solved from an updated inverse fails its residual check.
-Only ``factor`` reads matrix entries, and only it decides singularity: it
-raises SingularMatrix instead of returning factors of a singular matrix,
-so every factorization can be solved. The one other constructor,
+Only ``factor`` reads matrix entries, and only it checks them: it refuses
+a matrix that is not square, empty or not finite, and raises
+SingularMatrix instead of returning factors of a singular one, so every
+factorization can be solved. The one other constructor,
 ``signed_identity``, takes the signs of a diagonal of +-1, which is its own
 inverse: the solver's start base.
+
+``solve``, ``solve_transpose`` and ``replace_row`` are bare kernels, one
+gemv per solve, that trust the facet solver to pass a float64 vector of
+length d that it built itself. gemv checks no shape: it reads a (d, k)
+array flattened and a longer vector up to its d-th entry, so a vector
+that breaks this gives a wrong answer, not an error.
+``tests/test_facet.py::test_kernels_get_the_vectors_they_trust`` checks
+every vector the solver passes.
 
 LAPACK and BLAS are called directly, as dgetrf, dgetri, dgetri_lwork, dgemv
 and dger (scipy's wrappers' per-call overhead dominates at small d). They
@@ -127,7 +136,9 @@ def factor(m: np.ndarray) -> SquareFactorization:
     near = _near_singular(row_sums, lu.diagonal())
     # getri overwrites the LU in place, after the pivots were read off it
     lwork = int(_getri_lwork(d)[0])
-    inv = _solved(_getri(lu, piv, lwork=lwork, overwrite_lu=1))
+    inv, info = _getri(lu, piv, lwork=lwork, overwrite_lu=1)
+    if info != 0:
+        raise ValueError(f"getri failed with info={info}")
     return SquareFactorization(d, near, inv)
 
 
@@ -148,11 +159,7 @@ def replace_row(f: SquareFactorization, slot: int, y: np.ndarray) -> bool:
     would cost what the update saves). Return False, with ``f`` untouched,
     when |y[slot]| is at most ``NEAR_SINGULAR_FACTOR * TOL_PIVOT`` times
     max |y|, or not finite; the caller then factors the new matrix
-    afresh."""
-    d = f.dimension
-    y = np.asarray(y, dtype=float)
-    if y.shape != (d,):
-        raise DimensionMismatch(f"expansion of shape {y.shape}, dimension {d}")
+    afresh. ``y`` is a float64 vector of length d."""
     pivot, abs_y = y[slot], np.abs(y)
     # written so that a NaN or infinite y also declines; the entry argmax
     # finds is the one max returns, NaN included, at a fraction of the cost
@@ -168,31 +175,15 @@ def replace_row(f: SquareFactorization, slot: int, y: np.ndarray) -> bool:
     return True
 
 
-def _solved(x_info: tuple[np.ndarray, int]) -> np.ndarray:
-    x, info = x_info
-    if info != 0:
-        raise ValueError(f"LAPACK solve failed with info={info}")
-    return x
-
-
-def _solve(f: SquareFactorization, r: np.ndarray, trans: int) -> np.ndarray:
-    """M^-1 r, or M^-T r when ``trans`` is 1. f2py parses keywords slowly,
-    so ``trans`` goes by position: gemv(alpha, a, x, beta, y, offx, incx,
-    offy, incy, trans)."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (f.dimension,):
-        raise DimensionMismatch(
-            f"right-hand side has shape {r.shape}, expected ({f.dimension},)"
-        )
-    # with trans 0, the default, the shortest call is the fastest
-    return _gemv(1.0, f.inv, r, 0.0, None, 0, 1, 0, 1, 1) if trans else _gemv(1.0, f.inv, r)
-
-
 def solve(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
-    """Solve M x = r from the stored factors; r is a vector of length d."""
-    return _solve(f, r, 0)
+    """Solve M x = r from the stored factors; r is a float64 vector of
+    length d."""
+    return _gemv(1.0, f.inv, r)
 
 
 def solve_transpose(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
-    """Solve M^T y = r from the same factors; r is a vector of length d."""
-    return _solve(f, r, 1)
+    """Solve M^T y = r from the same factors; r is a float64 vector of
+    length d."""
+    # f2py parses keywords slowly, so trans goes by position: gemv(alpha,
+    # a, x, beta, y, offx, incx, offy, incy, trans)
+    return _gemv(1.0, f.inv, r, 0.0, None, 0, 1, 0, 1, 1)

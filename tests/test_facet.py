@@ -1059,6 +1059,67 @@ def test_steps_agree_at_every_pivot(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
+def test_kernels_get_the_vectors_they_trust(monkeypatch, fixtures_dir):
+    """``linalg.solve``, ``solve_transpose`` and ``replace_row`` check no
+    shape: gemv reads a (d, 2) array flattened and a (d + 1,) vector up to
+    its d-th entry. So every vector the solver passes them must be a
+    C-contiguous float64 array of shape (d,), and the y that updates the
+    inverse must be the very expansion the ratio test ranked."""
+    lps = [cube(d) for cube in (klee_minty_v1, klee_minty_v2) for d in range(3, 13)]
+    lps += [cycling_fixture(fid) for fid in CYCLING_FIXTURE_IDS]
+    lps += [read_mps(path) for path in sorted(fixtures_dir.glob("*.mps"))]
+    lps += _oracle_shape_lps(10)
+    lps.append(workloads.dense_lp(np.random.default_rng(0), 60))
+    real_solve, real_solve_t = linalg.solve, linalg.solve_transpose
+    real_replace, real_expand, real_leaving = (
+        linalg.replace_row, facet.expand_entering, facet.select_leaving)
+    calls = {"solve": 0, "solve_transpose": 0, "replace_row": 0}
+    expanded, ranked = [], []
+
+    def check(name, v):
+        calls[name] += 1
+        assert isinstance(v, np.ndarray) and v.dtype == np.float64, (name, type(v))
+        assert v.shape == (sp.d,) and v.flags.c_contiguous, (name, v.shape)
+
+    def recording_solve(f, r):
+        check("solve", r)
+        return real_solve(f, r)
+
+    def recording_solve_t(f, r):
+        check("solve_transpose", r)
+        return real_solve_t(f, r)
+
+    def recording_replace(f, slot, y):
+        check("replace_row", y)
+        assert y is ranked[-1] and y is expanded[-1]
+        return real_replace(f, slot, y)
+
+    def recording_expand(base, a_p):
+        expanded.append(real_expand(base, a_p))
+        return expanded[-1]
+
+    def recording_leaving(sp, sigma_p, y_p, y_c, base):
+        ranked.append(y_p)
+        return real_leaving(sp, sigma_p, y_p, y_c, base)
+
+    monkeypatch.setattr(linalg, "solve", recording_solve)
+    monkeypatch.setattr(linalg, "solve_transpose", recording_solve_t)
+    monkeypatch.setattr(linalg, "replace_row", recording_replace)
+    monkeypatch.setattr(facet, "expand_entering", recording_expand)
+    monkeypatch.setattr(facet, "select_leaving", recording_leaving)
+    for lp in lps:
+        sp = to_standard_general(lp)
+        for rule in PivotRule:
+            expanded.clear()
+            ranked.clear()
+            solve(sp, rule)
+    # a pivot updates the inverse with the expansion's transpose solve,
+    # then solves x and y_c from it
+    assert calls["replace_row"] > 0, calls
+    assert calls["solve"] >= calls["replace_row"], calls
+    assert calls["solve_transpose"] >= 2 * calls["replace_row"], calls
+
+
 def test_outcome_digest_script_writes_one_line_per_solve(tmp_path, monkeypatch):
     path = Path(__file__).resolve().parents[1] / "scripts" / "outcome_digest.py"
     spec = importlib.util.spec_from_file_location("outcome_digest", path)
