@@ -25,8 +25,17 @@ from facetlp.model import GeneralLP
 
 _SECTIONS = {"NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"}
 _ROW_TYPES = {"N", "E", "L", "G"}
-_BOUND_TYPES_VALUE = {"UP", "LO", "FX"}
-_BOUND_TYPES_FLAG = {"FR", "MI", "PL", "BV"}
+_VALUE = "value"  # the bound line's own value
+# the (lower, upper) each bound type sets; None leaves that side as it is
+_BOUND_SETS = {
+    "UP": (None, _VALUE),
+    "LO": (_VALUE, None),
+    "FX": (_VALUE, _VALUE),
+    "FR": (-np.inf, np.inf),
+    "MI": (-np.inf, None),
+    "PL": (None, np.inf),
+    "BV": (0.0, 1.0),
+}
 _MARKER_WARNING = "MARKER integrality sections present; continuous relaxation is used"
 
 
@@ -35,10 +44,8 @@ class MpsDocument:
     """Faithful token capture of one MPS file."""
 
     name: str = ""
-    row_types: dict[str, str] = field(default_factory=dict)
-    row_order: list[str] = field(default_factory=list)
+    row_types: dict[str, str] = field(default_factory=dict)  # in file order
     objective_row: str | None = None
-    extra_objective_rows: list[str] = field(default_factory=list)
     column_order: list[str] = field(default_factory=list)
     entries: dict[tuple[str, str], float] = field(default_factory=dict)
     rhs: dict[str, float] = field(default_factory=dict)
@@ -46,6 +53,11 @@ class MpsDocument:
     ranges: dict[str, float] = field(default_factory=dict)
     bounds: list[tuple[str, str, float | None]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def extra_objective_rows(self) -> list[str]:
+        """The N rows after the first, which the conversion ignores."""
+        return [r for r, t in self.row_types.items() if t == "N" and r != self.objective_row]
 
     @property
     def num_rows(self) -> int:
@@ -106,14 +118,9 @@ def parse_mps(text: str) -> MpsDocument:
                 raise MpsSyntaxError(f"unknown row type {tokens[0]!r}", lineno)
             if label in doc.row_types:
                 raise MpsSyntaxError(f"duplicate row label {label!r}", lineno)
-            if rtype == "N":
-                if doc.objective_row is None:
-                    doc.objective_row = label
-                else:
-                    doc.extra_objective_rows.append(label)
+            if rtype == "N" and doc.objective_row is None:
+                doc.objective_row = label
             doc.row_types[label] = rtype
-            if rtype != "N":
-                doc.row_order.append(label)
 
         elif section == "COLUMNS":
             if len(tokens) >= 3 and tokens[1] == "'MARKER'":
@@ -139,40 +146,29 @@ def parse_mps(text: str) -> MpsDocument:
             # an optional set name leads the (row, value) pairs, so an odd
             # token count means it is present
             payload = tokens[len(tokens) % 2:]
+            is_rhs = section == "RHS"
+            values = doc.rhs if is_rhs else doc.ranges
             for rlabel, v in _row_values(doc, payload, section, lineno):
-                if section == "RHS":
-                    if rlabel == doc.objective_row:
-                        doc.objective_rhs = v
-                    elif doc.row_types[rlabel] == "N":
-                        doc.warnings.append(f"RHS on spare N row {rlabel!r} ignored")
-                    else:
-                        doc.rhs[rlabel] = v
+                if is_rhs and rlabel == doc.objective_row:
+                    doc.objective_rhs = v
+                elif doc.row_types[rlabel] == "N":
+                    spare = "spare " if is_rhs else ""
+                    doc.warnings.append(f"{section} on {spare}N row {rlabel!r} ignored")
                 else:
-                    if doc.row_types[rlabel] == "N":
-                        doc.warnings.append(f"RANGES on N row {rlabel!r} ignored")
-                    else:
-                        doc.ranges[rlabel] = v
+                    values[rlabel] = v
 
         elif section == "BOUNDS":
             btype = tokens[0].upper()
-            if btype in _BOUND_TYPES_VALUE:
-                if len(tokens) == 4:
-                    _, col, value = tokens[1], tokens[2], tokens[3]
-                elif len(tokens) == 3:
-                    col, value = tokens[1], tokens[2]
-                else:
-                    raise MpsSyntaxError(f"{btype} bound needs a column and value", lineno)
-                doc.bounds.append((btype, col, _number(value, lineno)))
-            elif btype in _BOUND_TYPES_FLAG:
-                if len(tokens) == 3:
-                    col = tokens[2]
-                elif len(tokens) == 2:
-                    col = tokens[1]
-                else:
-                    raise MpsSyntaxError(f"{btype} bound needs a column", lineno)
-                doc.bounds.append((btype, col, None))
-            else:
+            if btype not in _BOUND_SETS:
                 raise MpsSyntaxError(f"unknown bound type {tokens[0]!r}", lineno)
+            takes_value = _VALUE in _BOUND_SETS[btype]
+            # an optional set name leads the column: one field more
+            if len(tokens) - takes_value not in (2, 3):
+                needs = "a column and value" if takes_value else "a column"
+                raise MpsSyntaxError(f"{btype} bound needs {needs}", lineno)
+            col = tokens[-1 - takes_value]
+            value = _number(tokens[-1], lineno) if takes_value else None
+            doc.bounds.append((btype, col, value))
 
         elif section is None:
             raise MpsSyntaxError("data line before any section header", lineno)
@@ -190,9 +186,7 @@ def _interval_for_row(rtype: str, b: float, r: float | None) -> tuple[float, flo
         return b + min(0.0, r), b + max(0.0, r)
     if rtype == "G":
         return b, (b + abs(r)) if r is not None else np.inf
-    if rtype == "L":
-        return (b - abs(r)) if r is not None else -np.inf, b
-    raise ValueError(rtype)
+    return (b - abs(r)) if r is not None else -np.inf, b  # L
 
 
 def to_general_lp(doc: MpsDocument) -> GeneralLP:
@@ -212,44 +206,28 @@ def to_general_lp(doc: MpsDocument) -> GeneralLP:
     col_pos = {c: i for i, c in enumerate(cols)}
     d = len(cols)
 
-    c = np.zeros(d)
+    # a vector per row, N rows included: the objective row's is c
+    vectors = {label: np.zeros(d) for label in doc.row_types}
     for (col, row), v in doc.entries.items():
-        if row == doc.objective_row:
-            c[col_pos[col]] = v
+        vectors[row][col_pos[col]] = v
+    c = vectors[doc.objective_row]
     for spare in doc.extra_objective_rows:
         if any(row == spare for (_, row) in doc.entries):
             warnings.append(f"spare objective row {spare!r} ignored")
 
-    row_vectors: dict[str, np.ndarray] = {
-        label: np.zeros(d) for label in doc.row_order
-    }
-    for (col, row), v in doc.entries.items():
-        if row in row_vectors:
-            row_vectors[row][col_pos[col]] = v
-
-    eq_rows, eq_rhs, eq_names = [], [], []
-    ineq_rows, ineq_rhs, ineq_names = [], [], []
-
-    def add_ge(a: np.ndarray, rhs: float, name: str) -> None:
-        ineq_rows.append(a)
-        ineq_rhs.append(rhs)
-        ineq_names.append(name)
-
-    for label in doc.row_order:
-        rtype = doc.row_types[label]
-        a = row_vectors[label]
-        b = doc.rhs.get(label, 0.0)
-        r = doc.ranges.get(label)
-        lo, hi = _interval_for_row(rtype, b, r)
+    eq, ineq = [], []  # (row vector, rhs, name) per class
+    for label, rtype in doc.row_types.items():
+        if rtype == "N":
+            continue
+        a = vectors[label]
+        lo, hi = _interval_for_row(rtype, doc.rhs.get(label, 0.0), doc.ranges.get(label))
         if lo == hi:
-            eq_rows.append(a)
-            eq_rhs.append(lo)
-            eq_names.append(label)
+            eq.append((a, lo, label))
             continue
         if np.isfinite(lo):
-            add_ge(a, lo, label)
+            ineq.append((a, lo, label))
         if np.isfinite(hi):
-            add_ge(-a, -hi, f"{label}(ub)")
+            ineq.append((-a, -hi, f"{label}(ub)"))
 
     lower = np.zeros(d)
     upper = np.full(d, np.inf)
@@ -260,39 +238,21 @@ def to_general_lp(doc: MpsDocument) -> GeneralLP:
             warnings.append(f"bound on unknown column {col!r} ignored")
             continue
         i = col_pos[col]
-        if btype == "LO":
-            lower[i] = value
-        elif btype == "UP":
-            upper[i] = value
+        lo, hi = _BOUND_SETS[btype]
+        if lo is not None:
+            lower[i] = value if lo is _VALUE else lo
+        if hi is not None:
+            upper[i] = value if hi is _VALUE else hi
             explicit_upper.add(i)
-            if value < 0 and lower[i] == 0.0 and i not in mi_cols:
-                # legacy convention: a negative upper bound on a default
-                # column frees the lower bound
-                lower[i] = -np.inf
-                warnings.append(
-                    f"negative UP bound on {col!r} lowers its bound to -inf"
-                )
-        elif btype == "FX":
-            lower[i] = value
-            upper[i] = value
-            explicit_upper.add(i)
-        elif btype == "FR":
-            lower[i] = -np.inf
-            upper[i] = np.inf
-            explicit_upper.add(i)
-        elif btype == "MI":
-            lower[i] = -np.inf
+        if btype == "MI":
             mi_cols.add(i)
-        elif btype == "PL":
-            upper[i] = np.inf
-            explicit_upper.add(i)
+        elif btype == "UP" and value < 0 and lower[i] == 0.0 and i not in mi_cols:
+            # legacy convention: a negative upper bound on a default
+            # column frees the lower bound
+            lower[i] = -np.inf
+            warnings.append(f"negative UP bound on {col!r} lowers its bound to -inf")
         elif btype == "BV":
-            lower[i] = 0.0
-            upper[i] = 1.0
-            explicit_upper.add(i)
-            warnings.append(
-                f"binary bound on {col!r} relaxed to [0, 1] (LP relaxation)"
-            )
+            warnings.append(f"binary bound on {col!r} relaxed to [0, 1] (LP relaxation)")
     for i in mi_cols - explicit_upper:
         upper[i] = 0.0
 
@@ -302,6 +262,8 @@ def to_general_lp(doc: MpsDocument) -> GeneralLP:
             f"bounds for column {cols[i]!r} conflict: [{lower[i]}, {upper[i]}]"
         )
 
+    A_eq, b_eq, eq_names = _stack(eq, d)
+    A_ineq, b_ineq, ineq_names = _stack(ineq, d)
     names = {
         "problem": doc.name,
         "objective": doc.objective_row,
@@ -311,16 +273,15 @@ def to_general_lp(doc: MpsDocument) -> GeneralLP:
         "warnings": warnings,
     }
     return GeneralLP(
-        c=c,
-        A_eq=np.array(eq_rows) if eq_rows else np.zeros((0, d)),
-        b_eq=np.array(eq_rhs),
-        A_ineq=np.array(ineq_rows) if ineq_rows else np.zeros((0, d)),
-        b_ineq=np.array(ineq_rhs),
-        lower=lower,
-        upper=upper,
-        names=names,
-        objective_offset=-doc.objective_rhs,
+        c=c, A_eq=A_eq, b_eq=b_eq, A_ineq=A_ineq, b_ineq=b_ineq,
+        lower=lower, upper=upper, names=names, objective_offset=-doc.objective_rhs,
     )
+
+
+def _stack(rows: list[tuple[np.ndarray, float, str]], d: int):
+    """The matrix, rhs and names of (row vector, rhs, name) triples."""
+    A = np.array([a for a, _, _ in rows]) if rows else np.zeros((0, d))
+    return A, np.array([b for _, b, _ in rows]), [name for _, _, name in rows]
 
 
 def read_text(path) -> str:

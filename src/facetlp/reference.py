@@ -161,11 +161,10 @@ class _Tableau:
         return x
 
 
-def _run_simplex(t: _Tableau, allowed: int, bland: bool, max_pivots: int,
+def _run_simplex(t: _Tableau, bland: bool, max_pivots: int,
                  audit: SolveAudit | None) -> tuple[Status, int]:
-    """Pivot until no reduced cost among the first ``allowed`` columns (the
-    artificial columns trail, so a prefix length selects the phase) is below
-    -TOL, no row is eligible to leave, or ``max_pivots`` pivots are made.
+    """Pivot until no reduced cost is below -TOL, no row is eligible to
+    leave, or ``max_pivots`` pivots are made.
 
     The most negative reduced cost enters, the first negative one under
     ``bland``. Rows whose column entry is above TOL are eligible; those
@@ -175,7 +174,7 @@ def _run_simplex(t: _Tableau, allowed: int, bland: bool, max_pivots: int,
     ``NoLeavingCandidate``. The cost row, body and rhs views are taken once:
     ``pivot`` updates the tableau in place.
     """
-    costs, body, rhs = t.T[0, :allowed], t.T[1:], t.T[1:, -1]
+    costs, body, rhs = t.T[0, :-1], t.T[1:], t.T[1:, -1]
     pivots = 0
     while pivots < max_pivots:
         # Bland: the first negative cost; with none, argmax gives column 0, not negative
@@ -256,7 +255,7 @@ def dantzig_solve(
         cost1 = np.zeros(N + n_art)
         cost1[N:] = 1.0
         t.price_out(cost1)
-        status, phase1 = _run_simplex(t, N + n_art, bland, max_iter, audit_log)
+        status, phase1 = _run_simplex(t, bland, max_iter, audit_log)
         # phase-1 objective is -sum(artificials) in the rhs cell
         infeasible = t.T[0, -1] < -TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
         if status is Status.OPTIMAL and infeasible:
@@ -276,7 +275,7 @@ def dantzig_solve(
 
     if status is Status.OPTIMAL:
         t.price_out(sf.c)
-        status, phase2 = _run_simplex(t, N, bland, max_iter - phase1, audit_log)
+        status, phase2 = _run_simplex(t, bland, max_iter - phase1, audit_log)
 
     x_opt = objective = None
     if status is not Status.ITERATION_LIMIT:
@@ -347,8 +346,9 @@ def brute_force_optimal(sp: StandardGeneralLP) -> SolveOutcome:
     The bases are taken in blocks of ``_BLOCK``, sized for the cache: a
     block's arrays take about 1 MB at d = 5 with 22 rows and 2 MB at d = 8
     with 25, about one core's L2 (2 MB on the Xeon it was tuned on). The
-    block size bounds memory, by the block and the feasible set rather
-    than by C(N, d), and never the result. Each block is solved whole, and
+    block size bounds only the per-block working arrays, and never the
+    result: the index array is C(N, d)-sized, and :func:`_bases` keeps up
+    to 16 of them for the life of the process. Each block is solved whole, and
     its solutions are tested for feasibility; an exactly singular base
     solves to NaN and fails that test. The residuals are laid out rows ×
     bases, and ``feasible`` gets their transposed view, so each comparison

@@ -15,10 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facetlp.facet import Status, solve
+from facetlp.facet import PivotRule, Status, solve
 from facetlp.generators import klee_minty_v1, klee_minty_v2, random_instance
 from facetlp.model import GeneralLP, lp_dual, to_standard_general
 from facetlp.mps import read_mps
+from facetlp.reference import dantzig_solve, to_standard_form
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -105,3 +106,34 @@ def test_dual_of_a_small_lp_by_hand():
     assert q.objective_offset == -0.5
     primal, dual = solve(to_standard_general(p)), solve(to_standard_general(q))
     assert primal.objective == pytest.approx(1.5) and dual.objective == pytest.approx(-1.5)
+
+
+def _inequality_dual(p: GeneralLP) -> GeneralLP:
+    """The dual of a cube posed as max c.x s.t. A x <= b, x >= 0, with
+    A = -A_ineq, b = -b_ineq and c = -c: min b.y s.t. A^T y >= c, y >= 0.
+    Unlike ``lp_dual``'s equality form, it keeps one row per primal
+    variable and one variable per primal row."""
+    A, b = -p.A_ineq, -p.b_ineq
+    return GeneralLP(c=b, A_ineq=A.T, b_ineq=-p.c, lower=np.zeros(b.size))
+
+
+@pytest.mark.parametrize("cube", [klee_minty_v1, klee_minty_v2])
+def test_facet_pivots_on_the_dual_cubes_mirror_dantzig_on_the_primal(cube):
+    fib = [1, 1]
+    while len(fib) < 14:
+        fib.append(fib[-1] + fib[-2])
+    for d in range(3, 13):
+        p = cube(d)
+        sp = to_standard_general(_inequality_dual(p))
+        max_dev, max_norm, least = (solve(sp, rule) for rule in PivotRule)
+        most_negative = dantzig_solve(to_standard_form(p))
+        bland = dantzig_solve(to_standard_form(p), bland=True)
+        primal_optimum = -(5.0 ** d if cube is klee_minty_v1 else 2.0 ** d - 1)
+        for out in (max_dev, max_norm, least):
+            assert out.status is OPTIMAL and out.objective == -primal_optimum, (d, out)
+        assert most_negative.objective == primal_optimum, d
+        if cube is klee_minty_v1:
+            assert max_dev.iterations == 2 ** d - 1, d
+        assert max_dev.iterations == most_negative.phase2_iterations, d
+        assert least.iterations == 2 * fib[d] - 1 == bland.phase2_iterations, d
+        assert max_norm.iterations == 1, d

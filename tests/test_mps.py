@@ -106,6 +106,69 @@ class TestParse:
         assert any("relaxation" in w for w in doc.warnings)
 
 
+def _with_bounds(*lines):
+    return MINIMAL.replace("ENDATA", "BOUNDS\n" + "".join(f" {ln}\n" for ln in lines) + "ENDATA")
+
+
+# each refusal: the text, its line (None when it has none) and its message
+REFUSALS = [
+    (MINIMAL.replace(" E  R1", " Q  R1"), 4, "unknown row type 'Q'"),
+    (MINIMAL.replace(" E  R1", " E"), 4, "ROWS line needs a type and a label"),
+    (MINIMAL.replace(" E  R1", " E  R1\n L  R1"), 5, "duplicate row label 'R1'"),
+    (" X1  OBJ  1.0\n" + MINIMAL, 1, "data line before any section header"),
+    (_with_bounds("ZZ BND X1 1.0"), 10, "unknown bound type 'ZZ'"),
+    (_with_bounds("UP X1"), 10, "UP bound needs a column and value"),
+    (_with_bounds("UP BND X1 1.0 2.0"), 10, "UP bound needs a column and value"),
+    (_with_bounds("MI"), 10, "MI bound needs a column"),
+    (_with_bounds("MI BND X1 extra"), 10, "MI bound needs a column"),
+    (MINIMAL.replace("R1        4.0", "R1        four"), 8, "bad numeric value 'four'"),
+    (_with_bounds("UP BND X1 x"), 10, "bad numeric value 'x'"),
+    (MINIMAL.replace(" N  OBJ\n", "").replace("OBJ       1.0        ", ""), None,
+     "no N (objective) row declared"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", REFUSALS)
+def test_each_refusal_names_its_line_and_cause(text, line, message):
+    with pytest.raises(MpsSyntaxError) as err:
+        parse_mps(text)
+    assert type(err.value) is MpsSyntaxError
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_each_warning_in_order():
+    text = MINIMAL.replace(" E  R1", " E  R1\n N  FREE2")
+    text = text.replace("R1        2.0", "R1        2.0\n    X1        FREE2     1.0")
+    text = text.replace("R1        4.0", "R1        4.0        FREE2     1.0")
+    text = text.replace("ENDATA", "RANGES\n    RNG       OBJ       1.0\nENDATA")
+    text = text.replace("ENDATA", "BOUNDS\n UP BND X1 -1.0\n UP BND ZZ 1.0\nENDATA")
+    p = to_general_lp(parse_mps(text))
+    assert p.names["warnings"] == [
+        "RHS on spare N row 'FREE2' ignored",
+        "RANGES on N row 'OBJ' ignored",
+        "spare objective row 'FREE2' ignored",
+        "negative UP bound on 'X1' lowers its bound to -inf",
+        "bound on unknown column 'ZZ' ignored",
+    ]
+    assert p.lower[0] == -np.inf and p.upper[0] == -1.0
+
+
+@pytest.mark.parametrize("line, triple", [
+    ("UP X1 9.0", ("UP", "X1", 9.0)),
+    ("LO X1 9.0", ("LO", "X1", 9.0)),
+    ("FX X1 9.0", ("FX", "X1", 9.0)),
+    ("FR X1", ("FR", "X1", None)),
+    ("MI X1", ("MI", "X1", None)),
+    ("PL X1", ("PL", "X1", None)),
+    ("BV X1", ("BV", "X1", None)),
+])
+def test_bound_set_name_is_optional(line, triple):
+    btype, rest = line.split(" ", 1)
+    for form in (line, f"{btype} BND {rest}"):
+        assert parse_mps(_with_bounds(form)).bounds == [triple], form
+
+
 class TestConvert:
     def test_le_row_is_negated(self):
         text = """\

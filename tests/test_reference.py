@@ -362,10 +362,10 @@ def _rowloop_pivot(self, row, col):
     self.basis[row] = col
 
 
-def _rowloop_enter_column(t, allowed, bland):
+def _rowloop_enter_column(t, bland):
     """The entering rule as it was, over the boolean mask the column count
     replaced."""
-    mask = np.arange(t.num_cols) < allowed
+    mask = np.arange(t.num_cols) < t.num_cols
     costs = t.T[0, :-1]
     if bland:
         for j in np.flatnonzero(mask):
@@ -393,12 +393,12 @@ def _rowloop_leave_row(t, col, bland):
     return int(tied[0])
 
 
-def _rowloop_run_simplex(t, allowed, bland, max_pivots, audit):
+def _rowloop_run_simplex(t, bland, max_pivots, audit):
     """The simplex loop as it was, one call per choice and per pivot: the
     row-loop entering rule, ratio test and pivot above."""
     pivots = 0
     while pivots < max_pivots:
-        col = _rowloop_enter_column(t, allowed, bland)
+        col = _rowloop_enter_column(t, bland)
         if col is None:
             return Status.OPTIMAL, pivots
         row = _rowloop_leave_row(t, col, bland)
