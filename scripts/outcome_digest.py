@@ -22,10 +22,11 @@ instances above: status, iterations, objective hex, a hash of x_opt's
 bytes, the base rows and the certificate (an artificial row or null).
 
 Last come the Dantzig lines, one per ``reference.dantzig_solve`` call with
-at most 20,000 pivots: km1 d=3..12, km2 d=3..19 and the oracle's random
-instances under the most-negative rule, and the cycling fixtures under it
-and under Bland's rule. Each holds the status, the phase-1 and phase-2
-pivot counts, the objective hex and a hash of x_opt's bytes.
+at most 20,000 pivots: km1 d=3..12, km2 d=3..19, the MPS fixtures and the
+oracle's random instances under the most-negative rule, and the cycling
+fixtures under it and under Bland's rule. Each holds the status, the
+phase-1 and phase-2 pivot counts, the objective hex and a hash of x_opt's
+bytes.
 
 Run it on two checkouts with BLAS pinned to one thread, then compare:
 
@@ -86,6 +87,8 @@ def dantzig_cases(quick: bool):
     for fid in generators.CYCLING_FIXTURE_IDS:
         for bland in (False, True):
             yield f"cycling-{fid}", generators.cycling_fixture(fid), bland
+    for path in sorted(FIXTURE_DIR.glob("*.mps")):
+        yield f"mps-{path.stem}", mps.read_mps(path), False
     for name, lp in random_instances(seeds):
         yield name, lp, False
 

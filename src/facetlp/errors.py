@@ -39,8 +39,8 @@ class SingularMatrix(NumericalBreakdown):
 
 class NoLeavingCandidate(NumericalBreakdown):
     """No admissible leaving facet or row existed: a NaN ratio test, in
-    either solver, or in the facet solver an internal inconsistency, because
-    the infeasibility test runs first."""
+    either solver, or in the facet solver a NaN expansion entry on an
+    inequality slot, which fails both the ratio and infeasibility tests."""
 
 
 class SizeOutOfRange(FacetLPError):

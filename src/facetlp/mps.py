@@ -10,6 +10,7 @@ the usual solver convention). Writing MPS is out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,11 +70,15 @@ class MpsDocument:
         return len(self.column_order)
 
 
-def _number(token: str, lineno: int) -> float:
+def _number(token: str, lineno: int, section: str) -> float:
+    """The token's value; an infinity leaves a side open in RANGES and BOUNDS."""
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise MpsSyntaxError(f"bad numeric value {token!r}", lineno) from None
+    if math.isnan(value) or (math.isinf(value) and section in ("COLUMNS", "RHS")):
+        raise MpsSyntaxError(f"{section} value {token!r} is not finite", lineno)
+    return value
 
 
 def _row_values(doc: MpsDocument, payload: list[str], section: str, lineno: int):
@@ -83,7 +88,7 @@ def _row_values(doc: MpsDocument, payload: list[str], section: str, lineno: int)
     for rlabel, value in zip(payload[0::2], payload[1::2]):
         if rlabel not in doc.row_types:
             raise UnknownRowLabel(f"unknown row {rlabel!r}", lineno)
-        yield rlabel, _number(value, lineno)
+        yield rlabel, _number(value, lineno, section)
 
 
 def parse_mps(text: str) -> MpsDocument:
@@ -167,7 +172,7 @@ def parse_mps(text: str) -> MpsDocument:
                 needs = "a column and value" if takes_value else "a column"
                 raise MpsSyntaxError(f"{btype} bound needs {needs}", lineno)
             col = tokens[-1 - takes_value]
-            value = _number(tokens[-1], lineno) if takes_value else None
+            value = _number(tokens[-1], lineno, section) if takes_value else None
             doc.bounds.append((btype, col, value))
 
         elif section is None:

@@ -25,20 +25,19 @@ _BLOCK = 2048  # bases per oracle block: sized for the cache, never changes the 
 class StandardFormLP:
     """min c.x subject to A x = b, x >= 0, plus the projection back to the
     original coordinates: x_i = shift_i + sign_i * x_std[i] for the first
-    ``original_dim`` entries, less the trailing columns for the variables
+    ``shift.size`` entries, less the trailing columns for the variables
     listed in ``free``."""
 
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    original_dim: int
     shift: np.ndarray
     sign: np.ndarray
     free: np.ndarray
     objective_offset: float = 0.0
 
     def project(self, x_std: np.ndarray) -> np.ndarray:
-        x = x_std[: self.original_dim] * self.sign + self.shift
+        x = x_std[: self.shift.size] * self.sign + self.shift
         x[self.free] -= x_std[self.A.shape[1] - self.free.size :]
         return x
 
@@ -46,16 +45,13 @@ class StandardFormLP:
 def to_standard_form(p: GeneralLP) -> StandardFormLP:
     """Rewrite a general problem as equalities over nonnegative variables.
 
-    Inequality rows gain surplus columns. Each variable x becomes a
-    nonnegative x': shifted by its finite lower bound, x = lower + x';
-    mirrored when only its upper bound is finite, x = upper - x'; and split
-    when it is free, x = x' - x'', with the x'' columns appended after the
-    surplus columns. A variable whose x' has a finite upper bound
-    w = upper - lower then gets the bounded-variable row pair
-
-        x' + y = w,   x' - z = 0,   y, z >= 0,
-
-    stacked after the inequality block.
+    Each variable x becomes a nonnegative x': shifted by its finite lower
+    bound, x = lower + x'; mirrored when only its upper bound is finite,
+    x = upper - x'; and split when it is free, x = x' - x''. A variable
+    whose x' has a finite upper bound w = upper - lower gets one row
+    x' + y = w, y >= 0, stacked after the inequality block; x' >= 0 is its
+    own sign. The columns are x', then one slack y per such row, then a
+    surplus per inequality row, then the x'' columns.
     """
     lower, upper = p.lower, p.upper
     below = np.isneginf(lower)
@@ -71,8 +67,8 @@ def to_standard_form(p: GeneralLP) -> StandardFormLP:
     bounded = np.flatnonzero(np.isfinite(width))
     nb = bounded.size
 
-    n_cols = d + 2 * nb + n + free.size
-    n_rows = m + n + 2 * nb
+    n_cols = d + nb + n + free.size
+    n_rows = m + n + nb
     A = np.zeros((n_rows, n_cols))
     b = np.zeros(n_rows)
 
@@ -81,23 +77,19 @@ def to_standard_form(p: GeneralLP) -> StandardFormLP:
     A[m : m + n, :d] = p.A_ineq * sign
     b[m : m + n] = b_ineq
     for j in range(n):  # surplus columns for >= rows
-        A[m + j, d + 2 * nb + j] = -1.0
+        A[m + j, d + nb + j] = -1.0
     for k, i in enumerate(bounded):  # x_i + y_k = w_i
         A[m + n + k, i] = 1.0
         A[m + n + k, d + k] = 1.0
         b[m + n + k] = width[i]
-    for k, i in enumerate(bounded):  # x_i - z_k = 0
-        A[m + n + nb + k, i] = 1.0
-        A[m + n + nb + k, d + nb + k] = -1.0
-    A[: m + n, d + 2 * nb + n :] = -A[: m + n, free]
+    A[: m + n, d + nb + n :] = -A[: m + n, free]
 
     c = np.zeros(n_cols)
     c[:d] = p.c * sign
-    c[d + 2 * nb + n :] = -p.c[free]
+    c[d + nb + n :] = -p.c[free]
     offset = float(p.c @ shift) + p.objective_offset
     return StandardFormLP(
-        A=A, b=b, c=c, original_dim=d, shift=shift, sign=sign, free=free,
-        objective_offset=offset,
+        A=A, b=b, c=c, shift=shift, sign=sign, free=free, objective_offset=offset,
     )
 
 

@@ -428,6 +428,23 @@ class TestSelectLeaving:
             select_leaving(sp, -1.0, np.ones(3), y_c, base)
         assert issubclass(NoLeavingCandidate, NumericalBreakdown)
 
+    @pytest.mark.parametrize("p, sigma_p, y_p", [
+        (3, -1.0, [np.nan, -1.0]),  # a violated inequality
+        (0, +1.0, [1.0, np.nan]),   # an over-violated equality
+    ])
+    def test_a_nan_expansion_entry_leaves_neither_a_slot_nor_a_certificate(
+            self, p, sigma_p, y_p):
+        # no slot is eligible, yet the NaN fails the Farkas test too: the
+        # case where solve raises NoLeavingCandidate
+        sp, base = _eq_below(1), _dummy_base([4, 9])
+        y_p = np.array(y_p)
+        assert select_leaving(sp, sigma_p, y_p, np.ones(2), base) is None
+        assert check_infeasible(sp, p, sigma_p, y_p, base) is None
+        # with the NaN made a sign-consistent number, that test certifies
+        y_p[np.isnan(y_p)] = sigma_p
+        assert select_leaving(sp, sigma_p, y_p, np.ones(2), base) is None
+        assert check_infeasible(sp, p, sigma_p, y_p, base) is not None
+
 
 class TestPivot:
     def test_entering_duplicate_of_leaving_is_a_null_move(self):
@@ -1165,6 +1182,8 @@ def test_outcome_digest_script_writes_one_line_per_solve(tmp_path, monkeypatch):
 
     assert [line["name"] for line in dantzig] == [name for name, _, _ in dantzig_cases]
     assert {line["solver"] for line in dantzig} == {"dantzig"}
+    assert {line["name"].split("-")[0] for line in dantzig} == {
+        "km1", "km2", "cycling", "mps", "feasible", "infeasible", "unbounded"}
     assert {line["status"] for line in dantzig} == {
         "Optimal", "Infeasible", "Unbounded", "IterationLimit"}
     # the cycling fixtures that cycle stop at the limit only without Bland's rule

@@ -123,6 +123,16 @@ REFUSALS = [
     (_with_bounds("MI BND X1 extra"), 10, "MI bound needs a column"),
     (MINIMAL.replace("R1        4.0", "R1        four"), 8, "bad numeric value 'four'"),
     (_with_bounds("UP BND X1 x"), 10, "bad numeric value 'x'"),
+    # NaN on any line, and an infinity in COLUMNS or RHS, is refused where it is read
+    (MINIMAL.replace("R1        2.0", "R1        NaN"), 6, "COLUMNS value 'NaN' is not finite"),
+    (MINIMAL.replace("OBJ       1.0", "OBJ       -inf"), 6, "COLUMNS value '-inf' is not finite"),
+    (MINIMAL.replace("R1        4.0", "R1        nan"), 8, "RHS value 'nan' is not finite"),
+    (MINIMAL.replace("R1        4.0", "R1        inf"), 8, "RHS value 'inf' is not finite"),
+    (MINIMAL.replace("R1        4.0", "R1        4.0   OBJ  1e999"), 8,
+     "RHS value '1e999' is not finite"),
+    (MINIMAL.replace("ENDATA", "RANGES\n    RNG       R1        nan\nENDATA"), 10,
+     "RANGES value 'nan' is not finite"),
+    (_with_bounds("UP BND X1 -nan"), 10, "BOUNDS value '-nan' is not finite"),
     (MINIMAL.replace(" N  OBJ\n", "").replace("OBJ       1.0        ", ""), None,
      "no N (objective) row declared"),
 ]
@@ -152,6 +162,18 @@ def test_each_warning_in_order():
         "bound on unknown column 'ZZ' ignored",
     ]
     assert p.lower[0] == -np.inf and p.upper[0] == -1.0
+
+
+def test_infinite_bounds_and_ranges_leave_a_side_open():
+    p = to_general_lp(parse_mps(_with_bounds("LO BND X1 -inf", "UP BND X1 inf")))
+    assert p.lower[0] == -np.inf and p.upper[0] == np.inf
+    # an E row with an infinite range is the one-sided interval from its rhs
+    for r, a, b in (("inf", 2.0, 4.0), ("-inf", -2.0, -4.0)):
+        text = MINIMAL.replace("ENDATA", f"RANGES\n    RNG       R1        {r}\nENDATA")
+        p = to_general_lp(parse_mps(text))
+        assert p.num_eq == 0 and p.names["ineq_rows"] == ["R1" if a > 0 else "R1(ub)"]
+        np.testing.assert_array_equal(p.A_ineq, [[a]])
+        np.testing.assert_array_equal(p.b_ineq, [b])
 
 
 @pytest.mark.parametrize("line, triple", [

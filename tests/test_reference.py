@@ -14,6 +14,7 @@ from facetlp.errors import NoLeavingCandidate, NumericalBreakdown, TooLarge
 from facetlp.facet import PivotRule, SolveOutcome, Status, solve
 from facetlp.generators import (
     CYCLING_FIXTURE_IDS,
+    RANDOM_KINDS,
     cycling_fixture,
     klee_minty_v1,
     klee_minty_v2,
@@ -37,16 +38,46 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 class TestToStandardForm:
     def test_bounded_variable_block_pattern(self):
-        """One equality row plus a boxed variable yields the three-block
-        system [A; I I; I -I] over (x, y, z): 3 rows, 3 columns."""
+        """One equality row plus a boxed variable yields the two-block
+        system [A; I I] over (x', y): 2 rows, 2 columns. x' >= 0 is the
+        column's sign, so no row states it."""
         p = GeneralLP(c=[1.0], A_eq=[[1.0]], b_eq=[1.0], lower=[0.0], upper=[2.0])
         sf = to_standard_form(p)
-        assert sf.A.shape == (3, 3)
-        np.testing.assert_array_equal(sf.A, [[1.0, 0.0, 0.0],
-                                             [1.0, 1.0, 0.0],
-                                             [1.0, 0.0, -1.0]])
-        np.testing.assert_array_equal(sf.b, [1.0, 2.0, 0.0])
-        np.testing.assert_array_equal(sf.c, [1.0, 0.0, 0.0])
+        assert sf.A.shape == (2, 2)
+        np.testing.assert_array_equal(sf.A, [[1.0, 0.0],
+                                             [1.0, 1.0]])
+        np.testing.assert_array_equal(sf.b, [1.0, 2.0])
+        np.testing.assert_array_equal(sf.c, [1.0, 0.0])
+
+    def test_column_blocks_are_x_then_bound_slacks_then_surplus_then_split(self):
+        # x0 free, x1 in [1, 4], x2 <= 3 (mirrored), x3 in [0, 2]; one >= row
+        inf = np.inf
+        p = GeneralLP(c=[1.0, 2.0, 3.0, 4.0], A_ineq=[[1.0, 1.0, 1.0, 1.0]], b_ineq=[5.0],
+                      lower=[-inf, 1.0, -inf, 0.0], upper=[inf, 4.0, 3.0, 2.0])
+        sf = to_standard_form(p)
+        # rows: the >= row, then x1' + y0 = 3 and x3' + y1 = 2
+        np.testing.assert_array_equal(sf.A, [
+            [1.0, 1.0, -1.0, 1.0, 0.0, 0.0, -1.0, -1.0],
+            [0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0],
+        ])
+        np.testing.assert_array_equal(sf.b, [5.0 - 1.0 - 3.0, 3.0, 2.0])
+        np.testing.assert_array_equal(sf.c, [1.0, 2.0, -3.0, 4.0, 0.0, 0.0, 0.0, -1.0])
+        x_std = np.array([7.0, 1.0, 2.0, 0.5, 2.0, 1.5, 0.0, 4.0])
+        np.testing.assert_array_equal(sf.project(x_std), [3.0, 2.0, 1.0, 0.5])
+
+    def test_boxed_lp_with_a_feasible_slack_start_skips_phase_1(self):
+        cases = [
+            GeneralLP(c=[1.0], A_ineq=[[-1.0]], b_ineq=[-2.0], lower=[0.0], upper=[5.0]),
+            GeneralLP(c=[1.0, 2.0], A_ineq=[[-1.0, -1.0]], b_ineq=[-4.0],
+                      lower=[0.0, 1.0], upper=[3.0, 5.0]),
+        ]
+        for p, objective in zip(cases, (0.0, 2.0)):
+            for bland in (False, True):
+                out = dantzig_solve(to_standard_form(p), bland=bland)
+                assert out.status is Status.OPTIMAL
+                assert out.phase1_iterations == 0
+                assert out.objective == objective
 
     def test_cube_objective_survives_conversion(self):
         out = dantzig_solve(to_standard_form(klee_minty_v1(3)))
@@ -552,14 +583,29 @@ class TestDantzigRevisitAudit:
 
 class TestBaselineAgreement:
     def test_dantzig_matches_oracle_on_random_instances(self):
+        """Every kind under both rules; the infeasible kind is boxed, so its
+        verdict comes out of phase 1 over the bound rows."""
         for seed in range(40):
-            for (d, m, n) in [(3, 1, 4), (5, 0, 6)]:
-                p = random_instance(seed, d, m, n, "feasible")
-                want = brute_force_optimal(to_standard_general(p))
-                got = dantzig_solve(to_standard_form(p), bland=True)
-                assert got.status == want.status
-                rel = abs(got.objective - want.objective) / (1 + abs(want.objective))
-                assert rel <= 1e-7
+            for (d, m, n) in [(3, 1, 4), (5, 0, 6), (4, 1, 6)]:
+                for kind in RANDOM_KINDS:
+                    p = random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
+                    want = brute_force_optimal(to_standard_general(p))
+                    for bland in (False, True):
+                        got = dantzig_solve(to_standard_form(p), bland=bland)
+                        assert got.status is want.status, (seed, d, kind, bland)
+                        if want.status is Status.OPTIMAL:
+                            rel = abs(got.objective - want.objective) / (1 + abs(want.objective))
+                            assert rel <= 1e-7
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.mps")), ids=lambda p: p.stem)
+    def test_dantzig_matches_facet_on_the_mps_fixtures(self, path):
+        p = read_mps(path)
+        want = solve(to_standard_general(p))
+        for bland in (False, True):
+            got = dantzig_solve(to_standard_form(p), bland=bland)
+            assert got.status is want.status
+            if want.status is Status.OPTIMAL:
+                assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=0.0)
 
 
 def _enumerate_every_subset(sp: StandardGeneralLP) -> SolveOutcome:
