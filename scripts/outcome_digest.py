@@ -1,13 +1,16 @@
 """One JSON line per facet solve and oracle call, to compare two builds.
 
-A line holds what a change to the solver's numerics can move: status,
-iterations, the objective as a float hex, a hash of the bytes of x_opt,
-the final base rows, the rows found redundant, a hash of the certificate's
-repr, a hash of the trace's repr (entering and leaving rows, objective and
-violation per pivot), the audit (violations, base repeats, pivots
-checked) and the number of ``linalg.factor`` calls. Every solve runs with
-``audit=True`` and ``collect_trace=True``. Two builds whose digests are
-byte-identical gave bit-identical outcomes on every solve. The sweep:
+The first line names the build: numpy's and scipy's versions and the
+build string of each OpenBLAS the process loaded, which names the CPU
+kernels it picked. Each later line holds what a change to the solver's
+numerics can move: status, iterations, the objective as a float hex, a
+hash of the bytes of x_opt, the final base rows, the rows found
+redundant, a hash of the certificate's repr, a hash of the trace's repr
+(entering and leaving rows, objective and violation per pivot), the audit
+(violations, base repeats, pivots checked) and the number of
+``linalg.factor`` calls. Every solve runs with ``audit=True`` and
+``collect_trace=True``. Two builds whose digests are byte-identical gave
+bit-identical outcomes on every solve. The sweep:
 
 - under each pivot rule: km1 d=3..16, km2 d=3..19, the cycling fixtures,
   the MPS fixtures under ``tests/fixtures``, and seeds 0..149 of each
@@ -28,7 +31,8 @@ fixtures under it and under Bland's rule. Each holds the status, the
 phase-1 and phase-2 pivot counts, the objective hex and a hash of x_opt's
 bytes.
 
-Run it on two checkouts with BLAS pinned to one thread, then compare:
+Run it on two checkouts on one host with BLAS pinned to one thread, then
+compare:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/outcome_digest.py -o a.jsonl
     cmp a.jsonl b.jsonl
@@ -37,9 +41,19 @@ Where they differ, ``--against a.jsonl -o b.jsonl`` writes b.jsonl and
 prints what moved: per field, the number of lines whose value changed;
 every change of status, iteration count, final base, redundant rows or
 audit violations; and the largest relative move of an objective. It exits
-1 when any line moved, and 0 when none did.
+1 when any line moved, and 0 when none did. It compares the solves' lines
+only, so it also reads a digest with no build line.
 
-``--quick`` runs a small subset of each part.
+``--quick`` runs a small subset of each part. Tier-1 regenerates the quick
+digest and compares it with the one recorded in
+``tests/fixtures/outcome_digest_quick.jsonl``, written by
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/outcome_digest.py \
+        --quick -o tests/fixtures/outcome_digest_quick.jsonl
+
+Its largest base is d=20, below the d where LAPACK's LU gives bits that
+depend on the BLAS thread count, so the thread count is not in the build
+line.
 """
 
 from __future__ import annotations
@@ -55,6 +69,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import worker  # noqa: E402
 import workloads  # noqa: E402
 from facetlp import facet, generators, linalg, model, mps, reference  # noqa: E402
 
@@ -189,10 +204,30 @@ def dantzig_digest(name: str, lp: model.GeneralLP, bland: bool) -> dict:
     }
 
 
+def build() -> dict:
+    """The build the digest's bits come from: numpy's and scipy's versions
+    and, per OpenBLAS library loaded, its file name and build string."""
+    env = worker.environment()
+    return {"numpy": env["numpy"], "scipy": env["scipy"],
+            "openblas": [[lib["library"], lib.get("config")] for lib in env["openblas"]]}
+
+
+def sweep(quick: bool):
+    """Every line of the digest, in order: the facet solves, the oracle
+    calls, then the Dantzig calls."""
+    for case in cases(quick):
+        yield digest(*case)
+    for case in oracle_cases(quick):
+        yield oracle_digest(*case)
+    for case in dantzig_cases(quick):
+        yield dantzig_digest(*case)
+
+
 # the fields whose every change the comparison lists: the Dantzig lines
 # count their pivots in phase1 and phase2
 LISTED = ("status", "iterations", "phase1", "phase2", "basis_rows", "redundant_rows",
           "violations")
+MOVED_SHOWN = 20
 
 
 def _key(line: dict) -> tuple:
@@ -206,17 +241,20 @@ def _label(line: dict) -> str:
 
 def compare(old: list[dict], new: list[dict]) -> list[str]:
     """The report of what moved from the digest ``old`` to ``new``, whose
-    lines must name the same solves in the same order."""
+    lines must name the same solves in the same order. It ends with the
+    first ``MOVED_SHOWN`` moved lines, each with the fields that moved."""
     if [_key(line) for line in old] != [_key(line) for line in new]:
         raise SystemExit("the two digests do not list the same solves")
     moved: dict[str, int] = {}
-    changes, worst, worst_at = [], 0.0, ""
+    changes, worst, worst_at, lines_moved = [], 0.0, "", []
     for a, b in zip(old, new):
-        for field in a.keys() | b.keys():
-            if a.get(field) != b.get(field):
-                moved[field] = moved.get(field, 0) + 1
-                if field in LISTED:
-                    changes.append(f"  {_label(a)}: {field} {a.get(field)} -> {b.get(field)}")
+        fields = sorted(f for f in a.keys() | b.keys() if a.get(f) != b.get(f))
+        if fields:
+            lines_moved.append(f"  moved: {_label(a)} ({', '.join(fields)})")
+        for field in fields:
+            moved[field] = moved.get(field, 0) + 1
+            if field in LISTED:
+                changes.append(f"  {_label(a)}: {field} {a.get(field)} -> {b.get(field)}")
         if a.get("objective") and b.get("objective"):
             x, y = float.fromhex(a["objective"]), float.fromhex(b["objective"])
             rel = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
@@ -229,12 +267,20 @@ def compare(old: list[dict], new: list[dict]) -> list[str]:
     report.append(f"largest relative objective move: {worst:.3g}{worst_at}")
     report.append("linalg.factor calls: " + " -> ".join(
         str(sum(line.get("factor_calls", 0) for line in lines)) for lines in (old, new)))
+    report += lines_moved[:MOVED_SHOWN]
+    if len(lines_moved) > MOVED_SHOWN:
+        report.append(f"  and {len(lines_moved) - MOVED_SHOWN} more moved lines")
     return report
 
 
-def _read(path: str) -> list[dict]:
+def read(path) -> tuple[dict | None, list[dict]]:
+    """The build a digest file names on its first line, or None if it names
+    none, and the lines of its solves."""
     with open(path) as fh:
-        return [json.loads(line) for line in fh]
+        lines = [json.loads(line) for line in fh]
+    if lines and "build" in lines[0]:
+        return lines[0]["build"], lines[1:]
+    return None, lines
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -248,17 +294,14 @@ def main(argv: list[str] | None = None) -> None:
         ap.error("--against needs -o")
     out = sys.stdout if args.output == "-" else open(args.output, "w")
     try:
-        for case in cases(args.quick):
-            out.write(json.dumps(digest(*case)) + "\n")
-        for case in oracle_cases(args.quick):
-            out.write(json.dumps(oracle_digest(*case)) + "\n")
-        for case in dantzig_cases(args.quick):
-            out.write(json.dumps(dantzig_digest(*case)) + "\n")
+        out.write(json.dumps({"build": build()}) + "\n")
+        for line in sweep(args.quick):
+            out.write(json.dumps(line) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
     if args.against:
-        old, new = _read(args.against), _read(args.output)
+        (_, old), (_, new) = read(args.against), read(args.output)
         print("\n".join(compare(old, new)))
         if old != new:
             raise SystemExit(1)

@@ -11,8 +11,9 @@ iterate is therefore optimal.
 The start base is the bound block E, a diagonal of +-1 and its own
 inverse, so the start iterate is read off E's signs with no factorization
 or solve. Per iteration the factors of the base serve every linear solve:
-the transpose solve for the entering facet's expansion and, once the pivot
-has replaced a row of them, the two solves for the new iterate. One pass
+the transpose solve for an entering general facet's expansion (a bound
+facet's is a row of the inverse, read off it) and, once the pivot has
+replaced a row of them, the two solves for the new iterate. One pass
 of the ratio test also tells whether the leaving facet is redundant and
 whether infeasibility is certified. A pivot hands the row swap and the
 expansion to ``linalg.replace_row``, which updates the inverse of the base
@@ -26,10 +27,11 @@ factors; rows and rhs are read from the problem through the indices. A
 pivot writes one slot of the base in place and replaces the
 :class:`SolverState`, which is the iterate; ``solve`` writes neither.
 
-``solve`` makes what every pivot reads once: the pricing tolerances and
-the row norms. The small numpy calls around a pivot's kernels (five BLAS
-calls) cost as much as the kernels or more (``scripts/pivot_overhead.py``),
-so the step functions keep them few.
+``solve`` makes what every pivot reads once: the pricing tolerances, which
+are infinite on the base rows so that pricing needs no mask of the base,
+and the row norms. The small numpy calls around a pivot's kernels (five
+BLAS calls, four when a bound row enters) cost as much as the kernels or
+more (``scripts/pivot_overhead.py``), so the step functions keep them few.
 """
 
 from __future__ import annotations
@@ -180,16 +182,16 @@ def _iterate(sp: StandardGeneralLP, base: Base) -> SolverState:
 
 def select_entering(
     sp: StandardGeneralLP,
-    base: Base,
     state: SolverState,
     rule: PivotRule,
     row_tols: np.ndarray,
     row_norms: np.ndarray | None = None,
 ) -> int | None:
-    """Pick the violated non-base facet to enter, or None at optimality,
-    from the state's residuals. A row whose tolerance is infinite is never
-    violated; ``solve`` gives one to each row it finds redundant. Only the
-    max-norm-dev rule reads ``row_norms``.
+    """Pick the violated facet to enter, or None at optimality, from the
+    state's residuals. A row whose tolerance is infinite is never violated,
+    nor is one whose residual is NaN; ``solve`` gives an infinite tolerance
+    to every row of the base and to each row it finds redundant, so neither
+    enters. Only the max-norm-dev rule reads ``row_norms``.
 
     Violated equality rows take absolute priority over violated inequality
     rows; within the eligible class the pivot rule decides, ties going to the
@@ -197,17 +199,18 @@ def select_entering(
     """
     sigma = state.sigma
     m = sp.m
-    violated = sigma < -row_tols
-    if m:
-        np.greater(np.abs(sigma[:m]), row_tols[:m], out=violated[:m])
-    violated[base.indices] = False
-
-    if not (m and (pool := violated[:m].nonzero()[0]).size):
-        pool = violated.nonzero()[0]
+    if not (m and (pool := (np.abs(sigma[:m]) > row_tols[:m]).nonzero()[0]).size):
+        if rule is PivotRule.MAX_DEVIATION:
+            # the first least sigma, when it is violated, is the first
+            # deepest violated row; otherwise a row that may not enter, or
+            # a NaN, holds the least, and the pool below decides
+            k = sigma.argmin()
+            if sigma[k] < -row_tols[k]:
+                return int(k)
+        pool = (sigma < -row_tols).nonzero()[0]
         if not pool.size:
             return None
         if rule is PivotRule.MAX_DEVIATION:
-            # all violated rows have sigma < 0: the deepest is the first least
             return int(pool[sigma[pool].argmin()])
 
     if rule is PivotRule.LEAST_INDEX:
@@ -223,9 +226,16 @@ def select_entering(
     return int(pool[deviation.argmax()])
 
 
-def expand_entering(base: Base, a_p: np.ndarray) -> np.ndarray:
-    """Coefficients y_p with A_B^T y_p = a_p, aligned with the base slots."""
-    return linalg.solve_transpose(base.fact, a_p)
+def expand_entering(sp: StandardGeneralLP, base: Base, p: int) -> np.ndarray:
+    """Coefficients y_p with A_B^T y_p = a_p, aligned with the base slots, in
+    a fresh array. A general row takes a transpose solve; a bound row +-e_j
+    expands to +-row j of the base's inverse, read off it."""
+    g = sp.m + sp.n
+    if p < g:
+        return linalg.solve_transpose(base.fact, sp.G[p])
+    j = (p - g) % sp.d
+    sign = sp.e_diag.item(j)
+    return linalg.solve_transpose_unit(base.fact, j, sign if p < g + sp.d else -sign)
 
 
 def check_infeasible(
@@ -387,10 +397,14 @@ def solve(
     rule, whose termination guarantee breaks any cycling.
     """
     c = sp.c_original
-    row_tols = sp.row_tolerances()
+    # each row's own tolerance, infinite once the row is found redundant;
+    # pricing reads a copy that is infinite on the base rows as well
+    own_tols = sp.row_tolerances()
     row_norms = sp.row_norms() if rule is PivotRule.MAX_NORMALIZED_DEVIATION else None
 
     base, state = initial_state(sp)
+    row_tols = own_tols.copy()
+    row_tols[base.indices] = np.inf
     iteration = 0
     trace: list[TraceRecord] | None = [] if collect_trace else None
     audit_log = SolveAudit(seen={frozenset(base.indices.tolist())}) if audit else None
@@ -406,7 +420,7 @@ def solve(
     # every exit sets status, x_opt, objective and certificate, then breaks
     while True:
         sigma = state.sigma
-        p = select_entering(sp, base, state, active_rule, row_tols, row_norms)
+        p = select_entering(sp, state, active_rule, row_tols, row_norms)
         if p is None:
             x_opt = state.x + 0.0  # clear -0.0
             status, certificate = final_status(sp, base.indices)
@@ -420,7 +434,7 @@ def solve(
             break
 
         sigma_p = float(sigma[p])
-        y_p = expand_entering(base, sp.rows(p))
+        y_p = expand_entering(sp, base, p)
         leaving = select_leaving(sp, sigma_p, y_p, state.y_c, base)
         if leaving is None:
             # for a violated entering facet that is the Farkas condition
@@ -440,7 +454,8 @@ def solve(
         q = int(base.indices[s])
         if sole:
             # the leaving row can never bind again: it is redundant, never to re-enter
-            row_tols[q] = np.inf
+            own_tols[q] = np.inf
+        row_tols[q], row_tols[p] = own_tols[q], np.inf
 
         prev_objective = objective
         base, state = pivot(sp, base, state, p, s, y_p)
@@ -473,7 +488,7 @@ def solve(
     return SolveOutcome(
         status=status, x_opt=x_opt, objective=objective,
         iterations=iteration, certificate=certificate,
-        redundant_rows=frozenset(np.isinf(row_tols).nonzero()[0].tolist()),
+        redundant_rows=frozenset(np.isinf(own_tols).nonzero()[0].tolist()),
         basis_rows=tuple(base.indices.tolist()),
         trace=trace, audit=audit_log,
     )

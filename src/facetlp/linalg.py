@@ -3,7 +3,9 @@
 One factorization serves solves against both the matrix and its transpose,
 which is what the pivot loop needs: the expansion coefficients come from a
 transpose solve and the iterate from a plain solve, both on the same base
-matrix.
+matrix. The transpose solve of a unit vector, an entering bound row's
+expansion, is a row of the inverse, which ``solve_transpose_unit`` copies
+with no product.
 
 A pivot replaces row s of the base M by a^T, which gives E M with E the
 identity whose row s is y^T, y = M^-T a. At every d a factorization holds
@@ -160,7 +162,7 @@ def replace_row(f: SquareFactorization, slot: int, y: np.ndarray) -> bool:
     when |y[slot]| is at most ``NEAR_SINGULAR_FACTOR * TOL_PIVOT`` times
     max |y|, or not finite; the caller then factors the new matrix
     afresh. ``y`` is a float64 vector of length d."""
-    pivot, abs_y = y[slot], np.abs(y)
+    pivot, abs_y = y.item(slot), np.abs(y)  # a Python float: its arithmetic is cheaper
     # written so that a NaN or infinite y also declines; the entry argmax
     # finds is the one max returns, NaN included, at a fraction of the cost
     if not abs(pivot) > NEAR_SINGULAR_FACTOR * TOL_PIVOT * abs_y[abs_y.argmax()]:
@@ -187,3 +189,15 @@ def solve_transpose(f: SquareFactorization, r: np.ndarray) -> np.ndarray:
     # f2py parses keywords slowly, so trans goes by position: gemv(alpha,
     # a, x, beta, y, offx, incx, offy, incy, trans)
     return _gemv(1.0, f.inv, r, 0.0, None, 0, 1, 0, 1, 1)
+
+
+def solve_transpose_unit(f: SquareFactorization, j: int, sign: float) -> np.ndarray:
+    """Solve M^T y = sign * e_j from the same factors, with sign +-1: y is
+    ``sign`` times row j of M^-1, read off it with no product, in a fresh
+    array, since ``replace_row`` writes the inverse in place. For a finite
+    inverse y has ``solve_transpose``'s bits: the gemv's sum adds exact
+    +-0 terms to one product, and its y = 0 + t turns -0.0 into +0.0, as
+    the + 0.0 here does."""
+    y = f.inv[j] * sign
+    y += 0.0
+    return y

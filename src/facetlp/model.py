@@ -145,20 +145,15 @@ class StandardGeneralLP:
         return self.b.shape[0]
 
     def rows(self, idx) -> np.ndarray:
-        """The stacked rows that ``idx`` names: one row for an int, a
-        (k, d) array for a sequence of k indices. General rows come from
-        ``G`` (a single one as a view), bound rows are built as +-e_i; only
-        the rows asked for are built. The facet solver asks for one row
-        per pivot, the entering one, and for a whole base only to factor
-        it afresh or to audit a pivot; its start base, the E block, is read
-        off ``e_diag`` and never built. The brute-force oracle stacks every
-        row once. The loop costs about a microsecond a row."""
+        """The (k, d) stack of the rows that the k indices ``idx`` name.
+        General rows come from ``G``, bound rows are built as +-e_i; only
+        the rows asked for are built. The facet solver asks for a whole
+        base only to factor it afresh or to audit a pivot; it reads an
+        entering general row from ``G`` and builds no entering bound row,
+        and its start base, the E block, is read off ``e_diag`` and never
+        built. The brute-force oracle stacks every row once. The loop
+        costs about a microsecond a row."""
         g = self.m + self.n
-        single = isinstance(idx, (int, np.integer))
-        if single:
-            if idx < g:
-                return self.G[idx]
-            idx = (idx,)
         d = self.d
         out = np.zeros((len(idx), d))
         for r, i in enumerate(np.asarray(idx).tolist()):
@@ -167,7 +162,7 @@ class StandardGeneralLP:
             else:
                 j = (i - g) % d
                 out[r, j] = self.e_diag[j] if i < g + d else -self.e_diag[j]
-        return out[0] if single else out
+        return out
 
     def row_norms(self) -> np.ndarray:
         """The Euclidean norm of every stacked row; a bound row's is 1."""

@@ -173,6 +173,11 @@ def parse_mps(text: str) -> MpsDocument:
                 raise MpsSyntaxError(f"{btype} bound needs {needs}", lineno)
             col = tokens[-1 - takes_value]
             value = _number(tokens[-1], lineno, section) if takes_value else None
+            lo, hi = _BOUND_SETS[btype]
+            # a lower bound of +inf or an upper one of -inf leaves no finite point
+            if (lo is _VALUE and value == math.inf) or (hi is _VALUE and value == -math.inf):
+                raise MpsSyntaxError(
+                    f"{btype} bound {tokens[-1]!r} leaves column {col!r} no finite value", lineno)
             doc.bounds.append((btype, col, value))
 
         elif section is None:

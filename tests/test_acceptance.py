@@ -145,7 +145,7 @@ def test_criterion_6_certificates():
         rows = np.array(sorted(cert.y_by_row))
         y = np.array([cert.y_by_row[int(r)] for r in rows])
         # expansion must reproduce the entering facet from the terminal base
-        a_p = sp.rows(cert.entering_row)
+        a_p = sp.rows([cert.entering_row])[0]
         recon = y @ sp.rows(rows)
         if np.max(np.abs(recon - a_p)) > 1e-6:
             bad += 1
@@ -167,7 +167,7 @@ def test_criterion_6_certificates():
             bad += 1
             continue
         row = out.certificate
-        binding = abs(sp.rows(row) @ out.x_opt - sp.b[row]) <= 1e-9 * (1 + abs(sp.b[row]))
+        binding = abs(sp.rows([row])[0] @ out.x_opt - sp.b[row]) <= 1e-9 * (1 + abs(sp.b[row]))
         # an Unbounded outcome has no objective: at the artificial bound it is M's
         if not (row in sp.artificial_rows and row in out.basis_rows and binding
                 and out.objective is None):

@@ -56,6 +56,14 @@ def _dummy_base(rows):
     return Base(indices=np.array(rows, dtype=int), fact=linalg.factor(np.eye(d)))
 
 
+def _pricing_tols(sp, base):
+    """The row tolerances pricing reads in ``solve`` when no row has been
+    found redundant: each row's own, and infinite on the base rows."""
+    row_tols = sp.row_tolerances()
+    row_tols[base.indices] = np.inf
+    return row_tols
+
+
 def _eq_below(m):
     """A stand-in problem for the ratio test, which reads only ``m``: a base
     slot holds an equality row exactly when its index is below m."""
@@ -67,6 +75,41 @@ def _oracle_shape_lps(seeds):
     return [random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
             for d, m, n in workloads.ORACLE_SHAPES for kind in workloads.ORACLE_KINDS
             for seed in range(seeds)]
+
+
+@st.composite
+def _pricing_cases(draw):
+    """(m, sigma, tols, norms) as lists: residuals drawn from few values, so
+    that ties are common, NaN and infinities among them; tolerances zero,
+    finite or infinite; row norms zero or not."""
+    size = draw(st.integers(1, 12))
+    values = [-3.0, -2.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 2.0, math.nan, -math.inf, math.inf]
+    sigma = draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
+    tols = draw(st.lists(st.sampled_from([0.0, 1e-8, 0.5, 1.5, math.inf]),
+                         min_size=size, max_size=size))
+    norms = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=size, max_size=size))
+    return draw(st.integers(0, size)), sigma, tols, norms
+
+
+def _reference_pick(m, sigma, tols, norms, rule):
+    """``select_entering``'s contract as a masked scan: the violated
+    equality rows if any, else the violated inequality rows; then the
+    least index, or the first largest deviation, plain or divided by the
+    row norm (infinite for a zero row)."""
+    pool = [i for i in range(m) if abs(sigma[i]) > tols[i]]
+    pool = pool or [i for i in range(len(sigma)) if sigma[i] < -tols[i]]
+    if not pool:
+        return None
+    if rule is PivotRule.LEAST_INDEX:
+        return pool[0]
+    best, pick = -1.0, None
+    for i in pool:
+        deviation = abs(sigma[i])
+        if rule is PivotRule.MAX_NORMALIZED_DEVIATION:
+            deviation = deviation / norms[i] if norms[i] else math.inf
+        if deviation > best:
+            best, pick = deviation, i
+    return pick
 
 
 def _start_cases():
@@ -127,8 +170,8 @@ class TestInitialState:
         base, state = initial_state(sp)
         fact, inv = base.fact, base.fact.inv
         assert inv.flags.f_contiguous
-        p = select_entering(sp, base, state, PivotRule.MAX_DEVIATION, sp.row_tolerances())
-        y_p = expand_entering(base, sp.rows(p))
+        p = select_entering(sp, state, PivotRule.MAX_DEVIATION, _pricing_tols(sp, base))
+        y_p = expand_entering(sp, base, p)
         s, _ = select_leaving(sp, float(state.sigma[p]), y_p, state.y_c, base)
         base, state = pivot(sp, base, state, p, s, y_p)
         assert base.fact is fact and base.fact.inv is inv
@@ -156,7 +199,7 @@ class TestSelectEntering:
         state.x = np.array([0.0, 0.0, 7.0])  # the optimizer: nothing violated
         state.sigma = residuals(sp, state.x)
         row_tols = sp.row_tolerances()
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) is None
+        assert select_entering(sp, state, PivotRule.MAX_DEVIATION, row_tols) is None
 
     def test_equality_priority_is_absolute(self):
         # equality off by 0.1 must beat an inequality violated by 100
@@ -168,13 +211,13 @@ class TestSelectEntering:
         )
         sp = to_standard_general(p)
         base, state = initial_state(sp)  # x0 = (0, 0)
-        p_row = select_entering(sp, base, state, PivotRule.MAX_DEVIATION, sp.row_tolerances())
+        p_row = select_entering(sp, state, PivotRule.MAX_DEVIATION, sp.row_tolerances())
         assert p_row == 0
 
     def test_base_and_removed_rows_never_enter(self):
         # at x0 = (0, 0) the equality row 0 and inequality rows 1 and 2 are
-        # all violated; a row in the base, or removed (infinite tolerance),
-        # is passed over
+        # all violated; a row in the base or removed, which solve gives an
+        # infinite tolerance, is passed over
         p = GeneralLP(
             c=[0.0, 0.0],
             A_eq=[[1.0, 0.0]], b_eq=[0.1],
@@ -183,14 +226,15 @@ class TestSelectEntering:
         )
         sp = to_standard_general(p)
         base, state = initial_state(sp)
-        row_tols = sp.row_tolerances()
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) == 0
+        row_tols = _pricing_tols(sp, base)
+        assert select_entering(sp, state, PivotRule.MAX_DEVIATION, row_tols) == 0
         base.indices[0] = 0
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) == 1
+        row_tols = _pricing_tols(sp, base)
+        assert select_entering(sp, state, PivotRule.MAX_DEVIATION, row_tols) == 1
         row_tols[1] = np.inf
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) == 2
+        assert select_entering(sp, state, PivotRule.MAX_DEVIATION, row_tols) == 2
         row_tols[2] = np.inf
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) is None
+        assert select_entering(sp, state, PivotRule.MAX_DEVIATION, row_tols) is None
 
     def test_max_deviation_picks_deepest_violation(self):
         p = GeneralLP(
@@ -201,8 +245,8 @@ class TestSelectEntering:
         sp = to_standard_general(p)
         base, state = initial_state(sp)  # x0 = (0,0): residuals -3 and -7
         row_tols = sp.row_tolerances()
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) == 1
-        assert select_entering(sp, base, state, PivotRule.LEAST_INDEX, row_tols) == 0
+        assert select_entering(sp, state, PivotRule.MAX_DEVIATION, row_tols) == 1
+        assert select_entering(sp, state, PivotRule.LEAST_INDEX, row_tols) == 0
 
     def test_normalized_rule_divides_by_row_norm(self):
         # row 0 violated by 4 with norm 4; row 1 violated by 3 with norm 1:
@@ -215,9 +259,9 @@ class TestSelectEntering:
         sp = to_standard_general(p)
         base, state = initial_state(sp)
         row_tols, row_norms = sp.row_tolerances(), sp.row_norms()
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) == 0
+        assert select_entering(sp, state, PivotRule.MAX_DEVIATION, row_tols) == 0
         assert select_entering(
-            sp, base, state, PivotRule.MAX_NORMALIZED_DEVIATION, row_tols, row_norms
+            sp, state, PivotRule.MAX_NORMALIZED_DEVIATION, row_tols, row_norms
         ) == 1
 
     @pytest.mark.parametrize("rule", list(PivotRule))
@@ -242,7 +286,7 @@ class TestSelectEntering:
             for removed in itertools.combinations(violated, size):
                 row_tols = sp.row_tolerances()
                 row_tols[list(removed)] = np.inf
-                got = select_entering(sp, base, state, rule, row_tols, sp.row_norms())
+                got = select_entering(sp, state, rule, row_tols, sp.row_norms())
                 if size == len(violated):
                     assert got is None
                 else:
@@ -264,12 +308,12 @@ class TestSelectEntering:
         base, state = initial_state(sp)
         m = sp.m
         row_tols, row_norms = sp.row_tolerances(), sp.row_norms()
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) == m + 1
+        assert select_entering(sp, state, PivotRule.MAX_DEVIATION, row_tols) == m + 1
         assert select_entering(
-            sp, base, state, PivotRule.MAX_NORMALIZED_DEVIATION, row_tols, row_norms
+            sp, state, PivotRule.MAX_NORMALIZED_DEVIATION, row_tols, row_norms
         ) == m
         row_tols[m + 1] = np.inf
-        assert select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols) == m
+        assert select_entering(sp, state, PivotRule.MAX_DEVIATION, row_tols) == m
 
     def test_equal_equality_deviations_of_either_sign_go_to_the_least_row(self):
         # at x = (0, 0) the equalities are off by +2 and -2: argmin of sigma
@@ -285,7 +329,7 @@ class TestSelectEntering:
         np.testing.assert_array_equal(state.sigma[:2], [2.0, -2.0])
         for rule in (PivotRule.MAX_DEVIATION, PivotRule.MAX_NORMALIZED_DEVIATION):
             assert select_entering(
-                sp, base, state, rule, sp.row_tolerances(), sp.row_norms()) == 0
+                sp, state, rule, sp.row_tolerances(), sp.row_norms()) == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_violated_zero_row_enters_first_and_proves_infeasibility(self):
@@ -302,27 +346,143 @@ class TestSelectEntering:
             assert out.status is Status.INFEASIBLE, rule
             assert out.certificate.entering_row == 0, rule
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=_pricing_cases(), rule=st.sampled_from(PivotRule))
+    def test_pick_is_the_masked_reference_pick(self, case, rule):
+        """On residuals with ties, NaN and infinities, and tolerances with
+        infinite entries, with and without equality rows, the pick is the
+        one a plain masked scan over Python lists makes."""
+        m, sigma, tols, norms = case
+        state = SimpleNamespace(sigma=np.array(sigma))
+        got = select_entering(_eq_below(m), state, rule, np.array(tols), np.array(norms))
+        assert got == _reference_pick(m, sigma, tols, norms, rule)
+
+    @pytest.mark.parametrize("workload", ["cubes", "oracle"])
+    def test_no_pivot_enters_a_row_of_its_base(self, workload):
+        """Replayed from the trace of every facet solve of the benchmark
+        deck, under each rule: each entering row lies outside the base its
+        pivot starts from, and the replay ends on the solve's final base."""
+        pivots = 0
+        for inst in workloads.build(workload, 1).instances:
+            sp = inst.sp
+            g = sp.m + sp.n
+            for rule in PivotRule:
+                out = solve(sp, rule, collect_trace=True)
+                base = set(range(g, g + sp.d))
+                for record in out.trace:
+                    assert record.entering not in base, (inst.name, rule, record.k)
+                    if record.leaving >= 0:
+                        base.remove(record.leaving)
+                        base.add(record.entering)
+                        pivots += 1
+                assert base == set(out.basis_rows), (inst.name, rule)
+        assert pivots > 0
+
+    @pytest.mark.parametrize("rule", list(PivotRule))
+    def test_base_rows_never_enter_whatever_their_residuals(self, monkeypatch, rule):
+        """Every row of the base, the start's included, reads as violated by
+        1e6 at every iterate, yet the solve takes the same pivots to the
+        same outcome: pricing passes the base over by its tolerances."""
+        real_start, real_pivot = facet.initial_state, facet.pivot
+
+        def pushed(base, state):
+            state.sigma = state.sigma.copy()
+            state.sigma[base.indices] = -1e6
+            return base, state
+
+        lps = [klee_minty_v1(8), klee_minty_v2(8)]
+        lps += [random_instance(seed, 4, 1, 6, kind) for seed in range(5)
+                for kind in ("feasible", "infeasible")]
+        for lp in lps:
+            sp = to_standard_general(lp)
+            with monkeypatch.context() as patch:
+                clean = solve(sp, rule, collect_trace=True)
+                patch.setattr(facet, "initial_state", lambda sp: pushed(*real_start(sp)))
+                patch.setattr(facet, "pivot", lambda *args: pushed(*real_pivot(*args)))
+                out = solve(sp, rule, collect_trace=True)
+            assert (out.status, out.iterations, out.basis_rows) == (
+                clean.status, clean.iterations, clean.basis_rows)
+            assert [(r.entering, r.leaving) for r in out.trace] == [
+                (r.entering, r.leaving) for r in clean.trace]
+            assert _bits(out.objective) == _bits(clean.objective)
+
 
 class TestExpandEntering:
     def test_base_row_expands_to_unit_vector(self):
         sp = to_standard_general(klee_minty_v2(3))
         base, _ = initial_state(sp)
-        y = expand_entering(base, sp.rows(base.indices[1]))
+        y = expand_entering(sp, base, int(base.indices[1]))
         np.testing.assert_allclose(y, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_negated_identity_base(self):
-        base = Base(indices=np.array([0, 1, 2]), fact=linalg.factor(-np.eye(3)))
-        y = expand_entering(base, np.array([2.0, 1.0, 0.0]))
-        np.testing.assert_allclose(y, [-2.0, -1.0, 0.0])
+        # the base of the upper-bound rows -e_i is -I: the general row
+        # (2, 1, 0) and the lower-bound row +e_0 expand to their negations
+        sp = to_standard_general(GeneralLP(
+            c=[1.0, 1.0, 1.0], A_ineq=[[2.0, 1.0, 0.0]], b_ineq=[0.0],
+            lower=[0.0, 0.0, 0.0], upper=[1.0, 1.0, 1.0]))
+        rows = np.array([4, 5, 6])
+        base = Base(indices=rows, fact=linalg.factor(sp.rows(rows)))
+        np.testing.assert_array_equal(sp.rows(rows), -np.eye(3))
+        np.testing.assert_allclose(expand_entering(sp, base, 0), [-2.0, -1.0, 0.0])
+        np.testing.assert_allclose(expand_entering(sp, base, 1), [-1.0, 0.0, 0.0])
 
     def test_reconstruction_property(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
             m = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
-            base = Base(indices=np.arange(4), fact=linalg.factor(m))
             a_p = rng.normal(size=4)
-            y = expand_entering(base, a_p)
-            np.testing.assert_allclose(m.T @ y, a_p, atol=1e-10)
+            sp = to_standard_general(GeneralLP(
+                c=rng.normal(size=4), A_ineq=[a_p], b_ineq=[0.0], upper=np.ones(4)))
+            base = Base(indices=np.arange(4), fact=linalg.factor(m))
+            # the general row 0, and every bound row
+            for p in range(sp.num_rows):
+                y = expand_entering(sp, base, p)
+                np.testing.assert_allclose(m.T @ y, sp.rows([p])[0], atol=1e-10)
+
+    @pytest.mark.parametrize("lp", [
+        klee_minty_v1(16), klee_minty_v2(19),
+        workloads.dense_lp(np.random.default_rng([9001, 20, 0]), 20),
+    ], ids=["km1-16", "km2-19", "dense_lp-20"])
+    def test_bound_row_expansion_is_the_transpose_solve_bit_for_bit(self, monkeypatch, lp):
+        """At every base of a solve, each bound row's expansion, read off
+        the inverse, has the bytes of the transpose solve of the row it
+        names, in an array of its own: E and F rows, of either sign (the
+        cubes' E rows are -e_i, the mirror of a bound above), and zero
+        entries, -0.0 among them, which the solve's sum writes as +0.0. The
+        start base is also checked with the inverse ``factor`` gives, whose
+        getri writes -0.0 off the diagonal."""
+        sp = to_standard_general(lp)
+        g, d = sp.m + sp.n, sp.d
+        assert {-1.0} <= set(sp.e_diag.tolist())
+        seen = {"bases": 0, "zeros": 0, "-0.0 read": 0}
+
+        def check(base):
+            seen["bases"] += 1
+            inv = base.fact.inv
+            for p in range(g, g + 2 * d):
+                y = expand_entering(sp, base, p)
+                want = linalg.solve_transpose(base.fact, sp.rows([p])[0])
+                assert y.tobytes() == want.tobytes(), (seen["bases"], p)
+                assert not np.shares_memory(y, inv)
+                row = inv[(p - g) % d]
+                seen["-0.0 read"] += int((np.signbit(row) & (row == 0.0)).sum())
+                seen["zeros"] += int((y == 0.0).sum())
+
+        base, _ = initial_state(sp)
+        check(base)
+        check(Base(base.indices, linalg.factor(sp.rows(base.indices))))
+        real_pivot = facet.pivot
+
+        def checked_pivot(*args):
+            base, state = real_pivot(*args)
+            check(base)
+            return base, state
+
+        monkeypatch.setattr(facet, "pivot", checked_pivot)
+        out = solve(sp)
+        assert out.status is Status.OPTIMAL
+        assert seen["bases"] == out.iterations + 2 and out.iterations >= d
+        assert seen["zeros"] > 0 and seen["-0.0 read"] > 0, seen
 
 
 class TestCheckInfeasible:
@@ -458,9 +618,9 @@ class TestPivot:
         sp = to_standard_general(p)
         base, state = initial_state(sp)
         dup = base.indices[0]
-        sp.G[0] = sp.rows(dup)
+        sp.G[0] = sp.rows([dup])[0]
         sp.b[0] = sp.b[dup]
-        y_p = expand_entering(base, sp.rows(0))
+        y_p = expand_entering(sp, base, 0)
         x_before = state.x.copy()
         obj_before = float(sp.c_original @ state.x)
         new_base, new_state = pivot(sp, base, state, 0, 0, y_p)
@@ -473,12 +633,12 @@ class TestPivot:
         # replace_row decline and factor raise
         sp = to_standard_general(klee_minty_v2(3))
         base, state = initial_state(sp)
-        sp.G[0] = sp.rows(base.indices[1])
+        sp.G[0] = sp.rows(base.indices[1:2])[0]
         sp.b[0] = sp.b[base.indices[1]]
         indices, fact = base.indices.copy(), base.fact
         inv = fact.inv.tobytes()
         q = base.indices[0]
-        y_p = expand_entering(base, sp.rows(0))
+        y_p = expand_entering(sp, base, 0)
         assert y_p[0] == 0.0
         with pytest.raises(SingularMatrix, match=rf"^pivot 0<->{q} produced a singular base"):
             pivot(sp, base, state, 0, 0, y_p)
@@ -548,10 +708,9 @@ class TestPivot:
 
         monkeypatch.setattr(linalg, "solve", recording_solve)
         pivots = 0
-        row_tols = sp.row_tolerances()
-        while (p := select_entering(sp, base, state, PivotRule.MAX_DEVIATION,
-                                    row_tols)) is not None:
-            y_p = expand_entering(base, sp.rows(p))
+        while (p := select_entering(sp, state, PivotRule.MAX_DEVIATION,
+                                    _pricing_tols(sp, base))) is not None:
+            y_p = expand_entering(sp, base, p)
             s, _ = select_leaving(sp, float(state.sigma[p]), y_p, state.y_c, base)
             solve_rhs.clear()
             base, state = pivot(sp, base, state, p, s, y_p)
@@ -571,13 +730,13 @@ class TestPivot:
             p = random_instance(seed, 3, 1, 4, "feasible")
             sp = to_standard_general(p)
             base, state = initial_state(sp)
-            row_tols = sp.row_tolerances()
             for _ in range(40):
                 sigma = residuals(sp, state.x)
-                row = select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols)
+                row = select_entering(sp, state, PivotRule.MAX_DEVIATION,
+                                      _pricing_tols(sp, base))
                 if row is None:
                     break
-                y_p = expand_entering(base, sp.rows(row))
+                y_p = expand_entering(sp, base, row)
                 if check_infeasible(sp, row, float(sigma[row]), y_p, base):
                     break
                 slot, _ = select_leaving(sp, float(sigma[row]), y_p, state.y_c, base)
@@ -896,9 +1055,8 @@ class TestBaseFactorizationPaths:
         # names both rows, and the base keeps p and its updated inverse
         sp = to_standard_general(klee_minty_v2(6))
         base, state = initial_state(sp)
-        row_tols = sp.row_tolerances()
-        p = select_entering(sp, base, state, PivotRule.MAX_DEVIATION, row_tols)
-        y_p = expand_entering(base, sp.rows(p))
+        p = select_entering(sp, state, PivotRule.MAX_DEVIATION, _pricing_tols(sp, base))
+        y_p = expand_entering(sp, base, p)
         s, _ = select_leaving(sp, float(state.sigma[p]), y_p, state.y_c, base)
         q = int(base.indices[s])
         replace_row = linalg.replace_row
@@ -948,7 +1106,7 @@ class TestBaseFactorizationPaths:
             fresh_y_c.append(state.y_c.tobytes() == fresh.tobytes())
             if len(factors_per_pivot) == push_at + 1:
                 i = int(((base.indices >= sp.m) & (state.y_c > 0)).nonzero()[0][0])
-                state.y_c[i] += 1e-6 * c_scale / np.abs(sp.rows(base.indices[i])).max()
+                state.y_c[i] += 1e-6 * c_scale / np.abs(sp.rows(base.indices[i:i + 1])).max()
             return base, state
 
         monkeypatch.setattr(linalg, "factor", counting_factor)
@@ -1039,12 +1197,19 @@ def test_steps_agree_at_every_pivot(monkeypatch):
     The reference drops the rows found redundant itself, so a redundant row
     that re-entered would show too."""
     real_entering, real_leaving = facet.select_entering, facet.select_leaving
+    real_start = facet.initial_state
     removed, seen = set(), {"sole": 0, "not sole": 0, "certified": 0}
-    entering = []
+    entering, bases = [], []
 
-    def checked_entering(sp, base, state, rule, row_tols, row_norms=None):
-        got = real_entering(sp, base, state, rule, row_tols, row_norms)
-        assert got == _full_mask_select_entering(sp, base, state.sigma, rule, removed)
+    def recorded_start(sp):
+        # each pivot writes the base it is given in place and returns it
+        base, state = real_start(sp)
+        bases.append(base)
+        return base, state
+
+    def checked_entering(sp, state, rule, row_tols, row_norms=None):
+        got = real_entering(sp, state, rule, row_tols, row_norms)
+        assert got == _full_mask_select_entering(sp, bases[-1], state.sigma, rule, removed)
         entering.append(got)
         return got
 
@@ -1062,6 +1227,7 @@ def test_steps_agree_at_every_pivot(monkeypatch):
             removed.add(int(base.indices[s]))
         return got
 
+    monkeypatch.setattr(facet, "initial_state", recorded_start)
     monkeypatch.setattr(facet, "select_entering", checked_entering)
     monkeypatch.setattr(facet, "select_leaving", checked_leaving)
     statuses = set()
@@ -1092,6 +1258,9 @@ def test_kernels_get_the_vectors_they_trust(monkeypatch, fixtures_dir):
         linalg.replace_row, facet.expand_entering, facet.select_leaving)
     calls = {"solve": 0, "solve_transpose": 0, "replace_row": 0}
     expanded, ranked = [], []
+    # expansions of general rows, which take a transpose solve, and of
+    # bound rows, which read a row of the inverse
+    entering = {"general": 0, "bound": 0}
 
     def check(name, v):
         calls[name] += 1
@@ -1111,8 +1280,9 @@ def test_kernels_get_the_vectors_they_trust(monkeypatch, fixtures_dir):
         assert y is ranked[-1] and y is expanded[-1]
         return real_replace(f, slot, y)
 
-    def recording_expand(base, a_p):
-        expanded.append(real_expand(base, a_p))
+    def recording_expand(sp, base, p):
+        entering["general" if p < sp.m + sp.n else "bound"] += 1
+        expanded.append(real_expand(sp, base, p))
         return expanded[-1]
 
     def recording_leaving(sp, sigma_p, y_p, y_c, base):
@@ -1130,11 +1300,11 @@ def test_kernels_get_the_vectors_they_trust(monkeypatch, fixtures_dir):
             expanded.clear()
             ranked.clear()
             solve(sp, rule)
-    # a pivot updates the inverse with the expansion's transpose solve,
-    # then solves x and y_c from it
-    assert calls["replace_row"] > 0, calls
+    # a pivot updates the inverse with the expansion, then solves x and
+    # y_c from it; a general row's expansion is a transpose solve too
+    assert calls["replace_row"] > 0 and min(entering.values()) > 0, (calls, entering)
     assert calls["solve"] >= calls["replace_row"], calls
-    assert calls["solve_transpose"] >= 2 * calls["replace_row"], calls
+    assert calls["solve_transpose"] >= calls["replace_row"] + entering["general"], calls
 
 
 def test_outcome_digest_script_writes_one_line_per_solve(tmp_path, monkeypatch):
@@ -1146,7 +1316,11 @@ def test_outcome_digest_script_writes_one_line_per_solve(tmp_path, monkeypatch):
     out = tmp_path / "digest.jsonl"
     script.main(["--quick", "-o", str(out)])
     assert linalg.factor is factor
-    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    # a line naming the build comes first
+    first = json.loads(out.read_text().splitlines()[0])
+    assert first == {"build": script.build()}
+    build, lines = script.read(out)
+    assert build == first["build"]
     # the facet lines come first, then one line per oracle call, then one
     # per Dantzig call
     dantzig_cases = list(script.dantzig_cases(quick=True))
@@ -1218,6 +1392,8 @@ def test_outcome_digest_against_reports_what_moved(tmp_path, capsys, monkeypatch
                                 "  inf-s0 max-dev: iterations 2 -> 3"}
     assert report[8].startswith("largest relative objective move: 2e-13 (km1-d3 max-dev)")
     assert report[9] == "linalg.factor calls: 5 -> 2"
+    assert report[10:] == ["  moved: km1-d3 max-dev (factor_calls, objective)",
+                           "  moved: inf-s0 max-dev (factor_calls, iterations, objective, status)"]
     assert script.compare(old, old)[-2] == "largest relative objective move: 0"
     with pytest.raises(SystemExit):
         script.compare(old, new[::-1])
@@ -1232,7 +1408,7 @@ def test_outcome_digest_against_reports_what_moved(tmp_path, capsys, monkeypatch
         script.main(["--against", str(old_path)])
     capsys.readouterr()
     script.main(["--against", str(old_path), "-o", str(new_path)])
-    assert new_path.read_text() == ""
+    assert script.read(new_path) == (script.build(), [])
     assert capsys.readouterr().out.splitlines()[0] == "0 lines, 0 moved"
 
 
@@ -1241,13 +1417,17 @@ def test_pivot_overhead_script_prints_one_row_per_dimension(capsys):
     spec = importlib.util.spec_from_file_location("pivot_overhead", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    script.main(["--dims", "8", "9", "--instances", "1", "--rounds", "1", "--reps", "5"])
+    script.main(["--dims", "8", "9", "cubes", "--instances", "1", "--rounds", "1",
+                 "--reps", "5"])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("| d | pivots |") and len(lines) == 4
-    for dim, line in zip((8, 9), lines[2:]):
-        cells = line.strip("|").split("|")
-        assert int(cells[0]) == dim and int(cells[1]) > 0
-        assert float(cells[2]) > 0 and float(cells[3]) > 0 and cells[4].strip().endswith("%")
+    assert lines[0].startswith("| d | pivots | bound-row pivots |") and len(lines) == 5
+    for name, line in zip(("8", "9", "cubes"), lines[2:]):
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        assert cells[0] == name and int(cells[1]) >= int(cells[2]) >= 0
+        assert float(cells[3]) > 0 and float(cells[4]) > 0 and cells[5].endswith("%")
+    # the cubes take d pivots each, most of them entering a bound row
+    cells = lines[-1].strip("|").split("|")
+    assert int(cells[1]) == 16 + 19 and int(cells[1]) > int(cells[2]) > int(cells[1]) // 2
 
 
 def test_outcome_digest_against_exits_1_when_a_line_moved(tmp_path, capsys, monkeypatch):

@@ -133,6 +133,12 @@ REFUSALS = [
     (MINIMAL.replace("ENDATA", "RANGES\n    RNG       R1        nan\nENDATA"), 10,
      "RANGES value 'nan' is not finite"),
     (_with_bounds("UP BND X1 -nan"), 10, "BOUNDS value '-nan' is not finite"),
+    # an infinite bound that leaves its column no finite point
+    (_with_bounds("UP BND X1 -inf"), 10, "UP bound '-inf' leaves column 'X1' no finite value"),
+    (_with_bounds("LO BND X1 inf"), 10, "LO bound 'inf' leaves column 'X1' no finite value"),
+    (_with_bounds("FX X1 inf"), 10, "FX bound 'inf' leaves column 'X1' no finite value"),
+    (_with_bounds("LO BND X1 1.0", "FX BND X1 -Infinity"), 11,
+     "FX bound '-Infinity' leaves column 'X1' no finite value"),
     (MINIMAL.replace(" N  OBJ\n", "").replace("OBJ       1.0        ", ""), None,
      "no N (objective) row declared"),
 ]
