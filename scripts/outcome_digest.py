@@ -42,7 +42,8 @@ prints what moved: per field, the number of lines whose value changed;
 every change of status, iteration count, final base, redundant rows or
 audit violations; and the largest relative move of an objective. It exits
 1 when any line moved, and 0 when none did. It compares the solves' lines
-only, so it also reads a digest with no build line.
+only, so it also reads a digest with no build line; where both digests
+name a build and the two differ, a line naming both comes first.
 
 ``--quick`` runs a small subset of each part. Tier-1 regenerates the quick
 digest and compares it with the one recorded in
@@ -82,7 +83,7 @@ def random_instances(seeds: int):
     for d, m, n in workloads.ORACLE_SHAPES:
         for kind in workloads.ORACLE_KINDS:
             for seed in range(seeds):
-                lp = generators.random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
+                lp = generators.random_instance(seed, d, m, n, kind)
                 yield f"{kind}-d{d}m{m}n{n}-s{seed}", lp
 
 
@@ -273,6 +274,15 @@ def compare(old: list[dict], new: list[dict]) -> list[str]:
     return report
 
 
+def build_note(old: dict | None, new: dict | None) -> list[str]:
+    """One line naming both builds when two digests name different ones,
+    for moved lines may then mean another host rather than another result;
+    none when they agree or either names no build."""
+    if old is None or new is None or old == new:
+        return []
+    return [f"the builds differ: {json.dumps(old)} -> {json.dumps(new)}"]
+
+
 def read(path) -> tuple[dict | None, list[dict]]:
     """The build a digest file names on its first line, or None if it names
     none, and the lines of its solves."""
@@ -301,8 +311,8 @@ def main(argv: list[str] | None = None) -> None:
         if out is not sys.stdout:
             out.close()
     if args.against:
-        (_, old), (_, new) = read(args.against), read(args.output)
-        print("\n".join(compare(old, new)))
+        (old_build, old), (new_build, new) = read(args.against), read(args.output)
+        print("\n".join(build_note(old_build, new_build) + compare(old, new)))
         if old != new:
             raise SystemExit(1)
 

@@ -301,8 +301,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checked = 0
     for kind in kinds:
         for seed in range(args.count):
-            m = 0 if kind == "unbounded" else args.m
-            p = generators.random_instance(seed, args.d, m, args.n, kind)
+            p = generators.random_instance(seed, args.d, args.m, args.n, kind)
             sp = to_standard_general(p)
             got = solve(sp, rule=rule, max_iter=max_iter)
             want = brute_force_optimal(sp)

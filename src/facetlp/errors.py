@@ -15,15 +15,19 @@ class MalformedInput(FacetLPError):
 
 
 class NonFiniteData(FacetLPError):
-    """NaN (or an infinity outside the bound vectors) found in problem data."""
+    """NaN (or an infinity outside the bound vectors) found in problem data,
+    data so large that an infinite bound's big-M artificial bound overflows
+    (``to_standard_general``), or an unrecognized bound string in JSON."""
 
 
 class InconsistentBounds(FacetLPError):
-    """A lower bound exceeds the matching upper bound."""
+    """A lower bound exceeds the matching upper bound, or a lower bound of
+    +inf or an upper bound of -inf leaves no finite value."""
 
 
 class NumericalBreakdown(FacetLPError):
-    """A singular base, no leaving candidate or an Optimal answer not finite."""
+    """A singular base, no leaving candidate, an Optimal answer not finite,
+    or an Optimal basic solution of ``dantzig_solve`` that is not feasible."""
 
 
 class SingularMatrix(NumericalBreakdown):

@@ -349,26 +349,26 @@ def pivot(
     # does; where replace_row declined, the old factors are intact
     updated = linalg.replace_row(base.fact, s, y_p)
     try:
-        if not updated:
-            base.fact = linalg.factor(sp.rows(base.indices))
-
-        new = _iterate(sp, base)
         # an updated inverse drifts from the base it stands for, so its
         # iterate is checked at the audit's basic-solution bound, which
         # scales with the largest rhs of the base: a row's own 1 + |b_i|
         # would flag the rounding of a product with a large x (near 2.4e15
         # on km1 at d=12) on rows whose b_i is small. The bound is never
         # below TOL_LIN, so most pivots stop at that first test; argmax
-        # finds max's entry without a reduction
+        # finds max's entry without a reduction, and a NaN residual, which
+        # compares False, is kept
         if updated:
-            rows = base.indices
-            res = np.abs(new.sigma[rows])
+            new = _iterate(sp, base)
+            res = np.abs(new.sigma[base.indices])
             worst = res[res.argmax()]
-            if worst > TOL_LIN:
-                b_B = np.abs(sp.b[rows])
-                if worst > TOL_LIN * (1.0 + b_B[b_B.argmax()]):
-                    base.fact = linalg.factor(sp.rows(rows))
-                    new = _iterate(sp, base)
+            if not worst > TOL_LIN:
+                return base, new
+            b_B = np.abs(sp.b[base.indices])
+            if not worst > TOL_LIN * (1.0 + b_B[b_B.argmax()]):
+                return base, new
+        # the one rebuild: replace_row declined, or its inverse drifted
+        base.fact = linalg.factor(sp.rows(base.indices))
+        new = _iterate(sp, base)
     except SingularMatrix as exc:
         if not updated:
             base.indices[s] = q

@@ -3,9 +3,9 @@
 Klee-Minty cubes come in the two classic variants: the powers-of-2 deformed
 cube with rhs 5^k, and the unit-coefficient variant with rhs 2^k - 1. Both
 force exponentially many pivots out of classic vertex rules while staying
-exactly representable in doubles. The cycling set bundles Beale's degenerate
-example, Chvatal's textbook variant, and mechanical transforms of Beale data;
-all are known to defeat naive ratio-test tie-breaking.
+exactly representable in doubles. The cycling set is one table of transforms
+of Beale's degenerate example and Chvatal's textbook variant; all are known
+to defeat naive ratio-test tie-breaking.
 """
 
 from __future__ import annotations
@@ -19,9 +19,11 @@ KM1_MAX_D = 25
 KM2_MAX_D = 30
 
 
-def _le_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Negate <=-sense rows into the >= convention GeneralLP uses."""
-    return -np.asarray(A, dtype=float), -np.asarray(b, dtype=float)
+def _le_lp(A, b, c, names: dict) -> GeneralLP:
+    """min c.x subject to A x <= b and x >= 0 (``GeneralLP``'s default
+    bounds), its rows negated into the >= convention GeneralLP uses."""
+    return GeneralLP(c=c, A_ineq=-np.asarray(A, dtype=float),
+                     b_ineq=-np.asarray(b, dtype=float), names=names)
 
 
 def klee_minty_v1(d: int) -> GeneralLP:
@@ -32,17 +34,12 @@ def klee_minty_v1(d: int) -> GeneralLP:
     """
     if not 2 <= d <= KM1_MAX_D:
         raise SizeOutOfRange(f"variant-1 cube supports 2 <= d <= {KM1_MAX_D}, got {d}")
-    A = np.zeros((d, d))
-    for k in range(d):
-        A[k, k] = 1.0
-        for i in range(k):
-            A[k, i] = float(2 ** (k - i + 1))
+    rows, cols = np.tril_indices(d, -1)
+    A = np.eye(d)
+    A[rows, cols] = 2 ** (rows - cols + 1)
     b = np.array([float(5 ** (k + 1)) for k in range(d)])
     c = np.array([-float(2 ** (d - 1 - i)) for i in range(d)])
-    A_ineq, b_ineq = _le_rows(A, b)
-    return GeneralLP(c=c, A_ineq=A_ineq, b_ineq=b_ineq,
-                     lower=np.zeros(d), upper=np.full(d, np.inf),
-                     names={"family": "klee-minty-1", "d": d})
+    return _le_lp(A, b, c, {"family": "klee-minty-1", "d": d})
 
 
 def klee_minty_v2(d: int) -> GeneralLP:
@@ -52,96 +49,60 @@ def klee_minty_v2(d: int) -> GeneralLP:
     """
     if not 2 <= d <= KM2_MAX_D:
         raise SizeOutOfRange(f"variant-2 cube supports 2 <= d <= {KM2_MAX_D}, got {d}")
-    A = np.zeros((d, d))
-    b = np.zeros(d)
-    for k in range(d):
-        A[k, :k] = 2.0
-        A[k, k] = 1.0
-        b[k] = float(2 ** (k + 1) - 1)
-    c = -np.ones(d)
-    A_ineq, b_ineq = _le_rows(A, b)
-    return GeneralLP(c=c, A_ineq=A_ineq, b_ineq=b_ineq,
-                     lower=np.zeros(d), upper=np.full(d, np.inf),
-                     names={"family": "klee-minty-2", "d": d})
+    A = np.tril(np.full((d, d), 2.0), -1) + np.eye(d)
+    b = np.array([float(2 ** (k + 1) - 1) for k in range(d)])
+    return _le_lp(A, b, -np.ones(d), {"family": "klee-minty-2", "d": d})
 
 
 # ---------------------------------------------------------------------------
-# Cycling fixtures
+# Cycling fixtures: transforms of Beale's or Chvatal's (A, b, c) of A x <= b
 # ---------------------------------------------------------------------------
 
-def _beale_data() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    A = np.array([
-        [0.25, -60.0, -1.0 / 25.0, 9.0],
-        [0.5, -90.0, -1.0 / 50.0, 3.0],
-        [0.0, 0.0, 1.0, 0.0],
-    ])
-    b = np.array([0.0, 0.0, 1.0])
-    c = np.array([-0.75, 150.0, -1.0 / 50.0, 6.0])
+_BEALE = (
+    ((0.25, -60.0, -1.0 / 25.0, 9.0),
+     (0.5, -90.0, -1.0 / 50.0, 3.0),
+     (0.0, 0.0, 1.0, 0.0)),
+    (0.0, 0.0, 1.0),
+    (-0.75, 150.0, -1.0 / 50.0, 6.0),
+)
+
+_CHVATAL = (
+    ((0.5, -5.5, -2.5, 9.0),
+     (0.5, -1.5, -0.5, 1.0),
+     (1.0, 0.0, 0.0, 0.0)),
+    (0.0, 0.0, 1.0),
+    (-10.0, 57.0, 9.0, 24.0),
+)
+
+_PERM = [3, 2, 1, 0]
+
+
+def _same(A, b, c):
     return A, b, c
 
 
-def _beale() -> GeneralLP:
-    A, b, c = _beale_data()
-    A_ineq, b_ineq = _le_rows(A, b)
-    return GeneralLP(c=c, A_ineq=A_ineq, b_ineq=b_ineq, lower=np.zeros(4))
-
-
-def _beale_permuted() -> GeneralLP:
-    A, b, c = _beale_data()
-    perm = [3, 2, 1, 0]
-    A_ineq, b_ineq = _le_rows(A[:, perm], b)
-    return GeneralLP(c=c[perm], A_ineq=A_ineq, b_ineq=b_ineq, lower=np.zeros(4))
-
-
-def _beale_scaled() -> GeneralLP:
-    A, b, c = _beale_data()
-    A_ineq, b_ineq = _le_rows(2.0 * A, 2.0 * b)
-    return GeneralLP(c=10.0 * c, A_ineq=A_ineq, b_ineq=b_ineq, lower=np.zeros(4))
-
-
-def _beale_redundant() -> GeneralLP:
-    A, b, c = _beale_data()
-    A = np.vstack([A, A[1]])
-    b = np.concatenate([b, b[1:2]])
-    A_ineq, b_ineq = _le_rows(A, b)
-    return GeneralLP(c=c, A_ineq=A_ineq, b_ineq=b_ineq, lower=np.zeros(4))
-
-
-def _chvatal() -> GeneralLP:
-    A = np.array([
-        [0.5, -5.5, -2.5, 9.0],
-        [0.5, -1.5, -0.5, 1.0],
-        [1.0, 0.0, 0.0, 0.0],
-    ])
-    b = np.array([0.0, 0.0, 1.0])
-    c = np.array([-10.0, 57.0, 9.0, 24.0])
-    A_ineq, b_ineq = _le_rows(A, b)
-    return GeneralLP(c=c, A_ineq=A_ineq, b_ineq=b_ineq, lower=np.zeros(4))
-
-
-_CYCLING_BUILDERS = {
-    "beale": _beale,
-    "beale_permuted": _beale_permuted,
-    "beale_scaled": _beale_scaled,
-    "beale_redundant": _beale_redundant,
-    "chvatal": _chvatal,
+_CYCLING = {
+    "beale": (_BEALE, _same),
+    "beale_permuted": (_BEALE, lambda A, b, c: (A[:, _PERM], b, c[_PERM])),
+    "beale_scaled": (_BEALE, lambda A, b, c: (2.0 * A, 2.0 * b, 10.0 * c)),
+    "beale_redundant": (_BEALE, lambda A, b, c: (np.vstack([A, A[1]]),
+                                                 np.concatenate([b, b[1:2]]), c)),
+    "chvatal": (_CHVATAL, _same),
 }
 
-CYCLING_FIXTURE_IDS = tuple(sorted(_CYCLING_BUILDERS))
+CYCLING_FIXTURE_IDS = tuple(sorted(_CYCLING))
 
 
 def cycling_fixture(fixture_id: str) -> GeneralLP:
-    """One of the bundled degenerate LPs that cycle under naive pivoting."""
+    """One of the bundled degenerate LPs that cycle under naive pivoting,
+    built from fresh arrays on every call."""
     try:
-        builder = _CYCLING_BUILDERS[fixture_id]
+        data, transform = _CYCLING[fixture_id]
     except KeyError:
-        raise UnknownFixture(
-            f"unknown cycling fixture {fixture_id!r}; "
-            f"bundled: {', '.join(CYCLING_FIXTURE_IDS)}"
-        ) from None
-    p = builder()
-    p.names = {"family": "cycling", "fixture": fixture_id}
-    return p
+        raise UnknownFixture(f"unknown cycling fixture {fixture_id!r}; "
+                             f"bundled: {', '.join(CYCLING_FIXTURE_IDS)}") from None
+    A, b, c = transform(*(np.array(v) for v in data))
+    return _le_lp(A, b, c, {"family": "cycling", "fixture": fixture_id})
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +128,10 @@ def random_instance(
 
     ``feasible`` plants an interior point inside a finite box, so the oracle
     always reports Optimal. ``infeasible`` adds a contradictory equality
-    pair. ``unbounded`` drops the upper bounds and aims the objective along a
-    coordinate ray no constraint blocks. The same seed yields bit-identical
-    data. Raises ``SizeOutOfRange`` unless 1 <= d <= 8 and m, n >= 0.
+    pair. ``unbounded`` has no equality rows, whatever ``m`` is, and no upper
+    bounds, and aims the objective along a coordinate ray no constraint
+    blocks. The same seed yields bit-identical data. Raises
+    ``SizeOutOfRange`` unless 1 <= d <= 8 and m, n >= 0.
     """
     if not (1 <= d <= 8 and m >= 0 and n >= 0):
         raise SizeOutOfRange(f"random instances need 1 <= d <= 8, m, n >= 0; got {d, m, n}")
@@ -185,7 +147,6 @@ def random_instance(
         c = rng.integers(0, 10, size=d).astype(float)
         c[rng.integers(0, d)] = -float(rng.integers(1, 10))
         return GeneralLP(c=c, A_ineq=A_ineq, b_ineq=b_ineq,
-                         lower=np.zeros(d), upper=np.full(d, np.inf),
                          names={"family": "random", "seed": seed, "kind": kind})
 
     A_eq = _nonzero_rows(rng, m, d, -9, 9) if m else np.zeros((0, d))

@@ -33,7 +33,7 @@ ALLOWED = {(OPTIMAL, OPTIMAL), (INFEASIBLE, UNBOUNDED), (INFEASIBLE, INFEASIBLE)
 
 
 def _oracle_deck():
-    return [random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
+    return [random_instance(seed, d, m, n, kind)
             for d, m, n in workloads.ORACLE_SHAPES for kind in workloads.ORACLE_KINDS
             for seed in range(50)]
 

@@ -72,7 +72,7 @@ def _eq_below(m):
 
 def _oracle_shape_lps(seeds):
     """Seeds 0..seeds-1 of each shape and kind of the benchmark's oracle deck."""
-    return [random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
+    return [random_instance(seed, d, m, n, kind)
             for d, m, n in workloads.ORACLE_SHAPES for kind in workloads.ORACLE_KINDS
             for seed in range(seeds)]
 
@@ -969,7 +969,7 @@ class TestTerminationAndAgreement:
         # pivot tolerances are not per row, so far wider scalings (|k| >= 15)
         # do move outcomes
         d, m, n = shape
-        p = random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
+        p = random_instance(seed, d, m, n, kind)
         rng = np.random.default_rng(transform_seed)
         eq, ineq = rng.permutation(p.A_eq.shape[0]), rng.permutation(p.A_ineq.shape[0])
         permuted = GeneralLP(
@@ -1179,7 +1179,7 @@ def _step_cases():
     for seed in range(30):
         for d, m, n in [(3, 1, 4), (4, 1, 6), (5, 2, 8)]:
             for kind in ("feasible", "infeasible", "unbounded"):
-                p = random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
+                p = random_instance(seed, d, m, n, kind)
                 yield f"{kind}-{seed}-{d}", to_standard_general(p), 10_000
     for d in (40, 80):
         p = workloads.dense_lp(np.random.default_rng(0), d)
@@ -1410,6 +1410,16 @@ def test_outcome_digest_against_reports_what_moved(tmp_path, capsys, monkeypatch
     script.main(["--against", str(old_path), "-o", str(new_path)])
     assert script.read(new_path) == (script.build(), [])
     assert capsys.readouterr().out.splitlines()[0] == "0 lines, 0 moved"
+
+    # a digest from another build: one line names both builds before the
+    # report, and the exit code still follows the moved lines alone
+    other = {"numpy": "0.0", "scipy": "0.0", "openblas": []}
+    assert script.build_note(other, other) == script.build_note(None, other) == []
+    old_path.write_text(json.dumps({"build": other}) + "\n")
+    script.main(["--against", str(old_path), "-o", str(new_path)])
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        f"the builds differ: {json.dumps(other)} -> {json.dumps(script.build())}",
+        "0 lines, 0 moved"]
 
 
 def test_pivot_overhead_script_prints_one_row_per_dimension(capsys):

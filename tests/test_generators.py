@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -15,6 +16,46 @@ from facetlp.generators import (
 )
 from facetlp.model import general_lp_to_dict, to_standard_general
 from facetlp.reference import brute_force_optimal, dantzig_solve, to_standard_form
+
+PINNED_FIELDS = ("c", "A_eq", "b_eq", "A_ineq", "b_ineq", "lower", "upper")
+
+# SHA-256 of each family, recorded before its builders were last rewritten:
+# a rewrite of the builders must return byte-identical problems, -0.0 included
+FAMILY_PINS = {
+    "km1": "3134aa7bb3943276fa010f603ef3c9ca332c23a3bf1d65d54c19e6e207819d13",
+    "km2": "c0d5c5db3449f2bdcf547305bfbf6a9e0a2b93c5545f31cc40d615c1a2ae0cc6",
+    "beale": "3b1bec6f8830595ddebeb8efa8850225753b346c0b46c7db7d06ca7b5567360f",
+    "beale_permuted": "cdb602f5a18877286002d60a7d988e81da146a1b0338584dcc91209197d66105",
+    "beale_redundant": "b7055b8a88c3936c017c7cd5201abc2f7d3c3dcc386bcc207b8f3551ba8df9f7",
+    "beale_scaled": "580d036b4d2e5c6b647043a607dd04a369677ad798ed93ce2854ab99738612c2",
+    "chvatal": "00cb54c4cf74e1dc549967b8ca9ac0e5e8570028430f23685c90fa1dd6627579",
+}
+
+
+def _digest(lps) -> str:
+    """SHA-256 over each problem's dtype, shape and bytes of every pinned
+    field, then its names."""
+    h = hashlib.sha256()
+    for p in lps:
+        for name in PINNED_FIELDS:
+            a = getattr(p, name)
+            h.update(f"{name} {a.dtype.str} {a.shape}".encode())
+            h.update(a.tobytes())
+        h.update(json.dumps(p.names, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _family(family: str):
+    if family == "km1":
+        return [klee_minty_v1(d) for d in range(2, 26)]
+    if family == "km2":
+        return [klee_minty_v2(d) for d in range(2, 31)]
+    return [cycling_fixture(family)]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PINS))
+def test_family_is_byte_identical_to_its_pin(family):
+    assert _digest(_family(family)) == FAMILY_PINS[family]
 
 
 class TestKleeMintyV1:
@@ -68,6 +109,15 @@ class TestCyclingFixtures:
         assert len(CYCLING_FIXTURE_IDS) == 5
         for fid in CYCLING_FIXTURE_IDS:
             assert cycling_fixture(fid).d >= 3
+
+    def test_each_build_is_fresh(self):
+        """Writing into one build's arrays leaves the next build as pinned."""
+        for fid in CYCLING_FIXTURE_IDS:
+            p = cycling_fixture(fid)
+            for name in PINNED_FIELDS:
+                getattr(p, name)[...] = 7.0
+            p.names["fixture"] = "written"
+            assert _digest([cycling_fixture(fid)]) == FAMILY_PINS[fid], fid
 
     def test_unknown_fixture(self):
         with pytest.raises(UnknownFixture):
@@ -129,6 +179,13 @@ class TestRandomInstances:
             out = solve(sp)
             assert out.status is Status.UNBOUNDED
             assert out.certificate in sp.artificial_rows
+
+    def test_unbounded_instances_have_no_equality_rows_whatever_m(self):
+        for seed in range(5):
+            for d, n in ((1, 2), (3, 4), (5, 8)):
+                p = random_instance(seed, d, 0, n, "unbounded")
+                assert p.num_eq == 0
+                assert _digest([p]) == _digest([random_instance(seed, d, 3, n, "unbounded")])
 
     def test_oracle_cap_guard(self):
         with pytest.raises(SizeOutOfRange):

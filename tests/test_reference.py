@@ -518,7 +518,7 @@ def _dantzig_cases():
     for seed in range(30):
         for (d, m, n) in [(3, 1, 4), (4, 1, 6), (5, 2, 8)]:
             for kind in ("feasible", "infeasible", "unbounded"):
-                p = random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
+                p = random_instance(seed, d, m, n, kind)
                 yield to_standard_form(_boxed(p, 1e7)), seed % 2 == 0
                 if kind == "unbounded":
                     # unboxed, the planted ray stays open: the Unbounded exit
@@ -588,7 +588,7 @@ class TestBaselineAgreement:
         for seed in range(40):
             for (d, m, n) in [(3, 1, 4), (5, 0, 6), (4, 1, 6)]:
                 for kind in RANDOM_KINDS:
-                    p = random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
+                    p = random_instance(seed, d, m, n, kind)
                     want = brute_force_optimal(to_standard_general(p))
                     for bland in (False, True):
                         got = dantzig_solve(to_standard_form(p), bland=bland)
@@ -669,8 +669,7 @@ def _oracle_cases():
     for seed in range(50):
         for (d, m, n) in [(3, 1, 4), (4, 1, 6), (5, 2, 8)]:
             for kind in ("feasible", "infeasible", "unbounded"):
-                # unbounded plants carry no equality rows
-                yield random_instance(seed, d, 0 if kind == "unbounded" else m, n, kind)
+                yield random_instance(seed, d, m, n, kind)
     for d in range(2, 6):
         yield klee_minty_v1(d)
         yield klee_minty_v2(d)
@@ -859,7 +858,7 @@ def _freeze(obj):
 def _read_only_cases():
     """One oracle-deck instance per shape and kind, km1 and km2 at d = 3..6,
     the cycling fixtures, one dense LP and the MPS fixtures."""
-    lps = [random_instance(0, d, 0 if kind == "unbounded" else m, n, kind)
+    lps = [random_instance(0, d, m, n, kind)
            for d, m, n in workloads.ORACLE_SHAPES for kind in workloads.ORACLE_KINDS]
     lps += [cube(d) for cube in (klee_minty_v1, klee_minty_v2) for d in range(3, 7)]
     lps += [cycling_fixture(fid) for fid in CYCLING_FIXTURE_IDS]
