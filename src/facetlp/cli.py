@@ -29,6 +29,7 @@ from facetlp.model import (
     GeneralLP,
     general_lp_to_dict,
     load_general_lp,
+    save_general_lp,
     to_standard_general,
 )
 from facetlp.reference import brute_force_optimal, dantzig_solve, to_standard_form
@@ -52,40 +53,43 @@ _STATUS_EXIT = {
 }
 
 CSV_COLUMNS = "name,n,m,d,solver,rule,iterations,wall_ms,status,objective"
-SOLVERS = ("facet", "dantzig", "oracle")
+_DEFAULT_RULE, _DEFAULT_MAX_ITER = PivotRule.MAX_DEVIATION, 10_000
 
-
-# the solver flags each solver reads; given with any other solver they are
+# each solver's flags and its run on a GeneralLP given (rule, max_iter,
+# collect_trace); a solver flag given with a solver that does not read it is
 # refused, not ignored
-_FLAGS_READ = {
-    "facet": ("rule", "max_iter", "trace"),
-    "dantzig": ("max_iter",),
-    "oracle": (),
+_SOLVERS = {
+    "facet": (("rule", "max_iter", "trace"), lambda p, rule, max_iter, trace: solve(
+        to_standard_general(p), rule=rule, max_iter=max_iter, collect_trace=trace)),
+    "dantzig": (("max_iter",), lambda p, rule, max_iter, trace: dantzig_solve(
+        to_standard_form(p), max_iter=max_iter)),
+    "oracle": ((), lambda p, *_: brute_force_optimal(to_standard_general(p))),
+}
+SOLVERS = tuple(_SOLVERS)
+
+# the cube families and their builders, looked up in ``generators`` per call
+_CUBES = {
+    "km1": lambda d: generators.klee_minty_v1(d),
+    "km2": lambda d: generators.klee_minty_v2(d),
 }
 
 
-def _ignored_flag(args: argparse.Namespace, solvers: list[str]) -> bool:
-    """Report the first solver flag the subcommand defines that is given
-    with a solver that would ignore it."""
-    for flag in ("rule", "max_iter", "trace"):
-        others = [s for s in solvers if flag not in _FLAGS_READ[s]]
-        if getattr(args, flag, None) is None or not others:
-            continue
-        readers = [s for s in SOLVERS if flag in _FLAGS_READ[s]]
-        print(f"error: --{flag.replace('_', '-')} applies to the {' and '.join(readers)} "
-              f"solver{'s' * (len(readers) > 1)} only, not {','.join(others)}",
-              file=sys.stderr)
-        return True
-    return False
-
-
-def _rule_and_max_iter(args: argparse.Namespace) -> tuple[PivotRule, int]:
-    """``--rule`` and ``--max-iter`` with their defaults applied; the parser
-    leaves them None so that ``_ignored_flag`` sees whether they were given."""
+def _solver_flags(args: argparse.Namespace, solvers: list[str]) -> tuple[PivotRule, int]:
+    """``--rule`` and ``--max-iter`` with their defaults applied. A solver
+    flag given with a solver that would ignore it, or a negative
+    ``--max-iter``, raises ``FacetLPError``; the parser leaves the flags None
+    so that this sees whether they were given."""
+    for flag in dict.fromkeys(f for reads, _ in _SOLVERS.values() for f in reads):
+        others = [s for s in solvers if flag not in _SOLVERS[s][0]]
+        if getattr(args, flag, None) is not None and others:
+            readers = [s for s, (reads, _) in _SOLVERS.items() if flag in reads]
+            raise FacetLPError(
+                f"--{flag.replace('_', '-')} applies to the {' and '.join(readers)} "
+                f"solver{'s' * (len(readers) > 1)} only, not {','.join(others)}")
     if args.max_iter is not None and args.max_iter < 0:
         raise FacetLPError(f"--max-iter must be nonnegative, got {args.max_iter}")
-    rule = PivotRule.MAX_DEVIATION if args.rule is None else PivotRule(args.rule)
-    return rule, 10_000 if args.max_iter is None else args.max_iter
+    rule = _DEFAULT_RULE if args.rule is None else PivotRule(args.rule)
+    return rule, _DEFAULT_MAX_ITER if args.max_iter is None else args.max_iter
 
 
 def _load_problem(path: str, fmt: str) -> GeneralLP:
@@ -99,21 +103,9 @@ def _load_problem(path: str, fmt: str) -> GeneralLP:
     return load_general_lp(path)
 
 
-def _run_solver(
-    p: GeneralLP,
-    solver: str,
-    rule: PivotRule,
-    max_iter: int,
-    collect_trace: bool,
-) -> SolveOutcome:
-    if solver == "facet":
-        sp = to_standard_general(p)
-        return solve(sp, rule=rule, max_iter=max_iter, collect_trace=collect_trace)
-    if solver == "dantzig":
-        return dantzig_solve(to_standard_form(p), max_iter=max_iter)
-    if solver == "oracle":
-        return brute_force_optimal(to_standard_general(p))
-    raise ValueError(f"unknown solver {solver!r}")
+def _run_solver(p: GeneralLP, solver: str, rule: PivotRule, max_iter: int,
+                collect_trace: bool) -> SolveOutcome:
+    return _SOLVERS[solver][1](p, rule, max_iter, collect_trace)
 
 
 @contextlib.contextmanager
@@ -148,10 +140,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (FacetLPError, OSError) as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if _ignored_flag(args, [args.solver]):
-        return EXIT_INPUT_ERROR
-
-    rule, max_iter = _rule_and_max_iter(args)
+    rule, max_iter = _solver_flags(args, [args.solver])
     # the trace file opens before the solve, so that a bad path fails first
     trace = contextlib.nullcontext() if args.trace is None else open(args.trace, "w")
     with trace:
@@ -180,37 +169,30 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.family == "km1":
-        p = generators.klee_minty_v1(args.d)
-    elif args.family == "km2":
-        p = generators.klee_minty_v2(args.d)
+    if args.family in _CUBES:
+        p = _CUBES[args.family](args.d)
     elif args.family == "cycling":
         p = generators.cycling_fixture(args.fixture)
     else:
         p = generators.random_instance(args.seed, args.d, args.m, args.n, args.kind)
-    doc = json.dumps(general_lp_to_dict(p), indent=1)
     if args.output:
-        Path(args.output).write_text(doc + "\n")
+        save_general_lp(p, args.output)
     else:
-        print(doc)
+        print(json.dumps(general_lp_to_dict(p), indent=1))
     return 0
 
 
 def _bench_instances(args: argparse.Namespace):
     """Yield (name, loader) pairs; loaders run inside the per-row guard so a
     broken instance is recorded in its row and the suite continues."""
-    if args.suite in ("km1", "km2"):
+    if args.suite in _CUBES:
         lo, hi = args.sizes
-        build = (
-            generators.klee_minty_v1 if args.suite == "km1"
-            else generators.klee_minty_v2
-        )
         for d in range(lo, hi + 1):
-            yield f"{args.suite}_d{d}", (lambda d=d: build(d))
+            yield f"{args.suite}_d{d}", (lambda d=d: _CUBES[args.suite](d))
     elif args.suite == "cycling":
         for fid in generators.CYCLING_FIXTURE_IDS:
             yield fid, (lambda fid=fid: generators.cycling_fixture(fid))
-    elif args.suite == "netlib":
+    else:  # netlib
         directory = args.netlib_dir or os.environ.get(NETLIB_DIR_ENV)
         if not directory:
             raise FacetLPError(
@@ -221,8 +203,6 @@ def _bench_instances(args: argparse.Namespace):
             raise FacetLPError(f"no .mps files under {directory}")
         for path in paths:
             yield path.stem, (lambda path=path: _load_problem(str(path), "mps"))
-    else:
-        raise FacetLPError(f"unknown suite {args.suite!r}")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -230,9 +210,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not solvers or not set(solvers) <= set(SOLVERS):
         print(f"error: --solvers takes a list from {','.join(SOLVERS)}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if _ignored_flag(args, solvers):
-        return EXIT_INPUT_ERROR
-    rule, max_iter = _rule_and_max_iter(args)
+    rule, max_iter = _solver_flags(args, solvers)
     rows = []
     instances = list(_bench_instances(args))
     if not instances:
@@ -288,7 +266,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # --rule and --max-iter steer the facet solves; the oracle reads no flag
-    rule, max_iter = _rule_and_max_iter(args)
+    rule, max_iter = _solver_flags(args, ["facet"])
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     if not kinds or not set(kinds) <= set(generators.RANDOM_KINDS):
         print(f"error: --kinds takes a list from {','.join(generators.RANDOM_KINDS)}",
@@ -302,9 +280,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for kind in kinds:
         for seed in range(args.count):
             p = generators.random_instance(seed, args.d, args.m, args.n, kind)
-            sp = to_standard_general(p)
-            got = solve(sp, rule=rule, max_iter=max_iter)
-            want = brute_force_optimal(sp)
+            got = _run_solver(p, "facet", rule, max_iter, collect_trace=False)
+            want = _run_solver(p, "oracle", rule, max_iter, collect_trace=False)
             checked += 1
             if got.status != want.status:
                 mismatches.append(
@@ -347,9 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_solver_flags(sp_):
         sp_.add_argument("--rule", default=None,
                          choices=[r.value for r in PivotRule],
-                         help="facet pivot entering rule (default max-dev)")
+                         help=f"facet pivot entering rule (default {_DEFAULT_RULE.value})")
         sp_.add_argument("--max-iter", type=int, default=None,
-                         help="pivot limit of the facet and dantzig solvers (default 10000)")
+                         help="pivot limit of the facet and dantzig solvers "
+                              f"(default {_DEFAULT_MAX_ITER})")
 
     p_solve = sub.add_parser("solve", help="solve one instance from a file")
     p_solve.add_argument("path")
@@ -361,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_gen = sub.add_parser("generate", help="emit a generated instance as JSON")
-    p_gen.add_argument("family", choices=["km1", "km2", "cycling", "random"])
+    p_gen.add_argument("family", choices=[*_CUBES, "cycling", "random"])
     p_gen.add_argument("--d", type=int, default=3)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--m", type=int, default=0)
@@ -375,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a benchmark suite")
     p_bench.add_argument("--suite", required=True,
-                         choices=["km1", "km2", "cycling", "netlib"])
+                         choices=[*_CUBES, "cycling", "netlib"])
     p_bench.add_argument("--sizes", type=_parse_size_range, default=(3, 10),
                          help="inclusive d range LO:HI for the cube suites")
     p_bench.add_argument("--solvers", default="facet",

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gzip
 import json
 import time
@@ -15,17 +16,19 @@ from facetlp.cli import (
     EXIT_NUMERICAL,
     EXIT_OPTIMAL,
     EXIT_UNBOUNDED,
+    EXIT_VERIFY_MISMATCH,
     main,
 )
 from facetlp.errors import NoLeavingCandidate, SingularMatrix
-from facetlp.facet import PivotRule
+from facetlp.facet import PivotRule, Status
 from facetlp.generators import (
     cycling_fixture,
     klee_minty_v1,
     klee_minty_v2,
     random_instance,
 )
-from facetlp.model import GeneralLP, general_lp_to_dict, save_general_lp
+from facetlp.model import GeneralLP, general_lp_to_dict, save_general_lp, to_standard_general
+from facetlp.reference import brute_force_optimal
 
 
 @pytest.fixture
@@ -466,6 +469,24 @@ class TestSolveCommand:
                    for r in records)
         assert records[-1]["objective"] == -1023.0
 
+    @pytest.mark.parametrize("problem, note", [
+        (None, "entering equality depends only on base equalities, rhs inconsistent"),
+        (GeneralLP(c=[1.0], A_ineq=[[1.0], [-1.0]], b_ineq=[2.0, -1.0]), "infeasible"),
+    ], ids=["equality-note", "plain"])
+    def test_infeasible_stop_is_the_trace_s_last_record(self, tmp_path, capsys, problem, note):
+        # the stop record makes no pivot (q = -1), and only it carries a note
+        path, trace = tmp_path / "f.json", tmp_path / "t.jsonl"
+        if problem is None:
+            assert main(["generate", "random", "--d", "4", "--m", "1", "--n", "6",
+                         "--seed", "7", "--kind", "infeasible", "-o", str(path)]) == 0
+        else:
+            save_general_lp(problem, path)
+        assert main(["solve", str(path), "--trace", str(trace)]) == EXIT_INFEASIBLE
+        capsys.readouterr()
+        *pivots, stop = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert pivots and all(r["q"] >= 0 and "note" not in r for r in pivots)
+        assert stop["q"] == -1 and stop["note"] == note
+
 
 class TestGenerateCommand:
     def test_emits_loadable_json(self, tmp_path, capsys):
@@ -796,3 +817,36 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert seen == [(PivotRule.MAX_DEVIATION, 10_000)] * 3 + [
             (PivotRule.LEAST_INDEX, 50)] * 3
+
+    @pytest.mark.parametrize("wrong, what", [
+        (lambda out: dataclasses.replace(out, objective=out.objective + 1.0),
+         lambda got, want: f"objective {got.objective + 1.0!r} != {want.objective!r}"),
+        (lambda out: dataclasses.replace(out, status=Status.UNBOUNDED, objective=None),
+         lambda got, want: "status Unbounded != Optimal"),
+    ], ids=["objective", "status"])
+    def test_mismatch_names_a_command_that_reproduces_it(self, capsys, monkeypatch,
+                                                         wrong, what):
+        real, calls = cli.solve, []
+
+        def wrong_on_seed_1(sp, **kwargs):
+            calls.append(sp)
+            out = real(sp, **kwargs)
+            return wrong(out) if len(calls) == 2 else out
+
+        monkeypatch.setattr(cli, "solve", wrong_on_seed_1)
+        code = main(["verify", "--count", "3", "--d", "3", "--m", "1", "--n", "4",
+                     "--kinds", "feasible"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_VERIFY_MISMATCH
+        p = random_instance(1, 3, 1, 4, "feasible")
+        sp = to_standard_general(p)
+        got, want = real(sp), brute_force_optimal(sp)
+        assert got.status is want.status is Status.OPTIMAL
+        command = "generate random --d 3 --m 1 --n 4 --kind feasible --seed 1"
+        assert lines == [
+            f"MISMATCH kind=feasible seed=1: {what(got, want)}   (reproduce: facetlp {command})",
+            "verified 3 instances (d=3, m=1, n=4, kinds=feasible): 1 mismatches",
+        ]
+        assert main(command.split()) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(
+            json.dumps(general_lp_to_dict(p)))

@@ -294,6 +294,10 @@ class TestObjectiveValue:
         p = GeneralLP(c=[1.0], lower=[0.0], upper=[1.0], objective_offset=2.5)
         assert objective_value(p, np.array([1.0])) == 3.5
 
+    def test_x_of_the_wrong_shape_refused(self):
+        with pytest.raises(DimensionMismatch, match=r"x has shape \(4,\), expected \(3,\)"):
+            objective_value(klee_minty_v1(3), np.zeros(4))
+
 
 class TestValidation:
     def test_nan_rejected(self):
@@ -320,6 +324,15 @@ class TestValidation:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             GeneralLP(c=[1.0, 2.0], A_eq=[[1.0]], b_eq=[1.0])
+
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("lower", [0.0, 0.0, 0.0], DimensionMismatch, "bound vectors must have length d"),
+        ("upper", [np.nan, 1.0], NonFiniteData, "bounds contain NaN"),
+        ("objective_offset", np.inf, NonFiniteData, "objective_offset must be finite"),
+    ], ids=["bound-length", "nan-bound", "inf-offset"])
+    def test_field_refused_where_it_is_built(self, field, value, error, message):
+        with pytest.raises(error, match=message):
+            GeneralLP(c=[1.0, 1.0], A_eq=[[1.0, 2.0]], b_eq=[2.0], **{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("c", [[1.0], [2.0]]), ("b_eq", [[1.0]]), ("b_ineq", [[1.0]]),
@@ -375,6 +388,18 @@ class TestJsonFormat:
         np.testing.assert_array_equal(r.A_eq, p.A_eq)
         np.testing.assert_array_equal(r.b_ineq, p.b_ineq)
         assert r.names == p.names
+
+    def test_roundtrip_of_a_nonzero_objective_offset(self, tmp_path):
+        # the key is written only when the offset is nonzero
+        p = GeneralLP(c=[1.0, 1.0], A_eq=[[1.0, 2.0]], b_eq=[2.0], objective_offset=-2.5)
+        assert general_lp_to_dict(p)["objective_offset"] == -2.5
+        assert "objective_offset" not in general_lp_to_dict(dataclasses.replace(
+            p, objective_offset=0.0))
+        path = tmp_path / "offset.json"
+        save_general_lp(p, path)
+        q = load_general_lp(path)
+        assert q.objective_offset == -2.5
+        assert objective_value(q, np.array([0.0, 1.0])) == -1.5
 
     def test_bad_sentinel_rejected(self):
         with pytest.raises(NonFiniteData):

@@ -116,6 +116,9 @@ REFUSALS = [
     (MINIMAL.replace(" E  R1", " E"), 4, "ROWS line needs a type and a label"),
     (MINIMAL.replace(" E  R1", " E  R1\n L  R1"), 5, "duplicate row label 'R1'"),
     (" X1  OBJ  1.0\n" + MINIMAL, 1, "data line before any section header"),
+    (MINIMAL.replace("OBJ       1.0        R1        2.0", "R1")
+     .replace("RHS\n    RHS       R1        4.0\n", ""), 6,
+     "COLUMNS line needs (row, value) pairs"),
     (_with_bounds("ZZ BND X1 1.0"), 10, "unknown bound type 'ZZ'"),
     (_with_bounds("UP X1"), 10, "UP bound needs a column and value"),
     (_with_bounds("UP BND X1 1.0 2.0"), 10, "UP bound needs a column and value"),

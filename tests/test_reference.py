@@ -177,6 +177,21 @@ class TestDantzigSolve:
         assert out.status is Status.INFEASIBLE
         assert out.phase1_iterations > 0
 
+    @pytest.mark.parametrize("bland, phases", [(False, (1, 0)), (True, (1, 1))],
+                             ids=["most-negative", "bland"])
+    def test_phase_1_drops_a_redundant_row(self, bland, phases):
+        # row 2 repeats row 1: after phase 1 its artificial stays basic with
+        # no column to pivot it out on, so the row is dropped for phase 2
+        p = GeneralLP(c=[1.0, 1.0], A_eq=[[1.0, 2.0], [1.0, 2.0]], b_eq=[2.0, 2.0])
+        out = dantzig_solve(to_standard_form(p), bland=bland)
+        assert out.status is Status.OPTIMAL and out.objective == 1.0
+        np.testing.assert_array_equal(out.x_opt, [0.0, 1.0])
+        assert (out.phase1_iterations, out.phase2_iterations) == phases
+        sp = to_standard_general(p)
+        for other in (solve(sp), brute_force_optimal(sp)):
+            assert other.status is Status.OPTIMAL and other.objective == 1.0
+            np.testing.assert_array_equal(other.x_opt, [0.0, 1.0])
+
     def test_iteration_limit(self):
         out = dantzig_solve(to_standard_form(klee_minty_v1(6)), max_iter=5)
         assert out.status is Status.ITERATION_LIMIT
