@@ -62,7 +62,7 @@ def _stage_us(sp: model.StandardGeneralLP, block: int) -> tuple[float, dict[str,
     bases = reference._bases.__wrapped__(sp.num_rows, sp.d)
     build_us = (clock() - t0) * 1e6
     A = sp.rows(np.arange(sp.num_rows))
-    row_norms = np.linalg.norm(A, axis=1)
+    row_norms = sp.row_norms()
     tols = sp.row_tolerances()
     spent = dict.fromkeys(STAGES, 0.0)
     for start in range(0, len(bases), block):

@@ -11,18 +11,20 @@ class DimensionMismatch(FacetLPError):
 
 class MalformedInput(FacetLPError):
     """A problem file or document that cannot be read: bytes that are not
-    text, text that is not JSON, or a field missing or of the wrong type."""
+    text, text that is not JSON, a field missing or of the wrong type, or a
+    JSON bound string that is not an infinity sentinel."""
 
 
 class NonFiniteData(FacetLPError):
     """NaN (or an infinity outside the bound vectors) found in problem data,
-    data so large that an infinite bound's big-M artificial bound overflows
-    (``to_standard_general``), or an unrecognized bound string in JSON."""
+    or data so large that an infinite bound's big-M artificial bound
+    overflows (``to_standard_general``)."""
 
 
 class InconsistentBounds(FacetLPError):
     """A lower bound exceeds the matching upper bound, or a lower bound of
-    +inf or an upper bound of -inf leaves no finite value."""
+    +inf or an upper bound of -inf leaves no finite value; from MPS, the
+    message names the column whose BOUNDS entries conflict."""
 
 
 class NumericalBreakdown(FacetLPError):
@@ -60,7 +62,8 @@ class TooLarge(FacetLPError):
 
 
 class MpsSyntaxError(FacetLPError):
-    """Malformed MPS input; carries the 1-based line number."""
+    """Malformed MPS input, an unknown section or row label included;
+    carries the 1-based line number when there is one."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -68,14 +71,3 @@ class MpsSyntaxError(FacetLPError):
         super().__init__(message)
         self.line = line
 
-
-class UnknownRowLabel(MpsSyntaxError):
-    """A COLUMNS/RHS/RANGES entry referenced an undeclared row."""
-
-
-class UnknownSection(MpsSyntaxError):
-    """Unrecognized MPS section header."""
-
-
-class ConflictingBounds(FacetLPError):
-    """BOUNDS entries for one column contradict each other."""

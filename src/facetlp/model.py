@@ -327,7 +327,7 @@ def _bound_from_json(v) -> float:
             return np.inf
         if s in ("-inf", "-infinity"):
             return -np.inf
-        raise NonFiniteData(f"unrecognized bound sentinel {v!r}")
+        raise MalformedInput(f"unrecognized bound sentinel {v!r}")
     return float(v)
 
 

@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from facetlp.errors import (
-    ConflictingBounds,
-    MalformedInput,
-    MpsSyntaxError,
-    UnknownRowLabel,
-    UnknownSection,
-)
+from facetlp.errors import InconsistentBounds, MalformedInput, MpsSyntaxError
 from facetlp.model import GeneralLP
 
 _SECTIONS = {"NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"}
@@ -60,15 +54,6 @@ class MpsDocument:
         """The N rows after the first, which the conversion ignores."""
         return [r for r, t in self.row_types.items() if t == "N" and r != self.objective_row]
 
-    @property
-    def num_rows(self) -> int:
-        """Constraint rows, excluding every N row."""
-        return sum(1 for t in self.row_types.values() if t != "N")
-
-    @property
-    def num_columns(self) -> int:
-        return len(self.column_order)
-
 
 def _number(token: str, lineno: int, section: str) -> float:
     """The token's value; an infinity leaves a side open in RANGES and BOUNDS."""
@@ -87,7 +72,7 @@ def _row_values(doc: MpsDocument, payload: list[str], section: str, lineno: int)
         raise MpsSyntaxError(f"{section} line needs (row, value) pairs", lineno)
     for rlabel, value in zip(payload[0::2], payload[1::2]):
         if rlabel not in doc.row_types:
-            raise UnknownRowLabel(f"unknown row {rlabel!r}", lineno)
+            raise MpsSyntaxError(f"unknown row {rlabel!r}", lineno)
         yield rlabel, _number(value, lineno, section)
 
 
@@ -106,7 +91,7 @@ def parse_mps(text: str) -> MpsDocument:
         if is_header:
             head = tokens[0].upper()
             if head not in _SECTIONS:
-                raise UnknownSection(f"unknown section {tokens[0]!r}", lineno)
+                raise MpsSyntaxError(f"unknown section {tokens[0]!r}", lineno)
             if head == "NAME":
                 doc.name = tokens[1] if len(tokens) > 1 else ""
                 continue
@@ -209,7 +194,8 @@ def to_general_lp(doc: MpsDocument) -> GeneralLP:
     one; BV relaxes to [0, 1] with a warning.
 
     The document is left unchanged. Its parse warnings, followed by the
-    conversion's own, are returned in ``names["warnings"]``.
+    conversion's own, are returned in ``names["warnings"]``. Bounds that
+    leave a column no value are ``InconsistentBounds`` naming the column.
     """
     warnings = list(doc.warnings)
     cols = doc.column_order
@@ -268,9 +254,8 @@ def to_general_lp(doc: MpsDocument) -> GeneralLP:
 
     if np.any(lower > upper):
         i = int(np.argmax(lower > upper))
-        raise ConflictingBounds(
-            f"bounds for column {cols[i]!r} conflict: [{lower[i]}, {upper[i]}]"
-        )
+        raise InconsistentBounds(
+            f"bounds for column {cols[i]!r} conflict: [{lower[i]}, {upper[i]}]")
 
     A_eq, b_eq, eq_names = _stack(eq, d)
     A_ineq, b_ineq, ineq_names = _stack(ineq, d)

@@ -356,7 +356,7 @@ def brute_force_optimal(sp: StandardGeneralLP) -> SolveOutcome:
 
     bases = _bases(N, d)
     A = sp.rows(np.arange(N))  # the stacked matrix, small under the cap
-    row_norms = np.linalg.norm(A, axis=1)
+    row_norms = sp.row_norms()
     tols = sp.row_tolerances()
     kept_combos: list[np.ndarray] = []
     kept_X: list[np.ndarray] = []

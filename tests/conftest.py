@@ -1,13 +1,27 @@
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def load_script():
+    """A loader of ``scripts/<name>.py``: each call runs the file as a new
+    module and returns it."""
+    def load(name):
+        spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        return script
+    return load
 
 
 @pytest.fixture

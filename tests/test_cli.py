@@ -731,6 +731,14 @@ class TestBenchCommand:
         assert main(["bench", "--suite", "netlib"]) == EXIT_INPUT_ERROR
         capsys.readouterr()
 
+    def test_netlib_suite_refuses_a_directory_without_mps_files(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("not a problem\n")
+        assert main(["bench", "--suite", "netlib", "--netlib-dir", str(tmp_path)]) == \
+            EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no .mps files under {tmp_path}\n"
+
     def test_broken_instance_recorded_in_row_and_suite_continues(
         self, fixtures_dir, tmp_path, capsys
     ):

@@ -1,4 +1,3 @@
-import importlib.util
 from pathlib import Path
 
 import pytest
@@ -7,21 +6,13 @@ ROOT = Path(__file__).resolve().parents[1]
 RECORDED = ROOT / "tests" / "fixtures" / "outcome_digest_quick.jsonl"
 
 
-def _script():
-    spec = importlib.util.spec_from_file_location(
-        "outcome_digest", ROOT / "scripts" / "outcome_digest.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
-def test_quick_digest_is_the_recorded_one():
+def test_quick_digest_is_the_recorded_one(load_script):
     """Every solve of the quick digest gives the outcome recorded, bit for
     bit; a moved line fails naming it. A digest is only comparable on the
     build it was recorded on, and the OpenBLAS build string names the CPU
     kernels picked at run time, so on another numpy, scipy, OpenBLAS or CPU
     the test is skipped naming both builds."""
-    script = _script()
+    script = load_script("outcome_digest")
     recorded_build, recorded = script.read(RECORDED)
     build = script.build()
     if recorded_build != build:

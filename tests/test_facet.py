@@ -1,4 +1,3 @@
-import importlib.util
 import itertools
 import json
 import math
@@ -954,7 +953,7 @@ class TestTerminationAndAgreement:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         rule=st.sampled_from(PivotRule),
-        shape=st.sampled_from([(3, 1, 4), (4, 1, 6), (5, 2, 8)]),
+        shape=st.sampled_from(workloads.ORACLE_SHAPES),
         kind=st.sampled_from(RANDOM_KINDS),
         seed=st.integers(0, 499),
         transform_seed=st.integers(0, 2**32 - 1),
@@ -1134,35 +1133,6 @@ class TestBaseFactorizationPaths:
         assert out.iterations == 31
 
 
-def _full_mask_select_entering(sp, base, sigma, rule, removed):
-    """The pricing kernel of ``select_entering`` written over a full-length
-    candidate mask that drops the base rows and the rows in ``removed``,
-    at the default row tolerances."""
-    row_tols = sp.row_tolerances()
-    candidate = np.ones(sp.num_rows, dtype=bool)
-    candidate[base.indices] = False
-    if removed:
-        candidate[list(removed)] = False
-    eq_violated = candidate.copy()
-    eq_violated[sp.m:] = False
-    eq_violated &= np.abs(sigma) > row_tols
-    if eq_violated.any():
-        pool = np.flatnonzero(eq_violated)
-    else:
-        ineq_violated = candidate
-        ineq_violated[: sp.m] = False
-        ineq_violated &= sigma < -row_tols
-        if not ineq_violated.any():
-            return None
-        pool = np.flatnonzero(ineq_violated)
-    if rule is PivotRule.LEAST_INDEX:
-        return int(pool[0])
-    deviation = np.abs(sigma[pool])
-    if rule is PivotRule.MAX_NORMALIZED_DEVIATION:
-        deviation = deviation / np.linalg.norm(sp.rows(pool), axis=1)
-    return int(pool[int(np.argmax(deviation))])
-
-
 def _step_cases():
     # the second copy of an equality is redundant once the first is in the base
     twin = GeneralLP(
@@ -1177,8 +1147,8 @@ def _step_cases():
     for fid in CYCLING_FIXTURE_IDS:
         yield fid, to_standard_general(cycling_fixture(fid)), 10_000
     for seed in range(30):
-        for d, m, n in [(3, 1, 4), (4, 1, 6), (5, 2, 8)]:
-            for kind in ("feasible", "infeasible", "unbounded"):
+        for d, m, n in workloads.ORACLE_SHAPES:
+            for kind in workloads.ORACLE_KINDS:
                 p = random_instance(seed, d, m, n, kind)
                 yield f"{kind}-{seed}-{d}", to_standard_general(p), 10_000
     for d in (40, 80):
@@ -1191,11 +1161,12 @@ def _bits(x):
 
 
 def test_steps_agree_at_every_pivot(monkeypatch):
-    """While ``solve`` runs, each entering row is the full-mask reference's
+    """While ``solve`` runs, each entering row is the masked reference's
     pick, ``select_leaving`` finds no row exactly when ``check_infeasible``
     certifies, and its ``sole`` flag is ``detect_leaving_redundant``'s test.
-    The reference drops the rows found redundant itself, so a redundant row
-    that re-entered would show too."""
+    The reference's tolerances are infinite on the base rows and on the rows
+    found redundant, which it tracks itself, so a redundant row that
+    re-entered would show too."""
     real_entering, real_leaving = facet.select_entering, facet.select_leaving
     real_start = facet.initial_state
     removed, seen = set(), {"sole": 0, "not sole": 0, "certified": 0}
@@ -1209,7 +1180,9 @@ def test_steps_agree_at_every_pivot(monkeypatch):
 
     def checked_entering(sp, state, rule, row_tols, row_norms=None):
         got = real_entering(sp, state, rule, row_tols, row_norms)
-        assert got == _full_mask_select_entering(sp, bases[-1], state.sigma, rule, removed)
+        tols = _pricing_tols(sp, bases[-1])
+        tols[list(removed)] = np.inf
+        assert got == _reference_pick(sp.m, state.sigma, tols, sp.row_norms(), rule)
         entering.append(got)
         return got
 
@@ -1307,11 +1280,8 @@ def test_kernels_get_the_vectors_they_trust(monkeypatch, fixtures_dir):
     assert calls["solve_transpose"] >= calls["replace_row"] + entering["general"], calls
 
 
-def test_outcome_digest_script_writes_one_line_per_solve(tmp_path, monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "outcome_digest.py"
-    spec = importlib.util.spec_from_file_location("outcome_digest", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+def test_outcome_digest_script_writes_one_line_per_solve(tmp_path, monkeypatch, load_script):
+    script = load_script("outcome_digest")
     factor = linalg.factor
     out = tmp_path / "digest.jsonl"
     script.main(["--quick", "-o", str(out)])
@@ -1367,11 +1337,8 @@ def test_outcome_digest_script_writes_one_line_per_solve(tmp_path, monkeypatch):
     assert script.dantzig_digest(*dantzig_cases[0]) == dantzig[0]
 
 
-def test_outcome_digest_against_reports_what_moved(tmp_path, capsys, monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "outcome_digest.py"
-    spec = importlib.util.spec_from_file_location("outcome_digest", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+def test_outcome_digest_against_reports_what_moved(tmp_path, capsys, monkeypatch, load_script):
+    script = load_script("outcome_digest")
     old = [
         {"name": "km1-d3", "rule": "max-dev", "status": "Optimal", "iterations": 3,
          "objective": (-125.0).hex(), "basis_rows": [2, 6, 7], "factor_calls": 3},
@@ -1422,11 +1389,8 @@ def test_outcome_digest_against_reports_what_moved(tmp_path, capsys, monkeypatch
         "0 lines, 0 moved"]
 
 
-def test_pivot_overhead_script_prints_one_row_per_dimension(capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "pivot_overhead.py"
-    spec = importlib.util.spec_from_file_location("pivot_overhead", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+def test_pivot_overhead_script_prints_one_row_per_dimension(capsys, load_script):
+    script = load_script("pivot_overhead")
     script.main(["--dims", "8", "9", "cubes", "--instances", "1", "--rounds", "1",
                  "--reps", "5"])
     lines = capsys.readouterr().out.splitlines()
@@ -1440,11 +1404,9 @@ def test_pivot_overhead_script_prints_one_row_per_dimension(capsys):
     assert int(cells[1]) == 16 + 19 and int(cells[1]) > int(cells[2]) > int(cells[1]) // 2
 
 
-def test_outcome_digest_against_exits_1_when_a_line_moved(tmp_path, capsys, monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "outcome_digest.py"
-    spec = importlib.util.spec_from_file_location("outcome_digest", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+def test_outcome_digest_against_exits_1_when_a_line_moved(
+        tmp_path, capsys, monkeypatch, load_script):
+    script = load_script("outcome_digest")
     # a sweep of one solve, whose line is read off ``iterations``
     iterations = [3]
     monkeypatch.setattr(script, "cases", lambda quick: [("km1-d3", None, None)])

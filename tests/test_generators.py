@@ -198,6 +198,10 @@ class TestRandomInstances:
         with pytest.raises(SizeOutOfRange):
             random_instance(0, d, m, n, kind)
 
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown kind 'bogus'$"):
+            random_instance(0, 3, 1, 4, "bogus")
+
     def test_one_dimension_is_in_range(self):
         for kind in RANDOM_KINDS:
             assert random_instance(0, 1, 0, 2, kind).d == 1

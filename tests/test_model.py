@@ -402,7 +402,7 @@ class TestJsonFormat:
         assert objective_value(q, np.array([0.0, 1.0])) == -1.5
 
     def test_bad_sentinel_rejected(self):
-        with pytest.raises(NonFiniteData):
+        with pytest.raises(MalformedInput, match="unrecognized bound sentinel 'oops'"):
             general_lp_from_dict({"c": [1.0], "lower": ["oops"], "upper": [1.0]})
 
     @pytest.mark.parametrize("doc", [

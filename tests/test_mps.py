@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from facetlp.cli import main
-from facetlp.errors import (
-    ConflictingBounds,
-    MalformedInput,
-    MpsSyntaxError,
-    UnknownRowLabel,
-    UnknownSection,
-)
+from facetlp.errors import InconsistentBounds, MalformedInput, MpsSyntaxError
 from facetlp.facet import Status, solve
 from facetlp.model import (
     general_lp_from_dict,
@@ -36,9 +30,8 @@ class TestParse:
     def test_minimal_document(self):
         doc = parse_mps(MINIMAL)
         assert doc.name == "MINI"
-        assert doc.num_rows == 1
-        assert doc.num_columns == 1
         assert doc.row_types == {"OBJ": "N", "R1": "E"}
+        assert doc.column_order == ["X1"]
         assert doc.entries == {("X1", "OBJ"): 1.0, ("X1", "R1"): 2.0}
         assert doc.rhs == {"R1": 4.0}
 
@@ -53,8 +46,8 @@ class TestParse:
 
     def test_kb2_shaped_fixture_counts(self, fixtures_dir):
         doc = parse_mps((fixtures_dir / "kb2_shape.mps").read_text())
-        assert doc.num_rows == 43
-        assert doc.num_columns == 68
+        assert sum(t != "N" for t in doc.row_types.values()) == 43
+        assert len(doc.column_order) == 68
 
     def test_duplicate_entries_are_summed_with_warning(self):
         text = MINIMAL.replace(
@@ -66,11 +59,11 @@ class TestParse:
         assert any("summed" in w for w in doc.warnings)
 
     def test_unknown_row_label(self):
-        with pytest.raises(UnknownRowLabel):
+        with pytest.raises(MpsSyntaxError, match="^line 8: unknown row 'R9'$"):
             parse_mps(MINIMAL.replace("RHS       R1", "RHS       R9"))
 
     def test_unknown_section(self):
-        with pytest.raises(UnknownSection):
+        with pytest.raises(MpsSyntaxError, match="^line 2: unknown section 'ROWZ'$"):
             parse_mps(MINIMAL.replace("ROWS", "ROWZ"))
 
     def test_syntax_error_carries_line_number(self):
@@ -244,7 +237,8 @@ ENDATA
             "ENDATA",
             "BOUNDS\n LO BND       X1        5.0\n UP BND       X1        1.0\nENDATA",
         )
-        with pytest.raises(ConflictingBounds):
+        with pytest.raises(InconsistentBounds,
+                           match=r"^bounds for column 'X1' conflict: \[5\.0, 1\.0\]$"):
             to_general_lp(parse_mps(text))
 
     def test_objective_rhs_becomes_offset(self):

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import itertools
 import math
 import sys
@@ -279,7 +278,7 @@ def _verdict_cases():
         yield path.stem, read_mps(path)
     for fixture_id in CYCLING_FIXTURE_IDS:
         yield fixture_id, cycling_fixture(fixture_id)
-    for d, m, n in [(3, 1, 4), (4, 1, 6), (5, 2, 8)]:
+    for d, m, n in workloads.ORACLE_SHAPES:
         for seed in range(50):
             yield f"random-d{d}-s{seed}", random_instance(seed, d, m, n, "feasible")
 
@@ -531,8 +530,8 @@ def _dantzig_cases():
         for bland in (False, True):
             yield to_standard_form(cycling_fixture(fixture_id)), bland
     for seed in range(30):
-        for (d, m, n) in [(3, 1, 4), (4, 1, 6), (5, 2, 8)]:
-            for kind in ("feasible", "infeasible", "unbounded"):
+        for (d, m, n) in workloads.ORACLE_SHAPES:
+            for kind in workloads.ORACLE_KINDS:
                 p = random_instance(seed, d, m, n, kind)
                 yield to_standard_form(_boxed(p, 1e7)), seed % 2 == 0
                 if kind == "unbounded":
@@ -682,8 +681,8 @@ def _enumerate_every_subset(sp: StandardGeneralLP) -> SolveOutcome:
 
 def _oracle_cases():
     for seed in range(50):
-        for (d, m, n) in [(3, 1, 4), (4, 1, 6), (5, 2, 8)]:
-            for kind in ("feasible", "infeasible", "unbounded"):
+        for (d, m, n) in workloads.ORACLE_SHAPES:
+            for kind in workloads.ORACLE_KINDS:
                 yield random_instance(seed, d, m, n, kind)
     for d in range(2, 6):
         yield klee_minty_v1(d)
@@ -842,11 +841,8 @@ class TestOracleSolveFirst:
         _assert_same_oracle_outcome(got, _enumerate_every_subset(sp))
 
 
-def test_oracle_split_script_prints_one_row_per_shape_and_block(capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "oracle_split.py"
-    spec = importlib.util.spec_from_file_location("oracle_split", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+def test_oracle_split_script_prints_one_row_per_shape_and_block(capsys, load_script):
+    script = load_script("oracle_split")
     block = reference._BLOCK
     script.main(["--shapes", "3,1,4", "--blocks", "16", "200", "--instances", "1",
                  "--rounds", "1"])
