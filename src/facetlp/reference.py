@@ -129,12 +129,15 @@ class _Tableau:
         and argmin takes -0.0 and +0.0 as equal. A pivot row holding an
         infinity or a NaN would put 0 * inf = NaN into those rows, so then
         (or when its finite sum overflows) only the rows with a nonzero
-        factor are updated.
+        factor are updated. The guard sums the row as Python floats: that
+        costs about half of numpy's sum, and raises no floating-point warning
+        of its own, where numpy's sum warns when it overflows and the row's
+        dot with itself warns from entries of about 1e154 up.
         """
         T = self.T
         piv = T[row + 1]
         piv /= piv[col]
-        if math.isfinite(piv.sum()):
+        if math.isfinite(sum(piv.tolist())):
             prod = T[:, col, None] * piv
             prod[row + 1] = 0.0
             T -= prod
@@ -160,29 +163,37 @@ def _run_simplex(t: _Tableau, bland: bool, max_pivots: int,
 
     The most negative reduced cost enters, the first negative one under
     ``bland``. Rows whose column entry is above TOL are eligible; those
-    within 1e-12 relative of the least ratio tie, and the first leaves, or
-    under ``bland`` the one with the least basic-variable index, as Bland's
-    guarantee needs. A NaN least ratio ties with no row and raises
-    ``NoLeavingCandidate``. The cost row, body and rhs views are taken once:
-    ``pivot`` updates the tableau in place.
+    within 1e-12 relative of the least ratio tie. The first tied row, the
+    ``argmax`` of the tie mask, leaves with no gather of the tied rows; under
+    ``bland`` the tied rows are gathered and the one with the least
+    basic-variable index leaves, as Bland's guarantee needs. A NaN least
+    ratio ties with no row, so the mask's ``argmax`` is not a tie, and under
+    either rule that raises ``NoLeavingCandidate``. The entering and least-
+    ratio tests read Python floats, and the cost row, body and rhs views are
+    taken once: ``pivot`` updates the tableau in place.
     """
     costs, body, rhs = t.T[0, :-1], t.T[1:], t.T[1:, -1]
     pivots = 0
     while pivots < max_pivots:
         # Bland: the first negative cost; with none, argmax gives column 0, not negative
         col = int((costs < -TOL).argmax() if bland else costs.argmin())
-        if not costs[col] < -TOL:
+        if not costs.item(col) < -TOL:
             return Status.OPTIMAL, pivots
         column = body[:, col]
         eligible = (column > TOL).nonzero()[0]
         if not eligible.size:
             return Status.UNBOUNDED, pivots
         ratios = rhs[eligible] / column[eligible]
-        best = float(ratios[ratios.argmin()])  # min's entry, NaN included, at less cost
-        tied = eligible[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        if not tied.size:
+        best = ratios.item(ratios.argmin())  # min's entry, NaN included, at less cost
+        near = ratios <= best + 1e-12 * (1.0 + abs(best))
+        i = near.argmax()
+        if not near[i]:
             raise NoLeavingCandidate(f"the ratio test of column {col} is NaN")
-        row = int(tied[t.basis[tied].argmin()] if bland else tied[0])
+        if bland:
+            tied = eligible[near]
+            row = int(tied[t.basis[tied].argmin()])
+        else:
+            row = int(eligible[i])
         t.pivot(row, col)
         pivots += 1
         if audit is not None:

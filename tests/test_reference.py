@@ -218,6 +218,18 @@ class TestDantzigSolve:
         with pytest.raises(NoLeavingCandidate, match="ratio test of column 3 is NaN"):
             dantzig_solve(to_standard_form(p))
 
+    @pytest.mark.parametrize("bland", [False, True])
+    def test_nan_least_ratio_raises_under_either_tie_pick(self, bland):
+        # column 0 enters under both rules; row 1's NaN rhs makes the least
+        # ratio NaN, so neither the first-row pick nor Bland's gather has a row
+        T = np.array([[-1.0, 0.0, 0.0, 0.0],
+                      [1.0, 1.0, 0.0, 2.0],
+                      [2.0, 0.0, 1.0, np.nan]])
+        t = reference._Tableau(T=T, basis=np.array([1, 2]))
+        with pytest.raises(NoLeavingCandidate, match="ratio test of column 0 is NaN"):
+            reference._run_simplex(t, bland, max_pivots=5, audit=None)
+        assert np.array_equal(t.basis, [1, 2])
+
 
 class TestBruteForceOracle:
     def test_km2_optimum_and_optimizer(self):
@@ -512,6 +524,23 @@ class TestTableauPivot:
         got, want = _pivot_both(T, 0, 0)
         assert np.isfinite(got[1]).all()
         assert got.tobytes() == want.tobytes()
+
+    def test_guard_raises_no_floating_point_warning(self):
+        # under the suite's filter a RuntimeWarning fails the test; the rows'
+        # factors are small, so only the guard could overflow
+        nz = -0.0
+        for piv_row in ([1.0, 1e200, -1e200, 2.0, 3.0],    # squares overflow
+                        [1.0, 1e308, 1e308, 2.0, 3.0]):    # sum overflows
+            T = np.array([[1e-300, nz, 2.0, 3.0, 1.0],
+                          piv_row,
+                          [0.0, nz, nz, 2.0, nz],          # factor +0
+                          [nz, nz, 5.0, nz, nz],           # factor -0
+                          [-1e-300, 2.0, 0.0, 7.0, 1.0]])
+            got = reference._Tableau(T=T.copy(), basis=np.arange(4))
+            got.pivot(0, 0)
+            _, want = _pivot_both(T, 0, 0)
+            assert np.isfinite(got.T).all()
+            assert np.array_equal(got.T, want)
 
 
 def _boxed(p, big_m):
