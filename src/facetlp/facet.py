@@ -31,7 +31,7 @@ pivot writes one slot of the base in place and replaces the
 are infinite on the base rows so that pricing needs no mask of the base,
 and the row norms. The small numpy calls around a pivot's kernels (five
 BLAS calls, four when a bound row enters) cost as much as the kernels or
-more (``scripts/pivot_overhead.py``), so the step functions keep them few.
+more (``scripts/split.py pivot``), so the step functions keep them few.
 """
 
 from __future__ import annotations

@@ -604,6 +604,24 @@ class TestSelectLeaving:
         assert select_leaving(sp, sigma_p, y_p, np.ones(2), base) is None
         assert check_infeasible(sp, p, sigma_p, y_p, base) is not None
 
+    def test_solve_raises_when_a_nan_expansion_entry_leaves_nothing(self, monkeypatch):
+        # the case above reached through solve: every slot but one expands
+        # to -1 and that one to NaN, on a problem of inequality rows only
+        sp = to_standard_general(klee_minty_v2(3))
+        entering = []
+
+        def nan_expansion(sp, base, p):
+            entering.append(p)
+            y_p = -np.ones(sp.d)
+            y_p[1] = np.nan
+            return y_p
+
+        monkeypatch.setattr(facet, "expand_entering", nan_expansion)
+        with pytest.raises(NoLeavingCandidate) as raised:
+            solve(sp)
+        assert entering and sp.m == 0
+        assert str(raised.value) == f"no positive expansion entry for facet {entering[-1]}"
+
 
 class TestPivot:
     def test_entering_duplicate_of_leaving_is_a_null_move(self):
@@ -1390,9 +1408,9 @@ def test_outcome_digest_against_reports_what_moved(tmp_path, capsys, monkeypatch
 
 
 def test_pivot_overhead_script_prints_one_row_per_dimension(capsys, load_script):
-    script = load_script("pivot_overhead")
-    script.main(["--dims", "8", "9", "cubes", "--instances", "1", "--rounds", "1",
-                 "--reps", "5"])
+    script = load_script("split")
+    script.main(["pivot", "--dims", "8", "9", "cubes", "--instances", "1",
+                 "--rounds", "1", "--reps", "5"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("| d | pivots | bound-row pivots |") and len(lines) == 5
     for name, line in zip(("8", "9", "cubes"), lines[2:]):

@@ -871,10 +871,10 @@ class TestOracleSolveFirst:
 
 
 def test_oracle_split_script_prints_one_row_per_shape_and_block(capsys, load_script):
-    script = load_script("oracle_split")
+    script = load_script("split")
     block = reference._BLOCK
-    script.main(["--shapes", "3,1,4", "--blocks", "16", "200", "--instances", "1",
-                 "--rounds", "1"])
+    script.main(["oracle", "--shapes", "3,1,4", "--blocks", "16", "200",
+                 "--instances", "1", "--rounds", "1"])
     assert reference._BLOCK == block
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("| d | N | bases | block |") and len(lines) == 4
