@@ -7,10 +7,11 @@ numerics can move: status, iterations, the objective as a float hex, a
 hash of the bytes of x_opt, the final base rows, the rows found
 redundant, a hash of the certificate's repr, a hash of the trace's repr
 (entering and leaving rows, objective and violation per pivot), the audit
-(violations, base repeats, pivots checked) and the number of
-``linalg.factor`` calls. Every solve runs with ``audit=True`` and
-``collect_trace=True``. Two builds whose digests are byte-identical gave
-bit-identical outcomes on every solve. The sweep:
+(violations, base repeats, pivots checked) and, as ``factor_calls``, the
+solve's ``SolveOutcome.factorizations``: the number of its ``linalg.factor``
+rebuilds. Every solve runs with ``audit=True`` and ``collect_trace=True``.
+Two builds whose digests are byte-identical gave bit-identical outcomes on
+every solve. The sweep:
 
 - under each pivot rule: km1 d=3..16, km2 d=3..19, the cycling fixtures,
   the MPS fixtures under ``tests/fixtures``, and seeds 0..149 of each
@@ -72,7 +73,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import worker  # noqa: E402
 import workloads  # noqa: E402
-from facetlp import facet, generators, linalg, model, mps, reference  # noqa: E402
+from facetlp import facet, generators, model, mps, reference  # noqa: E402
 
 FIXTURE_DIR = ROOT / "tests" / "fixtures"
 
@@ -142,19 +143,8 @@ def _hash(data: bytes) -> str:
 
 
 def digest(name: str, sp: model.StandardGeneralLP, rule: facet.PivotRule) -> dict:
-    """Solve once with the audit and trace on, counting ``linalg.factor``
-    calls."""
-    factor, calls = linalg.factor, [0]
-
-    def counting_factor(m):
-        calls[0] += 1
-        return factor(m)
-
-    linalg.factor = counting_factor
-    try:
-        out = facet.solve(sp, rule, audit=True, collect_trace=True)
-    finally:
-        linalg.factor = factor
+    """Solve once with the audit and trace on."""
+    out = facet.solve(sp, rule, audit=True, collect_trace=True)
     x_opt = None if out.x_opt is None else np.asarray(out.x_opt, dtype=float)
     return {
         "name": name,
@@ -170,7 +160,7 @@ def digest(name: str, sp: model.StandardGeneralLP, rule: facet.PivotRule) -> dic
         "violations": out.audit.violations,
         "base_repeated": out.audit.base_repeated,
         "pivots_checked": out.audit.pivots_checked,
-        "factor_calls": calls[0],
+        "factor_calls": out.factorizations,
     }
 
 

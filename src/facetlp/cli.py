@@ -35,6 +35,7 @@ from facetlp.model import (
 from facetlp.reference import brute_force_optimal, dantzig_solve, to_standard_form
 
 NETLIB_DIR_ENV = "FACETLP_NETLIB_DIR"
+_MPS_SUFFIXES = (".mps", ".sif")  # files read as MPS, in either case
 
 EXIT_OPTIMAL = 0
 EXIT_INTERNAL = 1
@@ -94,7 +95,7 @@ def _solver_flags(args: argparse.Namespace, solvers: list[str]) -> tuple[PivotRu
 
 def _load_problem(path: str, fmt: str) -> GeneralLP:
     if fmt == "auto":
-        fmt = "mps" if path.lower().endswith((".mps", ".sif")) else "json"
+        fmt = "mps" if path.lower().endswith(_MPS_SUFFIXES) else "json"
     if fmt == "mps":
         p = mps.read_mps(path)
         for warning in p.names["warnings"]:
@@ -195,12 +196,11 @@ def _bench_instances(args: argparse.Namespace):
     else:  # netlib
         directory = args.netlib_dir or os.environ.get(NETLIB_DIR_ENV)
         if not directory:
-            raise FacetLPError(
-                f"netlib suite needs --netlib-dir or ${NETLIB_DIR_ENV}"
-            )
-        paths = sorted(Path(directory).glob("*.[mM][pP][sS]"))
+            raise FacetLPError(f"netlib suite needs --netlib-dir or ${NETLIB_DIR_ENV}")
+        paths = sorted(path for path in Path(directory).glob("*")
+                       if path.suffix.lower() in _MPS_SUFFIXES)
         if not paths:
-            raise FacetLPError(f"no .mps files under {directory}")
+            raise FacetLPError(f"no {' or '.join(_MPS_SUFFIXES)} files under {directory}")
         for path in paths:
             yield path.stem, (lambda path=path: _load_problem(str(path), "mps"))
 

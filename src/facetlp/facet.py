@@ -70,10 +70,12 @@ class Base:
     """The d facets of the base in slot order: their row indices and the
     factors of A_B = ``sp.rows(indices)``. A slot holds an equality row
     exactly when its index is below ``sp.m``. Owned by one solve; a pivot
-    writes slot s of ``indices`` and updates or replaces ``fact``."""
+    writes slot s of ``indices`` and updates or replaces ``fact``, counting
+    each fresh ``linalg.factor`` call in ``factorizations``."""
 
     indices: np.ndarray
     fact: linalg.SquareFactorization
+    factorizations: int = 0
 
 
 @dataclass
@@ -144,7 +146,8 @@ class SolveOutcome:
     """What a solver returns; only an Optimal one has an objective, finite.
     On an Infeasible outcome ``x_opt`` is no feasible point: ``solve`` gives
     its last iterate, ``dantzig_solve`` the phase-1 point mapped back, and
-    ``brute_force_optimal`` None."""
+    ``brute_force_optimal`` None. ``factorizations`` counts the rebuilds of a
+    ``solve``'s base (``Base.factorizations``); the other solvers leave it None."""
 
     status: Status
     x_opt: np.ndarray | None
@@ -157,6 +160,7 @@ class SolveOutcome:
     audit: SolveAudit | None = None
     phase1_iterations: int | None = None
     phase2_iterations: int | None = None
+    factorizations: int | None = None
 
 
 def initial_state(sp: StandardGeneralLP) -> tuple[Base, SolverState]:
@@ -335,13 +339,14 @@ def pivot(
     solved from the factors, and their residuals A x - b computed once. One
     check guards the iterate: if the factors were updated and the largest
     residual on the base rows exceeds ``TOL_LIN * (1 + max |b_B|)``, the
-    audit's basic-solution bound, the base is factored afresh and y_c, x
-    and the residuals solved again. Returns ``base`` and a new state;
-    ``state`` is left as it was. When ``linalg.factor`` finds the new base
-    singular, on either path, its SingularMatrix is raised again naming
-    both rows. Where ``replace_row`` had declined, index s is restored and
-    ``base`` is as it was; where the check's rebuild raised, ``base`` holds
-    p and its updated inverse.
+    audit's basic-solution bound, the base is factored afresh and y_c, x and
+    the residuals solved again. Either rebuild adds one to
+    ``base.factorizations``. Returns ``base`` and a new state; ``state`` is
+    left as it was. When ``linalg.factor`` finds the new base singular, on
+    either path, its SingularMatrix is raised again naming both rows. Where
+    ``replace_row`` had declined, index s is restored and ``base`` is as it
+    was; where the check's rebuild raised, ``base`` holds p and its updated
+    inverse.
     """
     q = base.indices[s]
     base.indices[s] = p
@@ -367,6 +372,7 @@ def pivot(
             if not worst > TOL_LIN * (1.0 + b_B[b_B.argmax()]):
                 return base, new
         # the one rebuild: replace_row declined, or its inverse drifted
+        base.factorizations += 1
         base.fact = linalg.factor(sp.rows(base.indices))
         new = _iterate(sp, base)
     except SingularMatrix as exc:
@@ -490,7 +496,7 @@ def solve(
         iterations=iteration, certificate=certificate,
         redundant_rows=frozenset(np.isinf(own_tols).nonzero()[0].tolist()),
         basis_rows=tuple(base.indices.tolist()),
-        trace=trace, audit=audit_log,
+        trace=trace, audit=audit_log, factorizations=base.factorizations,
     )
 
 

@@ -737,7 +737,16 @@ class TestBenchCommand:
             EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: no .mps files under {tmp_path}\n"
+        assert captured.err == f"error: no .mps or .sif files under {tmp_path}\n"
+
+    def test_netlib_suite_reads_sif_files_as_solve_does(self, fixtures_dir, tmp_path, capsys):
+        tiny = (fixtures_dir / "tiny_eq.mps").read_text()
+        (tmp_path / "a.SIF").write_text(tiny)
+        (tmp_path / "b.mps").write_text(tiny)
+        assert main(["bench", "--suite", "netlib", "--netlib-dir", str(tmp_path)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [r.split()[0] for r in rows] == ["a", "b"]
+        assert all(" Optimal " in r for r in rows)
 
     def test_broken_instance_recorded_in_row_and_suite_continues(
         self, fixtures_dir, tmp_path, capsys

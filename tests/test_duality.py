@@ -8,7 +8,6 @@ d. The dual of the dual, in turn, must solve to the primal's status and
 objective.
 """
 
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -20,9 +19,7 @@ from facetlp.generators import klee_minty_v1, klee_minty_v2, random_instance
 from facetlp.model import GeneralLP, lp_dual, to_standard_general
 from facetlp.mps import read_mps
 from facetlp.reference import dantzig_solve, to_standard_form
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import workloads  # noqa: E402
+import workloads  # perfbench/workloads.py, on pytest's pythonpath
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -1,8 +1,6 @@
 import itertools
 import json
 import math
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +10,7 @@ from hypothesis import strategies as st
 
 from facetlp import facet, linalg
 from facetlp.facet import (
+    TOL_SIGN,
     Base,
     PivotRule,
     SolverState,
@@ -45,9 +44,7 @@ from facetlp.model import (
 )
 from facetlp.mps import read_mps
 from facetlp.reference import brute_force_optimal
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import workloads  # noqa: E402
+import workloads  # perfbench/workloads.py, on pytest's pythonpath
 
 
 def _dummy_base(rows):
@@ -516,6 +513,40 @@ class TestCheckInfeasible:
     def test_feasible_cube_never_fires(self):
         out = solve(to_standard_general(klee_minty_v1(3)))
         assert out.status is Status.OPTIMAL
+
+    @pytest.mark.parametrize("d, n", [(3, 6), (4, 8)])
+    def test_a_planted_contradiction_is_certified_on_inequality_facets(self, d, n):
+        # n - 1 integer rows hold at a planted x0 in the box [-12, 12]^d; the
+        # last is minus a positive combination of k of them, its rhs raised
+        # by delta, so no x satisfies all k + 1. Every rule must certify
+        # that by case 1 on the inequality facets: a_p = sum y_i a_i over
+        # the base, y <= 0 on its inequality slots, and b_p > sum y_i b_i
+        for k, seed in itertools.product(range(2, d + 2), range(8)):
+            rng = np.random.default_rng([d, k, seed])
+            x0 = rng.integers(-12, 13, size=d).astype(float)
+            A = rng.integers(-9, 10, size=(n - 1, d)).astype(float)
+            b = A @ x0 - rng.integers(0, 7, size=n - 1)
+            rows, lam = rng.choice(n - 1, k, replace=False), rng.integers(1, 4, size=k)
+            p = GeneralLP(
+                c=rng.integers(-9, 10, size=d).astype(float),
+                A_ineq=np.vstack([A, -lam @ A[rows]]),
+                b_ineq=np.append(b, -lam @ b[rows] + rng.integers(1, 6)),
+                lower=np.full(d, -12.0), upper=np.full(d, 12.0),
+            )
+            sp = to_standard_general(p)
+            assert brute_force_optimal(sp).status is Status.INFEASIBLE, (k, seed)
+            for rule in PivotRule:
+                out = solve(sp, rule)
+                cert = out.certificate
+                assert out.status is Status.INFEASIBLE, (k, seed, rule)
+                assert (cert.case, cert.note) == (1, None), (k, seed, rule)
+                base = np.array(list(cert.y_by_row))
+                y = np.array(list(cert.y_by_row.values()))
+                a_p = sp.rows([cert.entering_row])[0]
+                err = np.abs(y @ sp.rows(base) - a_p).max()
+                assert err <= 1e-9 * (1.0 + np.abs(a_p).max()), (k, seed, rule)
+                assert (y[base >= sp.m] <= TOL_SIGN).all(), (k, seed, rule)
+                assert sp.b[cert.entering_row] > y @ sp.b[base], (k, seed, rule)
 
 
 def _leaving_row(sp, sigma_p, y_p, y_c, base):
@@ -1008,6 +1039,30 @@ class TestTerminationAndAgreement:
                 rel = abs(got.objective - want.objective) / (1 + abs(want.objective))
                 assert rel <= 1e-7
 
+    def test_translation_keeps_the_path(self):
+        # x -> x + t with t integral moves each rhs and bound by an integer,
+        # so every rule takes the same pivots to the same base at any d, and
+        # an Optimal objective moves by c.t
+        lps = _oracle_shape_lps(10)
+        lps += [cube(d) for cube in (klee_minty_v1, klee_minty_v2) for d in range(3, 13)]
+        lps += [workloads.dense_lp(np.random.default_rng(j), d) for d in (20, 40)
+                for j in range(2)]
+        for i, p in enumerate(lps):
+            t = np.random.default_rng(i).integers(-3, 4, size=p.c.size).astype(float)
+            moved = GeneralLP(
+                c=p.c, A_eq=p.A_eq, b_eq=p.b_eq + p.A_eq @ t, A_ineq=p.A_ineq,
+                b_ineq=p.b_ineq + p.A_ineq @ t, lower=p.lower + t, upper=p.upper + t,
+                objective_offset=p.objective_offset,
+            )
+            sp, sp_moved = to_standard_general(p), to_standard_general(moved)
+            for rule in PivotRule:
+                want, got = solve(sp, rule), solve(sp_moved, rule)
+                assert (got.status, got.iterations, got.basis_rows) == \
+                    (want.status, want.iterations, want.basis_rows), (i, rule)
+                if want.status is Status.OPTIMAL:
+                    assert got.objective == pytest.approx(
+                        want.objective + p.c @ t, rel=1e-12, abs=0.0), (i, rule)
+
 
 class TestBaseFactorizationPaths:
     """Every base keeps an explicit inverse, updated in place per pivot and
@@ -1038,29 +1093,22 @@ class TestBaseFactorizationPaths:
         # 2.6e4 times the audit's tolerance at 1e-9, so a clean audit shows
         # that the rebuild replaced it too
         sp = to_standard_general(workloads.dense_lp(np.random.default_rng(0), 80))
-        factor, replace_row = linalg.factor, linalg.replace_row
-        calls = {"factor": 0, "replace_row": 0}
-
-        def counting_factor(m):
-            calls["factor"] += 1
-            return factor(m)
+        replace_row, calls = linalg.replace_row, [0]
 
         def corrupting_replace_row(f, slot, y):
             updated = replace_row(f, slot, y)
-            calls["replace_row"] += 1
-            if calls["replace_row"] == 100:
+            calls[0] += 1
+            if calls[0] == 100:
                 f.inv[:] += shift * np.abs(f.inv).max()
             return updated
 
-        monkeypatch.setattr(linalg, "factor", counting_factor)
         clean = solve(sp, audit=True)
-        clean_factors = calls["factor"]
         monkeypatch.setattr(linalg, "replace_row", corrupting_replace_row)
         for shift in (1e-6, 1e-9):
-            calls.update(factor=0, replace_row=0)
+            calls[0] = 0
             out = solve(sp, audit=True)
-            assert calls["replace_row"] > 100, shift
-            assert calls["factor"] > clean_factors, shift
+            assert calls[0] > 100, shift
+            assert out.factorizations > clean.factorizations, shift
             assert out.status is clean.status is Status.OPTIMAL, shift
             assert abs(out.objective - clean.objective) <= 1e-9 * (1.0 + abs(clean.objective))
             assert out.audit.violations == [] and not out.audit.base_repeated, shift
@@ -1107,31 +1155,26 @@ class TestBaseFactorizationPaths:
         sp = to_standard_general(lp)
         c = sp.c_original
         c_scale = 1.0 + float(np.max(np.abs(c)))
-        factor, real_pivot = linalg.factor, facet.pivot
-        # entry k counts the factorizations of pivot k, entry 0 the start's
-        factors_per_pivot = [0]
-        fresh_y_c = []
+        real_pivot = facet.pivot
+        # entry k - 1 counts the factorizations of pivot k
+        factors_per_pivot, fresh_y_c = [], []
 
-        def counting_factor(m):
-            factors_per_pivot[-1] += 1
-            return factor(m)
-
-        def pivot_pushing_once(*args):
-            factors_per_pivot.append(0)
-            base, state = real_pivot(*args)
+        def pivot_pushing_once(sp, base, *args):
+            before = base.factorizations
+            base, state = real_pivot(sp, base, *args)
+            factors_per_pivot.append(base.factorizations - before)
             fresh = linalg.solve_transpose(base.fact, c)
             fresh_y_c.append(state.y_c.tobytes() == fresh.tobytes())
-            if len(factors_per_pivot) == push_at + 1:
+            if len(factors_per_pivot) == push_at:
                 i = int(((base.indices >= sp.m) & (state.y_c > 0)).nonzero()[0][0])
                 state.y_c[i] += 1e-6 * c_scale / np.abs(sp.rows(base.indices[i:i + 1])).max()
             return base, state
 
-        monkeypatch.setattr(linalg, "factor", counting_factor)
         monkeypatch.setattr(facet, "pivot", pivot_pushing_once)
         push_at = 0
         clean = solve(sp, audit=True)
         clean_factors = factors_per_pivot
-        push_at, factors_per_pivot, fresh_y_c = clean.iterations // 2, [0], []
+        push_at, factors_per_pivot, fresh_y_c = clean.iterations // 2, [], []
         out = solve(sp, audit=True)
         assert 0 < push_at < out.iterations
         assert len(fresh_y_c) == out.iterations and all(fresh_y_c)
@@ -1300,10 +1343,8 @@ def test_kernels_get_the_vectors_they_trust(monkeypatch, fixtures_dir):
 
 def test_outcome_digest_script_writes_one_line_per_solve(tmp_path, monkeypatch, load_script):
     script = load_script("outcome_digest")
-    factor = linalg.factor
     out = tmp_path / "digest.jsonl"
     script.main(["--quick", "-o", str(out)])
-    assert linalg.factor is factor
     # a line naming the build comes first
     first = json.loads(out.read_text().splitlines()[0])
     assert first == {"build": script.build()}

@@ -1,7 +1,5 @@
 import dataclasses
 import gzip
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +27,7 @@ from facetlp.model import (
     to_standard_general,
     violations,
 )
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import workloads  # noqa: E402
+import workloads  # perfbench/workloads.py, on pytest's pythonpath
 
 
 def _block(sp, rows: slice) -> np.ndarray:

@@ -1,14 +1,10 @@
-import sys
-from pathlib import Path
 
 import numpy as np
 
 from facetlp import facet, linalg, reference
 from facetlp.generators import klee_minty_v2
 from facetlp.model import to_standard_general
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import spans  # noqa: E402
+import spans  # perfbench/spans.py, on pytest's pythonpath
 
 
 def test_tracer_counts_every_layer_it_wraps():
