@@ -28,13 +28,17 @@ each block size, this times
 - ``reference.brute_force_optimal``, whole, with ``reference._BLOCK`` set to
   the block size;
 - beside it, the stage calls the function makes on each block, on the same
-  instances: the index array (``_bases``, built afresh rather than read
+  instances: the index arrays (``_bases``, built afresh rather than read
   from its cache), the gather of the bases' rows and right-hand sides, the
   batched solve, the residuals (laid out rows x bases) plus the feasibility
   test, and the determinant filter of the feasible bases.
 
-The stages print in microseconds per block and the call in milliseconds,
-so ``blocks`` times the stage sum, plus ``_bases``, is about the call.
+As the call does, the stages scan the bases that hold every equality row
+first, and all of them only when those keep none. ``bases`` and ``blocks``
+count the full index array, and ``scanned`` the bases a call scans, on
+average. The stages print in microseconds per block scanned and the call
+in milliseconds, so the blocks a call scans (ceil(scanned / block) when it
+needs no fallback) times the stage sum, plus ``_bases``, is about the call.
 ``--shapes 5,2,10`` reaches 22 stacked rows at d = 5, and ``--shapes
 8,1,8`` the largest shape ``facetlp verify`` is run at.
 
@@ -163,55 +167,70 @@ def _call_ms(sps: list[model.StandardGeneralLP], block: int) -> float:
 
 
 def _stage_us(sp: model.StandardGeneralLP, block: int) -> list[float]:
-    """Microseconds of building the index array, then per stage the
-    microseconds summed over one call's blocks."""
+    """Microseconds of building the index arrays that ``brute_force_optimal``
+    scans, then per stage the microseconds summed over one call's blocks,
+    then the blocks and the bases scanned."""
     clock = time.perf_counter
-    t0 = clock()
-    bases = reference._bases.__wrapped__(sp.num_rows, sp.d)
-    spent = [(clock() - t0) * 1e6, 0.0, 0.0, 0.0, 0.0]
+    spent = [0.0, 0.0, 0.0, 0.0, 0.0]
+    blocks = scanned = 0
     A = sp.rows(np.arange(sp.num_rows))
     row_norms = sp.row_norms()
     tols = sp.row_tolerances()
-    for start in range(0, len(bases), block):
-        combos = bases[start : start + block]
+    # the arrays of ``reference._scans``: the bases holding every equality
+    # row when 0 < m <= d, then all of them if those keep none
+    for m in ((sp.m, 0) if 0 < sp.m <= sp.d else (0,)):
         t0 = clock()
-        A_stack = np.take(A, combos, axis=0)
-        b_stack = np.take(sp.b, combos)[..., None]
-        t1 = clock()
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
-            X = reference._umath_linalg.solve(A_stack, b_stack)[..., 0]
-            t2 = clock()
-            S = A @ X.T
-            S -= sp.b[:, None]
-        feas = sp.feasible(S.T, tols)
-        t3 = clock()
-        if feas.any():
-            hadamard = np.prod(row_norms[combos[feas]], axis=1)
-            dets = np.linalg.det(A_stack[feas])
-            feas[feas] = np.abs(dets) > 1e-10 * np.maximum(hadamard, np.finfo(float).tiny)
-        t4 = clock()
-        for k, dt in enumerate((t1 - t0, t2 - t1, t3 - t2, t4 - t3), 1):
-            spent[k] += dt * 1e6
-    return spent
+        bases = reference._bases.__wrapped__(sp.num_rows, sp.d, m)
+        spent[0] += (clock() - t0) * 1e6
+        kept = False
+        for start in range(0, len(bases), block):
+            combos = bases[start : start + block]
+            t0 = clock()
+            A_stack = np.take(A, combos, axis=0)
+            b_stack = np.take(sp.b, combos)[..., None]
+            t1 = clock()
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+                X = reference._umath_linalg.solve(A_stack, b_stack)[..., 0]
+                t2 = clock()
+                S = A @ X.T
+                S -= sp.b[:, None]
+            feas = sp.feasible(S.T, tols)
+            t3 = clock()
+            if feas.any():
+                hadamard = np.prod(row_norms[combos[feas]], axis=1)
+                dets = np.linalg.det(A_stack[feas])
+                feas[feas] = np.abs(dets) > 1e-10 * np.maximum(hadamard, np.finfo(float).tiny)
+                kept = kept or bool(feas.any())
+            t4 = clock()
+            for k, dt in enumerate((t1 - t0, t2 - t1, t3 - t2, t4 - t3), 1):
+                spent[k] += dt * 1e6
+        blocks += -(-len(bases) // block)
+        scanned += len(bases)
+        if kept:
+            break
+    return [*spent, blocks, scanned]
 
 
 def oracle_row(shape: tuple[int, int, int], block: int, instances: int,
                rounds: int) -> tuple:
     """One row of the ``oracle`` table: the medians over ``rounds`` of the
-    call and of building the index array, and of each stage per block."""
+    call and of building the index arrays, of each stage per block scanned,
+    and the bases a call scans."""
     sps = [model.to_standard_general(generators.random_instance(s, *shape, "feasible"))
            for s in range(instances)]
     bases = len(reference._bases(sps[0].num_rows, sps[0].d))
     blocks = -(-bases // block)
 
     def stages():
-        spent = [sum(us) / len(sps) for us in zip(*(_stage_us(sp, block) for sp in sps))]
-        return (spent[0] / 1e3, *(us / blocks for us in spent[1:]))
+        *spent, scanned_blocks, scanned = (
+            sum(v) for v in zip(*(_stage_us(sp, block) for sp in sps)))
+        return (spent[0] / len(sps) / 1e3, *(us / scanned_blocks for us in spent[1:]),
+                scanned / len(sps))
 
-    call_ms, bases_ms, *stage_us = medians(
+    call_ms, bases_ms, *stage_us, scanned = medians(
         rounds, lambda: (_call_ms(sps, block),), stages)
     return (shape[0], sps[0].num_rows, bases, block, blocks, f"{call_ms:.2f}", f"{bases_ms:.2f}",
-            *(f"{us:.1f}" for us in stage_us))
+            *(f"{us:.1f}" for us in stage_us), f"{scanned:.0f}")
 
 
 def _shape(text: str) -> tuple[int, int, int]:
@@ -249,7 +268,7 @@ def main(argv: list[str] | None = None) -> None:
     else:
         print_table(["d", "N", "bases", "block", "blocks", "call ms", "_bases ms",
                      "gather us/block", "solve us/block",
-                     "residuals+feasibility us/block", "det filter us/block"],
+                     "residuals+feasibility us/block", "det filter us/block", "scanned"],
                     (oracle_row(shape, block, args.instances, args.rounds)
                      for shape in args.shapes for block in args.blocks))
 

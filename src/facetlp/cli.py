@@ -11,6 +11,7 @@ load error with the path, and ``bench`` records a failed instance in its row.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import json
@@ -197,12 +198,17 @@ def _bench_instances(args: argparse.Namespace):
         directory = args.netlib_dir or os.environ.get(NETLIB_DIR_ENV)
         if not directory:
             raise FacetLPError(f"netlib suite needs --netlib-dir or ${NETLIB_DIR_ENV}")
+        if not Path(directory).is_dir():
+            raise FacetLPError(f"{directory} is not a directory")
         paths = sorted(path for path in Path(directory).glob("*")
                        if path.suffix.lower() in _MPS_SUFFIXES)
         if not paths:
             raise FacetLPError(f"no {' or '.join(_MPS_SUFFIXES)} files under {directory}")
+        # a stem shared by two files, as a.mps and a.SIF, would name two rows alike
+        stems = collections.Counter(path.stem for path in paths)
         for path in paths:
-            yield path.stem, (lambda path=path: _load_problem(str(path), "mps"))
+            name = path.stem if stems[path.stem] == 1 else path.name
+            yield name, (lambda path=path: _load_problem(str(path), "mps"))
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

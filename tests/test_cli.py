@@ -739,6 +739,26 @@ class TestBenchCommand:
         assert captured.out == ""
         assert captured.err == f"error: no .mps or .sif files under {tmp_path}\n"
 
+    @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.write_text("x\n")],
+                             ids=["missing", "file"])
+    def test_netlib_suite_refuses_a_path_that_is_not_a_directory(self, tmp_path, capsys, make):
+        target = tmp_path / "suite"
+        make(target)
+        assert main(["bench", "--suite", "netlib", "--netlib-dir", str(target)]) == \
+            EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {target} is not a directory\n"
+
+    def test_netlib_suite_names_a_shared_stem_by_file_name(self, fixtures_dir, tmp_path, capsys):
+        tiny = (fixtures_dir / "tiny_eq.mps").read_text()
+        for name in ("a.mps", "a.SIF", "b.mps"):
+            (tmp_path / name).write_text(tiny)
+        assert main(["bench", "--suite", "netlib", "--netlib-dir", str(tmp_path)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [r.split()[0] for r in rows] == ["a.SIF", "a.mps", "b"]
+        assert all(" Optimal " in r for r in rows)
+
     def test_netlib_suite_reads_sif_files_as_solve_does(self, fixtures_dir, tmp_path, capsys):
         tiny = (fixtures_dir / "tiny_eq.mps").read_text()
         (tmp_path / "a.SIF").write_text(tiny)

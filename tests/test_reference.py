@@ -720,9 +720,9 @@ def _oracle_cases():
         yield cycling_fixture(fixture_id)
 
 
-def _assert_same_oracle_outcome(got, want):
+def _assert_same_oracle_outcome(got, want, objective_tol=0.0):
     assert got.status is want.status
-    assert got.objective == want.objective
+    assert got.objective == want.objective or abs(got.objective - want.objective) <= objective_tol
     assert (got.x_opt is None and want.x_opt is None) or np.array_equal(
         got.x_opt, want.x_opt
     )
@@ -779,8 +779,26 @@ class TestOracleEnumeration:
         assert bases.dtype == combos.dtype
         assert np.array_equal(bases, combos[~pair])
 
+    @pytest.mark.parametrize("N,d,m", [(11, 3, 1), (13, 3, 3), (20, 5, 2), (22, 5, 4),
+                                       (22, 5, 5), (11, 3, 0), (22, 5, 0)])
+    def test_prefix_index_array_matches_an_itertools_build(self, N, d, m):
+        combos = np.array(list(itertools.combinations(range(N), d)), dtype=np.intp)
+        e_row = N - 2 * d
+        keep = (combos[:, :m] == np.arange(m)).all(axis=1)
+        for i in range(d):
+            pair = np.any(combos == e_row + i, axis=1) & np.any(combos == e_row + d + i, axis=1)
+            keep &= ~pair
+        bases = reference._bases(N, d, m)
+        assert reference._bases(N, d, m) is bases
+        assert bases.dtype == np.intp
+        with pytest.raises(ValueError):
+            bases[0, 0] = 0
+        assert np.array_equal(bases, combos[keep])
+        if m == d:
+            assert np.array_equal(bases, np.arange(d)[None])
+
     def test_cap_is_checked_before_enumerating(self, monkeypatch):
-        def refuse(N, d):
+        def refuse(N, d, m=0):
             raise AssertionError("enumerated past the cap")
 
         sp = to_standard_general(random_instance(0, 5, 2, 8, "feasible"))
@@ -794,6 +812,70 @@ class TestOracleEnumeration:
         out = brute_force_optimal(sp)
         assert out.iterations == math.comb(sp.num_rows, sp.d)
         assert len(reference._bases(sp.num_rows, sp.d)) < out.iterations
+
+    def test_equality_prefix_and_fallback_match_enumerating_every_subset(self):
+        statuses = set()
+        for sp in map(to_standard_general, _fallback_cases()):
+            got, want = brute_force_optimal(sp), _enumerate_every_subset(sp)
+            statuses.add(got.status)
+            # with m = d the prefix is one base; kept alone, its objective is
+            # X @ c over one row, which numpy takes by another kernel than the
+            # many-row product, and may differ by an ulp or two of the terms'
+            # magnitude |c| . |x|; every other field stays exact
+            tol = 0.0
+            if sp.m == sp.d and want.x_opt is not None:
+                terms = np.abs(sp.c_original) @ np.abs(want.x_opt) + abs(sp.objective_offset)
+                tol = 4 * np.spacing(terms)
+            _assert_same_oracle_outcome(got, want, objective_tol=tol)
+        assert statuses == {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED}
+
+    def test_a_feasible_call_never_builds_the_full_index_array(self, monkeypatch):
+        asked, build = [], reference._bases
+
+        def record(*key):
+            asked.append(key)
+            return build(*key)
+
+        monkeypatch.setattr(reference, "_bases", record)
+        for seed in range(5):
+            sp = to_standard_general(random_instance(seed, 5, 2, 8, "feasible"))
+            assert brute_force_optimal(sp).status is Status.OPTIMAL
+        assert set(asked) == {(20, 5, 2)}
+
+    def test_a_second_pass_over_the_oracle_deck_builds_no_index_array(self):
+        sps = [inst.sp for inst in workloads.build("oracle", seed=1).instances]
+        reference._bases.cache_clear()
+        for sp in sps:
+            brute_force_optimal(sp)
+        first = reference._bases.cache_info()
+        for sp in sps:
+            brute_force_optimal(sp)
+        # per shape: the prefix arrays of the feasible and infeasible
+        # instances, the full array of the infeasible fallback and of the
+        # unbounded instances, which have no equality rows
+        assert first.currsize == 12
+        assert reference._bases.cache_info().misses == first.misses
+
+
+def _fallback_cases():
+    """LPs beyond the benchmark's deck for the two-pass scan: more equality
+    rows than variables; m = d; consistent equality rows that are
+    duplicated, scaled or summed, so the prefix keeps no base and the full
+    scan answers; and independent equalities that an inequality
+    contradicts."""
+    for seed in range(12):
+        for d, m, n in ((2, 3, 2), (3, 4, 3), (3, 3, 3), (4, 4, 4)):
+            for kind in RANDOM_KINDS:
+                yield random_instance(seed, d, m, n, kind)
+        for d, m, n in ((3, 1, 4), (4, 2, 5), (5, 2, 6)):
+            p = random_instance(seed, d, m, n, "feasible")
+            r, b = p.A_eq[0], p.b_eq[0]
+            for row, rhs in ((r, b), (3.0 * r, 3.0 * b), (r + p.A_eq[-1], b + p.b_eq[-1])):
+                yield dataclasses.replace(p, A_eq=np.vstack([p.A_eq, row]),
+                                          b_eq=np.append(p.b_eq, rhs))
+            # a . x <= b - 1 against a . x = b
+            yield dataclasses.replace(p, A_ineq=np.vstack([p.A_ineq, -r]),
+                                      b_ineq=np.append(p.b_ineq, 1.0 - b))
 
 
 class TestOracleBlocks:
