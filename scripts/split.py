@@ -27,20 +27,23 @@ each block size, this times
 
 - ``reference.brute_force_optimal``, whole, with ``reference._BLOCK`` set to
   the block size;
-- beside it, the stage calls the function makes on each block, on the same
-  instances: the index arrays (``_bases``, built afresh rather than read
-  from its cache), the gather of the bases' rows and right-hand sides, the
-  batched solve, the residuals (laid out rows x bases) plus the feasibility
-  test, and the determinant filter of the feasible bases.
+- beside it, on the same instances, the same call with the library's own
+  functions swapped for timed wrappers of them: ``_bases``, the index
+  arrays, built afresh rather than read from its cache, and the three
+  stages each block goes through: ``_batched_solve`` (the gather of the
+  bases' rows and right-hand sides, then the solve), ``_feasibility`` (the
+  residuals, laid out rows x bases, plus the feasibility test) and
+  ``_det_filter`` (the determinant filter of the feasible bases, on the
+  blocks that hold one). The script restates none of the oracle's work.
 
-As the call does, the stages scan the bases that hold every equality row
-first, and all of them only when those keep none. ``bases`` and ``blocks``
-count the full index array, and ``scanned`` the bases a call scans, on
-average. The stages print in microseconds per block scanned and the call
-in milliseconds, so the blocks a call scans (ceil(scanned / block) when it
-needs no fallback) times the stage sum, plus ``_bases``, is about the call.
-``--shapes 5,2,10`` reaches 22 stacked rows at d = 5, and ``--shapes
-8,1,8`` the largest shape ``facetlp verify`` is run at.
+``bases`` and ``blocks`` count the full index array, and ``scanned`` the
+bases that reach the batched solve in a call, on average: the call scans
+the bases that hold every equality row first, and all of them only when
+those keep none. The stages print in microseconds per block scanned and
+the call in milliseconds, so the blocks a call scans times the stage sum,
+plus ``_bases``, is about the call. ``--shapes 5,2,10`` reaches 22 stacked
+rows at d = 5, and ``--shapes 8,1,8`` the largest shape ``facetlp verify``
+is run at.
 
 Each table's measurements are timed in turn round by round, so that drift
 in the host's speed hits them alike; medians over the rounds are printed.
@@ -57,6 +60,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -156,59 +160,45 @@ def pivot_row(name: str, instances: int, rounds: int, reps: int) -> tuple:
 
 def _call_ms(sps: list[model.StandardGeneralLP], block: int) -> float:
     """Milliseconds per ``brute_force_optimal`` call with blocks of ``block``."""
-    saved, reference._BLOCK = reference._BLOCK, block
-    try:
+    with mock.patch.multiple(reference, _BLOCK=block):
         t0 = time.perf_counter()
         for sp in sps:
             reference.brute_force_optimal(sp)
         return (time.perf_counter() - t0) / len(sps) * 1e3
-    finally:
-        reference._BLOCK = saved
+
+
+_STAGES = ("_batched_solve", "_feasibility", "_det_filter")
 
 
 def _stage_us(sp: model.StandardGeneralLP, block: int) -> list[float]:
-    """Microseconds of building the index arrays that ``brute_force_optimal``
-    scans, then per stage the microseconds summed over one call's blocks,
-    then the blocks and the bases scanned."""
-    clock = time.perf_counter
-    spent = [0.0, 0.0, 0.0, 0.0, 0.0]
-    blocks = scanned = 0
-    A = sp.rows(np.arange(sp.num_rows))
-    row_norms = sp.row_norms()
-    tols = sp.row_tolerances()
-    # the arrays of ``reference._scans``: the bases holding every equality
-    # row when 0 < m <= d, then all of them if those keep none
-    for m in ((sp.m, 0) if 0 < sp.m <= sp.d else (0,)):
-        t0 = clock()
-        bases = reference._bases.__wrapped__(sp.num_rows, sp.d, m)
-        spent[0] += (clock() - t0) * 1e6
-        kept = False
-        for start in range(0, len(bases), block):
-            combos = bases[start : start + block]
-            t0 = clock()
-            A_stack = np.take(A, combos, axis=0)
-            b_stack = np.take(sp.b, combos)[..., None]
-            t1 = clock()
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
-                X = reference._umath_linalg.solve(A_stack, b_stack)[..., 0]
-                t2 = clock()
-                S = A @ X.T
-                S -= sp.b[:, None]
-            feas = sp.feasible(S.T, tols)
-            t3 = clock()
-            if feas.any():
-                hadamard = np.prod(row_norms[combos[feas]], axis=1)
-                dets = np.linalg.det(A_stack[feas])
-                feas[feas] = np.abs(dets) > 1e-10 * np.maximum(hadamard, np.finfo(float).tiny)
-                kept = kept or bool(feas.any())
-            t4 = clock()
-            for k, dt in enumerate((t1 - t0, t2 - t1, t3 - t2, t4 - t3), 1):
-                spent[k] += dt * 1e6
-        blocks += -(-len(bases) // block)
-        scanned += len(bases)
-        if kept:
-            break
-    return [*spent, blocks, scanned]
+    """Microseconds of building the index arrays that one
+    ``brute_force_optimal`` call with blocks of ``block`` scans, then of
+    each of its block stages, summed over the call, then the blocks and the
+    bases that reach the batched solve."""
+    spent = dict.fromkeys(("_bases", *_STAGES), 0.0)
+    sizes = []
+
+    def timed(name, stage):
+        def call(*args):
+            t0 = time.perf_counter()
+            out = stage(*args)
+            spent[name] += (time.perf_counter() - t0) * 1e6
+            return out
+        return call
+
+    stages = {name: timed(name, getattr(reference, name)) for name in _STAGES}
+    solve = stages["_batched_solve"]
+
+    def counted_solve(A, b, combos):
+        sizes.append(len(combos))
+        return solve(A, b, combos)
+
+    stages["_batched_solve"] = counted_solve
+    # the index arrays are built afresh, not read from the cache
+    with mock.patch.multiple(reference, _BLOCK=block, **stages,
+                             _bases=timed("_bases", reference._bases.__wrapped__)):
+        reference.brute_force_optimal(sp)
+    return [*spent.values(), len(sizes), sum(sizes)]
 
 
 def oracle_row(shape: tuple[int, int, int], block: int, instances: int,
@@ -267,8 +257,8 @@ def main(argv: list[str] | None = None) -> None:
                      for name in args.dims))
     else:
         print_table(["d", "N", "bases", "block", "blocks", "call ms", "_bases ms",
-                     "gather us/block", "solve us/block",
-                     "residuals+feasibility us/block", "det filter us/block", "scanned"],
+                     "batched solve us/block", "residuals+feasibility us/block",
+                     "det filter us/block", "scanned"],
                     (oracle_row(shape, block, args.instances, args.rounds)
                      for shape in args.shapes for block in args.blocks))
 

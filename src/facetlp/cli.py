@@ -4,8 +4,9 @@ benchmark suites, and fuzz the solver against the brute-force oracle.
 Exit codes: 0 optimal/success, 2 infeasible, 3 unbounded, 4 iteration limit,
 5 input/parse error, 6 verify mismatch, 7 numerical breakdown, 1 internal error.
 Exit 5 also covers files that cannot be read, are malformed or cannot be
-written. Only ``main`` turns exceptions into exit codes; ``solve`` prefixes a
-load error with the path, and ``bench`` records a failed instance in its row.
+written. Only ``main`` turns exceptions into exit codes: the commands raise
+``FacetLPError`` for an input error, ``solve`` with the path before a load
+error's text, and ``bench`` records a failed instance in its row.
 """
 
 from __future__ import annotations
@@ -140,8 +141,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         p = _load_problem(args.path, args.format)
     except (FacetLPError, OSError) as exc:
-        print(f"error: {args.path}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise FacetLPError(f"{args.path}: {exc}") from exc
     rule, max_iter = _solver_flags(args, [args.solver])
     # the trace file opens before the solve, so that a bad path fails first
     trace = contextlib.nullcontext() if args.trace is None else open(args.trace, "w")
@@ -214,14 +214,12 @@ def _bench_instances(args: argparse.Namespace):
 def cmd_bench(args: argparse.Namespace) -> int:
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     if not solvers or not set(solvers) <= set(SOLVERS):
-        print(f"error: --solvers takes a list from {','.join(SOLVERS)}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise FacetLPError(f"--solvers takes a list from {','.join(SOLVERS)}")
     rule, max_iter = _solver_flags(args, solvers)
     rows = []
     instances = list(_bench_instances(args))
     if not instances:
-        print(f"error: suite {args.suite} has no instances", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise FacetLPError(f"suite {args.suite} has no instances")
 
     # the CSV file opens before the suite runs, so that a bad path fails first
     with open(args.csv, "w") if args.csv else contextlib.nullcontext() as fh:
@@ -275,12 +273,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rule, max_iter = _solver_flags(args, ["facet"])
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     if not kinds or not set(kinds) <= set(generators.RANDOM_KINDS):
-        print(f"error: --kinds takes a list from {','.join(generators.RANDOM_KINDS)}",
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise FacetLPError(f"--kinds takes a list from {','.join(generators.RANDOM_KINDS)}")
     if args.count < 1:
-        print("error: --count must be at least 1", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise FacetLPError("--count must be at least 1")
     mismatches: list[tuple[str, int, str]] = []
     checked = 0
     for kind in kinds:

@@ -401,11 +401,22 @@ def solve(
     records base index sets to detect revisits. After ``STALL_ITERATIONS``
     pivots without objective progress the rule switches to the least-index
     rule, whose termination guarantee breaks any cycling.
+
+    A row that leaves as the sole eligible slot is found redundant and never
+    enters again. That proof reads float signs, so when no row is violated
+    the rows found redundant are priced once more at their own tolerances:
+    a violated one gets its tolerance back, is never found redundant again,
+    and the pivots go on. ``redundant_rows`` holds the rows still found
+    redundant at the end.
     """
     c = sp.c_original
     # each row's own tolerance, infinite once the row is found redundant;
     # pricing reads a copy that is infinite on the base rows as well
     own_tols = sp.row_tolerances()
+    # each row found redundant, with its own tolerance, and the rows whose
+    # tolerance was given back at the end, which are never found redundant again
+    redundant: dict[int, float] = {}
+    revived: set[int] = set()
     row_norms = sp.row_norms() if rule is PivotRule.MAX_NORMALIZED_DEVIATION else None
 
     base, state = initial_state(sp)
@@ -428,6 +439,13 @@ def solve(
         sigma = state.sigma
         p = select_entering(sp, state, active_rule, row_tols, row_norms)
         if p is None:
+            # the rows found redundant, priced once more at their own tolerances
+            violated = [r for r, tol in redundant.items() if sigma.item(r) < -tol]
+            if violated:
+                for r in violated:
+                    own_tols[r] = row_tols[r] = redundant.pop(r)
+                revived.update(violated)
+                continue
             x_opt = state.x + 0.0  # clear -0.0
             status, certificate = final_status(sp, base.indices)
             objective = (finite_optimum(x_opt, float(c.dot(x_opt)) + offset)
@@ -458,8 +476,9 @@ def solve(
 
         s, sole = leaving
         q = int(base.indices[s])
-        if sole:
+        if sole and q not in revived:
             # the leaving row can never bind again: it is redundant, never to re-enter
+            redundant[q] = own_tols.item(q)
             own_tols[q] = np.inf
         row_tols[q], row_tols[p] = own_tols[q], np.inf
 
@@ -494,7 +513,7 @@ def solve(
     return SolveOutcome(
         status=status, x_opt=x_opt, objective=objective,
         iterations=iteration, certificate=certificate,
-        redundant_rows=frozenset(np.isinf(own_tols).nonzero()[0].tolist()),
+        redundant_rows=frozenset(redundant),
         basis_rows=tuple(base.indices.tolist()),
         trace=trace, audit=audit_log, factorizations=base.factorizations,
     )

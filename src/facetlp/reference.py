@@ -347,6 +347,44 @@ def _scans(sp: StandardGeneralLP) -> Iterator[np.ndarray]:
     yield _bases(N, d)
 
 
+def _batched_solve(A: np.ndarray, b: np.ndarray,
+                   combos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first stage of an oracle block: the rows and right-hand sides of
+    the bases ``combos`` gathered from the stacked ``A`` and ``b``, and the
+    block solved whole. np.linalg.solve wraps the gufunc called here but
+    raises for the whole stack when one base is exactly singular; called
+    directly, it returns NaN for that base alone. Returns the gathered rows
+    and the solutions, one per base."""
+    A_stack = np.take(A, combos, axis=0)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        return A_stack, _umath_linalg.solve(A_stack, np.take(b, combos)[..., None])[..., 0]
+
+
+def _feasibility(sp: StandardGeneralLP, A: np.ndarray, X: np.ndarray,
+                 tols: np.ndarray) -> np.ndarray:
+    """The second stage: whether each solution in ``X`` is feasible within
+    the row tolerances ``tols``. The residuals are laid out rows × bases,
+    and ``feasible`` gets their transposed view, so each comparison runs
+    over a row's contiguous lane of bases. An exactly singular base's NaN
+    solution fails."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        S = A @ X.T
+        S -= sp.b[:, None]
+    return sp.feasible(S.T, tols)
+
+
+def _det_filter(A_stack: np.ndarray, combos: np.ndarray, feas: np.ndarray,
+                row_norms: np.ndarray) -> np.ndarray:
+    """The last stage, on the feasible bases only: ``feas``, updated in
+    place and returned, without the bases whose ``|det|`` is at most 1e-10
+    times the Hadamard bound (the product of their row norms), which are
+    numerically singular."""
+    hadamard = np.prod(row_norms[combos[feas]], axis=1)
+    dets = np.linalg.det(A_stack[feas])
+    feas[feas] = np.abs(dets) > 1e-10 * np.maximum(hadamard, np.finfo(float).tiny)
+    return feas
+
+
 def brute_force_optimal(sp: StandardGeneralLP) -> SolveOutcome:
     """Enumerate the d-subsets of facets, solve the square systems in bulk,
     and keep the best feasible basic solution.
@@ -371,7 +409,7 @@ def brute_force_optimal(sp: StandardGeneralLP) -> SolveOutcome:
     and cached. They skip the subsets holding both bound rows of one
     variable: those rows are e_i and -e_i, they stay exact negatives of
     each other through partially pivoted elimination, so their solve is
-    NaN and the feasibility test below would drop them anyway. Outcomes
+    NaN and the feasibility stage would drop them anyway. Outcomes
     are therefore those of enumerating every subset, and ``iterations``
     still counts all C(N, d) of them. Where the prefix pass keeps a single
     base, its objective is a dot product over one row and may differ from
@@ -382,14 +420,9 @@ def brute_force_optimal(sp: StandardGeneralLP) -> SolveOutcome:
     with 25, about one core's L2 (2 MB on the Xeon it was tuned on). The
     block size bounds only the per-block working arrays, and never the
     result: the full index array is C(N, d)-sized, and :func:`_bases`
-    keeps up to 16 arrays for the life of the process. Each block is
-    solved whole, and its solutions are tested for feasibility; an exactly
-    singular base solves to NaN and fails that test. The residuals are
-    laid out rows × bases, and ``feasible`` gets their transposed view, so
-    each comparison runs over a row's contiguous lane of bases. Only the
-    feasible bases then have their determinant taken, and those with
-    ``|det|`` at most 1e-10 times the Hadamard bound (the product of their
-    row norms) are dropped as numerically singular.
+    keeps up to 16 arrays for the life of the process. Each block passes
+    through three stages: :func:`_batched_solve`, :func:`_feasibility` and,
+    when some base is feasible, :func:`_det_filter`.
     """
     N, d = sp.num_rows, sp.d
     count = math.comb(N, d)
@@ -404,21 +437,9 @@ def brute_force_optimal(sp: StandardGeneralLP) -> SolveOutcome:
     for bases in _scans(sp):
         for start in range(0, len(bases), _BLOCK):
             combos = bases[start : start + _BLOCK]
-            A_stack = np.take(A, combos, axis=0)
-            # np.linalg.solve wraps this gufunc but raises for the whole
-            # stack when one base is exactly singular; called directly, it
-            # returns NaN for that base alone.
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
-                X = _umath_linalg.solve(A_stack, np.take(sp.b, combos)[..., None])[..., 0]
-                S = A @ X.T
-                S -= sp.b[:, None]
-            feas = sp.feasible(S.T, tols)
-            if not feas.any():
-                continue
-            hadamard = np.prod(row_norms[combos[feas]], axis=1)
-            dets = np.linalg.det(A_stack[feas])
-            feas[feas] = np.abs(dets) > 1e-10 * np.maximum(hadamard, np.finfo(float).tiny)
-            if feas.any():
+            A_stack, X = _batched_solve(A, sp.b, combos)
+            feas = _feasibility(sp, A, X, tols)
+            if feas.any() and _det_filter(A_stack, combos, feas, row_norms).any():
                 kept_combos.append(combos[feas])
                 kept_X.append(X[feas])
         if kept_combos:

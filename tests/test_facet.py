@@ -73,6 +73,17 @@ def _oracle_shape_lps(seeds):
             for seed in range(seeds)]
 
 
+def _metamorphic_deck():
+    """The LPs the metamorphic relations are checked on: the oracle deck's
+    seeds 0..9, km1 and km2 at d = 3..12, and two ``dense_lp`` each at
+    d = 20 and 40."""
+    lps = _oracle_shape_lps(10)
+    lps += [cube(d) for cube in (klee_minty_v1, klee_minty_v2) for d in range(3, 13)]
+    lps += [workloads.dense_lp(np.random.default_rng(j), d) for d in (20, 40)
+            for j in range(2)]
+    return lps
+
+
 @st.composite
 def _pricing_cases(draw):
     """(m, sigma, tols, norms) as lists: residuals drawn from few values, so
@@ -831,6 +842,27 @@ class TestRedundancyDetection:
             (0, 4), (1, 0), (2, 1), (3, 5), (1, -1)]
         assert out.certificate.entering_row == 1
 
+    def test_a_row_proved_redundant_by_rounding_is_priced_again(self):
+        # km1 at d = 10 with a looser copy of its last row: under
+        # least-index, row 9 is in the base at pivot 10, at the big-M
+        # start's x near 1e14, where its residual rounds to -7. So its copy,
+        # row 10, reads -6 and enters, and row 9, the sole eligible slot,
+        # leaves as redundant, though the exact residual of row 10 is +1.
+        # Priced once more at the end, row 9 is violated by 1, so it gets
+        # its tolerance back and enters, and row 10 leaves as redundant
+        p = klee_minty_v1(10)
+        loose = GeneralLP(c=p.c, A_ineq=np.vstack([p.A_ineq, p.A_ineq[-1]]),
+                          b_ineq=np.append(p.b_ineq, p.b_ineq[-1] - 1.0))
+        sp = to_standard_general(loose)
+        for rule in PivotRule:
+            out = solve(sp, rule, collect_trace=True)
+            assert out.status is Status.OPTIMAL, rule
+            assert out.objective == -9_765_625.0, rule
+            assert violations(sp, out.x_opt).is_feasible, rule
+        assert (out.trace[10].entering, out.trace[10].leaving) == (10, 9)
+        assert (out.trace[-1].entering, out.trace[-1].leaving) == (9, 10)
+        assert out.redundant_rows == {10, 11, 20}
+
     def test_binding_row_not_flagged(self):
         p = GeneralLP(
             c=[-1.0, -1.0],
@@ -1043,11 +1075,7 @@ class TestTerminationAndAgreement:
         # x -> x + t with t integral moves each rhs and bound by an integer,
         # so every rule takes the same pivots to the same base at any d, and
         # an Optimal objective moves by c.t
-        lps = _oracle_shape_lps(10)
-        lps += [cube(d) for cube in (klee_minty_v1, klee_minty_v2) for d in range(3, 13)]
-        lps += [workloads.dense_lp(np.random.default_rng(j), d) for d in (20, 40)
-                for j in range(2)]
-        for i, p in enumerate(lps):
+        for i, p in enumerate(_metamorphic_deck()):
             t = np.random.default_rng(i).integers(-3, 4, size=p.c.size).astype(float)
             moved = GeneralLP(
                 c=p.c, A_eq=p.A_eq, b_eq=p.b_eq + p.A_eq @ t, A_ineq=p.A_ineq,
@@ -1062,6 +1090,40 @@ class TestTerminationAndAgreement:
                 if want.status is Status.OPTIMAL:
                     assert got.objective == pytest.approx(
                         want.objective + p.c @ t, rel=1e-12, abs=0.0), (i, rule)
+
+    def test_column_permutation_and_a_looser_row_keep_the_answer(self):
+        # permuting the variables, or appending a copy of the last
+        # inequality row with its rhs lowered by 1, leaves the feasible set
+        # and the optimum as they were (the permuted one permuted), though
+        # not the path. Each pair keeps its status and an Optimal objective
+        # to criterion 3's 1e-7, and every Optimal x is feasible for the LP
+        # it solved
+        failed = []
+        for i, p in enumerate(_metamorphic_deck()):
+            perm = np.random.default_rng(i).permutation(p.d)
+            permuted = GeneralLP(
+                c=p.c[perm], A_eq=p.A_eq[:, perm], b_eq=p.b_eq, A_ineq=p.A_ineq[:, perm],
+                b_ineq=p.b_ineq, lower=p.lower[perm], upper=p.upper[perm],
+                objective_offset=p.objective_offset,
+            )
+            looser = GeneralLP(
+                c=p.c, A_eq=p.A_eq, b_eq=p.b_eq, A_ineq=np.vstack([p.A_ineq, p.A_ineq[-1]]),
+                b_ineq=np.append(p.b_ineq, p.b_ineq[-1] - 1.0), lower=p.lower, upper=p.upper,
+                objective_offset=p.objective_offset,
+            )
+            sps = [to_standard_general(q) for q in (p, permuted, looser)]
+            for rule in PivotRule:
+                want, *got = outs = [solve(sp, rule) for sp in sps]
+                for relation, out in zip(("permuted", "looser"), got):
+                    if out.status is not want.status:
+                        failed.append((i, rule.value, relation, out.status, want.status))
+                    elif want.status is Status.OPTIMAL and abs(
+                            out.objective - want.objective) > 1e-7 * (1 + abs(want.objective)):
+                        failed.append((i, rule.value, relation, out.objective, want.objective))
+                for sp, out in zip(sps, outs):
+                    if out.status is Status.OPTIMAL and not violations(sp, out.x_opt).is_feasible:
+                        failed.append((i, rule.value, "infeasible x", out.objective))
+        assert failed == []
 
 
 class TestBaseFactorizationPaths:

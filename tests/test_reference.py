@@ -961,11 +961,14 @@ def test_oracle_split_script_prints_one_row_per_shape_and_block(capsys, load_scr
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("| d | N | bases | block |") and len(lines) == 4
     bases = len(reference._bases(11, 3))
+    # the feasible instance keeps a base among those holding its equality row
+    scanned = len(reference._bases(11, 3, 1))
     for size, line in zip((16, 200), lines[2:]):
         cells = line.strip("|").split("|")
         assert [int(c) for c in cells[:5]] == [3, 11, bases, size, -(-bases // size)]
         assert float(cells[5]) > 0 and float(cells[6]) > 0
         assert all(float(c) >= 0 for c in cells[7:]) and float(cells[8]) > 0
+        assert int(cells[-1]) == scanned == 42
 
 
 def _freeze(obj):
